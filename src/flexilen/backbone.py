@@ -97,9 +97,6 @@ class FlnParams:
             return self.tensors[f"pe.{branch}.table"]
         return self.tensors["pe.shared.table"]
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.tensors
-
 
 def _init_theta(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     d = cfg.d_model
@@ -191,16 +188,6 @@ def sinusoidal_pe(t_indices: np.ndarray, shift: int, d_model: int) -> np.ndarray
     exponent = np.where(k % 2 == 0, k, k - 1) / d_model
     angle = (t + float(shift)) / np.power(10000.0, exponent)[None, :]
     return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
-
-
-def positional_encode(t: int, branch: str, params: FlnParams) -> np.ndarray:
-    """The d_model positional vector for timestep t of a branch's window."""
-    h_branch = params.lengths[branch]
-    if not 0 <= t < h_branch:
-        raise ValueError(f"timestep {t} out of range for branch {branch} (H={h_branch})")
-    if params.cfg.pe_kind == "sinusoidal":
-        return sinusoidal_pe(np.array([t]), h_branch, params.cfg.d_model)[0]
-    return params.pe_table(branch).data[t].copy()
 
 
 def _pe_rows(params: FlnParams, branch: str, fed_length: int) -> Tensor:

@@ -2,8 +2,7 @@
 
 Every command validates its full configuration before touching the
 filesystem, echoes the effective seed into its output manifest, and exits
-nonzero on any error. ``--deterministic`` forces fully serial execution
-(execution is single-threaded throughout, so the flag is a recorded promise).
+nonzero on any error.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--deterministic", action="store_true", help="force serial execution")
     parser.add_argument(
         "--set",
         dest="overrides",
@@ -60,8 +58,6 @@ def _build_config(args) -> RunConfig:
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "deterministic", False):
-        overrides["deterministic"] = True
     if getattr(args, "strategy", None):
         overrides["strategy"] = args.strategy
     if getattr(args, "length", None) and getattr(args, "command", "") == "train":
@@ -125,7 +121,7 @@ def cmd_train(args) -> int:
         params, log = train_mixed(split, cfg, normalizer, epoch_hook=epoch_hook)
         outputs = [("checkpoint", params, log)]
     elif strategy == "finetune":
-        params, log, pre = train_finetune(split, cfg, normalizer)
+        params, log, pre = train_finetune(split, cfg, normalizer, epoch_hook=epoch_hook)
         save_checkpoint(out / "checkpoint_pretune", pre, run_flat, epoch=cfg.train.epochs)
         outputs = [("checkpoint", params, log)]
     else:  # joint

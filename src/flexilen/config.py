@@ -6,7 +6,6 @@ starts and unknown keys are rejected.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -16,7 +15,6 @@ STRATEGIES = ("fln", "isolated", "mixed", "finetune", "joint")
 PE_KINDS = ("sinusoidal", "learnable")
 ACTIVATIONS = ("relu", "gelu")
 SAMPLING_MODES = ("mode-means", "stochastic")
-DERIVATION_MODES = ("truncation", "sliding")
 
 
 class ConfigError(ValueError):
@@ -87,7 +85,6 @@ class DataConfig:
     repulsion: float = 0.0
     train_frac: float = 0.7
     val_frac: float = 0.15
-    derivation: str = "truncation"
 
     def validate(self) -> None:
         if self.n_scenes < 1:
@@ -107,8 +104,6 @@ class DataConfig:
             raise ConfigError("fractions must lie in (0, 1)")
         if self.train_frac + self.val_frac >= 1:
             raise ConfigError("train_frac + val_frac must leave room for a test split")
-        if self.derivation not in DERIVATION_MODES:
-            raise ConfigError(f"derivation must be one of {DERIVATION_MODES}")
 
     @property
     def motion_mix(self) -> tuple[float, float, float]:
@@ -165,7 +160,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
-    deterministic: bool = False
 
     def validate(self) -> None:
         self.backbone.validate()
@@ -211,7 +205,6 @@ def _flat_field_map() -> dict[str, tuple[str | None, str, type]]:
             mapping[f.name] = (section, f.name, f.type if isinstance(f.type, type) else type(f.default))
     mapping["horizon"] = (None, "horizon", int)  # applied to backbone and data
     mapping["seed"] = (None, "seed", int)
-    mapping["deterministic"] = (None, "deterministic", bool)
     return mapping
 
 
@@ -305,13 +298,5 @@ def run_config_to_flat(cfg: RunConfig) -> dict[str, object]:
                 continue
             flat[f.name] = getattr(sub, f.name)
     flat["seed"] = cfg.seed
-    flat["deterministic"] = cfg.deterministic
     return flat
 
-
-def run_config_from_flat(flat: dict[str, object]) -> RunConfig:
-    return build_run_config(dict(flat))
-
-
-def replace_run(cfg: RunConfig, **kwargs) -> RunConfig:
-    return dataclasses.replace(cfg, **kwargs)

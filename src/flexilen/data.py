@@ -3,8 +3,8 @@
 Synthetic scenes mix constant-velocity, constant-turn-rate, and stop-and-go
 agents with optional process noise and pairwise soft repulsion. Real data is
 ingested from the plain-text "frame agent x y" convention. Multi-length
-observation bundles are derived by truncation (shared future, suffix-aligned
-windows) or by sliding windows (each length gets its own future).
+observation bundles are derived by truncation: suffix-aligned windows that
+share one future.
 """
 from __future__ import annotations
 
@@ -46,35 +46,24 @@ class TrajectoryScene:
 
 @dataclass
 class ObservationBundle:
-    """Aligned multi-length observations of one scene plus the future(s).
+    """Aligned multi-length observations of one scene plus their shared future.
 
-    In truncation mode the three windows are suffixes of each other and share
-    one future; in sliding mode each window carries its own future.
+    The three windows are suffixes of each other (truncation of one
+    observed history), so every branch predicts the same future.
     """
 
     observations: dict[str, np.ndarray]  # branch id -> (..., H_branch, 2)
-    futures: dict[str, np.ndarray]       # branch id -> (..., T, 2)
-    mode: str
+    future: np.ndarray                   # (..., T, 2)
 
     def __post_init__(self):
-        if self.mode == "truncation":
-            x_l, x_m, x_s = (self.observations[b] for b in ("L", "M", "S"))
-            if not np.array_equal(x_m, x_l[..., -x_m.shape[-2]:, :]):
-                raise ValueError("truncation bundle: X^M must be the suffix of X^L")
-            if not np.array_equal(x_s, x_m[..., -x_s.shape[-2]:, :]):
-                raise ValueError("truncation bundle: X^S must be the suffix of X^M")
-            futs = list(self.futures.values())
-            if any(f is not futs[0] and not np.array_equal(f, futs[0]) for f in futs):
-                raise ValueError("truncation bundle: all branches must share one future")
-
-    @property
-    def future(self) -> np.ndarray:
-        return self.futures["L"]
+        x_l, x_m, x_s = (self.observations[b] for b in ("L", "M", "S"))
+        if not np.array_equal(x_m, x_l[..., -x_m.shape[-2]:, :]):
+            raise ValueError("truncation bundle: X^M must be the suffix of X^L")
+        if not np.array_equal(x_s, x_m[..., -x_s.shape[-2]:, :]):
+            raise ValueError("truncation bundle: X^S must be the suffix of X^M")
 
 
 # ----------------------------------------------------------------- synthesis
-
-_MOTION_KINDS = ("cv", "turn", "stopgo")
 
 
 def _simulate_agents(
@@ -180,39 +169,21 @@ def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
 
 
 def derive_observations(
-    scene_positions: np.ndarray,
-    lengths: dict[str, int],
-    horizon: int,
-    mode: str = "truncation",
+    scene_positions: np.ndarray, lengths: dict[str, int], horizon: int
 ) -> ObservationBundle:
-    """Split one scene into the three-length observation views.
-
-    truncation: every branch sees the last H steps before the shared future.
-    sliding: windows start together and end at staggered offsets, each with
-    its own future of the same horizon.
-    """
+    """Split one scene into the three-length observation views: every branch
+    sees the last H steps before the shared future."""
     positions = np.asarray(scene_positions, dtype=np.float64)
     h_l = lengths["L"]
     if positions.shape[-2] < h_l + horizon:
         raise ValueError(
             f"scene too short: {positions.shape[-2]} steps < H^L + T = {h_l + horizon}"
         )
-    if mode == "truncation":
-        obs_end = positions.shape[-2] - horizon
-        future = positions[..., obs_end:, :]
-        observations = {
-            branch: positions[..., obs_end - h : obs_end, :] for branch, h in lengths.items()
-        }
-        return ObservationBundle(observations, {b: future for b in lengths}, mode)
-    if mode == "sliding":
-        start = positions.shape[-2] - horizon - h_l
-        observations, futures = {}, {}
-        for branch, h in lengths.items():
-            end = start + h
-            observations[branch] = positions[..., start:end, :]
-            futures[branch] = positions[..., end : end + horizon, :]
-        return ObservationBundle(observations, futures, mode)
-    raise ValueError(f"unknown derivation mode {mode!r}")
+    obs_end = positions.shape[-2] - horizon
+    observations = {
+        branch: positions[..., obs_end - h : obs_end, :] for branch, h in lengths.items()
+    }
+    return ObservationBundle(observations, positions[..., obs_end:, :])
 
 
 # ------------------------------------------------------------------ loading

@@ -27,15 +27,10 @@ class FlnLoss:
     kl: Tensor
 
 
-def fln_loss(
-    bundle: ObservationBundle,
-    future: np.ndarray,
-    params: FlnParams,
-    cfg: BranchConfig,
-) -> FlnLoss:
+def fln_loss(bundle: ObservationBundle, params: FlnParams, cfg: BranchConfig) -> FlnLoss:
     """Combined loss over the three branches of one (possibly batched) bundle.
 
-    reg is the long branch's NLL against the shared future; kl is the sum of
+    reg is the long branch's NLL against the bundle's future; kl is the sum of
     teacher-to-student distillation terms in the default configuration, or
     the direct per-branch NLL when temporal distillation is ablated.
     """
@@ -50,6 +45,7 @@ def fln_loss(
         branch: bb.forward(bundle.observations[branch], branch, params)
         for branch in ("L", "M", "S")
     }
+    future = bundle.future
     reg = nll(preds["L"], future)
     if cfg.temporal_distillation:
         kl = kl_distill(preds["L"], preds["M"], cfg.detach_teacher) + kl_distill(
@@ -67,16 +63,6 @@ def route(h_prime: int, lengths: dict[str, int]) -> str:
     if h_prime < 1:
         raise ValueError("observed length must be >= 1")
     return min(lengths, key=lambda b: (abs(h_prime - lengths[b]), -lengths[b]))
-
-
-def route_bruteforce(h_prime: int, lengths: dict[str, int]) -> str:
-    """Enumeration oracle for route (used by tests and the sweep report)."""
-    best, best_key = None, None
-    for branch, h in lengths.items():
-        key = (abs(h_prime - h), -h)
-        if best_key is None or key < best_key:
-            best, best_key = branch, key
-    return best
 
 
 def forward_routed(

@@ -89,23 +89,6 @@ def nll(pred: MixturePrediction, future: np.ndarray) -> Tensor:
     return -ad.reduce_mean(ad.logsumexp(joint, axis=-1)) / pred.horizon
 
 
-def nll_bruteforce(pred: MixturePrediction, future: np.ndarray) -> float:
-    """Independent oracle: direct density product over timesteps and
-    coordinates, weighted sum over modes (no log-sum-exp), divided by T."""
-    means = pred.means.data
-    scales = pred.scales.data
-    logits = pred.logits.data
-    weights = np.exp(logits - logits.max(-1, keepdims=True))
-    weights = weights / weights.sum(-1, keepdims=True)
-    future = np.asarray(future, dtype=np.float64)
-    diff = np.expand_dims(future, -2) - means
-    dens = np.prod(
-        np.exp(-0.5 * (diff / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=(-3, -1)
-    )  # (..., K)
-    mix = np.sum(weights * dens, axis=-1)
-    return float(np.mean(-np.log(mix))) / pred.horizon
-
-
 def kl_distill(
     teacher: MixturePrediction, student: MixturePrediction, detach_teacher: bool = True
 ) -> Tensor:

@@ -7,6 +7,14 @@ Strategies:
   finetune  train at the long length, then adapt to a target length
   joint     dataset expanded with every length, one model per eval length
 
+All five run through one loop, ``_epochs``: shuffled batches of equal agent
+count, one loss, one backward and one Adam step per batch, validation and
+the optional epoch hook after every pass. A strategy only chooses the
+per-batch loss (the combined FLN loss, or a single-model NLL at a fixed,
+rho-drawn or per-batch-tagged length) and how many passes to run; finetune
+runs the loop twice on the same model, optimizer and shuffle stream, and
+stops the second run on its validation plateau.
+
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,
 lr * 0.5 * (1 + cos(pi * step / total_steps)), where total_steps is epochs
@@ -52,7 +60,6 @@ VAL_SCENE_CAP = 64  # per-epoch validation subset (deterministic prefix by id)
 # namespaces itself with a trailing 0 inside init_params
 STREAM_SHUFFLE = 1
 STREAM_LENGTH = 2
-STREAM_DATA = 3
 
 
 @dataclass
@@ -229,21 +236,74 @@ def _val_metrics(
     return out
 
 
-def _epoch_log(records, epoch, sums, n_batches, started, val):
-    records.append(
-        EpochRecord(
-            epoch=epoch,
-            total=sums[0] / n_batches,
-            reg=sums[1] / n_batches,
-            kl=sums[2] / n_batches,
-            seconds=time.perf_counter() - started,
-            val=val,
-        )
-    )
-
-
 def fit_normalizer(split: DatasetSplit, horizon: int) -> Normalizer:
     return Normalizer(horizon=horizon).fit(split.train)
+
+
+def _stream(seed: int | tuple, stream: int) -> np.random.Generator:
+    return np.random.default_rng([*((seed,) if isinstance(seed, int) else seed), stream])
+
+
+# ------------------------------------------------------------------ the loop
+
+
+def _epochs(
+    params: FlnParams,
+    items: list[tuple[PreparedScene, object]],
+    loss_fn,
+    validate,
+    cfg: RunConfig,
+    state: AdamState,
+    shuffle_rng: np.random.Generator,
+    epochs: int,
+    first_epoch: int = 0,
+    anneal: bool = True,
+    epoch_hook=None,
+):
+    """The training loop of every strategy: ``epochs`` shuffled passes over
+    ``items`` with one Adam step per batch, yielding one EpochRecord per pass.
+
+    ``loss_fn(batch) -> (total, reg, kl)`` is the only per-strategy part;
+    ``total`` is minimized and ``kl`` is None for single-model losses.
+    ``validate(params)`` fills the record's val metrics. ``epoch_hook(params,
+    epoch)`` runs before each record is yielded, so a caller that stops
+    iterating has already hooked its last epoch. With ``anneal`` the rate
+    follows the half-cosine over this call's steps, else it stays constant."""
+    step = 0
+    for epoch in range(first_epoch, first_epoch + epochs):
+        started = time.perf_counter()
+        sums = [0.0, 0.0, 0.0]
+        batches = _make_batches(items, cfg.train.batch_size, shuffle_rng)
+        total_steps = epochs * len(batches)
+        for batch in batches:
+            total, reg, kl = loss_fn(batch)
+            zero_grad(params.tensors)
+            backward(total)
+            lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
+            adam_step(params.tensors, state, lr)
+            step += 1
+            sums[0] += total.item()
+            sums[1] += reg.item()
+            if kl is not None:
+                sums[2] += kl.item()
+        val = validate(params)
+        n = len(batches)
+        seconds = time.perf_counter() - started
+        record = EpochRecord(epoch, sums[0] / n, sums[1] / n, sums[2] / n, seconds, val)
+        if epoch_hook is not None:
+            epoch_hook(params, epoch)
+        yield record
+
+
+def _single_loss(params: FlnParams, length_of):
+    """Single-model NLL on the last ``length_of(batch)`` observed steps."""
+
+    def loss_fn(batch: Batch):
+        h = length_of(batch)
+        loss = nll(bb.forward_single(batch.obs[:, :, -h:, :], params), batch.future)
+        return loss, loss, None
+
+    return loss_fn
 
 
 # ---------------------------------------------------------------- strategies
@@ -270,95 +330,20 @@ def train_fln(
         independent_pe=branches.independent_pe,
         specialized_ln=branches.specialized_ln,
     )
-    state = AdamState()
-    shuffle_rng = np.random.default_rng([cfg.seed, STREAM_SHUFFLE])
-    log = TrainLog("fln")
     lengths = branches.lengths
-    step = 0
-    for epoch in range(cfg.train.epochs):
-        started = time.perf_counter()
-        sums = [0.0, 0.0, 0.0]
-        batches = _make_batches([(p, None) for p in prepared], cfg.train.batch_size, shuffle_rng)
-        total_steps = cfg.train.epochs * len(batches)
-        for batch in batches:
-            bundle = ObservationBundle(
-                {b: batch.obs[:, :, -h:, :] for b, h in lengths.items()},
-                {b: batch.future for b in lengths},
-                "truncation",
-            )
-            loss = fln_loss(bundle, batch.future, params, branches)
-            zero_grad(params.tensors)
-            backward(loss.total)
-            adam_step(params.tensors, state, cosine_lr(cfg.train.lr, step, total_steps))
-            step += 1
-            sums[0] += loss.total.item()
-            sums[1] += loss.reg.item()
-            sums[2] += loss.kl.item()
-        val = _val_metrics(params, split.val, list(lengths.values()), normalizer, cfg)
-        _epoch_log(log.records, epoch, sums, len(batches), started, val)
-        if epoch_hook is not None:
-            epoch_hook(params, epoch)
-    return params, log
 
+    def loss_fn(batch: Batch):
+        observations = {b: batch.obs[:, :, -h:, :] for b, h in lengths.items()}
+        loss = fln_loss(ObservationBundle(observations, batch.future), params, branches)
+        return loss.total, loss.reg, loss.kl
 
-def _train_single(
-    split: DatasetSplit,
-    cfg: RunConfig,
-    h_train: int,
-    normalizer: Normalizer,
-    length_rho: tuple[float, float, float] | None = None,
-    seed: int | tuple = None,
-    epochs: int | None = None,
-    params: FlnParams | None = None,
-    state: AdamState | None = None,
-    shuffle_rng: np.random.Generator | None = None,
-    strategy: str = "isolated",
-    epoch_hook=None,
-    anneal: bool = True,
-) -> tuple[FlnParams, TrainLog, AdamState, np.random.Generator]:
-    """Shared single-model loop; `length_rho` switches per-batch lengths.
-
-    With ``anneal`` the learning rate follows the half-cosine over this
-    call's epochs; without it the rate stays constant."""
-    seed = cfg.seed if seed is None else seed
-    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
-    if params is None:
-        params = bb.init_single_params(cfg.backbone, h_train, seed)
-    state = state or AdamState()
-    shuffle_rng = shuffle_rng or np.random.default_rng([*_seed_tuple(seed), STREAM_SHUFFLE])
-    length_rng = np.random.default_rng([*_seed_tuple(seed), STREAM_LENGTH])
-    candidates = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
-    probs = None
-    if length_rho is not None:
-        probs = np.asarray(length_rho, dtype=np.float64)
-        probs = probs / probs.sum()
-    log = TrainLog(strategy)
-    epochs = epochs if epochs is not None else cfg.train.epochs
-    step = 0
-    for epoch in range(epochs):
-        started = time.perf_counter()
-        sums = [0.0, 0.0, 0.0]
-        batches = _make_batches([(p, None) for p in prepared], cfg.train.batch_size, shuffle_rng)
-        total_steps = epochs * len(batches)
-        for batch in batches:
-            h = h_train if probs is None else candidates[int(length_rng.choice(3, p=probs))]
-            loss = nll(bb.forward_single(batch.obs[:, :, -h:, :], params), batch.future)
-            zero_grad(params.tensors)
-            backward(loss)
-            lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
-            adam_step(params.tensors, state, lr)
-            step += 1
-            sums[0] += loss.item()
-            sums[1] += loss.item()
-        val = _val_metrics(params, split.val, [h_train], normalizer, cfg)
-        _epoch_log(log.records, epoch, sums, len(batches), started, val)
-        if epoch_hook is not None:
-            epoch_hook(params, epoch)
-    return params, log, state, shuffle_rng
-
-
-def _seed_tuple(seed) -> tuple[int, ...]:
-    return (seed,) if isinstance(seed, int) else tuple(seed)
+    records = _epochs(
+        params, [(p, None) for p in prepared], loss_fn,
+        lambda p: _val_metrics(p, split.val, list(lengths.values()), normalizer, cfg),
+        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
+        epoch_hook=epoch_hook,
+    )
+    return params, TrainLog("fln", list(records))
 
 
 def train_isolated(
@@ -371,10 +356,16 @@ def train_isolated(
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    params, log, _, _ = _train_single(
-        split, cfg, h_train, normalizer, seed=seed, epoch_hook=epoch_hook
+    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
+    seed = cfg.seed if seed is None else seed
+    params = bb.init_single_params(cfg.backbone, h_train, seed)
+    records = _epochs(
+        params, [(p, None) for p in prepared], _single_loss(params, lambda batch: h_train),
+        lambda p: _val_metrics(p, split.val, [h_train], normalizer, cfg),
+        cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
+        epoch_hook=epoch_hook,
     )
-    return params, log
+    return params, TrainLog("isolated", list(records))
 
 
 def train_mixed(
@@ -386,42 +377,54 @@ def train_mixed(
     """One model; each iteration trains at a length drawn from the
     (renormalized) probabilities rho."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    rho = (cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long)
-    params, log, _, _ = _train_single(
-        split, cfg, cfg.branches.h_long, normalizer, length_rho=rho, strategy="mixed",
+    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
+    h_long = cfg.branches.h_long
+    params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
+    candidates = [cfg.branches.h_short, cfg.branches.h_medium, h_long]
+    probs = np.asarray((cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long))
+    probs = probs / probs.sum()
+    length_rng = _stream(cfg.seed, STREAM_LENGTH)
+    records = _epochs(
+        params, [(p, None) for p in prepared],
+        _single_loss(params, lambda batch: candidates[int(length_rng.choice(3, p=probs))]),
+        lambda p: _val_metrics(p, split.val, [h_long], normalizer, cfg),
+        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
-    return params, log
+    return params, TrainLog("mixed", list(records))
 
 
 def train_finetune(
-    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer | None = None
+    split: DatasetSplit,
+    cfg: RunConfig,
+    normalizer: Normalizer | None = None,
+    epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog, FlnParams]:
     """Train at the long length, then continue at the target length until the
-    validation ADE plateaus; the pre-finetune checkpoint is preserved."""
+    validation ADE plateaus; the pre-finetune checkpoint is preserved.
+
+    Both phases share one model, optimizer state and shuffle stream, and
+    number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    target = cfg.train.finetune_target
-    params, log, state, shuffle_rng = _train_single(
-        split, cfg, cfg.branches.h_long, normalizer, strategy="finetune"
+    items = [(p, None) for p in prepare_scenes(split.train, normalizer, cfg.data.horizon)]
+    h_long, target = cfg.branches.h_long, cfg.train.finetune_target
+    params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
+    state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
+    log = TrainLog("finetune")
+    log.records += _epochs(
+        params, items, _single_loss(params, lambda batch: h_long),
+        lambda p: _val_metrics(p, split.val, [h_long], normalizer, cfg),
+        cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
     )
     pre = copy.deepcopy(params)
     best = np.inf
     stale = 0
-    for extra in range(cfg.train.finetune_max_epochs):
-        params, phase_log, state, shuffle_rng = _train_single(
-            split,
-            cfg,
-            target,
-            normalizer,
-            epochs=1,
-            params=params,
-            state=state,
-            shuffle_rng=shuffle_rng,
-            strategy="finetune",
-            anneal=False,
-        )
-        record = phase_log.records[0]
-        record.epoch = len(log.records)
+    for record in _epochs(
+        params, items, _single_loss(params, lambda batch: target),
+        lambda p: _val_metrics(p, split.val, [target], normalizer, cfg),
+        cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
+        first_epoch=len(log.records), anneal=False, epoch_hook=epoch_hook,
+    ):
         log.records.append(record)
         current = record.val.get(target, (np.inf, np.inf))[0] if record.val else np.inf
         if current < best - 1e-12:
@@ -442,30 +445,15 @@ def train_joint(
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
     prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
+    expanded = [(p, h) for p in prepared for h in lengths]
     out: dict[int, tuple[FlnParams, TrainLog]] = {}
     for index, h_eval in enumerate(lengths):
         seed = (cfg.seed, 7, index)
         params = bb.init_single_params(cfg.backbone, cfg.branches.h_long, seed)
-        state = AdamState()
-        shuffle_rng = np.random.default_rng([*seed, STREAM_SHUFFLE])
-        log = TrainLog("joint")
-        expanded = [(p, h) for p in prepared for h in lengths]
-        step = 0
-        for epoch in range(cfg.train.epochs):
-            started = time.perf_counter()
-            sums = [0.0, 0.0, 0.0]
-            batches = _make_batches(expanded, cfg.train.batch_size, shuffle_rng)
-            total_steps = cfg.train.epochs * len(batches)
-            for batch in batches:
-                h = batch.tag
-                loss = nll(bb.forward_single(batch.obs[:, :, -h:, :], params), batch.future)
-                zero_grad(params.tensors)
-                backward(loss)
-                adam_step(params.tensors, state, cosine_lr(cfg.train.lr, step, total_steps))
-                step += 1
-                sums[0] += loss.item()
-                sums[1] += loss.item()
-            val = _val_metrics(params, split.val, [h_eval], normalizer, cfg)
-            _epoch_log(log.records, epoch, sums, len(batches), started, val)
-        out[h_eval] = (params, log)
+        records = _epochs(
+            params, expanded, _single_loss(params, lambda batch: batch.tag),
+            lambda p: _val_metrics(p, split.val, [h_eval], normalizer, cfg),
+            cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
+        )
+        out[h_eval] = (params, TrainLog("joint", list(records)))
     return out

@@ -24,17 +24,17 @@ from flexilen.evaluation import (
     ln_statistics_probe,
     pe_deviation_report,
 )
-from flexilen.fln import count_parameters, fln_loss, route_bruteforce
+from flexilen.fln import count_parameters, fln_loss
 from flexilen.mixture import (
     LOG_2PI,
     MixturePrediction,
     kl_distill,
     nll,
-    nll_bruteforce,
 )
 from flexilen.protocols import run_length_shift_study, study_run_config
 
 from fdutil import finite_difference, max_rel_err
+from oracles import nll_bruteforce, route_bruteforce
 
 GRAD_TOL = 1e-4
 
@@ -95,10 +95,10 @@ def test_criterion_1_gradient_correctness():
     bundle = derive_observations(scene.positions, branches.lengths, 3)
 
     def loss_value() -> float:
-        return fln_loss(bundle, bundle.future, params, branches).total.item()
+        return fln_loss(bundle, params, branches).total.item()
 
     zero_grad(params.tensors)
-    backward(fln_loss(bundle, bundle.future, params, branches).total)
+    backward(fln_loss(bundle, params, branches).total)
     worst = 0.0
     for name, tensor in params.tensors.items():
         analytic = tensor.grad if tensor.grad is not None else np.zeros(tensor.shape)
@@ -262,7 +262,7 @@ def test_criterion_5_baseline_reduction_identities():
     params = bb.init_params(cfg.backbone, lam0.lengths, 0)
     scene = scenes[0]
     bundle = derive_observations(scene.positions, lam0.lengths, 3)
-    loss = fln_loss(bundle, bundle.future, params, lam0)
+    loss = fln_loss(bundle, params, lam0)
     lambda_gap = abs(loss.total.item() - loss.reg.item())
 
     _report(
@@ -378,7 +378,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         out = tmp_path / run
         assert cli_main([
             "train", "--out", str(out / "train"), "--strategy", "fln",
-            "--seed", "11", "--deterministic", *args,
+            "--seed", "11", *args,
         ]) == 0
         assert cli_main([
             "eval", "--out", str(out / "eval"), "--checkpoint", str(out / "train/checkpoint"),

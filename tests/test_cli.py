@@ -36,8 +36,10 @@ def test_generate_validates_before_writing(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    code = _run(["generate", "--out", str(tmp_path / "x"), "--set", "bogus_key=1", *TINY_ARGS])
-    assert code != 0
+    for key in ("bogus_key", "derivation", "deterministic"):
+        code = _run(["generate", "--out", str(tmp_path / "x"), "--set", f"{key}=1", *TINY_ARGS])
+        assert code != 0
+        assert not (tmp_path / "x").exists()
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -192,31 +194,40 @@ def test_train_then_eval_from_saved_dataset(tmp_path):
     assert code == 0
 
 
-def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path):
+@pytest.mark.parametrize(
+    "strategy, stop_epoch",
+    # finetune's epochs 0-4 are the long-length phase; 6 is its second
+    # adaptation epoch, so the marker counts both phases
+    [("fln", 1), ("finetune", 6)],
+    ids=["fln", "finetune"],
+)
+def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path, strategy, stop_epoch):
     """Per-epoch snapshots are written atomically, so an interrupt after any
     completed epoch leaves a loadable checkpoint for that epoch."""
     from flexilen.checkpoint import load_checkpoint, save_checkpoint
     from flexilen.config import load_run_config
     from flexilen.data import generate_from_config, split_scenes
-    from flexilen.training import train_fln
+    from flexilen.training import train_finetune, train_fln
 
     cfg = load_run_config(None, {
         "d_model": "8", "heads": "2", "layers": "1", "dec_hidden": "16", "modes": "2",
         "horizon": "3", "h_short": "2", "h_medium": "3", "h_long": "4", "obs_len": "4",
-        "n_scenes": "30", "epochs": "5", "batch_size": "16",
+        "n_scenes": "30", "epochs": "5", "batch_size": "16", "strategy": strategy,
+        "finetune_target": "2", "finetune_patience": "50",
     })
     scenes = generate_from_config(cfg.data, cfg.seed)
     split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
+    train = {"fln": train_fln, "finetune": train_finetune}[strategy]
 
     def hook(params, epoch):
         save_checkpoint(tmp_path / "checkpoint", params, {}, epoch=epoch + 1)
-        if epoch == 1:
+        if epoch == stop_epoch:
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        train_fln(split, cfg, epoch_hook=hook)
+        train(split, cfg, epoch_hook=hook)
     params, manifest, _ = load_checkpoint(tmp_path / "checkpoint")
-    assert manifest["epoch"] == 2
+    assert manifest["epoch"] == stop_epoch + 1
     assert all(np.all(np.isfinite(t.data)) for t in params.tensors.values())
 
 

@@ -99,20 +99,6 @@ def test_truncation_honors_short_length_set():
     assert bundle.observations["L"].shape[-2] == 4
 
 
-def test_sliding_futures_differ_by_window_offsets():
-    scene = _scenes(n=1, noise_sigma=0.0, motion_mix=(1.0, 0.0, 0.0))[0]
-    bundle = derive_observations(scene.positions, LENGTHS, horizon=12, mode="sliding")
-    start = scene.n_steps - 12 - 8
-    for branch, h in LENGTHS.items():
-        np.testing.assert_array_equal(
-            bundle.observations[branch], scene.positions[:, start : start + h, :]
-        )
-        np.testing.assert_array_equal(
-            bundle.futures[branch], scene.positions[:, start + h : start + h + 12, :]
-        )
-    assert not np.array_equal(bundle.futures["S"], bundle.futures["L"])
-
-
 def test_bundle_rejects_scene_too_short():
     scene = _scenes(n=1, obs_len=4)[0]
     with pytest.raises(ValueError):
@@ -125,7 +111,7 @@ def test_bundle_invariant_enforced():
     bad = {"L": x_l, "M": x_l[:, :6], "S": x_l[:, -2:]}  # M is a prefix, not a suffix
     fut = r.normal(size=(2, 12, 2))
     with pytest.raises(ValueError):
-        ObservationBundle(bad, {b: fut for b in bad}, "truncation")
+        ObservationBundle(bad, fut)
 
 
 # ------------------------------------------------------------------- loading

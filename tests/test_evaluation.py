@@ -16,7 +16,8 @@ from flexilen.evaluation import (
     ln_statistics_probe,
     pe_deviation_report,
 )
-from flexilen.fln import route_bruteforce
+
+from oracles import route_bruteforce
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 

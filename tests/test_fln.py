@@ -12,8 +12,9 @@ from flexilen.fln import (
     fln_loss,
     forward_routed,
     route,
-    route_bruteforce,
 )
+
+from oracles import route_bruteforce
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 BRANCHES = BranchConfig(h_short=2, h_medium=3, h_long=4)
@@ -42,7 +43,7 @@ def _setup(seed=0, branch_cfg=BRANCHES, backbone_cfg=TINY, n_scenes=2, **flags):
 def test_lambda_zero_total_equals_reg_exactly():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, lambda_kl=0.0)
     params, bundle = _setup(branch_cfg=cfg)
-    loss = fln_loss(bundle, bundle.future, params, cfg)
+    loss = fln_loss(bundle, params, cfg)
     assert loss.total.item() == loss.reg.item()
 
 
@@ -57,7 +58,7 @@ def test_identical_branch_outputs_give_zero_kl():
 
 def test_default_lambda_sums_terms():
     params, bundle = _setup()
-    loss = fln_loss(bundle, bundle.future, params, BRANCHES)
+    loss = fln_loss(bundle, params, BRANCHES)
     assert BRANCHES.lambda_kl == 1.0
     assert loss.total.item() == pytest.approx(loss.reg.item() + loss.kl.item(), abs=1e-12)
     assert loss.kl.item() >= 0.0
@@ -67,13 +68,13 @@ def test_fln_loss_rejects_length_mismatch():
     params, bundle = _setup()
     wrong = BranchConfig(h_short=2, h_medium=3, h_long=8)
     with pytest.raises(ValueError):
-        fln_loss(bundle, bundle.future, params, wrong)
+        fln_loss(bundle, params, wrong)
 
 
 def test_td_off_uses_direct_nll():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, temporal_distillation=False)
     params, bundle = _setup(branch_cfg=cfg)
-    loss = fln_loss(bundle, bundle.future, params, cfg)
+    loss = fln_loss(bundle, params, cfg)
     from flexilen.mixture import nll
 
     expected = (
@@ -85,7 +86,7 @@ def test_td_off_uses_direct_nll():
 
 def test_detach_teacher_blocks_gradient_to_teacher_only_params():
     params, bundle = _setup()
-    loss = fln_loss(bundle, bundle.future, params, BRANCHES)
+    loss = fln_loss(bundle, params, BRANCHES)
     zero_grad(params.tensors)
     backward(loss.kl)
     for name, tensor in params.tensors.items():
@@ -97,7 +98,7 @@ def test_detach_teacher_blocks_gradient_to_teacher_only_params():
 def test_no_detach_lets_gradient_reach_teacher():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, detach_teacher=False)
     params, bundle = _setup(branch_cfg=cfg)
-    loss = fln_loss(bundle, bundle.future, params, cfg)
+    loss = fln_loss(bundle, params, cfg)
     zero_grad(params.tensors)
     backward(loss.kl)
     assert params.tensors["sln.L.enc.l0.norm1.gamma"].grad is not None
@@ -109,8 +110,8 @@ def test_fln_loss_invariant_to_agent_order():
     bundle = derive_observations(scene.positions, BRANCHES.lengths, 3)
     perm = np.array([3, 1, 0, 2])
     permuted = derive_observations(scene.positions[perm], BRANCHES.lengths, 3)
-    a = fln_loss(bundle, bundle.future, params, BRANCHES)
-    b = fln_loss(permuted, permuted.future, params, BRANCHES)
+    a = fln_loss(bundle, params, BRANCHES)
+    b = fln_loss(permuted, params, BRANCHES)
     assert a.total.item() == pytest.approx(b.total.item(), rel=1e-10)
 
 

@@ -11,10 +11,10 @@ from flexilen.mixture import (
     draw_samples,
     kl_distill,
     nll,
-    nll_bruteforce,
 )
 
 from fdutil import assert_grad_close, finite_difference
+from oracles import nll_bruteforce
 
 
 def _random_pred(seed, n=3, t=4, k=2, requires_grad=False):

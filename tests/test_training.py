@@ -160,10 +160,9 @@ def test_fln_detached_teacher_step_keeps_teacher_params(tiny_split):
     obs = normalized.positions[:, :-3, :]
     bundle = ObservationBundle(
         {b: obs[:, -h:, :] for b, h in cfg.branches.lengths.items()},
-        {b: normalized.positions[:, -3:, :] for b in cfg.branches.lengths},
-        "truncation",
+        normalized.positions[:, -3:, :],
     )
-    loss = fln_loss(bundle, bundle.future, params, cfg.branches)
+    loss = fln_loss(bundle, params, cfg.branches)
     zero_grad(params.tensors)
     backward(loss.kl)
     state = AdamState()
@@ -253,6 +252,20 @@ def test_finetune_preserves_pre_checkpoint_and_adapts(tiny_split):
     assert len(log.records) > cfg.train.epochs
     # the 4Ts -> 2Ts protocol is just this config
     assert cfg.branches.h_long == 4 and cfg.train.finetune_target == 2
+
+
+def test_finetune_pre_model_is_the_isolated_long_model(tiny_split):
+    # the long-length phase draws from the same init and shuffle streams as
+    # isolated training at h_long
+    cfg = make_config(
+        train=TrainConfig(
+            strategy="finetune", epochs=2, batch_size=16, lr=2e-3,
+            finetune_target=2, finetune_patience=2, finetune_max_epochs=2,
+        )
+    )
+    _, _, pre = train_finetune(tiny_split, cfg)
+    isolated, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long)
+    assert _params_bytes(pre) == _params_bytes(isolated)
 
 
 def test_finetune_target_equal_long_is_continued_training(tiny_split):
