@@ -4,15 +4,20 @@ The numerical substrate for the whole package: a small tape-based engine on
 top of numpy arrays. Forward passes are bit-deterministic in single-threaded
 execution; every differentiable op ships an analytic backward that the test
 suite checks against central finite differences.
+
+Every op result is checked, always: the first op that makes a NaN or Inf
+raises ``FloatingPointError``. The check sums the result first, since a finite
+sum proves every element finite; only a non-finite sum (which finite elements
+can also overflow to) falls back to the elementwise test. Ops call ufuncs and
+array methods directly: numpy's Python wrappers cost more than the arithmetic
+at model sizes, and skipping them leaves every bit unchanged.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf, expit
-
-# Raise on NaN/Inf in any op result. Cheap at desk scale; flip off only for
-# profiling.
-FINITE_CHECKS = True
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -38,10 +43,6 @@ class no_grad:
         return False
 
 
-def _recording() -> bool:
-    return _no_grad_depth == 0
-
-
 class Tensor:
     """A float64 array plus the bookkeeping reverse mode needs.
 
@@ -54,7 +55,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents = _parents
@@ -144,11 +147,14 @@ def as_tensor(x) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    data = np.asarray(data, dtype=np.float64)
-    if FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if type(data) is not np.ndarray or data.dtype != np.float64:
+        data = np.asarray(data, dtype=np.float64)
+    if not math.isfinite(np.add.reduce(data, axis=None)) and not np.isfinite(data).all():
         raise FloatingPointError("op produced non-finite values")
-    if _recording() and any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, backward_fn)
+    if _no_grad_depth == 0:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, True, parents, backward_fn)
     return Tensor(data)
 
 
@@ -157,16 +163,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if grad.shape == shape:
         return grad
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError as exc:
         raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
@@ -175,38 +181,34 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
     return _result(
-        a.data + b.data,
+        _broadcast(np.add, a, b, "add"),
         (a, b),
         lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
     return _result(
-        a.data - b.data,
+        _broadcast(np.subtract, a, b, "sub"),
         (a, b),
         lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
     return _result(
-        a.data * b.data,
+        _broadcast(np.multiply, a, b, "mul"),
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    if np.any(b.data == 0.0):
+    if not b.data.all():
         raise DomainError("div: divisor contains zero")
     return _result(
-        a.data / b.data,
+        _broadcast(np.divide, a, b, "div"),
         (a, b),
         lambda g: (
             _unbroadcast(g / b.data, a.shape),
@@ -226,13 +228,13 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
+    if (a.data <= 0.0).any():
         raise DomainError("log: input must be strictly positive")
     return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
+    if (a.data < 0.0).any():
         raise DomainError("sqrt: input must be non-negative")
     out = np.sqrt(a.data)
     return _result(out, (a,), lambda g: (g * 0.5 / out,))
@@ -270,20 +272,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: inner dimensions differ ({a.shape} @ {b.shape})")
 
     def backward_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
         return ga, gb
 
     return _result(a.data @ b.data, (a, b), backward_fn)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def backward_fn(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
     return _result(out, (a,), backward_fn)
@@ -306,31 +308,27 @@ def _check_nonempty(shape, axes, op: str):
             raise ValueError(f"{op}: cannot reduce empty axis {a}")
 
 
+def _spread(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool):
+    """Copy a reduction's gradient back over the axes it reduced."""
+    if not keepdims:
+        g = g.reshape([1 if ax in axes else n for ax, n in enumerate(shape)])
+    return np.broadcast_to(g, shape).copy()
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     _check_nonempty(a.shape, axes, "sum")
-
-    def backward_fn(g):
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _result(np.sum(a.data, axis=axes, keepdims=keepdims), (a,), backward_fn)
+    out = np.add.reduce(a.data, axis=axes, keepdims=keepdims)
+    return _result(out, (a,), lambda g: (_spread(g, a.shape, axes, keepdims),))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     _check_nonempty(a.shape, axes, "mean")
-    count = int(np.prod([a.shape[ax] for ax in axes]))
-
-    def backward_fn(g):
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
-
-    return _result(np.mean(a.data, axis=axes, keepdims=keepdims), (a,), backward_fn)
+    count = math.prod(a.shape[ax] for ax in axes)
+    # np.mean's own arithmetic: the sum divided by the element count
+    out = np.add.reduce(a.data, axis=axes, keepdims=keepdims) / count
+    return _result(out, (a,), lambda g: (_spread(g / count, a.shape, axes, keepdims),))
 
 
 def reduce_max(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -378,8 +376,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _result(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
+    # the gradient's inverse permutation: input axes sorted by where axes sends them
+    inverse = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))
+    return _result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def getitem(a: Tensor, idx) -> Tensor:

@@ -9,6 +9,7 @@ switches collapse those back to shared storage.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,16 @@ def sinusoidal_pe(t_indices: np.ndarray, shift: int, d_model: int) -> np.ndarray
     return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
 
 
+@functools.lru_cache(maxsize=256)
+def _sinusoidal_rows(start: int, stop: int, shift: int, d_model: int) -> np.ndarray:
+    """``sinusoidal_pe`` rows ``start..stop-1``, built once per key: every
+    forward at a given length reads the same rows. Read-only, since callers
+    share them."""
+    rows = sinusoidal_pe(np.arange(start, stop), shift, d_model)
+    rows.flags.writeable = False
+    return rows
+
+
 def _pe_rows(params: FlnParams, branch: str, fed_length: int) -> Tensor:
     """Positional rows for feeding ``fed_length`` steps through a branch.
 
@@ -201,8 +212,7 @@ def _pe_rows(params: FlnParams, branch: str, fed_length: int) -> Tensor:
         raise ValueError(f"cannot feed {fed_length} steps through branch {branch} (H={h_branch})")
     offset = h_branch - fed_length
     if params.cfg.pe_kind == "sinusoidal":
-        rows = sinusoidal_pe(np.arange(offset, h_branch), h_branch, params.cfg.d_model)
-        return Tensor(rows)
+        return Tensor(_sinusoidal_rows(offset, h_branch, h_branch, params.cfg.d_model))
     table = params.pe_table(branch)
     # a shared (ablated) table is sized for the longest branch; each branch
     # reads its first H rows
@@ -214,7 +224,7 @@ def _pe_rows_native(params: FlnParams, fed_length: int) -> Tensor:
     length: the sinusoidal shift tracks the current input length (the
     behavior that produces positional deviation under length changes)."""
     if params.cfg.pe_kind == "sinusoidal":
-        return Tensor(sinusoidal_pe(np.arange(fed_length), fed_length, params.cfg.d_model))
+        return Tensor(_sinusoidal_rows(0, fed_length, fed_length, params.cfg.d_model))
     table = params.pe_table(params.branch_ids[-1])
     if fed_length > table.shape[0]:
         raise ValueError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flexilen import autodiff as ad
 from flexilen.autodiff import Tensor, backward, zero_grad
@@ -45,9 +46,10 @@ def test_broadcast_shapes_and_grads():
     np.testing.assert_allclose(b.grad, a.data.sum(axis=0), rtol=1e-12)
 
 
-def test_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_shape_mismatch_raises(name):
+    with pytest.raises(ValueError, match=rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast"):
+        getattr(ad, name)(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
 
 def test_log_domain_error():
@@ -60,9 +62,24 @@ def test_div_by_zero_raises():
         ad.div(Tensor([1.0]), Tensor([0.0]))
 
 
-def test_nonfinite_result_raises():
-    with pytest.raises(FloatingPointError):
-        ad.exp(Tensor([1e6]))
+_NONFINITE_FIRST_OPS = {
+    "overflow": lambda: ad.exp(Tensor([1e6])),
+    # +inf and -inf together sum to NaN
+    "both_infinities": lambda: ad.mul(Tensor([1e300, -1e300]), Tensor(1e300)),
+    "nan": lambda: ad.matmul(Tensor([[1e300, 1e300]]), Tensor([[1e300], [-1e300]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONFINITE_FIRST_OPS))
+def test_nonfinite_result_raises(case):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+        _NONFINITE_FIRST_OPS[case]()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_finite_result_whose_sum_overflows_passes():
+    out = ad.mul(Tensor([1e308, 1e308]), Tensor(1.0))
+    np.testing.assert_array_equal(out.data, [1e308, 1e308])
 
 
 _UNARY_OPS = {
@@ -214,6 +231,28 @@ def test_max_axis_gradcheck():
     assert_grad_close(t.grad, fd)
 
 
+@st.composite
+def _reduction_case(draw):
+    x = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, max_side=5),
+                        elements=st.floats(-1e6, 1e6)))
+    dims = st.integers(-x.ndim, x.ndim - 1) if x.ndim else st.nothing()
+    axis = draw(st.one_of(st.none(), dims, st.lists(
+        dims, max_size=x.ndim, unique_by=lambda a: a % x.ndim).map(tuple)))
+    return x, axis, draw(st.booleans())
+
+
+@given(case=_reduction_case())
+@settings(max_examples=200)
+def test_reductions_equal_numpy_bit_for_bit(case):
+    x, axis, keepdims = case
+    np.testing.assert_array_equal(
+        ad.reduce_sum(Tensor(x), axis, keepdims).data, np.sum(x, axis=axis, keepdims=keepdims), strict=True
+    )
+    np.testing.assert_array_equal(
+        ad.reduce_mean(Tensor(x), axis, keepdims).data, np.mean(x, axis=axis, keepdims=keepdims), strict=True
+    )
+
+
 def test_reduce_empty_axis_raises():
     with pytest.raises(ValueError):
         ad.reduce_sum(Tensor(np.zeros((0, 2))), axis=0)
@@ -234,6 +273,14 @@ def test_reshape_transpose_getitem_grads():
         return float(np.sum(np.transpose(v.reshape(6, 4), (1, 0))[1:3, :]))
 
     assert_grad_close(t.grad, finite_difference(f, x))
+
+
+@pytest.mark.parametrize("axes", [(2, 0, 1), (-1, 0, 1)])
+def test_transpose_gradient_applies_the_inverse_permutation(axes):
+    t = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+    upstream = _rng(18).normal(size=(4, 2, 3))
+    backward((ad.transpose(t, axes) * Tensor(upstream)).sum())
+    np.testing.assert_array_equal(t.grad, upstream.transpose(1, 2, 0))
 
 
 def test_logsumexp_matches_numpy_and_grad():

@@ -85,6 +85,19 @@ def test_sinusoidal_length_changes_encoding():
     assert np.all(np.linalg.norm(short - long, axis=1) > 0)
 
 
+def test_cached_pe_rows_equal_fresh_rows_and_are_read_only():
+    params = _fln_params()
+    for fed in (1, 2):  # suffix-aligned in branch S, then the whole window
+        rows = bb._pe_rows(params, "S", fed).data
+        np.testing.assert_array_equal(rows, bb.sinusoidal_pe(np.arange(2 - fed, 2), 2, 8), strict=True)
+        assert bb._pe_rows(params, "S", fed).data is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+    native = bb._pe_rows_native(params, 3).data
+    np.testing.assert_array_equal(native, bb.sinusoidal_pe(np.arange(3), 3, 8), strict=True)
+    assert not native.flags.writeable
+
+
 def test_learnable_pe_zero_initialized():
     cfg = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3, pe_kind="learnable")
     params = _fln_params(cfg)
