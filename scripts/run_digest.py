@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per training strategy, plus ``sweep`` and ``probe ln``.
+
+Runs ``flexilen.cli.main`` in-process on a tiny seeded dataset, in a
+temporary directory: every training strategy (fln also with its ablation
+switches flipped, so the undetached-teacher and per-branch-NLL paths run),
+a length sweep of two checkpoints and the LayerNorm probe. Each line hashes
+that run's artifacts: checkpoint payloads and manifests, training logs with
+the wall-clock ``seconds`` column removed, and the sweep and probe reports.
+
+Two checkouts that print the same lines trained and evaluated bit for bit
+alike, so a change meant to alter no result can be checked against its
+parent in one command from each checkout:
+
+    PYTHONPATH=src python scripts/run_digest.py
+
+BLAS is pinned to one thread before numpy loads, since several BLAS threads
+can change the last bits of a matmul between runs.
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import csv  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from flexilen.cli import main  # noqa: E402
+
+SEED = 3
+TINY = [
+    "--set", "d_model=8", "--set", "heads=2", "--set", "layers=1",
+    "--set", "dec_hidden=16", "--set", "modes=2", "--set", "horizon=3",
+    "--set", "h_short=2", "--set", "h_medium=3", "--set", "h_long=4",
+    "--set", "obs_len=6", "--set", "n_scenes=60", "--set", "epochs=3",
+    "--set", "batch_size=16", "--set", "samples=2",
+]
+ABLATED = [
+    "--set", "detach_teacher=false", "--set", "activation=gelu",
+    "--set", "pe_kind=learnable", "--set", "decoder_sln=true",
+]
+NO_TD = [
+    "--set", "temporal_distillation=false", "--set", "weight_sharing=false",
+    "--set", "independent_pe=false", "--set", "specialized_ln=false",
+]
+TRAIN_RUNS = {
+    "fln": ["--strategy", "fln"],
+    "fln-ablated": ["--strategy", "fln", *ABLATED],
+    "fln-no-td": ["--strategy", "fln", *NO_TD],
+    "isolated": ["--strategy", "isolated", "--length", "2"],
+    "mixed": ["--strategy", "mixed"],
+    "finetune": [
+        "--strategy", "finetune", "--set", "finetune_target=2",
+        "--set", "finetune_max_epochs=4", "--set", "finetune_patience=2",
+    ],
+    "joint": ["--strategy", "joint"],
+}
+
+
+def _without_seconds(path: Path) -> bytes:
+    """A training log's bytes with the wall-clock column dropped."""
+    rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+    keep = [i for i, name in enumerate(rows[0]) if name != "seconds"]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+
+
+def digest(directory: Path) -> str:
+    """SHA-256 over every file in ``directory``, by name, in sorted order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in directory.iterdir() if p.is_file()):
+        data = _without_seconds(path) if path.name.endswith("_log.csv") else path.read_bytes()
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+def _cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"command failed ({code}): {' '.join(argv)}")
+
+
+def run(root: Path) -> dict[str, str]:
+    data = root / "data"
+    _cli(["generate", "--out", str(data), "--seed", str(SEED), *TINY])
+    lines = {}
+    for name, args in TRAIN_RUNS.items():
+        out = root / name
+        _cli(["train", "--out", str(out), "--data", str(data), "--seed", str(SEED), *TINY, *args])
+        lines[name] = digest(out)
+    checkpoints = [str(root / "fln-ablated" / "checkpoint"), str(root / "isolated" / "checkpoint")]
+    sweep = root / "sweep"
+    for index, checkpoint in enumerate(checkpoints):
+        _cli(["sweep", "--out", str(sweep / str(index)), "--checkpoint", checkpoint,
+              "--data", str(data), "--lengths", "2..6"])
+    lines["sweep"] = digest(sweep / "0") + digest(sweep / "1")
+    probe = root / "probe_ln"
+    _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
+          "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])
+    lines["probe_ln"] = digest(probe)
+    return {name: hashlib.sha256(value.encode()).hexdigest() for name, value in lines.items()}
+
+
+def main_digest() -> int:
+    with tempfile.TemporaryDirectory(prefix="flexilen-digest-") as tmp:
+        for name, value in run(Path(tmp)).items():
+            print(f"{name:12s} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())

@@ -11,6 +11,27 @@ sum proves every element finite; only a non-finite sum (which finite elements
 can also overflow to) falls back to the elementwise test. Ops call ufuncs and
 array methods directly: numpy's Python wrappers cost more than the arithmetic
 at model sizes, and skipping them leaves every bit unchanged.
+
+Two invariants keep seeded results bit-identical while the engine changes:
+
+* Backward visits the graph in one fixed order: a depth-first walk from the
+  loss that marks a node when it is popped (not when it is pushed), then
+  the reverse of its post-order. A tensor used several times (a shared
+  weight, a residual input) sums its gradient contributions in that order,
+  and float addition is not associative, so another valid topological order
+  can change the trained weights in the last bits, which training amplifies.
+* A fused node (``layer_norm``, ``linear``, ``attention`` here; the mixture
+  NLL and KL in ``mixture``) computes exactly what its composed chain of ops
+  did: forward and backward replay the chain's numpy calls in the chain's
+  order. It lists a parent once per gradient contribution the chain made,
+  in the order the chain made them, and orders its parents so that the walk
+  reaches them in the chain's order; the engine then adds every gradient as
+  before. This needs that no input of a fused node is computed from another
+  of its inputs (a teacher derived from its own student would break it); no
+  caller in the package does that. Each fused node checks its output and
+  every intermediate whose non-finite value the rest of the chain could
+  hide (an infinite variance normalizes to zeros), so it raises wherever
+  the chain raised.
 """
 from __future__ import annotations
 
@@ -23,6 +44,7 @@ _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _no_grad_depth = 0
+_VISITED = object()  # the walk reached a node that has no gradient yet
 
 
 class DomainError(ValueError):
@@ -49,10 +71,11 @@ class Tensor:
     Leaves created with ``requires_grad=True`` accumulate into ``.grad`` on
     each :func:`backward` call; resetting is explicit via :func:`zero_grad`.
     Tensors without ``requires_grad`` are treated as immutable constants and
-    are safe to share read-only.
+    are safe to share read-only. ``_pending`` holds the node's gradient while
+    a backward pass runs and is None otherwise.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_pending")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         if type(data) is not np.ndarray or data.dtype != np.float64:
@@ -62,6 +85,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents = _parents
         self._backward = _backward
+        self._pending = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -130,9 +154,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis, keepdims)
 
-    def max(self, axis=None, keepdims=False):
-        return reduce_max(self, axis, keepdims)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -146,11 +167,21 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    if type(data) is not np.ndarray or data.dtype != np.float64:
-        data = np.asarray(data, dtype=np.float64)
+def check_finite(data: np.ndarray) -> None:
+    """Raise ``FloatingPointError`` if ``data`` holds a NaN or an Inf."""
     if not math.isfinite(np.add.reduce(data, axis=None)) and not np.isfinite(data).all():
         raise FloatingPointError("op produced non-finite values")
+
+
+def record(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """Check an op's result and, when a parent requires grad, put it on the tape.
+
+    ``backward_fn(g)`` returns one gradient (or None) per entry of
+    ``parents``; a parent may appear more than once.
+    """
+    if type(data) is not np.ndarray or data.dtype != np.float64:
+        data = np.asarray(data, dtype=np.float64)
+    check_finite(data)
     if _no_grad_depth == 0:
         for p in parents:
             if p.requires_grad:
@@ -158,7 +189,7 @@ def _result(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     return Tensor(data)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum out the dims that trailing-dimension broadcasting introduced."""
     if grad.shape == shape:
         return grad
@@ -168,6 +199,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
+
+
+def spread(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool):
+    """Copy a reduction's gradient back over the axes it reduced."""
+    if not keepdims:
+        g = g.reshape([1 if ax in axes else n for ax, n in enumerate(shape)])
+    return np.broadcast_to(g, shape).copy()
 
 
 def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
@@ -180,69 +218,60 @@ def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
 # elementwise ------------------------------------------------------------
 
 
+# add and sub skip the gradient of a constant operand (a positional table, a
+# baseline, a floor): its broadcast sums would be thrown away
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _result(
+    return record(
         _broadcast(np.add, a, b, "add"),
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (
+            unbroadcast(g, a.shape) if a.requires_grad else None,
+            unbroadcast(g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _result(
+    return record(
         _broadcast(np.subtract, a, b, "sub"),
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (
+            unbroadcast(g, a.shape) if a.requires_grad else None,
+            unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _result(
+    return record(
         _broadcast(np.multiply, a, b, "mul"),
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (unbroadcast(g * b.data, a.shape), unbroadcast(g * a.data, b.shape)),
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     if not b.data.all():
         raise DomainError("div: divisor contains zero")
-    return _result(
+    return record(
         _broadcast(np.divide, a, b, "div"),
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            unbroadcast(g / b.data, a.shape),
+            unbroadcast(-g * a.data / (b.data * b.data), b.shape),
         ),
     )
 
 
 def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow surfaces via the finite check
-        out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0.0).any():
-        raise DomainError("log: input must be strictly positive")
-    return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if (a.data < 0.0).any():
-        raise DomainError("sqrt: input must be non-negative")
-    out = np.sqrt(a.data)
-    return _result(out, (a,), lambda g: (g * 0.5 / out,))
+    return record(-a.data, (a,), lambda g: (-g,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
-    return _result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -254,41 +283,33 @@ def gelu(a: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
         return (g * (cdf + a.data * pdf),)
 
-    return _result(out, (a,), backward_fn)
+    return record(out, (a,), backward_fn)
 
 
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
-    return _result(out, (a,), lambda g: (g * expit(a.data),))
+    return record(out, (a,), lambda g: (g * expit(a.data),))
 
 
 # contraction ------------------------------------------------------------
 
 
+def _check_matmul(a_shape, b_shape, op: str) -> None:
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ValueError(f"{op}: both operands must have ndim >= 2")
+    if a_shape[-1] != b_shape[-2]:
+        raise ValueError(f"{op}: inner dimensions differ ({a_shape} @ {b_shape})")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul: both operands must have ndim >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner dimensions differ ({a.shape} @ {b.shape})")
+    _check_matmul(a.shape, b.shape, "matmul")
 
     def backward_fn(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        ga = unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+        gb = unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
         return ga, gb
 
-    return _result(a.data @ b.data, (a, b), backward_fn)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.add.reduce(e, axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _result(out, (a,), backward_fn)
+    return record(a.data @ b.data, (a, b), backward_fn)
 
 
 # reductions -------------------------------------------------------------
@@ -308,18 +329,11 @@ def _check_nonempty(shape, axes, op: str):
             raise ValueError(f"{op}: cannot reduce empty axis {a}")
 
 
-def _spread(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool):
-    """Copy a reduction's gradient back over the axes it reduced."""
-    if not keepdims:
-        g = g.reshape([1 if ax in axes else n for ax, n in enumerate(shape)])
-    return np.broadcast_to(g, shape).copy()
-
-
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     _check_nonempty(a.shape, axes, "sum")
     out = np.add.reduce(a.data, axis=axes, keepdims=keepdims)
-    return _result(out, (a,), lambda g: (_spread(g, a.shape, axes, keepdims),))
+    return record(out, (a,), lambda g: (spread(g, a.shape, axes, keepdims),))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -328,42 +342,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = math.prod(a.shape[ax] for ax in axes)
     # np.mean's own arithmetic: the sum divided by the element count
     out = np.add.reduce(a.data, axis=axes, keepdims=keepdims) / count
-    return _result(out, (a,), lambda g: (_spread(g / count, a.shape, axes, keepdims),))
-
-
-def reduce_max(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient routes to the argmax (ties break to lowest index)."""
-    if axis is None:
-        if a.size == 0:
-            raise ValueError("max: cannot reduce empty tensor")
-        flat_idx = int(np.argmax(a.data))  # first occurrence
-        out = a.data.reshape(-1)[flat_idx]
-        if keepdims:
-            out = np.full((1,) * a.ndim, out)
-
-        def backward_fn(g):
-            z = np.zeros(a.size)
-            z[flat_idx] = np.sum(g)
-            return (z.reshape(a.shape),)
-
-        return _result(out, (a,), backward_fn)
-
-    ax = axis % a.ndim
-    if a.shape[ax] == 0:
-        raise ValueError(f"max: cannot reduce empty axis {ax}")
-    idx = np.argmax(a.data, axis=ax)  # first max along axis
-    out = np.take_along_axis(a.data, np.expand_dims(idx, ax), axis=ax)
-    if not keepdims:
-        out = np.squeeze(out, axis=ax)
-
-    def backward_fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        z = np.zeros(a.shape)
-        np.put_along_axis(z, np.expand_dims(idx, ax), g, axis=ax)
-        return (z,)
-
-    return _result(out, (a,), backward_fn)
+    return record(out, (a,), lambda g: (spread(g / count, a.shape, axes, keepdims),))
 
 
 # shape manipulation ------------------------------------------------------
@@ -371,62 +350,162 @@ def reduce_max(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     # the gradient's inverse permutation: input axes sorted by where axes sends them
     inverse = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))
-    return _result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+    return record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+
+
+def _is_basic_index(idx) -> bool:
+    """Ints and slices only: such an index selects each element at most once."""
+    for item in idx if type(idx) is tuple else (idx,):
+        if type(item) is not int and type(item) is not slice:
+            return False
+    return True
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    basic = _is_basic_index(idx)
+
     def backward_fn(g):
         z = np.zeros(a.shape)
-        np.add.at(z, idx, g)
+        if basic:
+            z[idx] += g  # no repeated element, so this equals np.add.at
+        else:
+            np.add.at(z, idx, g)
         return (z,)
 
-    return _result(a.data[idx], (a,), backward_fn)
+    return record(a.data[idx], (a,), backward_fn)
 
 
-# composed helpers --------------------------------------------------------
+# fused nodes --------------------------------------------------------------
 
 
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp along one axis (fully differentiable)."""
-    m = reduce_max(a, axis=axis, keepdims=True)
-    out = add(log(reduce_sum(exp(sub(a, m)), axis=axis, keepdims=True)), m)
-    if keepdims:
-        return out
-    ax = axis % a.ndim
-    return reshape(out, out.shape[:ax] + out.shape[ax + 1 :])
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize along the last axis (population variance), then the affine.
+
+    One node for the chain mean, subtract, square, mean, add eps, sqrt,
+    divide, scale, shift. ``x`` reaches the output through the subtraction
+    and through the mean, so it is listed twice.
+    """
+    axes = (x.ndim - 1,)
+    count = x.shape[-1]
+    if count == 0:
+        raise ValueError("layer_norm: cannot normalize an empty axis")
+    mu = np.add.reduce(x.data, axis=axes, keepdims=True) / count
+    centered = x.data - mu
+    var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
+    check_finite(var)  # an infinite variance would normalize to zeros
+    var_eps = var + eps
+    if (var_eps < 0.0).any():
+        raise DomainError("sqrt: input must be non-negative")
+    std = np.sqrt(var_eps)
+    if not std.all():
+        raise DomainError("div: divisor contains zero")
+    normalized = centered / std
+    scaled = normalized * gamma.data
+    out = scaled + beta.data
+
+    def backward_fn(g):
+        g_scaled = unbroadcast(g, scaled.shape)
+        g_normalized = unbroadcast(g_scaled * gamma.data, normalized.shape)
+        g_std = unbroadcast(-g_normalized * centered / (std * std), std.shape)
+        g_square = spread(g_std * 0.5 / std / count, centered.shape, axes, True)
+        via_square = g_square * centered  # once per factor of centered * centered
+        g_centered = g_normalized / std + via_square + via_square
+        g_mu = unbroadcast(-g_centered, mu.shape)
+        return (
+            g_centered,
+            spread(g_mu / count, x.shape, axes, True),
+            unbroadcast(g_scaled * normalized, gamma.shape),
+            unbroadcast(g, beta.shape),
+        )
+
+    return record(out, (x, x, gamma, beta), backward_fn)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node."""
+    _check_matmul(x.shape, w.shape, "linear")
+    product = x.data @ w.data
+    try:
+        out = product + b.data
+    except ValueError as exc:
+        raise ValueError(f"linear: bias {b.shape} does not broadcast to {product.shape}") from exc
+
+    def backward_fn(g):
+        g_product = unbroadcast(g, product.shape)
+        g_x = None
+        if x.requires_grad:
+            g_x = unbroadcast(g_product @ w.data.swapaxes(-1, -2), x.shape)
+        g_w = unbroadcast(x.data.swapaxes(-1, -2) @ g_product, w.shape)
+        return g_x, g_w, unbroadcast(g, b.shape)
+
+    return record(out, (x, w, b), backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention, ``softmax(q @ k^T * scale) @ v``, as one node.
+
+    Softmax runs over the last axis. Returns the context and the attention
+    weights (a plain array, for probes).
+    """
+    kt = k.data.swapaxes(-1, -2)
+    _check_matmul(q.shape, kt.shape, "attention")
+    scores = (q.data @ kt) * scale
+    _check_matmul(scores.shape, v.shape, "attention")
+    check_finite(scores)  # an infinite score would get weight 0 or 1
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / np.add.reduce(e, axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        g_weights = unbroadcast(g @ v.data.swapaxes(-1, -2), weights.shape)
+        g_v = unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape)
+        inner = np.add.reduce(g_weights * weights, axis=-1, keepdims=True)
+        g_scores = unbroadcast((g_weights - inner) * weights * scale, scores.shape)
+        g_q = unbroadcast(g_scores @ k.data, q.shape)
+        g_kt = unbroadcast(q.data.swapaxes(-1, -2) @ g_scores, kt.shape)
+        return g_q, g_kt.swapaxes(-1, -2), g_v
+
+    return record(weights @ v.data, (q, k, v), backward_fn), weights
 
 
 # backward pass -----------------------------------------------------------
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Topological order of the graph reaching root (parents before children)."""
+    """Topological order of the graph reaching root (parents before children).
+
+    Marks every node it reaches with ``_VISITED``; :func:`backward` clears
+    the marks. On the stack, ``None`` says that the node below it has had
+    all its parents visited.
+    """
     order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+    stack: list[Tensor | None] = [root]
+    try:
+        while stack:
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
+                continue
+            if node._pending is _VISITED:
+                continue
+            node._pending = _VISITED
+            stack.append(node)
+            stack.append(None)
+            for parent in node._parents:
+                if parent.requires_grad and parent._pending is not _VISITED:
+                    stack.append(parent)
+    except BaseException:
+        for node in order + stack:
+            if node is not None:
+                node._pending = None
+        raise
     return order
 
 
@@ -434,26 +513,33 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires-grad leaf's ``.grad``.
 
     Repeated calls accumulate; reset with :func:`zero_grad`. Each node in the
-    recorded graph is visited exactly once.
+    recorded graph is visited exactly once. If a node's backward raises, no
+    pending gradient or mark survives into the next call. The state lives on
+    the nodes, so two threads must not run backward over shared nodes.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad (no recorded graph)")
     order = _topo_order(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+    try:
+        loss._pending = np.ones_like(loss.data)
+        for node in reversed(order):
+            g = node._pending
+            node._pending = None
+            if g is _VISITED:
                 continue
-            existing = grads.get(id(parent))
-            grads[id(parent)] = pg if existing is None else existing + pg
+            if node._backward is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                existing = parent._pending
+                parent._pending = pg if existing is _VISITED else existing + pg
+    finally:
+        for node in order:
+            node._pending = None
 
 
 def zero_grad(tensors) -> None:

@@ -236,18 +236,13 @@ def _pe_rows_native(params: FlnParams, fed_length: int) -> Tensor:
 # ------------------------------------------------------------------- layers
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalize along the feature axis (population variance), then affine."""
-    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
-    normalized = centered / ad.sqrt(var + eps)
-    return normalized * gamma + beta
-
-
 def specialized_layer_norm(x: Tensor, branch: str, site: str, params: FlnParams) -> Tensor:
     gamma, beta = params.ln_affine(branch, site)
-    return layer_norm(x, gamma, beta)
+    return ad.layer_norm(x, gamma, beta, LN_EPS)
+
+
+def _linear(x: Tensor, branch: str, params: FlnParams, weight: str, bias: str) -> Tensor:
+    return ad.linear(x, params.weight(branch, weight), params.weight(branch, bias))
 
 
 def spatial_features(observations: np.ndarray) -> np.ndarray:
@@ -267,9 +262,8 @@ def spatial_encode(observations: np.ndarray, branch: str, params: FlnParams) -> 
         raise ValueError("spatial_encode requires at least one observed step")
     act = _activation(params.cfg.activation)
     feats = Tensor(spatial_features(observations))
-    w1 = params.weight(branch, "spatial.w1")
-    hidden = act(feats @ w1 + params.weight(branch, "spatial.b1"))
-    return hidden @ params.weight(branch, "spatial.w2") + params.weight(branch, "spatial.b2")
+    hidden = act(_linear(feats, branch, params, "spatial.w1", "spatial.b1"))
+    return _linear(hidden, branch, params, "spatial.w2", "spatial.b2")
 
 
 def _attention(
@@ -281,19 +275,15 @@ def _attention(
     prefix = f"enc.l{layer}.attn"
 
     def proj(name: str) -> Tensor:
-        out = tokens @ params.weight(branch, f"{prefix}.w{name}") + params.weight(
-            branch, f"{prefix}.{name}b"
-        )
+        out = _linear(tokens, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
         return ad.transpose(ad.reshape(out, (batch, seq, cfg.heads, head_dim)), (0, 2, 1, 3))
 
     q, k, v = proj("q"), proj("k"), proj("v")
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(head_dim))
-    weights = ad.softmax(scores, axis=-1)
+    context, weights = ad.attention(q, k, v, 1.0 / np.sqrt(head_dim))
     if capture is not None:
-        capture.setdefault(f"{prefix}.weights", []).append(weights.data)
-    context = weights @ v
+        capture.setdefault(f"{prefix}.weights", []).append(weights)
     merged = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (batch, seq, d))
-    return merged @ params.weight(branch, f"{prefix}.wo") + params.weight(branch, f"{prefix}.ob")
+    return _linear(merged, branch, params, f"{prefix}.wo", f"{prefix}.ob")
 
 
 def transformer_encode(
@@ -326,8 +316,9 @@ def transformer_encode(
         site2 = f"enc.l{layer}.norm2"
         record(site2, x)
         normed = specialized_layer_norm(x, branch, site2, params)
-        hidden = act(normed @ params.weight(branch, f"enc.l{layer}.ffn.w1") + params.weight(branch, f"enc.l{layer}.ffn.b1"))
-        x = x + (hidden @ params.weight(branch, f"enc.l{layer}.ffn.w2") + params.weight(branch, f"enc.l{layer}.ffn.b2"))
+        ffn = f"enc.l{layer}.ffn"
+        hidden = act(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
+        x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
     record("enc.final_norm", x)
     x = specialized_layer_norm(x, branch, "enc.final_norm", params)
     return ad.reshape(x, (batch, n_agents, h_steps, d))
@@ -356,8 +347,8 @@ def decode(encoded: Tensor, anchors: np.ndarray, branch: str, params: FlnParams)
     last = encoded[:, :, h_steps - 1, :]
     normed = specialized_layer_norm(last, branch, "dec.norm", params)
     act = _activation(cfg.activation)
-    hidden = act(normed @ params.weight(branch, "dec.w1") + params.weight(branch, "dec.b1"))
-    out = hidden @ params.weight(branch, "dec.w2") + params.weight(branch, "dec.b2")
+    hidden = act(_linear(normed, branch, params, "dec.w1", "dec.b1"))
+    out = _linear(hidden, branch, params, "dec.w2", "dec.b2")
     core = ad.reshape(out[:, :, : k * t * 4], (batch, n_agents, k, t, 4))
     core = ad.transpose(core, (0, 1, 3, 2, 4))  # (B, N, T, K, 4)
     baseline = cv_rollout(anchors, t)  # (B, N, T, 2)

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .autodiff import DomainError, Tensor
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+HALF_LOG_2PI = 0.5 * LOG_2PI
 
 
 @dataclass
@@ -64,6 +65,59 @@ def _check_scales(pred: MixturePrediction) -> None:
         raise DomainError("mixture scales must be strictly positive")
 
 
+def _check_nonempty(pred: MixturePrediction, op: str) -> None:
+    if 0 in pred.means.shape:
+        raise ValueError(f"{op}: cannot reduce an empty prediction {pred.means.shape}")
+
+
+def _mean(a: np.ndarray):
+    """Mean over every axis, as ``autodiff.reduce_mean`` computes it."""
+    return np.add.reduce(a, axis=tuple(range(a.ndim))) / a.size
+
+
+def _mean_backward(g, a: np.ndarray) -> np.ndarray:
+    axes = tuple(range(a.ndim))
+    return ad.spread(g / a.size, a.shape, axes, False)
+
+
+def _logsumexp(a: np.ndarray):
+    """log-sum-exp over the last axis, keeping it: the max, then the log of
+    the summed shifted exponentials plus the max.
+
+    Returns the value, the shifted array and a backward that maps the
+    value's gradient to the two contributions ``a`` gets, through the shift
+    and through the max, in that order.
+    """
+    ax = a.ndim - 1
+    at_max = np.expand_dims(np.argmax(a, axis=ax), ax)  # ties go to the first
+    peak = np.take_along_axis(a, at_max, axis=ax)
+    shifted = a - peak
+    e = np.exp(shifted)
+    total = np.add.reduce(e, axis=(ax,), keepdims=True)
+    out = np.log(total) + peak
+
+    def backward(g):
+        g_shifted = ad.spread(g / total, e.shape, (ax,), True) * e
+        g_peak = g + ad.unbroadcast(-g_shifted, peak.shape)
+        via_peak = np.zeros(a.shape)
+        np.put_along_axis(via_peak, at_max, g_peak, axis=ax)
+        return g_shifted, via_peak
+
+    return out, shifted, backward
+
+
+def _log_softmax(a: np.ndarray):
+    """``a - logsumexp(a)`` over the last axis, and a backward giving the
+    three contributions ``a`` gets: directly, through the shift, through
+    the max."""
+    lse, _, lse_backward = _logsumexp(a)
+
+    def backward(g):
+        return (g, *lse_backward(ad.unbroadcast(-g, lse.shape)))
+
+    return a - lse, backward
+
+
 def nll(pred: MixturePrediction, future: np.ndarray) -> Tensor:
     """Trajectory-level negative log-likelihood of the ground-truth future.
 
@@ -71,7 +125,8 @@ def nll(pred: MixturePrediction, future: np.ndarray) -> Tensor:
     the horizon T and averaged over every leading axis; the log-sum-exp over
     modes runs once per agent, so one mode must explain the whole trajectory.
     With K=1 this is the mean per-step NLL. Differentiable w.r.t. all mixture
-    parameters.
+    parameters, as one tape node that replays the composed chain (see
+    ``autodiff``): the scales get two contributions, the logits three.
     """
     _check_scales(pred)
     future = np.asarray(future, dtype=np.float64)
@@ -79,14 +134,43 @@ def nll(pred: MixturePrediction, future: np.ndarray) -> Tensor:
         raise ValueError(
             f"future shape {future.shape} inconsistent with prediction {pred.means.shape}"
         )
-    target = Tensor(np.expand_dims(future, -2))  # (..., T, 1, 2)
-    z = (target - pred.means) / pred.scales
+    _check_nonempty(pred, "nll")
+    means, scales, horizon = pred.means.data, pred.scales.data, pred.horizon
+    density_axes = (means.ndim - 3, means.ndim - 1)  # T and the coordinates
+    diff = np.expand_dims(future, -2) - means  # (..., T, K, 2)
+    z = diff / scales
+    terms = -np.log(scales) - HALF_LOG_2PI - 0.5 * (z * z)
     # per-mode trajectory log density, summed over coordinates and T -> (..., K)
-    log_density = ad.reduce_sum(
-        -ad.log(pred.scales) - 0.5 * LOG_2PI - 0.5 * (z * z), axis=(-3, -1)
+    log_density = np.add.reduce(terms, axis=density_axes)
+    log_weights, log_softmax_backward = _log_softmax(pred.logits.data)
+    lse, shifted, lse_backward = _logsumexp(log_density + log_weights)
+    # a non-finite joint, or a shift that overflows, would vanish in exp()
+    ad.check_finite(shifted)
+    per_agent = lse.reshape(lse.shape[:-1])
+    value = -_mean(per_agent) / horizon
+
+    def backward_fn(g):
+        g_lse = _mean_backward(-(g / horizon), per_agent).reshape(lse.shape)
+        via_shift, via_peak = lse_backward(g_lse)
+        g_joint = via_shift + via_peak
+        g_terms = ad.spread(g_joint, terms.shape, density_axes, False)
+        g_square = -g_terms * 0.5
+        via_square = g_square * z  # once per factor of z * z
+        g_z = via_square + via_square
+        g_diff = g_z / scales
+        return (
+            -g_diff,
+            -g_terms / scales,
+            -g_z * diff / (scales * scales),
+            *log_softmax_backward(g_joint),
+        )
+
+    logits = pred.logits
+    return ad.record(
+        value,
+        (pred.means, pred.scales, pred.scales, logits, logits, logits),
+        backward_fn,
     )
-    joint = log_density + ad.log_softmax(pred.logits, axis=-1)
-    return -ad.reduce_mean(ad.logsumexp(joint, axis=-1)) / pred.horizon
 
 
 def kl_distill(
@@ -97,25 +181,82 @@ def kl_distill(
     Mean over agents, timesteps, and modes of the diagonal-Gaussian KL, plus
     the categorical KL between mode weights averaged over agents. With
     ``detach_teacher`` no gradient flows back into the teacher parameters.
+    One tape node that replays the composed chain (see ``autodiff``).
     """
     if teacher.means.shape != student.means.shape or teacher.logits.shape != student.logits.shape:
         raise ValueError("teacher/student shapes differ")
     _check_scales(teacher)
     _check_scales(student)
-    t = teacher.detach() if detach_teacher else teacher
+    _check_nonempty(student, "kl_distill")
+    t_scales, t_means, t_logits = teacher.scales.data, teacher.means.data, teacher.logits.data
+    s_scales, s_means, s_logits = student.scales.data, student.means.data, student.logits.data
 
-    log_ratio = ad.log(student.scales) - ad.log(t.scales)
-    var_t = t.scales * t.scales
-    var_s = student.scales * student.scales
-    mean_diff = t.means - student.means
-    per_dim = log_ratio + (var_t + mean_diff * mean_diff) / (2.0 * var_s) - 0.5
-    gaussian = ad.reduce_mean(ad.reduce_sum(per_dim, axis=-1))
+    log_ratio = np.log(s_scales) - np.log(t_scales)
+    denominator = 2.0 * (s_scales * s_scales)
+    ad.check_finite(denominator)  # an infinite student variance would zero the ratio
+    if not denominator.all():
+        raise DomainError("div: divisor contains zero")
+    mean_diff = t_means - s_means
+    numerator = t_scales * t_scales + mean_diff * mean_diff
+    per_dim = log_ratio + numerator / denominator - 0.5
+    per_step = np.add.reduce(per_dim, axis=(per_dim.ndim - 1,))
+    gaussian = _mean(per_step)
 
-    log_t = ad.log_softmax(t.logits, axis=-1)
-    log_s = ad.log_softmax(student.logits, axis=-1)
-    weights_t = ad.softmax(t.logits, axis=-1)
-    categorical = ad.reduce_mean(ad.reduce_sum(weights_t * (log_t - log_s), axis=-1))
-    return gaussian + categorical
+    log_t, log_softmax_t_backward = _log_softmax(t_logits)
+    log_s, log_softmax_s_backward = _log_softmax(s_logits)
+    shifted_t = t_logits - np.maximum.reduce(t_logits, axis=-1, keepdims=True)
+    e_t = np.exp(shifted_t)
+    weights_t = e_t / np.add.reduce(e_t, axis=-1, keepdims=True)
+    log_gap = log_t - log_s
+    per_agent = np.add.reduce(weights_t * log_gap, axis=(log_gap.ndim - 1,))
+    categorical = _mean(per_agent)
+
+    def backward_fn(g):
+        g_per_dim = ad.spread(
+            _mean_backward(g, per_step), per_dim.shape, (per_dim.ndim - 1,), False
+        )
+        g_numerator = g_per_dim / denominator
+        g_denominator = -g_per_dim * numerator / (denominator * denominator)
+        via_s_square = g_denominator * 2.0 * s_scales  # once per factor of s * s
+        via_diff_square = g_numerator * mean_diff  # once per factor
+        g_mean_diff = via_diff_square + via_diff_square
+        g_product = ad.spread(
+            _mean_backward(g, per_agent), log_gap.shape, (log_gap.ndim - 1,), False
+        )
+        g_log_gap = g_product * weights_t
+        student_means_scales = (-g_mean_diff, g_per_dim / s_scales, via_s_square, via_s_square)
+        student_logits = log_softmax_s_backward(-g_log_gap)
+        if detach_teacher:
+            return (*student_means_scales, *student_logits)
+        via_t_square = g_numerator * t_scales  # once per factor of t * t
+        g_weights = g_product * log_gap
+        inner = np.add.reduce(g_weights * weights_t, axis=-1, keepdims=True)
+        return (
+            -g_per_dim / t_scales,
+            via_t_square,
+            via_t_square,
+            g_mean_diff,
+            *student_means_scales,
+            (g_weights - inner) * weights_t,
+            *log_softmax_t_backward(g_log_gap),
+            *student_logits,
+        )
+
+    # the composed walk reaches the student's logits first, then the
+    # teacher's logits, the student's scales and means, the teacher's means
+    # and scales; the stack pops the last parent first
+    s_means_scales = (student.means, student.scales, student.scales, student.scales)
+    s_logits = (student.logits,) * 3
+    if detach_teacher:
+        parents = (*s_means_scales, *s_logits)
+    else:
+        parents = (
+            teacher.scales, teacher.scales, teacher.scales, teacher.means,
+            *s_means_scales,
+            *(teacher.logits,) * 4,
+            *s_logits,
+        )
+    return ad.record(gaussian + categorical, parents, backward_fn)
 
 
 def draw_samples(

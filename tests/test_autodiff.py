@@ -8,6 +8,8 @@ from flexilen import autodiff as ad
 from flexilen.autodiff import Tensor, backward, zero_grad
 
 from fdutil import assert_grad_close, finite_difference
+import oracles
+from oracles import exp, log, logsumexp, reduce_max, softmax, sqrt
 
 
 def _rng(seed=0):
@@ -24,7 +26,7 @@ def test_add_componentwise():
 
 def test_log_exp_inverse_pair():
     x = np.array([0.5, -1.25])
-    out = ad.log(ad.exp(Tensor(x)))
+    out = log(exp(Tensor(x)))
     np.testing.assert_allclose(out.data, x, atol=1e-15)
 
 
@@ -54,7 +56,7 @@ def test_shape_mismatch_raises(name):
 
 def test_log_domain_error():
     with pytest.raises(ad.DomainError):
-        ad.log(Tensor([1.0, 0.0]))
+        log(Tensor([1.0, 0.0]))
 
 
 def test_div_by_zero_raises():
@@ -63,7 +65,7 @@ def test_div_by_zero_raises():
 
 
 _NONFINITE_FIRST_OPS = {
-    "overflow": lambda: ad.exp(Tensor([1e6])),
+    "overflow": lambda: exp(Tensor([1e6])),
     # +inf and -inf together sum to NaN
     "both_infinities": lambda: ad.mul(Tensor([1e300, -1e300]), Tensor(1e300)),
     "nan": lambda: ad.matmul(Tensor([[1e300, 1e300]]), Tensor([[1e300], [-1e300]])),
@@ -83,12 +85,12 @@ def test_finite_result_whose_sum_overflows_passes():
 
 
 _UNARY_OPS = {
-    "exp": (ad.exp, lambda r: r.uniform(-2, 2, size=5)),
-    "log": (ad.log, lambda r: r.uniform(0.1, 5, size=5)),
+    "exp": (exp, lambda r: r.uniform(-2, 2, size=5)),
+    "log": (log, lambda r: r.uniform(0.1, 5, size=5)),
     "neg": (ad.neg, lambda r: r.normal(size=5)),
     "relu": (ad.relu, lambda r: r.normal(size=5) + 0.1),
     "gelu": (ad.gelu, lambda r: r.normal(size=5)),
-    "sqrt": (ad.sqrt, lambda r: r.uniform(0.1, 5, size=5)),
+    "sqrt": (sqrt, lambda r: r.uniform(0.1, 5, size=5)),
     "softplus": (ad.softplus, lambda r: r.normal(size=5)),
 }
 
@@ -170,12 +172,12 @@ def test_matmul_batched_broadcast_grads():
 
 
 def test_softmax_uniform():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
+    out = softmax(Tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, np.full(3, 1 / 3), rtol=1e-15)
 
 
 def test_softmax_large_logit_no_overflow():
-    out = ad.softmax(Tensor([1000.0, 0.0]))
+    out = softmax(Tensor([1000.0, 0.0]))
     assert out.data[0] == pytest.approx(1.0)
     assert out.data[1] == pytest.approx(0.0, abs=1e-300)
 
@@ -184,7 +186,7 @@ def test_softmax_large_logit_no_overflow():
 @settings(max_examples=100)
 def test_softmax_rows_sum_to_one(seed):
     x = _rng(seed).normal(scale=3.0, size=(4, 6))
-    out = ad.softmax(Tensor(x), axis=-1)
+    out = softmax(Tensor(x), axis=-1)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-12)
 
 
@@ -192,9 +194,9 @@ def test_softmax_gradcheck_length5():
     x = _rng(11).normal(size=5)
     t = Tensor(x, requires_grad=True)
     w = _rng(12).normal(size=5)
-    backward((ad.softmax(t) * Tensor(w)).sum())
+    backward((softmax(t) * Tensor(w)).sum())
     fd = finite_difference(
-        lambda v: float(np.sum(ad.softmax(Tensor(v)).data * w)), x
+        lambda v: float(np.sum(softmax(Tensor(v)).data * w)), x
     )
     assert_grad_close(t.grad, fd, tol=1e-6)
 
@@ -219,14 +221,14 @@ def test_mean_gradient_is_one_over_n():
 
 def test_max_gradient_ties_to_lowest_index():
     t = Tensor([1.0, 5.0, 5.0, 2.0], requires_grad=True)
-    backward(ad.reduce_max(t))
+    backward(reduce_max(t))
     np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_max_axis_gradcheck():
     x = _rng(13).normal(size=(3, 4))
     t = Tensor(x, requires_grad=True)
-    backward(ad.reduce_max(t, axis=1).sum())
+    backward(reduce_max(t, axis=1).sum())
     fd = finite_difference(lambda v: float(np.sum(np.max(v, axis=1))), x)
     assert_grad_close(t.grad, fd)
 
@@ -257,7 +259,7 @@ def test_reduce_empty_axis_raises():
     with pytest.raises(ValueError):
         ad.reduce_sum(Tensor(np.zeros((0, 2))), axis=0)
     with pytest.raises(ValueError):
-        ad.reduce_max(Tensor(np.zeros((0,))))
+        reduce_max(Tensor(np.zeros((0,))))
 
 
 # ------------------------------------------------------- shape ops & slicing
@@ -286,7 +288,7 @@ def test_transpose_gradient_applies_the_inverse_permutation(axes):
 def test_logsumexp_matches_numpy_and_grad():
     x = _rng(15).normal(scale=4.0, size=(3, 5))
     t = Tensor(x, requires_grad=True)
-    out = ad.logsumexp(t, axis=-1)
+    out = logsumexp(t, axis=-1)
     expected = np.log(np.sum(np.exp(x - x.max(-1, keepdims=True)), -1)) + x.max(-1)
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
     backward(out.sum())
@@ -316,7 +318,7 @@ def test_backward_composed_matmul_softmax_sum():
     a = Tensor(x, requires_grad=True)
 
     def forward(t):
-        return ad.reduce_sum(ad.softmax(ad.matmul(t, Tensor(w)), axis=-1) * Tensor(mix))
+        return ad.reduce_sum(softmax(ad.matmul(t, Tensor(w)), axis=-1) * Tensor(mix))
 
     backward(forward(a))
     fd = finite_difference(
@@ -343,7 +345,7 @@ def test_forward_is_bit_deterministic():
     w = r.normal(size=(4, 4))
 
     def run():
-        return ad.softmax(ad.matmul(Tensor(x), Tensor(w)), axis=-1).data
+        return softmax(ad.matmul(Tensor(x), Tensor(w)), axis=-1).data
 
     assert run().tobytes() == run().tobytes()
 
@@ -364,10 +366,173 @@ def test_property_composed_chain_gradcheck(seed):
     w = r.normal(size=(3, 3))
 
     def build(t: Tensor) -> Tensor:
-        h = ad.softmax(ad.gelu(ad.matmul(t, Tensor(w))), axis=-1)
-        return ad.reduce_mean(ad.log(h + 0.1))
+        h = softmax(ad.gelu(ad.matmul(t, Tensor(w))), axis=-1)
+        return ad.reduce_mean(log(h + 0.1))
 
     t = Tensor(x, requires_grad=True)
     backward(build(t))
     fd = finite_difference(lambda v: build(Tensor(v)).item(), x)
     assert_grad_close(t.grad, fd)
+
+
+def test_backward_interrupted_by_a_raising_node_leaves_no_stale_state():
+    r = _rng(19)
+    a = Tensor(r.normal(size=3), requires_grad=True)
+    b = Tensor(r.normal(size=3), requires_grad=True)
+
+    def fail(g):
+        raise RuntimeError("backward failed")
+
+    # the failing node runs before a and b get any gradient, so the walk's
+    # marks on them are still set when it raises
+    broken = ad.record(2.0 * (a * b).data, (a * b,), fail)
+    with pytest.raises(RuntimeError, match="backward failed"):
+        backward(broken.sum())
+    assert a._pending is None and b._pending is None and a.grad is None
+
+    backward((a * b).sum())
+    np.testing.assert_array_equal(a.grad, b.data)
+    np.testing.assert_array_equal(b.grad, a.data)
+
+
+@pytest.mark.parametrize(
+    "idx", [(1, slice(0, 2)), slice(1, None), 2, ([0, 0, 2], slice(None))], ids=str
+)
+def test_getitem_gradient_counts_each_selection(idx):
+    t = Tensor(np.zeros((3, 2)), requires_grad=True)
+    upstream = _rng(20).normal(size=t.data[idx].shape)
+    backward((t[idx] * Tensor(upstream)).sum())
+    expected = np.zeros((3, 2))
+    np.add.at(expected, idx, upstream)
+    np.testing.assert_array_equal(t.grad, expected)
+
+
+# --------------------------------------------------------------- fused nodes
+# Each fused node must equal the composed chain of ops it replaces (kept in
+# tests/oracles.py) bit for bit, forward and backward, also when its input
+# gets further gradient contributions from outside the node.
+
+
+def _value_and_grads(loss_fn, leaves):
+    tensors = [Tensor(x, requires_grad=True) for x in leaves]
+    loss = loss_fn(*tensors)
+    backward(loss)
+    return [loss.data] + [t.grad for t in tensors]
+
+
+def _assert_bitwise_equal(fused, composed):
+    for got, want in zip(fused, composed, strict=True):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def _layer_norm_loss(ln, upstream):
+    # x is an op result that also feeds the residual add, so it sums three
+    # contributions: the residual's and the two that LayerNorm makes
+    def loss(raw, gamma, beta):
+        x = raw * Tensor(1.5)
+        return ((x + ln(x, gamma, beta, 1e-5)) * Tensor(upstream)).sum()
+
+    return loss
+
+
+def _linear_loss(linear, upstream):
+    def loss(raw, w, b):
+        x = raw * Tensor(0.5)
+        return ((x + linear(x, w, b)) * Tensor(upstream)).sum()
+
+    return loss
+
+
+def _attention_loss(attention, upstream, mix):
+    # q, k and v all come from x, which also feeds the residual add
+    def loss(raw):
+        x = raw * Tensor(1.25)
+        context, _ = attention(x * Tensor(mix[0]), x * Tensor(mix[1]), x * Tensor(mix[2]), 0.5)
+        return ((x + context) * Tensor(upstream)).sum()
+
+    return loss
+
+
+def _fused_cases(seed):
+    r = _rng(seed)
+    x = r.normal(size=(2, 3, 4))
+    ln = (x, r.uniform(0.5, 2.0, 4), r.normal(size=4))
+    up = r.normal(size=(2, 3, 4))
+    lin = (x, r.normal(size=(4, 4)), r.normal(size=4))
+    att = (r.normal(size=(2, 2, 3, 4)),)
+    att_up, mix = r.normal(size=(2, 2, 3, 4)), r.normal(size=(3, 4))
+    return {
+        "layer_norm": (_layer_norm_loss(ad.layer_norm, up), _layer_norm_loss(oracles.layer_norm_composed, up), ln),
+        "linear": (_linear_loss(ad.linear, up), _linear_loss(oracles.linear_composed, up), lin),
+        "attention": (
+            _attention_loss(ad.attention, att_up, mix),
+            _attention_loss(oracles.attention_composed, att_up, mix),
+            att,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["layer_norm", "linear", "attention"])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25)
+def test_fused_node_equals_composed_chain_bit_for_bit(name, seed):
+    fused, composed, leaves = _fused_cases(seed)[name]
+    _assert_bitwise_equal(_value_and_grads(fused, leaves), _value_and_grads(composed, leaves))
+
+
+@pytest.mark.parametrize("name", ["layer_norm", "linear", "attention"])
+def test_fused_node_gradients_match_finite_differences(name):
+    fused, _, leaves = _fused_cases(21)[name]
+    grads = _value_and_grads(fused, leaves)[1:]
+    for i, x in enumerate(leaves):
+        def f(v, i=i):
+            args = [Tensor(v if j == i else leaf) for j, leaf in enumerate(leaves)]
+            return fused(*args).item()
+
+        assert_grad_close(grads[i], finite_difference(f, x))
+
+
+def test_fused_attention_returns_the_softmax_weights():
+    q, k, v = (Tensor(a) for a in _rng(22).normal(size=(3, 1, 2, 3, 4)))
+    context, weights = ad.attention(q, k, v, 0.5)
+    ref_context, ref_weights = oracles.attention_composed(q, k, v, 0.5)
+    np.testing.assert_array_equal(weights, ref_weights)
+    np.testing.assert_array_equal(context.data, ref_context.data)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-14)
+
+
+# each case's non-finite value is hidden downstream (an infinite variance
+# normalizes to zeros; a -inf score gets weight 0), so only the fused node's
+# check on the intermediate raises
+_NONFINITE_FUSED = {
+    "layer_norm": (
+        ad.layer_norm,
+        oracles.layer_norm_composed,
+        lambda: (Tensor([[1e200, -1e200, 0.0, 1.0]]), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5),
+    ),
+    "linear": (
+        ad.linear,
+        oracles.linear_composed,
+        lambda: (Tensor([[1e200, 1.0]]), Tensor([[1e200], [1.0]]), Tensor([0.0])),
+    ),
+    "attention": (
+        lambda *a: ad.attention(*a)[0],
+        lambda *a: oracles.attention_composed(*a)[0],
+        lambda: (
+            Tensor([[[[1e200, 0.0], [1.0, 0.0]]]]),
+            Tensor([[[[-1e200, 0.0], [1.0, 0.0]]]]),
+            Tensor(np.ones((1, 1, 2, 2))),
+            1.0,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONFINITE_FUSED))
+def test_fused_node_raises_where_the_composed_chain_raises(name):
+    fused, composed, args = _NONFINITE_FUSED[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            composed(*args())
+        with pytest.raises(FloatingPointError):
+            fused(*args())

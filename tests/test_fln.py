@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexilen import autodiff as ad
 from flexilen import backbone as bb
+from flexilen import fln as fln_module
 from flexilen.autodiff import backward, zero_grad
 from flexilen.config import BackboneConfig, BranchConfig
-from flexilen.data import derive_observations, generate_synthetic
+from flexilen.data import ObservationBundle, derive_observations, generate_synthetic
 from flexilen.fln import (
     count_parameters,
     fln_loss,
@@ -14,6 +16,7 @@ from flexilen.fln import (
     route,
 )
 
+import oracles
 from oracles import route_bruteforce
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
@@ -201,3 +204,49 @@ def test_without_weight_sharing_triples_parameters():
     n_separate = count_parameters(separate).total
     # three full single-branch models, up to branch-specific parts
     assert n_separate == pytest.approx(3 * single_total, rel=0.02)
+
+
+# --------------------------------------------------- fused nodes in context
+
+
+def _composed_model(monkeypatch):
+    """Swap every fused node the loss uses for its composed chain of ops."""
+    monkeypatch.setattr(ad, "layer_norm", oracles.layer_norm_composed)
+    monkeypatch.setattr(ad, "linear", oracles.linear_composed)
+    monkeypatch.setattr(ad, "attention", oracles.attention_composed)
+    monkeypatch.setattr(fln_module, "nll", oracles.nll_composed)
+    monkeypatch.setattr(fln_module, "kl_distill", oracles.kl_distill_composed)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{}, {"detach_teacher": False}, {"temporal_distillation": False}, {"weight_sharing": False}],
+    ids=["default", "teacher_grad", "no_td", "no_ws"],
+)
+def test_fln_loss_gradients_equal_the_composed_model_bit_for_bit(flags, monkeypatch):
+    # a shared weight sums contributions from all three branches, and the
+    # fused nodes must hand them to the engine in the composed graph's order
+    cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, **flags)
+    backbone_cfg = BackboneConfig(
+        d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3, decoder_sln=True
+    )
+    scenes = generate_synthetic(3, (2, 2), cfg.h_long, backbone_cfg.horizon, 0.4, seed=7)
+    bundles = [derive_observations(s.positions, cfg.lengths, backbone_cfg.horizon) for s in scenes]
+    bundle = ObservationBundle(
+        {b: np.stack([x.observations[b] for x in bundles]) for b in cfg.lengths},
+        np.stack([x.future for x in bundles]),
+    )
+
+    def run():
+        params, _ = _setup(branch_cfg=cfg, backbone_cfg=backbone_cfg)
+        loss = fln_loss(bundle, params, cfg)
+        backward(loss.total)
+        return loss, params.tensors
+
+    fused_loss, fused = run()
+    _composed_model(monkeypatch)
+    composed_loss, composed = run()
+    for field in ("total", "reg", "kl"):
+        assert getattr(fused_loss, field).item() == getattr(composed_loss, field).item()
+    for name, tensor in composed.items():
+        np.testing.assert_array_equal(fused[name].grad, tensor.grad, err_msg=name)

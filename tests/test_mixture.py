@@ -14,6 +14,7 @@ from flexilen.mixture import (
 )
 
 from fdutil import assert_grad_close, finite_difference
+import oracles
 from oracles import nll_bruteforce
 
 
@@ -243,3 +244,117 @@ def test_stochastic_seeded_determinism():
     a = draw_samples(pred, 5, mode="stochastic", seed=42)
     b = draw_samples(pred, 5, mode="stochastic", seed=42)
     assert a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------------- fused nodes
+# nll and kl_distill are single tape nodes replaying the composed chains in
+# tests/oracles.py; they must match them bit for bit, forward and backward.
+
+
+def _pred_from(raw: Tensor, n: int, t: int, k: int) -> MixturePrediction:
+    """A prediction whose means, scales and logits all derive from one
+    tensor, as the decoder's do, so gradients from the three meet again."""
+    core = ad.reshape(raw[:, : t * k * 4], (n, t, k, 4))
+    means = core[:, :, :, 0:2]
+    scales = ad.softplus(core[:, :, :, 2:4]) + 1e-3
+    return MixturePrediction(means, scales, raw[:, t * k * 4 :])
+
+
+def _nll_loss(nll_fn, future, extra):
+    # the scales also feed a term outside the node, whose gradient reaches
+    # them first
+    def loss(raw):
+        pred = _pred_from(raw, *future.shape[:2], 2)
+        return (pred.scales * Tensor(extra)).sum() + nll_fn(pred, future)
+
+    return loss
+
+
+def _kl_loss(kl_fn, future, detach):
+    def loss(raw_teacher, raw_student):
+        n, t = future.shape[:2]
+        teacher, student = _pred_from(raw_teacher, n, t, 2), _pred_from(raw_student, n, t, 2)
+        return nll(teacher, future) + kl_fn(teacher, student, detach)
+
+    return loss
+
+
+def _grads(loss_fn, leaves):
+    tensors = [Tensor(x, requires_grad=True) for x in leaves]
+    loss = loss_fn(*tensors)
+    backward(loss)
+    return [loss.data] + [t.grad for t in tensors]
+
+
+def _fused_mixture_cases(seed):
+    r = np.random.default_rng(seed)
+    n, t, k = 3, 4, 2
+    future = r.normal(size=(n, t, 2))
+    raw = [r.normal(size=(n, t * k * 4 + k)) for _ in range(2)]
+    extra = r.normal(size=(n, t, k, 2))
+    cases = {"nll": (_nll_loss(nll, future, extra), _nll_loss(oracles.nll_composed, future, extra), raw[:1])}
+    for detach in (True, False):
+        cases[f"kl_detach_{detach}"] = (
+            _kl_loss(kl_distill, future, detach),
+            _kl_loss(oracles.kl_distill_composed, future, detach),
+            raw,
+        )
+    return cases
+
+
+_FUSED_MIXTURE = ["nll", "kl_detach_True", "kl_detach_False"]
+
+
+@pytest.mark.parametrize("name", _FUSED_MIXTURE)
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25)
+def test_fused_node_equals_composed_chain_bit_for_bit(name, seed):
+    fused, composed, leaves = _fused_mixture_cases(seed)[name]
+    for got, want in zip(_grads(fused, leaves), _grads(composed, leaves), strict=True):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("name", _FUSED_MIXTURE)
+def test_fused_node_gradients_match_finite_differences(name):
+    fused, _, leaves = _fused_mixture_cases(23)[name]
+    grads = _grads(fused, leaves)[1:]
+    # a detached teacher's gradient leaves out the KL on purpose
+    checked = [1] if name == "kl_detach_True" else range(len(leaves))
+    for i in checked:
+        x = leaves[i]
+
+        def f(v, i=i):
+            return fused(*[Tensor(v if j == i else leaf) for j, leaf in enumerate(leaves)]).item()
+
+        assert_grad_close(grads[i], finite_difference(f, x))
+
+
+def _far_mode_pred():
+    # mode 1's mean is so far off that z*z overflows, yet mode 0 alone keeps
+    # the log-sum-exp finite
+    means = np.zeros((1, 2, 2, 2))
+    means[:, :, 1, :] = 1e160
+    return MixturePrediction(Tensor(means), Tensor(np.full((1, 2, 2, 2), 1e-3)), Tensor(np.zeros((1, 2))))
+
+
+def _huge_student_scale():
+    teacher = _random_pred(24, n=1, t=2)
+    student = _random_pred(25, n=1, t=2)
+    student.scales.data[0, 0, 0, 0] = 1e200  # its variance overflows; the ratio would read 0
+    return teacher, student
+
+
+_NONFINITE_MIXTURE = {
+    "nll": (nll, oracles.nll_composed, lambda: (_far_mode_pred(), np.zeros((1, 2, 2)))),
+    "kl_distill": (kl_distill, oracles.kl_distill_composed, _huge_student_scale),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONFINITE_MIXTURE))
+def test_fused_node_raises_where_the_composed_chain_raises(name):
+    fused, composed, args = _NONFINITE_MIXTURE[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            composed(*args())
+        with pytest.raises(FloatingPointError):
+            fused(*args())
