@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per training strategy, plus ``sweep`` and ``probe ln``.
+"""Print one SHA-256 per training strategy, plus ``sweep``, ``eval`` and ``probe ln``.
 
 Runs ``flexilen.cli.main`` in-process on a tiny seeded dataset, in a
 temporary directory: every training strategy (fln also with its ablation
 switches flipped, so the undetached-teacher and per-branch-NLL paths run),
-a length sweep of two checkpoints and the LayerNorm probe. Each line hashes
-that run's artifacts: checkpoint payloads and manifests, training logs with
-the wall-clock ``seconds`` column removed, and the sweep and probe reports.
+a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
+length longer than its longest branch (so routed truncation runs) and the
+LayerNorm probe. Each line hashes that run's artifacts: checkpoint payloads
+and manifests, training logs with the wall-clock ``seconds`` column removed,
+and the sweep, metrics and probe reports.
 
 Two checkouts that print the same lines trained and evaluated bit for bit
 alike, so a change meant to alter no result can be checked against its
@@ -101,6 +103,10 @@ def run(root: Path) -> dict[str, str]:
         _cli(["sweep", "--out", str(sweep / str(index)), "--checkpoint", checkpoint,
               "--data", str(data), "--lengths", "2..6"])
     lines["sweep"] = digest(sweep / "0") + digest(sweep / "1")
+    evaluation = root / "eval"
+    _cli(["eval", "--out", str(evaluation), "--checkpoint", str(root / "fln" / "checkpoint"),
+          "--data", str(data), "--length", "5"])
+    lines["eval"] = digest(evaluation)
     probe = root / "probe_ln"
     _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
           "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])

@@ -8,6 +8,7 @@ round-trips are bit-identical; writes are atomic (write-then-rename).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -36,7 +37,6 @@ def save_checkpoint(
     run_config: dict | None = None,
     epoch: int = 0,
     optimizer: AdamState | None = None,
-    extra: dict | None = None,
 ) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -47,17 +47,7 @@ def save_checkpoint(
         "epoch": epoch,
         "run_config": run_config or {},
         "model": {
-            "backbone": {
-                "d_model": params.cfg.d_model,
-                "heads": params.cfg.heads,
-                "layers": params.cfg.layers,
-                "dec_hidden": params.cfg.dec_hidden,
-                "modes": params.cfg.modes,
-                "horizon": params.cfg.horizon,
-                "pe_kind": params.cfg.pe_kind,
-                "activation": params.cfg.activation,
-                "decoder_sln": params.cfg.decoder_sln,
-            },
+            "backbone": dataclasses.asdict(params.cfg),
             "lengths": params.lengths,
             "weight_sharing": params.weight_sharing,
             "independent_pe": params.independent_pe,
@@ -65,8 +55,6 @@ def save_checkpoint(
         },
         "parameters": param_entries,
     }
-    if extra:
-        manifest["extra"] = extra
     blobs = [param_arrays[name].astype("<f8").tobytes() for name in param_arrays]
     if optimizer is not None:
         opt_arrays: dict[str, np.ndarray] = {}

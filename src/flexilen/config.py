@@ -180,29 +180,34 @@ class RunConfig:
                 raise ConfigError("strategy=finetune requires finetune_target")
             if self.train.finetune_target > self.branches.h_long:
                 raise ConfigError("finetune_target cannot exceed h_long")
+        if self.eval.sampling == "mode-means" and self.eval.samples > self.backbone.modes:
+            raise ConfigError(
+                f"sampling=mode-means draws one sample per mode: samples={self.eval.samples}"
+                f" exceeds modes={self.backbone.modes}"
+            )
 
 
-_SECTIONS = ("backbone", "branches", "data", "train", "eval")
+_SECTIONS = (
+    ("backbone", BackboneConfig),
+    ("branches", BranchConfig),
+    ("data", DataConfig),
+    ("train", TrainConfig),
+    ("eval", EvalConfig),
+)
 
 
 def _flat_field_map() -> dict[str, tuple[str | None, str, type]]:
     """Flat config key -> (section, field name, type). Keys are globally unique."""
     mapping: dict[str, tuple[str | None, str, type]] = {}
     seen: dict[str, str] = {}
-    for section, cls in (
-        ("backbone", BackboneConfig),
-        ("branches", BranchConfig),
-        ("data", DataConfig),
-        ("train", TrainConfig),
-        ("eval", EvalConfig),
-    ):
+    for section, cls in _SECTIONS:
         for f in fields(cls):
             if f.name in seen and f.name != "horizon":
                 raise AssertionError(f"duplicate config key {f.name}")
             seen[f.name] = section
             if f.name == "horizon":
                 continue  # handled as one shared key below
-            mapping[f.name] = (section, f.name, f.type if isinstance(f.type, type) else type(f.default))
+            mapping[f.name] = (section, f.name, type(f.default))
     mapping["horizon"] = (None, "horizon", int)  # applied to backbone and data
     mapping["seed"] = (None, "seed", int)
     return mapping
@@ -248,7 +253,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
 
 def build_run_config(values: dict[str, object]) -> RunConfig:
     """Assemble and validate a RunConfig from flat key values."""
-    per_section: dict[str, dict[str, object]] = {s: {} for s in _SECTIONS}
+    per_section: dict[str, dict[str, object]] = {s: {} for s, _ in _SECTIONS}
     top: dict[str, object] = {}
     for key, value in values.items():
         if key not in FLAT_KEYS:
@@ -261,14 +266,7 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
             top[name] = value
         else:
             per_section[section][name] = value
-    cfg = RunConfig(
-        backbone=BackboneConfig(**per_section["backbone"]),
-        branches=BranchConfig(**per_section["branches"]),
-        data=DataConfig(**per_section["data"]),
-        train=TrainConfig(**per_section["train"]),
-        eval=EvalConfig(**per_section["eval"]),
-        **top,
-    )
+    cfg = RunConfig(**{s: cls(**per_section[s]) for s, cls in _SECTIONS}, **top)
     cfg.validate()
     return cfg
 
@@ -291,7 +289,7 @@ def load_run_config(path: str | Path | None, overrides: dict[str, object] | None
 def run_config_to_flat(cfg: RunConfig) -> dict[str, object]:
     """Inverse of build_run_config, for checkpoints and manifests."""
     flat: dict[str, object] = {}
-    for section in _SECTIONS:
+    for section, _ in _SECTIONS:
         sub = getattr(cfg, section)
         for f in fields(sub):
             if f.name == "horizon" and section == "data":

@@ -1,10 +1,11 @@
-"""Scene generation, file ingestion, observation bundles, and normalization.
+"""Scene generation, file ingestion, normalization, splits and dataset files.
 
 Synthetic scenes mix constant-velocity, constant-turn-rate, and stop-and-go
 agents with optional process noise and pairwise soft repulsion. Real data is
-ingested from the plain-text "frame agent x y" convention. Multi-length
-observation bundles are derived by truncation: suffix-aligned windows that
-share one future.
+ingested from the plain-text "frame agent x y" convention. ``Normalizer``
+owns the observed/future split: its ``transform`` cuts a scene into the
+normalized observed history and the normalized future, and every model input
+is a suffix ``[..., -H:, :]`` of that history.
 """
 from __future__ import annotations
 
@@ -42,25 +43,6 @@ class TrajectoryScene:
     @property
     def n_steps(self) -> int:
         return self.positions.shape[1]
-
-
-@dataclass
-class ObservationBundle:
-    """Aligned multi-length observations of one scene plus their shared future.
-
-    The three windows are suffixes of each other (truncation of one
-    observed history), so every branch predicts the same future.
-    """
-
-    observations: dict[str, np.ndarray]  # branch id -> (..., H_branch, 2)
-    future: np.ndarray                   # (..., T, 2)
-
-    def __post_init__(self):
-        x_l, x_m, x_s = (self.observations[b] for b in ("L", "M", "S"))
-        if not np.array_equal(x_m, x_l[..., -x_m.shape[-2]:, :]):
-            raise ValueError("truncation bundle: X^M must be the suffix of X^L")
-        if not np.array_equal(x_s, x_m[..., -x_s.shape[-2]:, :]):
-            raise ValueError("truncation bundle: X^S must be the suffix of X^M")
 
 
 # ----------------------------------------------------------------- synthesis
@@ -165,27 +147,6 @@ def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
     )
 
 
-# ------------------------------------------------------------------- bundles
-
-
-def derive_observations(
-    scene_positions: np.ndarray, lengths: dict[str, int], horizon: int
-) -> ObservationBundle:
-    """Split one scene into the three-length observation views: every branch
-    sees the last H steps before the shared future."""
-    positions = np.asarray(scene_positions, dtype=np.float64)
-    h_l = lengths["L"]
-    if positions.shape[-2] < h_l + horizon:
-        raise ValueError(
-            f"scene too short: {positions.shape[-2]} steps < H^L + T = {h_l + horizon}"
-        )
-    obs_end = positions.shape[-2] - horizon
-    observations = {
-        branch: positions[..., obs_end - h : obs_end, :] for branch, h in lengths.items()
-    }
-    return ObservationBundle(observations, positions[..., obs_end:, :])
-
-
 # ------------------------------------------------------------------ loading
 
 
@@ -236,41 +197,40 @@ def load_trajnet(path: str | Path, obs_len: int, horizon: int, dt: float = 0.4) 
 
 
 @dataclass
-class NormStats:
-    scale: float
-
-
-@dataclass
 class Normalizer:
-    """Per-scene translation to the centroid's last observed position plus a
-    global scale fit on the training split only."""
+    """The observed/future split of a scene, plus per-scene translation to the
+    centroid's last observed position and a global scale fit on the training
+    split only."""
 
     horizon: int
-    stats: NormStats | None = None
+    scale: float | None = None
 
     def _shift(self, scene: TrajectoryScene) -> np.ndarray:
         return scene.positions[:, -self.horizon - 1, :].mean(axis=0)
 
     def fit(self, scenes: list[TrajectoryScene]) -> "Normalizer":
-        gathered = []
-        for scene in scenes:
-            gathered.append(scene.positions - self._shift(scene))
-        flat = np.concatenate([g.reshape(-1) for g in gathered])
+        flat = np.concatenate([(s.positions - self._shift(s)).reshape(-1) for s in scenes])
         scale = float(np.std(flat))
-        self.stats = NormStats(scale=scale if scale > 0 else 1.0)
+        self.scale = scale if scale > 0 else 1.0
         return self
 
-    def transform(self, scene: TrajectoryScene) -> tuple[TrajectoryScene, np.ndarray]:
-        if self.stats is None:
+    def transform(self, scene: TrajectoryScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(observed, future, shift)``: the normalized history (N, steps - T,
+        2), the normalized future (N, T, 2), and the shift ``inverse`` undoes."""
+        if self.scale is None:
             raise ValueError("normalizer must be fit before transform")
         shift = self._shift(scene)
-        positions = (scene.positions - shift) / self.stats.scale
-        return TrajectoryScene(positions, scene.dt, scene.scene_id), shift
+        positions = (scene.positions - shift) / self.scale
+        return positions[:, : -self.horizon, :], positions[:, -self.horizon :, :], shift
+
+    def future_m(self, scene: TrajectoryScene) -> np.ndarray:
+        """The scene's future in meters, the target of ``inverse``d predictions."""
+        return scene.positions[:, -self.horizon :, :]
 
     def inverse(self, positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        if self.stats is None:
+        if self.scale is None:
             raise ValueError("normalizer must be fit before inverse")
-        return positions * self.stats.scale + shift
+        return positions * self.scale + shift
 
 
 # -------------------------------------------------------------------- splits

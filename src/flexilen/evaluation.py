@@ -14,7 +14,7 @@ from . import backbone as bb
 from .backbone import FlnParams
 from .config import BackboneConfig
 from .data import Normalizer, TrajectoryScene
-from .fln import forward_routed
+from .fln import forward_branch, forward_routed, route
 from .mixture import draw_samples
 
 
@@ -60,6 +60,19 @@ def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
     return ade_per_agent, fde_per_agent
 
 
+def _windows(scenes: list[TrajectoryScene], h_eval: int, normalizer: Normalizer):
+    """Each scene in id order with its last ``h_eval`` normalized observed
+    steps and its shift."""
+    for scene in sorted(scenes, key=lambda s: s.scene_id):
+        observed, _, shift = normalizer.transform(scene)
+        if observed.shape[1] < h_eval:
+            raise ValueError(
+                f"scene {scene.scene_id} has only {observed.shape[1]} observed steps"
+                f" (< {h_eval})"
+            )
+        yield scene, observed[:, -h_eval:, :], shift
+
+
 def evaluate(
     params: FlnParams,
     scenes: list[TrajectoryScene],
@@ -77,18 +90,9 @@ def evaluate(
     """
     if not scenes:
         raise ValueError("no scenes to evaluate")
-    horizon = params.cfg.horizon
     ade_values: list[np.ndarray] = []
     fde_values: list[np.ndarray] = []
-    for index, scene in enumerate(sorted(scenes, key=lambda s: s.scene_id)):
-        normalized, shift = normalizer.transform(scene)
-        obs_full = normalized.positions[:, :-horizon, :]
-        if obs_full.shape[1] < h_eval:
-            raise ValueError(
-                f"scene {scene.scene_id} has only {obs_full.shape[1]} observed steps"
-                f" (< {h_eval})"
-            )
-        obs = obs_full[:, -h_eval:, :]
+    for index, (scene, obs, shift) in enumerate(_windows(scenes, h_eval, normalizer)):
         with ad.no_grad():
             if params.is_single:
                 pred = bb.forward_single(obs, params)
@@ -99,8 +103,7 @@ def evaluate(
         )
         samples = draw_samples(pred, k, mode=sampling, seed=sample_seed)
         samples_m = normalizer.inverse(samples, shift)
-        gt_m = scene.positions[:, -horizon:, :]
-        per_ade, per_fde = _per_agent_min_displacement(samples_m, gt_m)
+        per_ade, per_fde = _per_agent_min_displacement(samples_m, normalizer.future_m(scene))
         ade_values.append(per_ade)
         fde_values.append(per_fde)
     all_ade = np.concatenate(ade_values)
@@ -135,8 +138,6 @@ def generality_sweep(
     seed: int = 0,
 ) -> list[SweepRow]:
     """Evaluate a list of observation lengths, recording the routed branch."""
-    from .fln import route
-
     rows = []
     for h_eval in lengths:
         metrics = evaluate(params, scenes, h_eval, k, normalizer, sampling, seed)
@@ -176,24 +177,20 @@ def ln_statistics_probe(
     aggregate per-position statistics over the probe set.
 
     Statistics use the population convention, matching LayerNorm itself.
+    Branch models run ``branch``, or the branch ``h_eval`` routes to, on the
+    last ``h_eval`` observed steps, cut to that branch's window.
     """
-    from .fln import route
-
     sums: dict[str, np.ndarray] = {}
     sq_sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    used_branch = "-"
-    for scene in sorted(scenes, key=lambda s: s.scene_id):
-        normalized, _ = normalizer.transform(scene)
-        obs = normalized.positions[:, -params.cfg.horizon - h_eval : -params.cfg.horizon, :]
+    used_branch = "-" if params.is_single else (branch or route(h_eval, params.lengths))
+    for _, obs, _ in _windows(scenes, h_eval, normalizer):
         capture: dict[str, list[np.ndarray]] = {}
         with ad.no_grad():
             if params.is_single:
                 bb.forward_single(obs, params, capture=capture)
             else:
-                chosen = branch or route(h_eval, params.lengths)
-                used_branch = chosen
-                bb.forward(obs, chosen, params, capture=capture, allow_shorter=True)
+                forward_branch(obs, used_branch, params, capture=capture)
         for site, values in capture.items():
             if not site.startswith("enc.") or site.endswith(".weights"):
                 continue

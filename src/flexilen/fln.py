@@ -1,10 +1,11 @@
 """Multi-branch manager: combined loss, unseen-length routing, param counting.
 
-Training runs every branch on its own view of the same trajectory; the long
-branch is fit by negative log-likelihood while the shorter branches are
-pulled toward the long branch's predicted distribution. At inference an
-arbitrary observed length is routed to the branch with the nearest training
-length (ties go to the longer branch).
+Every branch sees the last H_b steps of one observed history, as
+``data.Normalizer.transform`` cuts it, and all of them predict the same
+future; the long branch is fit by negative log-likelihood while the shorter
+branches are pulled toward the long branch's predicted distribution. At
+inference an arbitrary observed length is routed to the branch with the
+nearest training length (ties go to the longer branch).
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from . import backbone as bb
 from .autodiff import Tensor
 from .backbone import FlnParams
 from .config import BranchConfig
-from .data import ObservationBundle
 from .mixture import MixturePrediction, kl_distill, nll
 
 
@@ -27,25 +27,26 @@ class FlnLoss:
     kl: Tensor
 
 
-def fln_loss(bundle: ObservationBundle, params: FlnParams, cfg: BranchConfig) -> FlnLoss:
-    """Combined loss over the three branches of one (possibly batched) bundle.
+def fln_loss(
+    observed: np.ndarray, future: np.ndarray, params: FlnParams, cfg: BranchConfig
+) -> FlnLoss:
+    """Combined loss over the three branches of one (possibly batched) scene.
 
-    reg is the long branch's NLL against the bundle's future; kl is the sum of
+    Each branch sees the last H_b steps of ``observed``, with H_b the model's
+    own branch length, so the three inputs are suffixes of one history; a
+    history shorter than the long branch is rejected by the branch forward,
+    and a ``cfg`` whose lengths differ from the model's is rejected here.
+    reg is the long branch's NLL against ``future``; kl is the sum of
     teacher-to-student distillation terms in the default configuration, or
     the direct per-branch NLL when temporal distillation is ablated.
     """
-    lengths = cfg.lengths
-    for branch, h in lengths.items():
-        if bundle.observations[branch].shape[-2] != h:
-            raise ValueError(
-                f"bundle branch {branch} has length {bundle.observations[branch].shape[-2]}, "
-                f"config expects {h}"
-            )
+    lengths = params.lengths
+    if cfg.lengths != lengths:
+        raise ValueError(f"config branch lengths {cfg.lengths} do not match the model's {lengths}")
     preds = {
-        branch: bb.forward(bundle.observations[branch], branch, params)
+        branch: bb.forward(observed[..., -lengths[branch]:, :], branch, params)
         for branch in ("L", "M", "S")
     }
-    future = bundle.future
     reg = nll(preds["L"], future)
     if cfg.temporal_distillation:
         kl = kl_distill(preds["L"], preds["M"], cfg.detach_teacher) + kl_distill(
@@ -65,16 +66,28 @@ def route(h_prime: int, lengths: dict[str, int]) -> str:
     return min(lengths, key=lambda b: (abs(h_prime - lengths[b]), -lengths[b]))
 
 
+def forward_branch(
+    observations: np.ndarray, branch: str, params: FlnParams, capture=None
+) -> MixturePrediction:
+    """Run one branch on its most recent window of an observation.
+
+    Inputs longer than the branch keep their last H_b steps; shorter ones are
+    suffix-aligned within the branch window.
+    """
+    obs = np.asarray(observations, dtype=np.float64)
+    return bb.forward(
+        obs[..., -params.lengths[branch]:, :], branch, params, capture=capture, allow_shorter=True
+    )
+
+
 def forward_routed(
     observations: np.ndarray, params: FlnParams, capture=None
 ) -> tuple[MixturePrediction, str]:
     """Route an arbitrary-length observation and run the chosen branch.
 
-    Inputs longer than the branch keep their most recent window; inputs
-    shorter than every branch length are rejected.
+    Inputs shorter than every branch length are rejected.
     """
-    obs = np.asarray(observations, dtype=np.float64)
-    h_prime = obs.shape[-2]
+    h_prime = np.shape(observations)[-2]
     shortest = min(params.lengths.values())
     if h_prime < shortest:
         raise ValueError(
@@ -82,11 +95,7 @@ def forward_routed(
             f"(minimum {shortest}); no branch can be fed"
         )
     branch = route(h_prime, params.lengths)
-    h_branch = params.lengths[branch]
-    if h_prime > h_branch:
-        obs = obs[..., -h_branch:, :]
-    pred = bb.forward(obs, branch, params, capture=capture, allow_shorter=True)
-    return pred, branch
+    return forward_branch(observations, branch, params, capture=capture), branch
 
 
 @dataclass

@@ -113,7 +113,6 @@ def run_length_shift_study(
     result = StudyResult(config=base)
     lengths = list(base.branches.lengths.values())
     h_long = base.branches.h_long
-    k = min(base.eval.samples, base.backbone.modes)
     for seed in seeds:
         started = time.perf_counter()
         cfg = replace(base, seed=seed)
@@ -133,7 +132,7 @@ def run_length_shift_study(
                 ("prototype", isolated[h_long]),
                 ("fln", fln_params),
             ):
-                metrics = evaluate(params, split.test, h, k, normalizer)
+                metrics = evaluate(params, split.test, h, base.eval.samples, normalizer)
                 ade[(model, h)] = metrics.ade
                 fde[(model, h)] = metrics.fde
         result.seeds.append(

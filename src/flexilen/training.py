@@ -44,12 +44,7 @@ from . import backbone as bb
 from .autodiff import Tensor, backward, zero_grad
 from .backbone import FlnParams
 from .config import RunConfig
-from .data import (
-    DatasetSplit,
-    Normalizer,
-    ObservationBundle,
-    TrajectoryScene,
-)
+from .data import DatasetSplit, Normalizer, TrajectoryScene
 from .evaluation import evaluate
 from .fln import fln_loss
 from .mixture import nll
@@ -106,25 +101,15 @@ def cosine_lr(lr: float, step: int, total_steps: int) -> float:
 
 @dataclass
 class PreparedScene:
-    scene_id: str
     obs: np.ndarray     # (N, obs_len, 2) normalized
     future: np.ndarray  # (N, T, 2) normalized
 
 
-def prepare_scenes(
-    scenes: list[TrajectoryScene], normalizer: Normalizer, horizon: int
-) -> list[PreparedScene]:
-    prepared = []
-    for scene in sorted(scenes, key=lambda s: s.scene_id):
-        normalized, _ = normalizer.transform(scene)
-        prepared.append(
-            PreparedScene(
-                scene.scene_id,
-                normalized.positions[:, :-horizon, :],
-                normalized.positions[:, -horizon:, :],
-            )
-        )
-    return prepared
+def prepare_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[PreparedScene]:
+    return [
+        PreparedScene(*normalizer.transform(scene)[:2])
+        for scene in sorted(scenes, key=lambda s: s.scene_id)
+    ]
 
 
 @dataclass
@@ -228,6 +213,8 @@ def _val_metrics(
     if not val_scenes:
         return {}
     subset = sorted(val_scenes, key=lambda s: s.scene_id)[:VAL_SCENE_CAP]
+    # validation always draws mode means, whatever cfg.eval.sampling is, so
+    # it can take at most one sample per mode
     k = min(cfg.eval.samples, cfg.backbone.modes)
     out = {}
     for h in lengths:
@@ -321,7 +308,7 @@ def train_fln(
     uses it for atomic per-epoch checkpoints)."""
     branches = cfg.branches
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
+    prepared = prepare_scenes(split.train, normalizer)
     params = bb.init_params(
         cfg.backbone,
         branches.lengths,
@@ -330,16 +317,14 @@ def train_fln(
         independent_pe=branches.independent_pe,
         specialized_ln=branches.specialized_ln,
     )
-    lengths = branches.lengths
 
     def loss_fn(batch: Batch):
-        observations = {b: batch.obs[:, :, -h:, :] for b, h in lengths.items()}
-        loss = fln_loss(ObservationBundle(observations, batch.future), params, branches)
+        loss = fln_loss(batch.obs, batch.future, params, branches)
         return loss.total, loss.reg, loss.kl
 
     records = _epochs(
         params, [(p, None) for p in prepared], loss_fn,
-        lambda p: _val_metrics(p, split.val, list(lengths.values()), normalizer, cfg),
+        lambda p: _val_metrics(p, split.val, list(branches.lengths.values()), normalizer, cfg),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
@@ -356,7 +341,7 @@ def train_isolated(
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
+    prepared = prepare_scenes(split.train, normalizer)
     seed = cfg.seed if seed is None else seed
     params = bb.init_single_params(cfg.backbone, h_train, seed)
     records = _epochs(
@@ -377,7 +362,7 @@ def train_mixed(
     """One model; each iteration trains at a length drawn from the
     (renormalized) probabilities rho."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
+    prepared = prepare_scenes(split.train, normalizer)
     h_long = cfg.branches.h_long
     params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
     candidates = [cfg.branches.h_short, cfg.branches.h_medium, h_long]
@@ -406,7 +391,7 @@ def train_finetune(
     Both phases share one model, optimizer state and shuffle stream, and
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    items = [(p, None) for p in prepare_scenes(split.train, normalizer, cfg.data.horizon)]
+    items = [(p, None) for p in prepare_scenes(split.train, normalizer)]
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
     params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
@@ -443,7 +428,7 @@ def train_joint(
     """Expand the training set with every length; train one model per
     evaluation length on the expanded set."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer, cfg.data.horizon)
+    prepared = prepare_scenes(split.train, normalizer)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
     expanded = [(p, h) for p in prepared for h in lengths]
     out: dict[int, tuple[FlnParams, TrainLog]] = {}

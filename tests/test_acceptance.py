@@ -15,7 +15,7 @@ from flexilen.autodiff import Tensor, backward, zero_grad
 from flexilen.checkpoint import load_checkpoint, save_checkpoint
 from flexilen.cli import main as cli_main
 from flexilen.config import BackboneConfig, BranchConfig, RunConfig, TrainConfig
-from flexilen.data import derive_observations, generate_synthetic
+from flexilen.data import generate_synthetic
 from flexilen.evaluation import (
     ade,
     fde,
@@ -100,14 +100,14 @@ def test_criterion_1_gradient_correctness():
     cfg = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
     branches = BranchConfig(h_short=2, h_medium=3, h_long=4, detach_teacher=False)
     params = bb.init_params(cfg, branches.lengths, 0)
-    scene = generate_synthetic(1, (2, 2), 4, 3, 0.4, seed=5)[0]
-    bundle = derive_observations(scene.positions, branches.lengths, 3)
+    positions = generate_synthetic(1, (2, 2), 4, 3, 0.4, seed=5)[0].positions
+    observed, future = positions[:, :-3], positions[:, -3:]
 
     def loss_value() -> float:
-        return fln_loss(bundle, params, branches).total.item()
+        return fln_loss(observed, future, params, branches).total.item()
 
     zero_grad(params.tensors)
-    backward(fln_loss(bundle, params, branches).total)
+    backward(fln_loss(observed, future, params, branches).total)
     worst = 0.0
     for name, tensor in params.tensors.items():
         analytic = tensor.grad if tensor.grad is not None else np.zeros(tensor.shape)
@@ -269,9 +269,8 @@ def test_criterion_5_baseline_reduction_identities():
 
     lam0 = BranchConfig(h_short=2, h_medium=3, h_long=4, lambda_kl=0.0)
     params = bb.init_params(cfg.backbone, lam0.lengths, 0)
-    scene = scenes[0]
-    bundle = derive_observations(scene.positions, lam0.lengths, 3)
-    loss = fln_loss(bundle, params, lam0)
+    positions = scenes[0].positions
+    loss = fln_loss(positions[:, :-3], positions[:, -3:], params, lam0)
     lambda_gap = abs(loss.total.item() - loss.reg.item())
 
     _report(

@@ -30,9 +30,22 @@ def test_generate_is_byte_identical_and_echoes_seed(tmp_path):
 
 def test_generate_validates_before_writing(tmp_path):
     out = tmp_path / "bad"
-    code = _run(["generate", "--out", str(out), *TINY_ARGS, "--set", "n_scenes=0"])
-    assert code != 0
-    assert not out.exists()
+    # samples=3 > modes=2: mode-means draws one sample per mode
+    for bad in ("n_scenes=0", "samples=3"):
+        code = _run(["generate", "--out", str(out), *TINY_ARGS, "--set", bad])
+        assert code != 0
+        assert not out.exists()
+
+
+def test_stochastic_sampling_with_more_samples_than_modes_trains(tmp_path):
+    # per-epoch validation draws mode means whatever the sampling setting is
+    out = tmp_path / "fln"
+    code = _run([
+        "train", "--out", str(out), "--strategy", "fln", *TINY_ARGS,
+        "--set", "sampling=stochastic", "--set", "samples=5",
+    ])
+    assert code == 0
+    assert (out / "checkpoint.json").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -174,6 +187,39 @@ def test_probe_ln_two_checkpoints_aligned(tmp_path):
     ]
 
 
+def test_probe_ln_rejects_length_beyond_the_observed_history(tmp_path, capsys):
+    iso_out = tmp_path / "iso"
+    assert _run([
+        "train", "--out", str(iso_out), "--strategy", "isolated", "--length", "4", *TINY_ARGS
+    ]) == 0
+    probe_out = tmp_path / "probe"
+    code = _run([
+        "probe", "ln", "--out", str(probe_out), "--length", "6",
+        "--checkpoint", str(iso_out / "checkpoint"),
+    ])
+    assert code == 2
+    assert "has only 4 observed steps (< 6)" in capsys.readouterr().err
+    assert not (probe_out / "ln_stats_0.json").exists()
+
+
+def test_probe_ln_keeps_the_routed_branch_window(tmp_path):
+    # H'=6 routes to L (H=4), as in eval and sweep, which keep its last 4 steps
+    out = tmp_path / "fln"
+    args = [*TINY_ARGS, "--set", "obs_len=6"]
+    assert _run(["train", "--out", str(out), "--strategy", "fln", *args]) == 0
+    reports = {}
+    for length in (6, 4):
+        probe_out = tmp_path / f"probe{length}"
+        assert _run([
+            "probe", "ln", "--out", str(probe_out), "--length", str(length),
+            "--checkpoint", str(out / "checkpoint"),
+        ]) == 0
+        reports[length] = json.loads((probe_out / "ln_stats_0.json").read_text())
+    assert reports[6]["length"] == 6 and reports[6]["branch"] == "L"
+    assert all(len(site["mean"]) == 4 for site in reports[6]["sites"].values())
+    assert reports[6]["sites"] == reports[4]["sites"]
+
+
 def test_probe_unknown_kind_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit):
         _run(["probe", "wat", "--out", str(tmp_path / "x")])
@@ -213,7 +259,7 @@ def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path, strategy, stop_ep
         "d_model": "8", "heads": "2", "layers": "1", "dec_hidden": "16", "modes": "2",
         "horizon": "3", "h_short": "2", "h_medium": "3", "h_long": "4", "obs_len": "4",
         "n_scenes": "30", "epochs": "5", "batch_size": "16", "strategy": strategy,
-        "finetune_target": "2", "finetune_patience": "50",
+        "finetune_target": "2", "finetune_patience": "50", "samples": "2",
     })
     scenes = generate_from_config(cfg.data, cfg.seed)
     split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)

@@ -3,9 +3,7 @@ import pytest
 
 from flexilen.data import (
     Normalizer,
-    ObservationBundle,
     TrajectoryScene,
-    derive_observations,
     generate_synthetic,
     load_dataset,
     load_trajnet,
@@ -80,38 +78,29 @@ def test_repulsion_pushes_agents_apart():
     assert not np.allclose(plain, pushed)
 
 
-# ------------------------------------------------------------------- bundles
+# ------------------------------------------------------------ observed/future
 
 
 def test_truncation_suffix_identity():
     scene = _scenes(n=1)[0]
-    bundle = derive_observations(scene.positions, LENGTHS, horizon=12)
-    x_l, x_s = bundle.observations["L"], bundle.observations["S"]
+    norm = Normalizer(horizon=12).fit([scene])
+    observed, future, shift = norm.transform(scene)
+    assert observed.shape == (scene.n_agents, 8, 2)
+    assert future.shape == (scene.n_agents, 12, 2)
+    # the two windows tile the scene: history first, then the shared future
+    np.testing.assert_array_equal(
+        np.concatenate([observed, future], axis=1), (scene.positions - shift) / norm.scale
+    )
+    np.testing.assert_array_equal(norm.future_m(scene), scene.positions[:, 8:, :])
+    x_l, x_s = observed[:, -LENGTHS["L"]:, :], observed[:, -LENGTHS["S"]:, :]
     np.testing.assert_array_equal(x_s, x_l[:, 6:8, :])
-    assert bundle.future.shape == (scene.n_agents, 12, 2)
 
 
 def test_truncation_honors_short_length_set():
     scene = _scenes(n=1, obs_len=4)[0]
-    bundle = derive_observations(scene.positions, {"S": 2, "M": 3, "L": 4}, horizon=12)
-    assert bundle.observations["S"].shape[-2] == 2
-    assert bundle.observations["M"].shape[-2] == 3
-    assert bundle.observations["L"].shape[-2] == 4
-
-
-def test_bundle_rejects_scene_too_short():
-    scene = _scenes(n=1, obs_len=4)[0]
-    with pytest.raises(ValueError):
-        derive_observations(scene.positions, LENGTHS, horizon=12)
-
-
-def test_bundle_invariant_enforced():
-    r = np.random.default_rng(0)
-    x_l = r.normal(size=(2, 8, 2))
-    bad = {"L": x_l, "M": x_l[:, :6], "S": x_l[:, -2:]}  # M is a prefix, not a suffix
-    fut = r.normal(size=(2, 12, 2))
-    with pytest.raises(ValueError):
-        ObservationBundle(bad, fut)
+    observed, future, _ = Normalizer(horizon=12).fit([scene]).transform(scene)
+    assert observed.shape[-2] == 4
+    assert future.shape[-2] == 12
 
 
 # ------------------------------------------------------------------- loading
@@ -164,8 +153,8 @@ def test_normalize_round_trip_identity():
     scenes = _scenes(n=5)
     norm = Normalizer(horizon=12).fit(scenes)
     for scene in scenes:
-        transformed, shift = norm.transform(scene)
-        restored = norm.inverse(transformed.positions, shift)
+        observed, future, shift = norm.transform(scene)
+        restored = norm.inverse(np.concatenate([observed, future], axis=1), shift)
         np.testing.assert_allclose(restored, scene.positions, atol=1e-12)
 
 
@@ -173,9 +162,9 @@ def test_normalize_train_stats_reused():
     train = _scenes(n=5, seed=1)
     test = _scenes(n=5, seed=2)
     norm = Normalizer(horizon=12).fit(train)
-    scale = norm.stats.scale
+    scale = norm.scale
     norm.transform(test[0])
-    assert norm.stats.scale == scale
+    assert norm.scale == scale
 
 
 def test_zero_centered_scene_untranslated():
@@ -183,10 +172,10 @@ def test_zero_centered_scene_untranslated():
     shift0 = scene.positions[:, -13, :].mean(axis=0)
     centered = TrajectoryScene(scene.positions - shift0, scene.dt, scene.scene_id)
     norm = Normalizer(horizon=12).fit([centered])
-    transformed, shift = norm.transform(centered)
+    observed, future, shift = norm.transform(centered)
     np.testing.assert_allclose(shift, np.zeros(2), atol=1e-12)
     np.testing.assert_allclose(
-        transformed.positions, centered.positions / norm.stats.scale, atol=1e-12
+        np.concatenate([observed, future], axis=1), centered.positions / norm.scale, atol=1e-12
     )
 
 

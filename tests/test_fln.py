@@ -8,10 +8,11 @@ from flexilen import backbone as bb
 from flexilen import fln as fln_module
 from flexilen.autodiff import backward, zero_grad
 from flexilen.config import BackboneConfig, BranchConfig
-from flexilen.data import ObservationBundle, derive_observations, generate_synthetic
+from flexilen.data import generate_synthetic
 from flexilen.fln import (
     count_parameters,
     fln_loss,
+    forward_branch,
     forward_routed,
     route,
 )
@@ -36,8 +37,8 @@ def _setup(seed=0, branch_cfg=BRANCHES, backbone_cfg=TINY, n_scenes=2, **flags):
     scenes = generate_synthetic(
         n_scenes, (2, 2), branch_cfg.h_long, backbone_cfg.horizon, 0.4, seed=seed
     )
-    bundle = derive_observations(scenes[0].positions, branch_cfg.lengths, backbone_cfg.horizon)
-    return params, bundle
+    positions = scenes[0].positions
+    return params, positions[:, : -backbone_cfg.horizon], positions[:, -backbone_cfg.horizon :]
 
 
 # ------------------------------------------------------------------ fln_loss
@@ -45,51 +46,65 @@ def _setup(seed=0, branch_cfg=BRANCHES, backbone_cfg=TINY, n_scenes=2, **flags):
 
 def test_lambda_zero_total_equals_reg_exactly():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, lambda_kl=0.0)
-    params, bundle = _setup(branch_cfg=cfg)
-    loss = fln_loss(bundle, params, cfg)
+    params, obs, fut = _setup(branch_cfg=cfg)
+    loss = fln_loss(obs, fut, params, cfg)
     assert loss.total.item() == loss.reg.item()
 
 
 def test_identical_branch_outputs_give_zero_kl():
-    params, bundle = _setup()
+    params, obs, _ = _setup()
     # identity harness: all branches see the same input through the same branch
-    pred = bb.forward(bundle.observations["L"], "L", params)
+    pred = bb.forward(obs, "L", params)
     from flexilen.mixture import kl_distill
 
     assert kl_distill(pred, pred).item() == 0.0
 
 
 def test_default_lambda_sums_terms():
-    params, bundle = _setup()
-    loss = fln_loss(bundle, params, BRANCHES)
+    params, obs, fut = _setup()
+    loss = fln_loss(obs, fut, params, BRANCHES)
     assert BRANCHES.lambda_kl == 1.0
     assert loss.total.item() == pytest.approx(loss.reg.item() + loss.kl.item(), abs=1e-12)
     assert loss.kl.item() >= 0.0
 
 
 def test_fln_loss_rejects_length_mismatch():
-    params, bundle = _setup()
+    params, obs, fut = _setup()
     wrong = BranchConfig(h_short=2, h_medium=3, h_long=8)
-    with pytest.raises(ValueError):
-        fln_loss(bundle, params, wrong)
+    with pytest.raises(ValueError, match="do not match the model's"):
+        fln_loss(obs, fut, params, wrong)
+
+
+def test_fln_loss_rejects_history_shorter_than_long_branch():
+    params, obs, fut = _setup()
+    with pytest.raises(ValueError, match="observation length 3 does not match branch L"):
+        fln_loss(obs[:, -3:], fut, params, BRANCHES)
+
+
+def test_fln_loss_feeds_each_branch_the_suffix_of_one_history():
+    params, obs, fut = _setup()
+    longer = np.concatenate([np.zeros((obs.shape[0], 2, 2)), obs], axis=1)
+    assert fln_loss(longer, fut, params, BRANCHES).total.item() == fln_loss(
+        obs, fut, params, BRANCHES
+    ).total.item()
 
 
 def test_td_off_uses_direct_nll():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, temporal_distillation=False)
-    params, bundle = _setup(branch_cfg=cfg)
-    loss = fln_loss(bundle, params, cfg)
+    params, obs, fut = _setup(branch_cfg=cfg)
+    loss = fln_loss(obs, fut, params, cfg)
     from flexilen.mixture import nll
 
     expected = (
-        nll(bb.forward(bundle.observations["M"], "M", params), bundle.future).item()
-        + nll(bb.forward(bundle.observations["S"], "S", params), bundle.future).item()
+        nll(bb.forward(obs[:, -3:], "M", params), fut).item()
+        + nll(bb.forward(obs[:, -2:], "S", params), fut).item()
     )
     assert loss.kl.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_detach_teacher_blocks_gradient_to_teacher_only_params():
-    params, bundle = _setup()
-    loss = fln_loss(bundle, params, BRANCHES)
+    params, obs, fut = _setup()
+    loss = fln_loss(obs, fut, params, BRANCHES)
     zero_grad(params.tensors)
     backward(loss.kl)
     for name, tensor in params.tensors.items():
@@ -100,21 +115,19 @@ def test_detach_teacher_blocks_gradient_to_teacher_only_params():
 
 def test_no_detach_lets_gradient_reach_teacher():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, detach_teacher=False)
-    params, bundle = _setup(branch_cfg=cfg)
-    loss = fln_loss(bundle, params, cfg)
+    params, obs, fut = _setup(branch_cfg=cfg)
+    loss = fln_loss(obs, fut, params, cfg)
     zero_grad(params.tensors)
     backward(loss.kl)
     assert params.tensors["sln.L.enc.l0.norm1.gamma"].grad is not None
 
 
 def test_fln_loss_invariant_to_agent_order():
-    params, _ = _setup()
-    scene = generate_synthetic(1, (4, 4), 4, 3, 0.4, seed=11)[0]
-    bundle = derive_observations(scene.positions, BRANCHES.lengths, 3)
+    params, _, _ = _setup()
+    positions = generate_synthetic(1, (4, 4), 4, 3, 0.4, seed=11)[0].positions
     perm = np.array([3, 1, 0, 2])
-    permuted = derive_observations(scene.positions[perm], BRANCHES.lengths, 3)
-    a = fln_loss(bundle, params, BRANCHES)
-    b = fln_loss(permuted, params, BRANCHES)
+    a = fln_loss(positions[:, :-3], positions[:, -3:], params, BRANCHES)
+    b = fln_loss(positions[perm, :-3], positions[perm, -3:], params, BRANCHES)
     assert a.total.item() == pytest.approx(b.total.item(), rel=1e-10)
 
 
@@ -145,7 +158,7 @@ def test_route_rejects_nonpositive():
 
 
 def test_routed_truncates_long_inputs():
-    params, _ = _setup()
+    params, _, _ = _setup()
     obs = np.random.default_rng(0).normal(size=(2, 9, 2))  # longer than H^L = 4
     pred, branch = forward_routed(obs, params)
     assert branch == "L"
@@ -154,7 +167,7 @@ def test_routed_truncates_long_inputs():
 
 
 def test_routed_under_length_feeds_nearest_branch():
-    params, _ = _setup()
+    params, _, _ = _setup()
     # H' = 3 exactly matches M; H' = 2 matches S
     for h_prime, expected in ((3, "M"), (2, "S"), (4, "L")):
         obs = np.random.default_rng(h_prime).normal(size=(2, h_prime, 2))
@@ -163,9 +176,20 @@ def test_routed_under_length_feeds_nearest_branch():
 
 
 def test_routed_rejects_below_shortest():
-    params, _ = _setup()
+    params, _, _ = _setup()
     with pytest.raises(ValueError, match="no branch"):
         forward_routed(np.zeros((2, 1, 2)), params)
+
+
+def test_forward_branch_keeps_the_branch_window_of_any_length():
+    params, _, _ = _setup()
+    obs = np.random.default_rng(1).normal(size=(2, 9, 2))
+    longer = forward_branch(obs, "M", params)
+    np.testing.assert_array_equal(longer.means.data, bb.forward(obs[:, -3:], "M", params).means.data)
+    shorter = forward_branch(obs[:, -2:], "L", params)
+    np.testing.assert_array_equal(
+        shorter.means.data, bb.forward(obs[:, -2:], "L", params, allow_shorter=True).means.data
+    )
 
 
 # ----------------------------------------------------------- count_parameters
@@ -173,7 +197,7 @@ def test_routed_rejects_below_shortest():
 
 def test_overhead_zero_without_ipe_and_sln():
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, independent_pe=False, specialized_ln=False)
-    params, _ = _setup(branch_cfg=cfg)
+    params = _setup(branch_cfg=cfg)[0]
     count = count_parameters(params)
     assert count.extra == 0
     assert count.overhead == 0.0
@@ -184,7 +208,7 @@ def test_overhead_small_with_ipe_and_sln():
         d_model=64, heads=4, layers=2, dec_hidden=64, modes=5, horizon=12, pe_kind="learnable"
     )
     branch_cfg = BranchConfig(h_short=2, h_medium=6, h_long=8)
-    params, _ = _setup(branch_cfg=branch_cfg, backbone_cfg=backbone_cfg)
+    params = _setup(branch_cfg=branch_cfg, backbone_cfg=backbone_cfg)[0]
     count = count_parameters(params)
     assert count.extra > 0
     assert count.overhead < 0.05
@@ -197,9 +221,9 @@ def test_paper_overhead_anchor_arithmetic():
 
 
 def test_without_weight_sharing_triples_parameters():
-    shared, _ = _setup()
+    shared = _setup()[0]
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, weight_sharing=False)
-    separate, _ = _setup(branch_cfg=cfg)
+    separate = _setup(branch_cfg=cfg)[0]
     single_total = count_parameters(shared).single_total
     n_separate = count_parameters(separate).total
     # three full single-branch models, up to branch-specific parts
@@ -231,15 +255,12 @@ def test_fln_loss_gradients_equal_the_composed_model_bit_for_bit(flags, monkeypa
         d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3, decoder_sln=True
     )
     scenes = generate_synthetic(3, (2, 2), cfg.h_long, backbone_cfg.horizon, 0.4, seed=7)
-    bundles = [derive_observations(s.positions, cfg.lengths, backbone_cfg.horizon) for s in scenes]
-    bundle = ObservationBundle(
-        {b: np.stack([x.observations[b] for x in bundles]) for b in cfg.lengths},
-        np.stack([x.future for x in bundles]),
-    )
+    positions = np.stack([s.positions for s in scenes])
+    obs, fut = positions[:, :, : -backbone_cfg.horizon], positions[:, :, -backbone_cfg.horizon :]
 
     def run():
-        params, _ = _setup(branch_cfg=cfg, backbone_cfg=backbone_cfg)
-        loss = fln_loss(bundle, params, cfg)
+        params, _, _ = _setup(branch_cfg=cfg, backbone_cfg=backbone_cfg)
+        loss = fln_loss(obs, fut, params, cfg)
         backward(loss.total)
         return loss, params.tensors
 

@@ -10,7 +10,7 @@ from flexilen.config import (
     RunConfig,
     TrainConfig,
 )
-from flexilen.data import ObservationBundle, generate_from_config, split_scenes
+from flexilen.data import generate_from_config, split_scenes
 from flexilen.fln import fln_loss
 from flexilen.training import (
     AdamState,
@@ -155,14 +155,8 @@ def test_fln_detached_teacher_step_keeps_teacher_params(tiny_split):
     cfg = make_config()
     norm = fit_normalizer(tiny_split, cfg.data.horizon)
     params, _ = train_fln(tiny_split, cfg, normalizer=norm)
-    scene = tiny_split.train[0]
-    normalized, _ = norm.transform(scene)
-    obs = normalized.positions[:, :-3, :]
-    bundle = ObservationBundle(
-        {b: obs[:, -h:, :] for b, h in cfg.branches.lengths.items()},
-        normalized.positions[:, -3:, :],
-    )
-    loss = fln_loss(bundle, params, cfg.branches)
+    observed, future, _ = norm.transform(tiny_split.train[0])
+    loss = fln_loss(observed, future, params, cfg.branches)
     zero_grad(params.tensors)
     backward(loss.kl)
     state = AdamState()
@@ -297,7 +291,7 @@ def test_joint_expanded_dataset_size(tiny_split):
 
     cfg = make_config()
     norm = fit_normalizer(tiny_split, cfg.data.horizon)
-    prepared = prepare_scenes(tiny_split.train, norm, cfg.data.horizon)
+    prepared = prepare_scenes(tiny_split.train, norm)
     expanded = [(p, h) for p in prepared for h in (2, 3, 4)]
     batches = _make_batches(expanded, 1, np.random.default_rng(0))
     assert len(batches) == 3 * len(tiny_split.train)
