@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per training strategy, plus ``sweep``, ``eval`` and ``probe ln``.
+"""Print one SHA-256 per training strategy, plus ``sweep``, ``eval`` and the probes.
 
 Runs ``flexilen.cli.main`` in-process on a tiny seeded dataset, in a
 temporary directory: every training strategy (fln also with its ablation
 switches flipped, so the undetached-teacher and per-branch-NLL paths run),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
-length longer than its longest branch (so routed truncation runs) and the
-LayerNorm probe. Each line hashes that run's artifacts: checkpoint payloads
-and manifests, training logs with the wall-clock ``seconds`` column removed,
-and the sweep, metrics and probe reports.
+length longer than its longest branch (so routed truncation runs), the
+LayerNorm probe, and the positional-encoding probe on the learnable tables
+of a checkpoint and on the default sinusoidal config. Each line hashes that
+run's artifacts: checkpoint payloads and manifests, training logs with the
+wall-clock ``seconds`` column removed, and the sweep, metrics and probe
+reports.
 
 Two checkouts that print the same lines trained and evaluated bit for bit
 alike, so a change meant to alter no result can be checked against its
@@ -111,6 +113,11 @@ def run(root: Path) -> dict[str, str]:
     _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
           "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])
     lines["probe_ln"] = digest(probe)
+    pe = root / "probe_pe"
+    _cli(["probe", "pe", "--out", str(pe / "0"), "--checkpoint", checkpoints[0],
+          "--h1", "2", "--h2", "4"])
+    _cli(["probe", "pe", "--out", str(pe / "1"), "--h1", "2", "--h2", "8"])
+    lines["probe_pe"] = digest(pe / "0") + digest(pe / "1")
     return {name: hashlib.sha256(value.encode()).hexdigest() for name, value in lines.items()}
 
 

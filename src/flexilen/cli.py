@@ -1,18 +1,28 @@
 """Command-line surface: generate, train, eval, probe, sweep.
 
-Every command validates its full configuration before touching the
-filesystem, echoes the effective seed into its output manifest, and exits
-nonzero on any error.
+Every command builds its run config in ``_build_config``: the defaults, or
+the checkpoint's run config for eval, sweep and probe, then ``--config``, then
+``--set``, then the flags that name a key (``--samples K`` is ``--set
+samples=K``). On a checkpoint only data, eval and seed keys may differ from
+its run config. Every command validates its full configuration before
+touching the filesystem, echoes the effective seed into its output manifest,
+and exits nonzero on any error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, load_run_config, run_config_to_flat
+from .config import (
+    FLAT_KEYS,
+    ConfigError,
+    RunConfig,
+    build_run_config,
+    load_run_config,
+    run_config_to_flat,
+)
 from .data import generate_from_config, load_dataset, save_dataset, split_scenes
 from .evaluation import (
     evaluate,
@@ -20,11 +30,11 @@ from .evaluation import (
     ln_statistics_probe,
     pe_deviation_report,
     write_ln_report_csv,
+    write_json,
     write_metrics,
     write_pe_report_csv,
     write_sweep_csv,
 )
-from .fln import route
 from .training import (
     fit_normalizer,
     train_fln,
@@ -49,7 +59,9 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, base: dict | None = None) -> RunConfig:
+    """``base`` (flat keys; the defaults when None), then ``--config``, then
+    ``--set``, then the flags that name a key."""
     overrides: dict[str, object] = {}
     for item in args.overrides:
         if "=" not in item:
@@ -60,16 +72,46 @@ def _build_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "strategy", None):
         overrides["strategy"] = args.strategy
+    if getattr(args, "samples", None) is not None:
+        overrides["samples"] = args.samples
     if getattr(args, "length", None) and getattr(args, "command", "") == "train":
         overrides["isolated_length"] = args.length
-    return load_run_config(args.config, overrides)
+    return load_run_config(args.config, overrides, base=base)
 
 
-def _load_scenes(args, cfg: RunConfig):
-    if getattr(args, "data", None):
-        scenes, _ = load_dataset(args.data)
-        return scenes
-    return generate_from_config(cfg.data, cfg.seed)
+def _checkpoint_config(args, checkpoint: str):
+    """A checkpoint's model and its run config under this command's
+    overrides, which may change only data, eval and seed keys."""
+    params, manifest, _ = load_checkpoint(checkpoint)
+    base = manifest.get("run_config") or {}
+    cfg = _build_config(args, base)
+    trained = run_config_to_flat(build_run_config(base))
+    locked = [
+        f"{key}={trained[key]}"
+        for key, value in run_config_to_flat(cfg).items()
+        if value != trained[key] and key != "seed" and FLAT_KEYS[key][0] not in ("data", "eval")
+    ]
+    if locked:
+        raise ConfigError(
+            f"checkpoint {checkpoint} was trained with {', '.join(locked)}; only data, eval"
+            " and seed keys may differ from its run config"
+        )
+    return params, cfg
+
+
+def _checkpoint_run(args, checkpoint: str):
+    """``_checkpoint_config`` plus the run's ``_split``."""
+    params, cfg = _checkpoint_config(args, checkpoint)
+    return (params, cfg, *_split(args, cfg))
+
+
+def _split(args, cfg: RunConfig):
+    """The run's scenes (``--data``, or generated from the config), split, and
+    the normalizer fitted on the training part."""
+    data = getattr(args, "data", None)
+    scenes = load_dataset(data)[0] if data else generate_from_config(cfg.data, cfg.seed)
+    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
+    return split, fit_normalizer(split, cfg.data.horizon)
 
 
 def cmd_generate(args) -> int:
@@ -98,9 +140,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     out = Path(args.out)
-    scenes = _load_scenes(args, cfg)
-    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    normalizer = fit_normalizer(split, cfg.data.horizon)
+    split, normalizer = _split(args, cfg)
     run_flat = run_config_to_flat(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -141,24 +181,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, manifest, _ = load_checkpoint(args.checkpoint)
-    cfg = load_run_config(None, dict(manifest.get("run_config") or {}))
-    if args.seed is not None:
-        cfg = load_run_config(None, {**run_config_to_flat(cfg), "seed": args.seed})
-    scenes = _load_scenes(args, cfg)
-    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    normalizer = fit_normalizer(split, cfg.data.horizon)
-    k = args.samples or cfg.eval.samples
+    params, cfg, split, normalizer = _checkpoint_run(args, args.checkpoint)
+    k = cfg.eval.samples
     metrics = evaluate(
         params, split.test, args.length, k, normalizer, sampling=cfg.eval.sampling, seed=cfg.seed
     )
-    extra = {"seed": cfg.seed, "checkpoint": Path(args.checkpoint).name}
-    if not params.is_single:
-        extra["routed_branch"] = route(args.length, params.lengths)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_metrics(out / "metrics", metrics, extra)
-    branch_note = f" branch {extra['routed_branch']}" if "routed_branch" in extra else ""
+    write_metrics(
+        out / "metrics", metrics, {"seed": cfg.seed, "checkpoint": Path(args.checkpoint).name}
+    )
+    branch_note = "" if metrics.branch == "-" else f" branch {metrics.branch}"
     print(
         f"H'={args.length}{branch_note}: ADE_{k} {metrics.ade:.6f}  FDE_{k} {metrics.fde:.6f} "
         f"({metrics.scene_count} scenes)"
@@ -170,41 +203,34 @@ def _parse_lengths(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in spec.split(",") if part]
+        lengths = list(range(int(lo), int(hi) + 1))
+    else:
+        lengths = [int(part) for part in spec.split(",") if part]
+    if not lengths:
+        raise ConfigError(f"--lengths {spec!r} names no length")
+    return lengths
 
 
 def cmd_sweep(args) -> int:
-    params, manifest, _ = load_checkpoint(args.checkpoint)
-    cfg = load_run_config(None, dict(manifest.get("run_config") or {}))
-    scenes = _load_scenes(args, cfg)
-    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    normalizer = fit_normalizer(split, cfg.data.horizon)
     lengths = _parse_lengths(args.lengths)
-    k = args.samples or cfg.eval.samples
+    params, cfg, split, normalizer = _checkpoint_run(args, args.checkpoint)
+    k = cfg.eval.samples
     rows = generality_sweep(
         params, split.test, lengths, k, normalizer, sampling=cfg.eval.sampling, seed=cfg.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out / "sweep.csv", rows)
-    (out / "sweep.json").write_text(
-        json.dumps(
-            {
-                "seed": cfg.seed,
-                "k": k,
-                "rows": [
-                    {"h_eval": r.h_eval, "ade": r.ade, "fde": r.fde, "branch": r.branch}
-                    for r in rows
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
+    write_json(out / "sweep.json", {
+        "seed": cfg.seed,
+        "k": k,
+        "rows": [
+            {"h_eval": r.eval_length, "ade": r.ade, "fde": r.fde, "branch": r.branch}
+            for r in rows
+        ],
+    })
     for row in rows:
-        print(f"H'={row.h_eval} branch {row.branch}: ADE {row.ade:.6f} FDE {row.fde:.6f}")
+        print(f"H'={row.eval_length} branch {row.branch}: ADE {row.ade:.6f} FDE {row.fde:.6f}")
     return 0
 
 
@@ -212,9 +238,7 @@ def _branch_table(params, h: int):
     for branch, length in params.lengths.items():
         if length == h:
             table = params.pe_table(branch)
-            if table is None:
-                return None
-            return table.data
+            return None if table is None else table.data
     raise ConfigError(f"checkpoint has no branch of length {h} (has {params.lengths})")
 
 
@@ -222,30 +246,22 @@ def cmd_probe(args) -> int:
     out = Path(args.out)
     if args.kind == "pe":
         if args.checkpoint:
-            params, _, _ = load_checkpoint(args.checkpoint[0])
+            params, _ = _checkpoint_config(args, args.checkpoint[0])
             tables = (_branch_table(params, args.h1), _branch_table(params, args.h2))
             report = pe_deviation_report(
                 params.cfg, args.h1, args.h2, tables=None if tables[0] is None else tables
             )
         else:
-            cfg = load_run_config(args.config) if args.config else RunConfig()
-            report = pe_deviation_report(cfg.backbone, args.h1, args.h2)
+            report = pe_deviation_report(_build_config(args).backbone, args.h1, args.h2)
         out.mkdir(parents=True, exist_ok=True)
         write_pe_report_csv(out / f"pe_deviation_{args.h1}_{args.h2}.csv", report)
-        (out / f"pe_deviation_{args.h1}_{args.h2}.json").write_text(
-            json.dumps(
-                {
-                    "h1": args.h1,
-                    "h2": args.h2,
-                    "timesteps": int(report.distances.size),
-                    "max_distance": float(report.distances.max()),
-                    "distances": [float(d) for d in report.distances],
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
+        write_json(out / f"pe_deviation_{args.h1}_{args.h2}.json", {
+            "h1": args.h1,
+            "h2": args.h2,
+            "timesteps": int(report.distances.size),
+            "max_distance": float(report.distances.max()),
+            "distances": [float(d) for d in report.distances],
+        })
         print(
             f"pe deviation H1={args.h1} H2={args.h2}: max {report.distances.max():.6f} "
             f"over {report.distances.size} timesteps"
@@ -256,34 +272,23 @@ def cmd_probe(args) -> int:
             raise ConfigError("ln probe requires at least one --checkpoint")
         if args.length is None:
             raise ConfigError("ln probe requires --length")
+        runs = [_checkpoint_run(args, ckpt) for ckpt in args.checkpoint]
         out.mkdir(parents=True, exist_ok=True)
-        for index, ckpt in enumerate(args.checkpoint):
-            params, manifest, _ = load_checkpoint(ckpt)
-            cfg = load_run_config(None, dict(manifest.get("run_config") or {}))
-            scenes = _load_scenes(args, cfg)
-            split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-            normalizer = fit_normalizer(split, cfg.data.horizon)
+        for index, (ckpt, (params, _, split, normalizer)) in enumerate(zip(args.checkpoint, runs)):
             report = ln_statistics_probe(params, split.test, args.length, normalizer)
             write_ln_report_csv(out / f"ln_stats_{index}.csv", report)
-            (out / f"ln_stats_{index}.json").write_text(
-                json.dumps(
-                    {
-                        "checkpoint": Path(ckpt).name,
-                        "length": report.length,
-                        "branch": report.branch,
-                        "sites": {
-                            site: {
-                                "mean": [float(v) for v in stats[:, 0]],
-                                "std": [float(v) for v in stats[:, 1]],
-                            }
-                            for site, stats in sorted(report.sites.items())
-                        },
-                    },
-                    indent=2,
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
+            write_json(out / f"ln_stats_{index}.json", {
+                "checkpoint": Path(ckpt).name,
+                "length": report.length,
+                "branch": report.branch,
+                "sites": {
+                    site: {
+                        "mean": [float(v) for v in stats[:, 0]],
+                        "std": [float(v) for v in stats[:, 1]],
+                    }
+                    for site, stats in sorted(report.sites.items())
+                },
+            })
             print(f"ln probe [{index}] {ckpt}: {len(report.sites)} sites at H'={args.length}")
         return 0
     raise ConfigError(f"unknown probe kind {args.kind!r}")
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", help="dataset directory")
     p_eval.add_argument("--length", type=int, required=True)
-    p_eval.add_argument("--samples", type=int, help="best-of-K sample count")
+    p_eval.add_argument("--samples", type=int, help="best-of-K sample count (--set samples=K)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_probe = sub.add_parser("probe", help="emit diagnostic reports")
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--checkpoint", required=True)
     p_sweep.add_argument("--data", help="dataset directory")
     p_sweep.add_argument("--lengths", required=True, help="e.g. '4..30' or '2,6,8'")
-    p_sweep.add_argument("--samples", type=int)
+    p_sweep.add_argument("--samples", type=int, help="best-of-K sample count (--set samples=K)")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -271,8 +271,12 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
     return cfg
 
 
-def load_run_config(path: str | Path | None, overrides: dict[str, object] | None = None) -> RunConfig:
-    values: dict[str, object] = {}
+def load_run_config(
+    path: str | Path | None, overrides: dict | None = None, base: dict | None = None
+) -> RunConfig:
+    """Flat values from ``base`` (the defaults when None), then the config
+    file at ``path``, then ``overrides``; each replaces the keys it names."""
+    values: dict[str, object] = dict(base or {})
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         values.update(parse_config_text(text, source=str(path)))

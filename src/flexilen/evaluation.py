@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +25,14 @@ class Metrics:
     k: int
     eval_length: int
     scene_count: int
+    branch: str  # the branch forward_routed chose; "-" for single-length models
 
     def to_dict(self) -> dict:
-        return {
-            "ade": self.ade,
-            "fde": self.fde,
-            "k": self.k,
-            "eval_length": self.eval_length,
-            "scene_count": self.scene_count,
-        }
+        payload = asdict(self)
+        branch = payload.pop("branch")
+        if branch != "-":
+            payload["routed_branch"] = branch
+        return payload
 
 
 def ade(samples: np.ndarray, gt: np.ndarray) -> float:
@@ -63,6 +62,8 @@ def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
 def _windows(scenes: list[TrajectoryScene], h_eval: int, normalizer: Normalizer):
     """Each scene in id order with its last ``h_eval`` normalized observed
     steps and its shift."""
+    if h_eval < 1:
+        raise ValueError(f"observation length must be >= 1, got {h_eval}")
     for scene in sorted(scenes, key=lambda s: s.scene_id):
         observed, _, shift = normalizer.transform(scene)
         if observed.shape[1] < h_eval:
@@ -84,20 +85,22 @@ def evaluate(
 ) -> Metrics:
     """Aggregate ADE/FDE over a scene set at one observation length.
 
-    Multi-branch models route the length to a branch; single-length models
-    process it natively. Metrics are computed in denormalized meters and are
-    independent of scene ordering (scenes are sorted by id first).
+    Multi-branch models route the length to a branch, which the result
+    records; single-length models process it natively. Metrics are computed
+    in denormalized meters and are independent of scene ordering (scenes are
+    sorted by id first).
     """
     if not scenes:
         raise ValueError("no scenes to evaluate")
     ade_values: list[np.ndarray] = []
     fde_values: list[np.ndarray] = []
+    branch = "-"
     for index, (scene, obs, shift) in enumerate(_windows(scenes, h_eval, normalizer)):
         with ad.no_grad():
             if params.is_single:
                 pred = bb.forward_single(obs, params)
             else:
-                pred, _ = forward_routed(obs, params)
+                pred, branch = forward_routed(obs, params)
         sample_seed = None if sampling == "mode-means" else int(
             np.random.default_rng([seed, 5, index]).integers(2**31)
         )
@@ -114,18 +117,11 @@ def evaluate(
         k=k,
         eval_length=h_eval,
         scene_count=len(scenes),
+        branch=branch,
     )
 
 
 # ------------------------------------------------------------------- sweeps
-
-
-@dataclass
-class SweepRow:
-    h_eval: int
-    ade: float
-    fde: float
-    branch: str
 
 
 def generality_sweep(
@@ -136,22 +132,18 @@ def generality_sweep(
     normalizer: Normalizer,
     sampling: str = "mode-means",
     seed: int = 0,
-) -> list[SweepRow]:
-    """Evaluate a list of observation lengths, recording the routed branch."""
-    rows = []
-    for h_eval in lengths:
-        metrics = evaluate(params, scenes, h_eval, k, normalizer, sampling, seed)
-        branch = "-" if params.is_single else route(h_eval, params.lengths)
-        rows.append(SweepRow(h_eval, metrics.ade, metrics.fde, branch))
-    return rows
+) -> list[Metrics]:
+    """Evaluate a list of observation lengths, one ``Metrics`` (with its
+    routed branch) per length."""
+    return [evaluate(params, scenes, h, k, normalizer, sampling, seed) for h in lengths]
 
 
-def write_sweep_csv(path: str | Path, rows: list[SweepRow]) -> None:
+def write_sweep_csv(path: str | Path, rows: list[Metrics]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["h_eval", "ade", "fde", "branch"])
         for row in rows:
-            writer.writerow([row.h_eval, f"{row.ade:.9f}", f"{row.fde:.9f}", row.branch])
+            writer.writerow([row.eval_length, f"{row.ade:.9f}", f"{row.fde:.9f}", row.branch])
 
 
 # ------------------------------------------------------------------- probes
@@ -171,19 +163,18 @@ def ln_statistics_probe(
     scenes: list[TrajectoryScene],
     h_eval: int,
     normalizer: Normalizer,
-    branch: str | None = None,
 ) -> LnStatReport:
     """Run forwards with activation capture at every encoder LN site and
     aggregate per-position statistics over the probe set.
 
     Statistics use the population convention, matching LayerNorm itself.
-    Branch models run ``branch``, or the branch ``h_eval`` routes to, on the
-    last ``h_eval`` observed steps, cut to that branch's window.
+    Branch models run the branch ``h_eval`` routes to on the last ``h_eval``
+    observed steps, cut to that branch's window.
     """
     sums: dict[str, np.ndarray] = {}
     sq_sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    used_branch = "-" if params.is_single else (branch or route(h_eval, params.lengths))
+    used_branch = "-" if params.is_single else route(h_eval, params.lengths)
     for _, obs, _ in _windows(scenes, h_eval, normalizer):
         capture: dict[str, list[np.ndarray]] = {}
         with ad.no_grad():
@@ -277,6 +268,10 @@ def write_pe_report_csv(path: str | Path, report: PeDeviationReport) -> None:
             writer.writerow([t, f"{distance:.9f}"])
 
 
+def write_json(path: str | Path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+
+
 def write_metrics(path_prefix: str | Path, metrics: Metrics, extra: dict | None = None) -> None:
     """Emit one metrics result as aligned CSV + JSON files."""
     prefix = Path(path_prefix)
@@ -287,6 +282,4 @@ def write_metrics(path_prefix: str | Path, metrics: Metrics, extra: dict | None 
         writer = csv.writer(handle)
         writer.writerow(sorted(payload))
         writer.writerow([payload[k] for k in sorted(payload)])
-    prefix.with_suffix(".json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(prefix.with_suffix(".json"), payload)

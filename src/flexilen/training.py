@@ -336,18 +336,16 @@ def train_isolated(
     cfg: RunConfig,
     h_train: int,
     normalizer: Normalizer | None = None,
-    seed: int | tuple = None,
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
     prepared = prepare_scenes(split.train, normalizer)
-    seed = cfg.seed if seed is None else seed
-    params = bb.init_single_params(cfg.backbone, h_train, seed)
+    params = bb.init_single_params(cfg.backbone, h_train, cfg.seed)
     records = _epochs(
         params, [(p, None) for p in prepared], _single_loss(params, lambda batch: h_train),
         lambda p: _val_metrics(p, split.val, [h_train], normalizer, cfg),
-        cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
+        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
     return params, TrainLog("isolated", list(records))

@@ -325,9 +325,9 @@ def test_criterion_8_routing_and_generality(study):
     rows = generality_sweep(params, scenes, lengths, 2, outcome.normalizer)
     finite = all(np.isfinite(row.ade) and np.isfinite(row.fde) for row in rows)
     routed_ok = all(
-        row.branch == route_bruteforce(row.h_eval, params.lengths) for row in rows
+        row.branch == route_bruteforce(row.eval_length, params.lengths) for row in rows
     )
-    tie_rows = {row.h_eval: row.branch for row in rows}
+    tie_rows = {row.eval_length: row.branch for row in rows}
     ties_ok = tie_rows[4] == "M" and tie_rows[7] == "L"  # midway picks the longer branch
     _report(
         8,
@@ -357,7 +357,7 @@ def test_criterion_9_diagnostic_probes(study):
         probe_scenes = sorted(outcome.split.test, key=lambda s: s.scene_id)[:40]
         it_short = ln_statistics_probe(outcome.isolated[h_s], probe_scenes, h_s, outcome.normalizer)
         it_long = ln_statistics_probe(outcome.isolated[h_l], probe_scenes, h_l, outcome.normalizer)
-        fln_short = ln_statistics_probe(outcome.fln, probe_scenes, h_s, outcome.normalizer, branch="S")
+        fln_short = ln_statistics_probe(outcome.fln, probe_scenes, h_s, outcome.normalizer)
         gap_between_lengths = ln_report_gap(it_short, it_long, sites=first_site)
         gap_fln_vs_matched = ln_report_gap(fln_short, it_short, sites=first_site)
         gaps.append((outcome.seed, gap_between_lengths, gap_fln_vs_matched))

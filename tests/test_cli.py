@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from flexilen.cli import main
+from flexilen.config import BackboneConfig
+from flexilen.evaluation import pe_deviation_report
 
 TINY_ARGS = [
     "--set", "d_model=8", "--set", "heads=2", "--set", "layers=1",
@@ -352,3 +354,132 @@ def test_probe_reports_include_json_summaries(tmp_path):
     assert pe["timesteps"] == 2 and pe["max_distance"] > 0
     ln = json.loads((probe_out / "ln_stats_0.json").read_text())
     assert ln["length"] == 4 and "enc.l0.norm1" in ln["sites"]
+
+
+# ------------------------------------------- commands that start from a checkpoint
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """An FLN checkpoint and an isolated H=4 one, both on 6-step histories."""
+    root = tmp_path_factory.mktemp("trained")
+    args = [*TINY_ARGS, "--set", "obs_len=6"]
+    assert _run(["train", "--out", str(root / "fln"), "--strategy", "fln", *args]) == 0
+    assert _run([
+        "train", "--out", str(root / "iso"), "--strategy", "isolated", "--length", "4", *args
+    ]) == 0
+    return {"fln": root / "fln" / "checkpoint", "iso": root / "iso" / "checkpoint"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--length", "3", "--set", "bogus=1"], "unknown config key 'bogus'"),
+        (["sweep", "--lengths", "2..4", "--set", "bogus=1"], "unknown config key 'bogus'"),
+        (["probe", "ln", "--length", "3", "--set", "bogus=1"], "unknown config key 'bogus'"),
+        (["eval", "--length", "3", "--set", "d_model=4"], "{ckpt} was trained with d_model=8"),
+        (["sweep", "--lengths", "2..4", "--set", "horizon=4"], "{ckpt} was trained with horizon=3"),
+        (["probe", "ln", "--length", "3", "--set", "epochs=5"], "{ckpt} was trained with epochs=2"),
+        (["probe", "pe", "--h1", "2", "--h2", "3", "--set", "h_medium=4"], "with h_medium=3"),
+        (["sweep", "--lengths", "4..2"], "--lengths '4..2' names no length"),
+    ],
+    ids=[
+        "eval-unknown", "sweep-unknown", "probe-ln-unknown", "eval-model-key",
+        "sweep-horizon", "probe-ln-train-key", "probe-pe-branch-key", "sweep-no-length",
+    ],
+)
+def test_checkpoint_commands_validate_before_writing(trained, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = _run([*argv, "--out", str(out), "--checkpoint", str(trained["fln"])])
+    assert code == 2
+    assert message.format(ckpt=trained["fln"]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_probe_ln_builds_every_run_before_writing(trained, tmp_path, capsys):
+    out = tmp_path / "probe"
+    code = _run([
+        "probe", "ln", "--out", str(out), "--length", "4",
+        "--checkpoint", str(trained["fln"]), "--checkpoint", str(tmp_path / "missing"),
+    ])
+    assert code == 2
+    assert "not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fln", "iso"])
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--length=-2"], ["eval", "--length", "0"], ["sweep", "--lengths", "0,4"],
+     ["probe", "ln", "--length", "0"]],
+    ids=["eval-negative", "eval-zero", "sweep-zero", "probe-ln-zero"],
+)
+def test_lengths_below_one_are_rejected(trained, tmp_path, capsys, kind, argv):
+    out = tmp_path / "out"
+    code = _run([*argv, "--out", str(out), "--checkpoint", str(trained[kind])])
+    assert code == 2
+    assert "length must be >= 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_and_eval_take_the_seed_flag(trained, tmp_path):
+    checkpoint = str(trained["fln"])
+    assert _run([
+        "sweep", "--out", str(tmp_path / "sweep"), "--checkpoint", checkpoint,
+        "--lengths", "3,4", "--seed", "9",
+    ]) == 0
+    assert _run([
+        "eval", "--out", str(tmp_path / "eval"), "--checkpoint", checkpoint,
+        "--length", "3", "--seed", "9",
+    ]) == 0
+    sweep = json.loads((tmp_path / "sweep/sweep.json").read_text())
+    single = json.loads((tmp_path / "eval/metrics.json").read_text())
+    assert sweep["seed"] == single["seed"] == 9
+    row3 = next(r for r in sweep["rows"] if r["h_eval"] == 3)
+    assert (row3["ade"], row3["fde"], row3["branch"]) == (
+        single["ade"], single["fde"], single["routed_branch"]
+    )
+
+
+def test_eval_data_keys_take_effect_from_set_and_config(trained, tmp_path):
+    cfg = tmp_path / "more.cfg"
+    cfg.write_text("n_scenes = 120\n", encoding="utf-8")
+    variants = {
+        "checkpoint": [],
+        "set": ["--set", "n_scenes=120"],
+        "config": ["--config", str(cfg)],
+    }
+    payloads = {}
+    for name, extra in variants.items():
+        out = tmp_path / name
+        assert _run([
+            "eval", "--out", str(out), "--checkpoint", str(trained["iso"]), "--length", "4",
+            *extra,
+        ]) == 0
+        payloads[name] = json.loads((out / "metrics.json").read_text())
+    assert payloads["set"] == payloads["config"]
+    assert payloads["set"]["scene_count"] > payloads["checkpoint"]["scene_count"]
+    assert "routed_branch" not in payloads["set"]
+
+
+def test_samples_flag_is_set_samples(trained, tmp_path):
+    texts = []
+    for name, extra in (("flag", ["--samples", "1"]), ("set", ["--set", "samples=1"])):
+        out = tmp_path / name
+        assert _run([
+            "eval", "--out", str(out), "--checkpoint", str(trained["fln"]), "--length", "4",
+            *extra,
+        ]) == 0
+        texts.append((out / "metrics.json").read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["k"] == 1
+
+
+def test_probe_pe_takes_set_overrides(tmp_path):
+    out = tmp_path / "probe"
+    assert _run([
+        "probe", "pe", "--out", str(out), "--h1", "2", "--h2", "8", "--set", "d_model=8"
+    ]) == 0
+    payload = json.loads((out / "pe_deviation_2_8.json").read_text())
+    expected = pe_deviation_report(BackboneConfig(d_model=8), 2, 8).distances
+    assert payload["distances"] == [float(d) for d in expected]

@@ -154,6 +154,15 @@ def test_evaluate_rejects_overlong_window(eval_setup):
         evaluate(params, scenes, 9, 2, normalizer)
 
 
+@pytest.mark.parametrize("h_eval", [0, -2])
+@pytest.mark.parametrize("kind", ["fln", "single"])
+def test_evaluate_rejects_lengths_below_one(eval_setup, kind, h_eval):
+    # observed[:, -h:] would select the whole history (h=0) or drop its head
+    scenes, normalizer, params, single = eval_setup
+    with pytest.raises(ValueError, match="observation length must be >= 1"):
+        evaluate(params if kind == "fln" else single, scenes, h_eval, 2, normalizer)
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -163,7 +172,7 @@ def test_generality_sweep_routing_matches_oracle(eval_setup):
     assert len(rows) == 3
     for row in rows:
         assert np.isfinite(row.ade) and np.isfinite(row.fde)
-        assert row.branch == route_bruteforce(row.h_eval, params.lengths)
+        assert row.branch == route_bruteforce(row.eval_length, params.lengths)
 
 
 # -------------------------------------------------------------------- probes
