@@ -3,7 +3,9 @@
 
 Runs ``flexilen.cli.main`` in-process on a tiny seeded dataset, in a
 temporary directory: every training strategy (fln also with its ablation
-switches flipped, so the undetached-teacher and per-branch-NLL paths run),
+switches flipped, so the undetached-teacher and per-branch-NLL paths run,
+and with two encoder layers, so a first layer over every token feeds a last
+layer cut to the decoder's tokens),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
 length longer than its longest branch (so routed truncation runs), the
 LayerNorm probe, and the positional-encoding probe on the learnable tables
@@ -58,6 +60,7 @@ TRAIN_RUNS = {
     "fln": ["--strategy", "fln"],
     "fln-ablated": ["--strategy", "fln", *ABLATED],
     "fln-no-td": ["--strategy", "fln", *NO_TD],
+    "fln-2layer": ["--strategy", "fln", "--set", "layers=2"],
     "isolated": ["--strategy", "isolated", "--length", "2"],
     "mixed": ["--strategy", "mixed"],
     "finetune": [

@@ -2,7 +2,12 @@
 
 The model decomposes into a spatial encoder (position + velocity MLP), a
 positional encoder, a pre-norm transformer encoder over flattened agent-time
-tokens, and a mixture-density trajectory decoder. A ``FlnParams`` container
+tokens, and a mixture-density trajectory decoder. The decoder reads only each
+agent's last observed token, so the encoder's last layer computes only those
+N rows: their queries attend over all N*H keys and values, and the residual,
+FFN and final norm run on N rows instead of N*H. A forward with ``capture``
+(the LayerNorm probe, which needs every position) keeps all rows and pools
+after the final norm, with the same result. A ``FlnParams`` container
 holds one shared set of backbone weights referenced by every branch, plus
 branch-specific positional tables and per-site LayerNorm affines; ablation
 switches collapse those back to shared storage.
@@ -267,22 +272,25 @@ def spatial_encode(observations: np.ndarray, branch: str, params: FlnParams) -> 
 
 
 def _attention(
-    tokens: Tensor, branch: str, layer: int, params: FlnParams, capture=None
+    tokens: Tensor, queries: Tensor, branch: str, layer: int, params: FlnParams, capture=None
 ) -> Tensor:
+    """Multi-head self-attention: ``queries`` (B, Q, d) attend over every row
+    of ``tokens`` (B, S, d), which supply the keys and values."""
     cfg = params.cfg
-    batch, seq, d = tokens.shape
+    batch, _, d = tokens.shape
     head_dim = d // cfg.heads
     prefix = f"enc.l{layer}.attn"
 
-    def proj(name: str) -> Tensor:
-        out = _linear(tokens, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
-        return ad.transpose(ad.reshape(out, (batch, seq, cfg.heads, head_dim)), (0, 2, 1, 3))
+    def proj(source: Tensor, name: str) -> Tensor:
+        out = _linear(source, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
+        heads = (batch, source.shape[1], cfg.heads, head_dim)
+        return ad.transpose(ad.reshape(out, heads), (0, 2, 1, 3))
 
-    q, k, v = proj("q"), proj("k"), proj("v")
+    q, k, v = proj(queries, "q"), proj(tokens, "k"), proj(tokens, "v")
     context, weights = ad.attention(q, k, v, 1.0 / np.sqrt(head_dim))
     if capture is not None:
         capture.setdefault(f"{prefix}.weights", []).append(weights)
-    merged = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (batch, seq, d))
+    merged = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (batch, queries.shape[1], d))
     return _linear(merged, branch, params, f"{prefix}.wo", f"{prefix}.ob")
 
 
@@ -292,15 +300,23 @@ def transformer_encode(
     params: FlnParams,
     capture: dict[str, list[np.ndarray]] | None = None,
 ) -> Tensor:
-    """Pre-norm self-attention blocks over flattened agent-time tokens.
+    """Pre-norm self-attention blocks over flattened agent-time tokens; returns
+    each agent's last-timestep token after the final norm, (B, N, d).
 
     ``features`` is (B, N, H, d); attention mixes all N*H tokens of a scene.
-    ``capture`` collects the pre-normalization input of every LN site.
+    The decoder reads only each agent's last token, so the last layer takes
+    its queries from those N rows alone (keys and values still come from all
+    N*H), and its residual, FFN and the final norm run on them too; earlier
+    layers keep every token, since the next layer attends over all of them.
+    ``capture`` collects the pre-normalization input of every LN site at
+    every position, so with it the last layer keeps all rows and the pooling
+    happens after the final norm; the returned tokens are the same.
     """
     cfg = params.cfg
     batch, n_agents, h_steps, d = features.shape
     act = _activation(cfg.activation)
     x = ad.reshape(features, (batch, n_agents * h_steps, d))
+    pooled = slice(h_steps - 1, None, h_steps)  # agent-major rows: each agent's last step
 
     def record(site: str, value: Tensor) -> None:
         if capture is not None:
@@ -312,7 +328,10 @@ def transformer_encode(
         site1 = f"enc.l{layer}.norm1"
         record(site1, x)
         normed1 = specialized_layer_norm(x, branch, site1, params)
-        x = x + _attention(normed1, branch, layer, params, capture=capture)
+        queries = normed1
+        if layer == cfg.layers - 1 and capture is None:
+            x, queries = x[:, pooled, :], normed1[:, pooled, :]
+        x = x + _attention(normed1, queries, branch, layer, params, capture=capture)
         site2 = f"enc.l{layer}.norm2"
         record(site2, x)
         normed = specialized_layer_norm(x, branch, site2, params)
@@ -321,7 +340,7 @@ def transformer_encode(
         x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
     record("enc.final_norm", x)
     x = specialized_layer_norm(x, branch, "enc.final_norm", params)
-    return ad.reshape(x, (batch, n_agents, h_steps, d))
+    return x if capture is None else x[:, pooled, :]
 
 
 def cv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
@@ -333,8 +352,9 @@ def cv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
     return last[..., None, :] + steps[:, None] * vel[..., None, :]
 
 
-def decode(encoded: Tensor, anchors: np.ndarray, branch: str, params: FlnParams) -> MixturePrediction:
-    """Pool each agent's final-timestep token and map to mixture parameters.
+def decode(pooled: Tensor, anchors: np.ndarray, branch: str, params: FlnParams) -> MixturePrediction:
+    """Map each agent's last-timestep token (B, N, d), as ``transformer_encode``
+    returns it, to mixture parameters.
 
     The head emits per-mode, per-step corrections on top of a constant-
     velocity rollout of the anchor trajectory, so the mixture means are
@@ -342,10 +362,9 @@ def decode(encoded: Tensor, anchors: np.ndarray, branch: str, params: FlnParams)
     ``anchors`` carries each agent's trailing observed positions (..., >=2, 2).
     """
     cfg = params.cfg
-    batch, n_agents, h_steps, d = encoded.shape
+    batch, n_agents, _ = pooled.shape
     k, t = cfg.modes, cfg.horizon
-    last = encoded[:, :, h_steps - 1, :]
-    normed = specialized_layer_norm(last, branch, "dec.norm", params)
+    normed = specialized_layer_norm(pooled, branch, "dec.norm", params)
     act = _activation(cfg.activation)
     hidden = act(_linear(normed, branch, params, "dec.w1", "dec.b1"))
     out = _linear(hidden, branch, params, "dec.w2", "dec.b2")
@@ -370,8 +389,8 @@ def _run(
     if not batched:
         obs = obs[None]
     feats = spatial_encode(obs, branch, params) + pe_rows
-    encoded = transformer_encode(feats, branch, params, capture=capture)
-    pred = decode(encoded, obs[:, :, -2:, :], branch, params)
+    pooled = transformer_encode(feats, branch, params, capture=capture)
+    pred = decode(pooled, obs[:, :, -2:, :], branch, params)
     if batched:
         return pred
     return MixturePrediction(pred.means[0], pred.scales[0], pred.logits[0])

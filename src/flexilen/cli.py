@@ -243,6 +243,15 @@ def _branch_table(params, h: int):
 
 
 def cmd_probe(args) -> int:
+    foreign = [
+        f"--{flag}"
+        for flag in (("data", "length") if args.kind == "pe" else ("h1", "h2"))
+        if getattr(args, flag) is not None
+    ]
+    if args.kind == "pe" and len(args.checkpoint) > 1:
+        foreign.append("a second --checkpoint")
+    if foreign:
+        raise ConfigError(f"probe {args.kind} does not take {', '.join(foreign)}")
     out = Path(args.out)
     if args.kind == "pe":
         if args.checkpoint:
@@ -273,9 +282,12 @@ def cmd_probe(args) -> int:
         if args.length is None:
             raise ConfigError("ln probe requires --length")
         runs = [_checkpoint_run(args, ckpt) for ckpt in args.checkpoint]
+        reports = [
+            ln_statistics_probe(params, split.test, args.length, normalizer)
+            for params, _, split, normalizer in runs
+        ]
         out.mkdir(parents=True, exist_ok=True)
-        for index, (ckpt, (params, _, split, normalizer)) in enumerate(zip(args.checkpoint, runs)):
-            report = ln_statistics_probe(params, split.test, args.length, normalizer)
+        for index, (ckpt, report) in enumerate(zip(args.checkpoint, reports)):
             write_ln_report_csv(out / f"ln_stats_{index}.csv", report)
             write_json(out / f"ln_stats_{index}.json", {
                 "checkpoint": Path(ckpt).name,

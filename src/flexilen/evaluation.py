@@ -14,7 +14,7 @@ from . import backbone as bb
 from .backbone import FlnParams
 from .config import BackboneConfig
 from .data import Normalizer, TrajectoryScene
-from .fln import forward_branch, forward_routed, route
+from .fln import forward_branch, forward_routed, routed_branch
 from .mixture import draw_samples
 
 
@@ -168,13 +168,14 @@ def ln_statistics_probe(
     aggregate per-position statistics over the probe set.
 
     Statistics use the population convention, matching LayerNorm itself.
-    Branch models run the branch ``h_eval`` routes to on the last ``h_eval``
-    observed steps, cut to that branch's window.
+    Branch models run the branch ``routed_branch`` picks for ``h_eval`` (so
+    a length below every branch is rejected, as ``evaluate`` rejects it) on
+    the last ``h_eval`` observed steps, cut to that branch's window.
     """
     sums: dict[str, np.ndarray] = {}
     sq_sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    used_branch = "-" if params.is_single else route(h_eval, params.lengths)
+    used_branch = "-" if params.is_single else routed_branch(h_eval, params)
     for _, obs, _ in _windows(scenes, h_eval, normalizer):
         capture: dict[str, list[np.ndarray]] = {}
         with ad.no_grad():

@@ -80,22 +80,24 @@ def forward_branch(
     )
 
 
-def forward_routed(
-    observations: np.ndarray, params: FlnParams, capture=None
-) -> tuple[MixturePrediction, str]:
-    """Route an arbitrary-length observation and run the chosen branch.
-
-    Inputs shorter than every branch length are rejected.
-    """
-    h_prime = np.shape(observations)[-2]
+def routed_branch(h_prime: int, params: FlnParams) -> str:
+    """The branch an observation of ``h_prime`` steps runs through: the one
+    ``route`` picks. Lengths shorter than every branch are rejected."""
+    branch = route(h_prime, params.lengths)
     shortest = min(params.lengths.values())
     if h_prime < shortest:
         raise ValueError(
             f"observed length {h_prime} is shorter than every branch length "
             f"(minimum {shortest}); no branch can be fed"
         )
-    branch = route(h_prime, params.lengths)
-    return forward_branch(observations, branch, params, capture=capture), branch
+    return branch
+
+
+def forward_routed(observations: np.ndarray, params: FlnParams) -> tuple[MixturePrediction, str]:
+    """Run the branch ``routed_branch`` picks for an arbitrary-length
+    observation."""
+    branch = routed_branch(np.shape(observations)[-2], params)
+    return forward_branch(observations, branch, params), branch
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from flexilen import autodiff as ad
+from flexilen import backbone as bb
 from flexilen.autodiff import DomainError, Tensor
 from flexilen.backbone import FlnParams, sinusoidal_pe
 from flexilen.mixture import LOG_2PI, MixturePrediction
@@ -185,3 +186,70 @@ def kl_distill_composed(
     weights_t = softmax(t.logits, axis=-1)
     categorical = ad.reduce_mean(ad.reduce_sum(weights_t * (log_t - log_s), axis=-1))
     return gaussian + categorical
+
+
+# ----------------------------------------------------------------------------
+# The all-token encoder. ``backbone.transformer_encode`` runs its last layer
+# only for each agent's last token, the one the decoder reads; this oracle
+# runs every layer on all N*H tokens and pools afterwards, so tests can check
+# that the cut changes no prediction and no gradient.
+
+
+def _linear(x: Tensor, branch: str, params: FlnParams, weight: str, bias: str) -> Tensor:
+    return ad.linear(x, params.weight(branch, weight), params.weight(branch, bias))
+
+
+def _attention_all_tokens(tokens: Tensor, branch: str, layer: int, params: FlnParams) -> Tensor:
+    cfg = params.cfg
+    batch, seq, d = tokens.shape
+    head_dim = d // cfg.heads
+    prefix = f"enc.l{layer}.attn"
+
+    def proj(name: str) -> Tensor:
+        out = _linear(tokens, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
+        return ad.transpose(ad.reshape(out, (batch, seq, cfg.heads, head_dim)), (0, 2, 1, 3))
+
+    context, _ = ad.attention(proj("q"), proj("k"), proj("v"), 1.0 / np.sqrt(head_dim))
+    merged = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (batch, seq, d))
+    return _linear(merged, branch, params, f"{prefix}.wo", f"{prefix}.ob")
+
+
+def transformer_encode_all_tokens(features: Tensor, branch: str, params: FlnParams) -> Tensor:
+    """(B, N, H, d) features to (B, N, H, d) tokens: every layer and the
+    final norm on every token."""
+    cfg = params.cfg
+    batch, n_agents, h_steps, d = features.shape
+    act = {"relu": ad.relu, "gelu": ad.gelu}[cfg.activation]
+    x = ad.reshape(features, (batch, n_agents * h_steps, d))
+    for layer in range(cfg.layers):
+        normed1 = bb.specialized_layer_norm(x, branch, f"enc.l{layer}.norm1", params)
+        x = x + _attention_all_tokens(normed1, branch, layer, params)
+        normed = bb.specialized_layer_norm(x, branch, f"enc.l{layer}.norm2", params)
+        ffn = f"enc.l{layer}.ffn"
+        hidden = act(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
+        x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
+    x = bb.specialized_layer_norm(x, branch, "enc.final_norm", params)
+    return ad.reshape(x, (batch, n_agents, h_steps, d))
+
+
+def forward_all_tokens(
+    observations: np.ndarray, params: FlnParams, branch: str | None = None
+) -> MixturePrediction:
+    """``backbone.forward`` of ``branch`` at its own length, or with ``branch``
+    None ``backbone.forward_single``, through the all-token encoder; the
+    decoder head gets each agent's last token."""
+    obs = np.asarray(observations, dtype=np.float64)
+    batched = obs.ndim == 4
+    if not batched:
+        obs = obs[None]
+    fed = obs.shape[-2]
+    if branch is None:
+        branch, pe_rows = params.branch_ids[0], bb._pe_rows_native(params, fed)
+    else:
+        pe_rows = bb._pe_rows(params, branch, fed)
+    feats = bb.spatial_encode(obs, branch, params) + pe_rows
+    encoded = transformer_encode_all_tokens(feats, branch, params)
+    pred = bb.decode(encoded[:, :, fed - 1, :], obs[:, :, -2:, :], branch, params)
+    if batched:
+        return pred
+    return MixturePrediction(pred.means[0], pred.scales[0], pred.logits[0])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from flexilen.config import BackboneConfig
 from flexilen.mixture import nll
 
 from fdutil import assert_grad_close, finite_difference
-from oracles import positional_encode
+from oracles import forward_all_tokens, positional_encode
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 
@@ -198,7 +200,7 @@ def test_agent_permutation_equivariance():
 def test_transformer_block_gradcheck():
     params = _fln_params()
     feats_np = np.random.default_rng(7).normal(size=(1, 2, 3, 8))
-    target = np.random.default_rng(8).normal(size=(1, 2, 3, 8))
+    target = np.random.default_rng(8).normal(size=(1, 2, 8))  # one pooled token per agent
     w = params.tensors["shared.enc.l0.attn.wq"]
     backward((bb.transformer_encode(Tensor(feats_np), "L", params) * Tensor(target)).sum())
 
@@ -214,12 +216,85 @@ def test_transformer_block_gradcheck():
     assert_grad_close(w.grad, finite_difference(f, w.data))
 
 
+def _perturbed(params, seed):
+    """``params`` with random LayerNorm affines and positional tables, which
+    start as ones and zeros."""
+    rng = np.random.default_rng(seed)
+    for name, tensor in params.tensors.items():
+        if name.endswith((".gamma", ".beta", ".table")):
+            tensor.data = rng.normal(scale=0.5, size=tensor.shape) + name.endswith(".gamma")
+    return params
+
+
+def _nll_and_grads(predict, params, gt):
+    zero_grad(params.tensors)
+    pred = predict()
+    backward(nll(pred, gt))
+    grads = {name: t.grad for name, t in params.tensors.items()}
+    zero_grad(params.tensors)
+    return pred, grads
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("activation,pe_kind", [("relu", "sinusoidal"), ("gelu", "learnable")])
+@pytest.mark.parametrize("branch", ["S", "M", "L", "single"])
+def test_forward_matches_all_token_encoder_bit_for_bit(layers, activation, pe_kind, branch):
+    """Cutting the last layer to the decoder's tokens changes no prediction and
+    no gradient: every bit equals the encoder that computes all N*H tokens."""
+    cfg = replace(TINY, layers=layers, activation=activation, pe_kind=pe_kind)
+    if branch == "single":
+        params = _perturbed(bb.init_single_params(cfg, obs_len=4, seed=5), 6)
+        h, oracle_branch = 4, None
+    else:
+        params = _perturbed(_fln_params(cfg, seed=5), 6)
+        h, oracle_branch = params.lengths[branch], branch
+    obs = np.random.default_rng(22).normal(size=(3, 3, h, 2))  # a batch of 3 scenes
+    gt = np.random.default_rng(23).normal(size=(3, 3, cfg.horizon, 2))
+
+    def ours(o):
+        return bb.forward_single(o, params) if branch == "single" else bb.forward(o, branch, params)
+
+    def oracle(o):
+        return forward_all_tokens(o, params, oracle_branch)
+
+    pred, grads = _nll_and_grads(lambda: ours(obs), params, gt)
+    ref, ref_grads = _nll_and_grads(lambda: oracle(obs), params, gt)
+    scene, scene_ref = ours(obs[0]), oracle(obs[0])  # one unbatched scene, as evaluation feeds it
+    for a, b in ((pred, ref), (scene, scene_ref)):
+        for name in ("means", "scales", "logits"):
+            assert np.array_equal(getattr(a, name).data, getattr(b, name).data), name
+    assert [n for n, g in grads.items() if g is not None] == [
+        n for n, g in ref_grads.items() if g is not None
+    ]
+    for name, grad in grads.items():
+        if grad is not None:
+            assert np.array_equal(grad, ref_grads[name]), name
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_capture_keeps_every_position_and_the_prediction(layers):
+    cfg = replace(TINY, layers=layers)
+    params = _perturbed(_fln_params(cfg), 24)
+    obs = _obs(25, n=3, h=4)
+    capture = {}
+    captured = bb.forward(obs, "L", params, capture=capture)
+    plain = bb.forward(obs, "L", params)
+    for name in ("means", "scales", "logits"):
+        assert np.array_equal(getattr(captured, name).data, getattr(plain, name).data), name
+    sites = [site for site in bb.ln_sites(cfg) if site.startswith("enc.")]
+    assert sorted(k for k in capture if not k.endswith(".weights")) == sorted(sites)
+    for site in sites:
+        assert capture[site][0].shape == (1, 3, 4, cfg.d_model), site
+    for layer in range(layers):  # every token attends and is attended to
+        assert capture[f"enc.l{layer}.attn.weights"][0].shape == (1, cfg.heads, 12, 12)
+
+
 # -------------------------------------------------------------------- decode
 
 
 def test_decode_scales_strictly_positive_and_shapes():
     params = _fln_params()
-    encoded = Tensor(np.random.default_rng(9).normal(scale=50.0, size=(1, 3, 4, 8)))
+    encoded = Tensor(np.random.default_rng(9).normal(scale=50.0, size=(1, 3, 8)))
     anchors = np.random.default_rng(90).normal(size=(1, 3, 2, 2))
     pred = bb.decode(encoded, anchors, "L", params)
     assert pred.means.shape == (1, 3, TINY.horizon, TINY.modes, 2)
@@ -229,7 +304,7 @@ def test_decode_scales_strictly_positive_and_shapes():
 
 def test_decode_gradcheck():
     params = _fln_params()
-    encoded = np.random.default_rng(10).normal(size=(1, 2, 4, 8))
+    encoded = np.random.default_rng(10).normal(size=(1, 2, 8))
     anchors = np.random.default_rng(91).normal(size=(1, 2, 2, 2))
     gt = np.random.default_rng(11).normal(size=(1, 2, TINY.horizon, 2))
     w = params.tensors["shared.dec.w2"]

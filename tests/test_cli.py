@@ -483,3 +483,40 @@ def test_probe_pe_takes_set_overrides(tmp_path):
     payload = json.loads((out / "pe_deviation_2_8.json").read_text())
     expected = pe_deviation_report(BackboneConfig(d_model=8), 2, 8).distances
     assert payload["distances"] == [float(d) for d in expected]
+
+
+def test_probe_ln_below_every_branch_exits_like_eval(trained, tmp_path, capsys):
+    # the FLN checkpoint's shortest branch has H=2, so H'=1 feeds no branch;
+    # the isolated checkpoint probed first at H'=1 is fine, and nothing is written
+    for command in (["eval"], ["probe", "ln", "--checkpoint", str(trained["iso"])]):
+        out = tmp_path / command[0]
+        code = _run([
+            *command, "--out", str(out), "--length", "1", "--checkpoint", str(trained["fln"])
+        ])
+        assert code == 2
+        assert "observed length 1 is shorter than every branch length (minimum 2)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["probe", "pe", "--h1", "2", "--h2", "3", "--data", "{data}"], "--data"),
+        (["probe", "pe", "--h1", "2", "--h2", "3", "--length", "4"], "--length"),
+        (["probe", "pe", "--h1", "2", "--h2", "3", "--checkpoint", "{fln}",
+          "--checkpoint", "{iso}"], "a second --checkpoint"),
+        (["probe", "ln", "--length", "4", "--checkpoint", "{fln}", "--h1", "2"], "--h1"),
+        (["probe", "ln", "--length", "4", "--checkpoint", "{fln}", "--h1", "2", "--h2", "3"],
+         "--h1, --h2"),
+    ],
+    ids=["pe-data", "pe-length", "pe-second-checkpoint", "ln-h1", "ln-h1-h2"],
+)
+def test_probe_rejects_flags_it_does_not_read(trained, tmp_path, capsys, argv, flags):
+    out = tmp_path / "out"
+    names = {"data": tmp_path / "data", "fln": trained["fln"], "iso": trained["iso"]}
+    code = _run([*(arg.format(**names) for arg in argv), "--out", str(out)])
+    assert code == 2
+    assert f"probe {argv[1]} does not take {flags}" in capsys.readouterr().err
+    assert not out.exists()

@@ -206,6 +206,25 @@ def test_ln_probe_deterministic_and_shaped(eval_setup):
     assert report_a.branch == "L"
 
 
+def test_ln_probe_reports_every_position_of_every_layer(eval_setup):
+    scenes, normalizer, _, _ = eval_setup
+    cfg = BackboneConfig(d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3)
+    params = bb.init_params(cfg, {"S": 2, "M": 3, "L": 4}, 0)
+    report = ln_statistics_probe(params, scenes[:5], 4, normalizer)
+    encoder_sites = {site for site in bb.ln_sites(cfg) if site.startswith("enc.")}
+    assert set(report.sites) == encoder_sites
+    for stats in report.sites.values():
+        assert stats.shape == (4, 2)
+
+
+def test_ln_probe_rejects_lengths_below_every_branch(eval_setup):
+    scenes, normalizer, params, _ = eval_setup
+    with pytest.raises(ValueError, match="no branch can be fed"):
+        ln_statistics_probe(params, scenes[:5], 1, normalizer)
+    with pytest.raises(ValueError, match="no branch can be fed"):
+        evaluate(params, scenes[:5], 1, 2, normalizer)
+
+
 def test_ln_report_gap_suffix_aligned():
     a = LnStatReport(length=2, branch="S", sites={"enc.l0.norm1": np.array([[1.0, 0.1], [2.0, 0.1]])})
     b = LnStatReport(
