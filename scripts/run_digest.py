@@ -15,10 +15,15 @@ wall-clock ``seconds`` column removed, and the sweep, metrics and probe
 reports.
 
 Two checkouts that print the same lines trained and evaluated bit for bit
-alike, so a change meant to alter no result can be checked against its
-parent in one command from each checkout:
+alike. ``--against REV`` checks a change meant to alter no result against
+another revision in one command: it extracts REV with ``git archive`` into a
+temporary directory, runs this script in a subprocess with that tree's
+``src/`` first on ``PYTHONPATH`` (so an older revision gets every line,
+whatever its own copy of the script runs), and prints both hashes of every
+line with ``same`` or ``DIFFERS``; it exits 1 on any difference.
 
     PYTHONPATH=src python scripts/run_digest.py
+    PYTHONPATH=src python scripts/run_digest.py --against HEAD~1
 
 BLAS is pinned to one thread before numpy loads, since several BLAS threads
 can change the last bits of a matmul between runs.
@@ -30,11 +35,14 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -124,11 +132,52 @@ def run(root: Path) -> dict[str, str]:
     return {name: hashlib.sha256(value.encode()).hexdigest() for name, value in lines.items()}
 
 
-def main_digest() -> int:
+def start_against(rev: str, tmp: Path) -> subprocess.Popen:
+    """Start this script in a subprocess on the ``src/`` of git revision
+    ``rev``, extracted under ``tmp``."""
+    repo = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"], capture_output=True
+    )
+    if archive.returncode:
+        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tmp)
+    path = [str(tmp / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve())],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def main_digest(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REV", help="compare with git revision REV")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="flexilen-digest-") as tmp:
-        for name, value in run(Path(tmp)).items():
-            print(f"{name:12s} {value}")
-    return 0
+        # the other revision runs while this one does
+        other = start_against(args.against, Path(tmp) / "rev") if args.against else None
+        try:
+            ours = run(Path(tmp))
+        except BaseException:
+            if other is not None:
+                other.kill()
+            raise
+        if other is None:
+            for name, value in ours.items():
+                print(f"{name:12s} {value}")
+            return 0
+        stdout, stderr = other.communicate()
+    if other.returncode:
+        raise SystemExit(f"digest of {args.against} failed:\n{stderr}")
+    theirs = dict(line.split() for line in stdout.splitlines())
+    differs = False
+    for name in {**ours, **theirs}:
+        mine, other_hash = ours.get(name, "-"), theirs.get(name, "-")
+        differs |= mine != other_hash
+        print(f"{name:12s} {mine} {other_hash} {'same' if mine == other_hash else 'DIFFERS'}")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

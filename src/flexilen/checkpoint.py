@@ -17,9 +17,14 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import FlnParams
 from .config import BackboneConfig
+from .data import read_payload
 from .training import AdamState
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+
+def _size(shape: list[int]) -> int:
+    return int(np.prod(shape, dtype=np.int64)) if shape else 1
 
 
 def _manifest_entries(arrays: dict[str, np.ndarray], offset: int):
@@ -83,36 +88,29 @@ def load_checkpoint(
     if not json_path.exists() or not bin_path.exists():
         raise FileNotFoundError(f"checkpoint {prefix} not found")
     manifest = json.loads(json_path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    payload = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
-
-    entries = list(manifest["parameters"])
-    opt_section = manifest.get("optimizer")
-    if opt_section:
-        entries = entries + list(opt_section["slots"])
-    expected = 0
-    for entry in entries:
-        if entry["offset"] != expected:
-            raise ValueError(f"manifest offsets do not tile the payload at {entry['name']}")
-        expected += int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-    if expected != payload.size:
-        raise ValueError(
-            f"payload size {payload.size} does not match manifest total {expected}"
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"checkpoint {prefix}: unsupported version {version}")
+    try:
+        entries = list(manifest["parameters"])
+        opt_section = manifest.get("optimizer")
+        if opt_section:
+            entries = entries + list(opt_section["slots"])
+        blocks = [(e["name"], e["offset"], _size(e["shape"])) for e in entries]
+        model = manifest["model"]
+        params = FlnParams(
+            BackboneConfig(**model["backbone"]),
+            {k: int(v) for k, v in model["lengths"].items()},
+            weight_sharing=model["weight_sharing"],
+            independent_pe=model["independent_pe"],
+            specialized_ln=model["specialized_ln"],
         )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc!r}") from exc
+    payload = read_payload(bin_path, blocks, f"checkpoint {prefix}")
 
-    model = manifest["model"]
-    cfg = BackboneConfig(**model["backbone"])
-    params = FlnParams(
-        cfg,
-        {k: int(v) for k, v in model["lengths"].items()},
-        weight_sharing=model["weight_sharing"],
-        independent_pe=model["independent_pe"],
-        specialized_ln=model["specialized_ln"],
-    )
     for entry in manifest["parameters"]:
-        size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        block = payload[entry["offset"] : entry["offset"] + size]
+        block = payload[entry["offset"] : entry["offset"] + _size(entry["shape"])]
         params.tensors[entry["name"]] = Tensor(
             block.reshape(entry["shape"]).astype(np.float64), requires_grad=True
         )
@@ -121,8 +119,7 @@ def load_checkpoint(
     if opt_section:
         optimizer = AdamState(step=int(opt_section["step"]))
         for entry in opt_section["slots"]:
-            size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-            block = payload[entry["offset"] : entry["offset"] + size]
+            block = payload[entry["offset"] : entry["offset"] + _size(entry["shape"])]
             slot, name = entry["name"].split(".", 1)
             getattr(optimizer, slot)[name] = block.reshape(entry["shape"]).astype(np.float64)
     return params, manifest, optimizer

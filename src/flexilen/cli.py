@@ -144,32 +144,28 @@ def cmd_train(args) -> int:
     run_flat = run_config_to_flat(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
-    # atomic per-epoch snapshot: an interrupted run keeps the last completed epoch
-    def epoch_hook(params, epoch):
-        save_checkpoint(out / "checkpoint", params, run_flat, epoch=epoch + 1)
+    # atomic per-epoch snapshots: an interrupted run keeps its last completed epoch
+    def checkpoint_hook(name: str):
+        return lambda params, epoch: save_checkpoint(out / name, params, run_flat, epoch=epoch + 1)
 
     strategy = cfg.train.strategy
+    hook = checkpoint_hook("checkpoint")
     if strategy == "fln":
-        params, log = train_fln(split, cfg, normalizer, epoch_hook=epoch_hook)
-        outputs = [("checkpoint", params, log)]
+        _, log = train_fln(split, cfg, normalizer, epoch_hook=hook)
     elif strategy == "isolated":
-        params, log = train_isolated(
-            split, cfg, cfg.train.isolated_length, normalizer, epoch_hook=epoch_hook
-        )
-        outputs = [("checkpoint", params, log)]
+        _, log = train_isolated(split, cfg, cfg.train.isolated_length, normalizer, epoch_hook=hook)
     elif strategy == "mixed":
-        params, log = train_mixed(split, cfg, normalizer, epoch_hook=epoch_hook)
-        outputs = [("checkpoint", params, log)]
+        _, log = train_mixed(split, cfg, normalizer, epoch_hook=hook)
     elif strategy == "finetune":
-        params, log, pre = train_finetune(split, cfg, normalizer, epoch_hook=epoch_hook)
+        _, log, pre = train_finetune(split, cfg, normalizer, epoch_hook=hook)
         save_checkpoint(out / "checkpoint_pretune", pre, run_flat, epoch=cfg.train.epochs)
-        outputs = [("checkpoint", params, log)]
-    else:  # joint
-        models = train_joint(split, cfg, normalizer)
-        outputs = [(f"checkpoint_h{h}", p, l) for h, (p, l) in models.items()]
+    if strategy == "joint":
+        models = train_joint(split, cfg, normalizer, lambda h: checkpoint_hook(f"checkpoint_h{h}"))
+        logs = {f"checkpoint_h{h}": log for h, (_, log) in models.items()}
+    else:
+        logs = {"checkpoint": log}
 
-    for name, params, log in outputs:
-        save_checkpoint(out / name, params, run_flat, epoch=len(log.records))
+    for name, log in logs.items():
         log.to_csv(out / f"{name}_log.csv")
         log.to_json(out / f"{name}_summary.json")
         final = log.records[-1]

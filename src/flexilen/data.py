@@ -209,6 +209,8 @@ class Normalizer:
         return scene.positions[:, -self.horizon - 1, :].mean(axis=0)
 
     def fit(self, scenes: list[TrajectoryScene]) -> "Normalizer":
+        if not scenes:
+            raise ValueError("the train split is empty: no scene to fit the normalizer on")
         flat = np.concatenate([(s.positions - self._shift(s)).reshape(-1) for s in scenes])
         scale = float(np.std(flat))
         self.scale = scale if scale > 0 else 1.0
@@ -302,16 +304,29 @@ def save_dataset(out_dir: str | Path, scenes: list[TrajectoryScene], meta: dict)
     tmp_bin.replace(out_dir / "dataset.bin")
 
 
+def read_payload(path: Path, blocks: list[tuple[str, int, int]], source: str) -> np.ndarray:
+    """The float64 payload at ``path``, once the manifest's ``(name, offset,
+    size)`` blocks are checked to tile it: end to end from 0, covering it all."""
+    raw = path.read_bytes()
+    expected = 0
+    for name, offset, size in blocks:
+        if offset != expected:
+            raise ValueError(f"{source}: manifest offsets do not tile the payload at {name}")
+        expected += size
+    if len(raw) != 8 * expected:
+        raise ValueError(f"{source}: payload has {len(raw)} bytes, its manifest {8 * expected}")
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def load_dataset(in_dir: str | Path) -> tuple[list[TrajectoryScene], dict]:
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "dataset.json").read_text(encoding="utf-8"))
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {manifest.get('format_version')}")
-    payload = np.frombuffer((in_dir / "dataset.bin").read_bytes(), dtype="<f8")
+        raise ValueError(f"dataset {in_dir}: unsupported version {manifest.get('format_version')}")
+    blocks = [(e["id"], e["offset"], e["agents"] * e["steps"] * 2) for e in manifest["scenes"]]
+    payload = read_payload(in_dir / "dataset.bin", blocks, f"dataset {in_dir}")
     scenes = []
-    for entry in manifest["scenes"]:
-        size = entry["agents"] * entry["steps"] * 2
-        block = payload[entry["offset"] : entry["offset"] + size]
-        positions = block.reshape(entry["agents"], entry["steps"], 2).astype(np.float64)
-        scenes.append(TrajectoryScene(positions, entry["dt"], entry["id"]))
+    for entry, (_, offset, size) in zip(manifest["scenes"], blocks):
+        positions = payload[offset : offset + size].reshape(entry["agents"], entry["steps"], 2)
+        scenes.append(TrajectoryScene(positions.astype(np.float64), entry["dt"], entry["id"]))
     return scenes, manifest

@@ -10,6 +10,7 @@ nearest training length (ties go to the longer branch).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .config import BranchConfig
 from .mixture import MixturePrediction, kl_distill, nll
 
 
-@dataclass
-class FlnLoss:
+class FlnLoss(NamedTuple):
     total: Tensor
     reg: Tensor
     kl: Tensor

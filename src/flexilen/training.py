@@ -7,13 +7,14 @@ Strategies:
   finetune  train at the long length, then adapt to a target length
   joint     dataset expanded with every length, one model per eval length
 
-All five run through one loop, ``_epochs``: shuffled batches of equal agent
-count, one loss, one backward and one Adam step per batch, validation and
-the optional epoch hook after every pass. A strategy only chooses the
-per-batch loss (the combined FLN loss, or a single-model NLL at a fixed,
-rho-drawn or per-batch-tagged length) and how many passes to run; finetune
-runs the loop twice on the same model, optimizer and shuffle stream, and
-stops the second run on its validation plateau.
+All five run through one loop, ``_epochs``, over ``Window``s: shuffled
+batches of equal agent count and length, one loss, one backward and one Adam
+step per batch; after each pass it appends an EpochRecord to the run's
+TrainLog, calls the epoch hook and asks the ``stop`` rule, both optional. A
+strategy chooses its windows, the per-batch loss and the number of passes;
+finetune runs the loop twice on one model, log, optimizer and shuffle stream
+and stops the second run on its validation plateau; joint runs it once per
+model, with the hook its ``epoch_hook`` factory returns for that model.
 
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,
@@ -100,47 +101,34 @@ def cosine_lr(lr: float, step: int, total_steps: int) -> float:
 
 
 @dataclass
-class PreparedScene:
-    obs: np.ndarray     # (N, obs_len, 2) normalized
-    future: np.ndarray  # (N, T, 2) normalized
+class Window:
+    obs: np.ndarray     # (N, steps, 2) normalized history; (B, N, steps, 2) batched
+    future: np.ndarray  # (N, T, 2) normalized future; (B, N, T, 2) batched
 
 
-def prepare_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[PreparedScene]:
+def prepare_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[Window]:
     return [
-        PreparedScene(*normalizer.transform(scene)[:2])
+        Window(*normalizer.transform(scene)[:2])
         for scene in sorted(scenes, key=lambda s: s.scene_id)
     ]
 
 
-@dataclass
-class Batch:
-    obs: np.ndarray     # (B, N, obs_len, 2)
-    future: np.ndarray  # (B, N, T, 2)
-    tag: object = None  # strategy-specific payload (e.g. joint's length)
-
-
 def _make_batches(
-    items: list[tuple[PreparedScene, object]],
-    batch_size: int,
-    rng: np.random.Generator,
-) -> list[Batch]:
-    """Group scenes with equal agent counts (and equal tags) into shuffled
-    batches; the attention core stays mask-free."""
-    groups: dict[tuple, list[tuple[PreparedScene, object]]] = {}
-    for scene, tag in items:
-        groups.setdefault((scene.obs.shape[0], tag), []).append((scene, tag))
-    batches: list[Batch] = []
-    for key in sorted(groups, key=lambda k: (k[0], repr(k[1]))):
+    windows: list[Window], batch_size: int, rng: np.random.Generator
+) -> list[Window]:
+    """Group windows with equal agent count and length into shuffled batches;
+    the attention core stays mask-free."""
+    groups: dict[tuple[int, int], list[Window]] = {}
+    for window in windows:
+        groups.setdefault(window.obs.shape[:2], []).append(window)
+    batches: list[Window] = []
+    for key in sorted(groups):
         members = groups[key]
         order = rng.permutation(len(members))
         for start in range(0, len(members), batch_size):
             chunk = [members[i] for i in order[start : start + batch_size]]
             batches.append(
-                Batch(
-                    obs=np.stack([c[0].obs for c in chunk]),
-                    future=np.stack([c[0].future for c in chunk]),
-                    tag=key[1],
-                )
+                Window(np.stack([w.obs for w in chunk]), np.stack([w.future for w in chunk]))
             )
     final_order = rng.permutation(len(batches))
     return [batches[i] for i in final_order]
@@ -235,32 +223,35 @@ def _stream(seed: int | tuple, stream: int) -> np.random.Generator:
 
 
 def _epochs(
+    log: TrainLog,
     params: FlnParams,
-    items: list[tuple[PreparedScene, object]],
+    windows: list[Window],
     loss_fn,
     validate,
     cfg: RunConfig,
     state: AdamState,
     shuffle_rng: np.random.Generator,
     epochs: int,
-    first_epoch: int = 0,
     anneal: bool = True,
     epoch_hook=None,
-):
-    """The training loop of every strategy: ``epochs`` shuffled passes over
-    ``items`` with one Adam step per batch, yielding one EpochRecord per pass.
+    stop=None,
+) -> TrainLog:
+    """The training loop of every strategy: up to ``epochs`` shuffled passes
+    over ``windows`` with one Adam step per batch.
 
     ``loss_fn(batch) -> (total, reg, kl)`` is the only per-strategy part;
-    ``total`` is minimized and ``kl`` is None for single-model losses.
-    ``validate(params)`` fills the record's val metrics. ``epoch_hook(params,
-    epoch)`` runs before each record is yielded, so a caller that stops
-    iterating has already hooked its last epoch. With ``anneal`` the rate
-    follows the half-cosine over this call's steps, else it stays constant."""
+    ``total`` is minimized and ``kl`` is None for single-model losses. Each
+    pass appends an EpochRecord, with ``validate(params)`` as its val
+    metrics, to ``log``, numbered on from the records already there; then
+    ``epoch_hook(params, epoch)`` runs, and the loop ends early once
+    ``stop(record)`` is true. With ``anneal`` the rate follows the
+    half-cosine over this call's ``epochs`` passes, else it stays constant.
+    Returns ``log``."""
     step = 0
-    for epoch in range(first_epoch, first_epoch + epochs):
+    for epoch in range(len(log.records), len(log.records) + epochs):
         started = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
-        batches = _make_batches(items, cfg.train.batch_size, shuffle_rng)
+        batches = _make_batches(windows, cfg.train.batch_size, shuffle_rng)
         total_steps = epochs * len(batches)
         for batch in batches:
             total, reg, kl = loss_fn(batch)
@@ -277,15 +268,18 @@ def _epochs(
         n = len(batches)
         seconds = time.perf_counter() - started
         record = EpochRecord(epoch, sums[0] / n, sums[1] / n, sums[2] / n, seconds, val)
+        log.records.append(record)
         if epoch_hook is not None:
             epoch_hook(params, epoch)
-        yield record
+        if stop is not None and stop(record):
+            break
+    return log
 
 
 def _single_loss(params: FlnParams, length_of):
     """Single-model NLL on the last ``length_of(batch)`` observed steps."""
 
-    def loss_fn(batch: Batch):
+    def loss_fn(batch: Window):
         h = length_of(batch)
         loss = nll(bb.forward_single(batch.obs[:, :, -h:, :], params), batch.future)
         return loss, loss, None
@@ -308,7 +302,6 @@ def train_fln(
     uses it for atomic per-epoch checkpoints)."""
     branches = cfg.branches
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer)
     params = bb.init_params(
         cfg.backbone,
         branches.lengths,
@@ -317,18 +310,13 @@ def train_fln(
         independent_pe=branches.independent_pe,
         specialized_ln=branches.specialized_ln,
     )
-
-    def loss_fn(batch: Batch):
-        loss = fln_loss(batch.obs, batch.future, params, branches)
-        return loss.total, loss.reg, loss.kl
-
-    records = _epochs(
-        params, [(p, None) for p in prepared], loss_fn,
+    return params, _epochs(
+        TrainLog("fln"), params, prepare_scenes(split.train, normalizer),
+        lambda batch: fln_loss(batch.obs, batch.future, params, branches),
         lambda p: _val_metrics(p, split.val, list(branches.lengths.values()), normalizer, cfg),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
-    return params, TrainLog("fln", list(records))
 
 
 def train_isolated(
@@ -340,15 +328,14 @@ def train_isolated(
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer)
     params = bb.init_single_params(cfg.backbone, h_train, cfg.seed)
-    records = _epochs(
-        params, [(p, None) for p in prepared], _single_loss(params, lambda batch: h_train),
+    return params, _epochs(
+        TrainLog("isolated"), params, prepare_scenes(split.train, normalizer),
+        _single_loss(params, lambda batch: h_train),
         lambda p: _val_metrics(p, split.val, [h_train], normalizer, cfg),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
-    return params, TrainLog("isolated", list(records))
 
 
 def train_mixed(
@@ -360,21 +347,19 @@ def train_mixed(
     """One model; each iteration trains at a length drawn from the
     (renormalized) probabilities rho."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer)
     h_long = cfg.branches.h_long
     params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
     candidates = [cfg.branches.h_short, cfg.branches.h_medium, h_long]
     probs = np.asarray((cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long))
     probs = probs / probs.sum()
     length_rng = _stream(cfg.seed, STREAM_LENGTH)
-    records = _epochs(
-        params, [(p, None) for p in prepared],
+    return params, _epochs(
+        TrainLog("mixed"), params, prepare_scenes(split.train, normalizer),
         _single_loss(params, lambda batch: candidates[int(length_rng.choice(3, p=probs))]),
         lambda p: _val_metrics(p, split.val, [h_long], normalizer, cfg),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
-    return params, TrainLog("mixed", list(records))
 
 
 def train_finetune(
@@ -386,57 +371,61 @@ def train_finetune(
     """Train at the long length, then continue at the target length until the
     validation ADE plateaus; the pre-finetune checkpoint is preserved.
 
-    Both phases share one model, optimizer state and shuffle stream, and
+    Both phases share one model, log, optimizer state and shuffle stream, and
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    items = [(p, None) for p in prepare_scenes(split.train, normalizer)]
+    windows = prepare_scenes(split.train, normalizer)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
     params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
-    log = TrainLog("finetune")
-    log.records += _epochs(
-        params, items, _single_loss(params, lambda batch: h_long),
+    log = _epochs(
+        TrainLog("finetune"), params, windows, _single_loss(params, lambda batch: h_long),
         lambda p: _val_metrics(p, split.val, [h_long], normalizer, cfg),
         cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
     )
     pre = copy.deepcopy(params)
-    best = np.inf
-    stale = 0
-    for record in _epochs(
-        params, items, _single_loss(params, lambda batch: target),
-        lambda p: _val_metrics(p, split.val, [target], normalizer, cfg),
-        cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
-        first_epoch=len(log.records), anneal=False, epoch_hook=epoch_hook,
-    ):
-        log.records.append(record)
-        current = record.val.get(target, (np.inf, np.inf))[0] if record.val else np.inf
+    best, stale = np.inf, 0
+
+    def plateau(record: EpochRecord) -> bool:
+        nonlocal best, stale
+        current = record.val.get(target, (np.inf,))[0]
         if current < best - 1e-12:
-            best = current
-            stale = 0
+            best, stale = current, 0
         else:
             stale += 1
-            if stale >= cfg.train.finetune_patience:
-                break
+        return stale >= cfg.train.finetune_patience
+
+    _epochs(
+        log, params, windows, _single_loss(params, lambda batch: target),
+        lambda p: _val_metrics(p, split.val, [target], normalizer, cfg),
+        cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
+        anneal=False, epoch_hook=epoch_hook, stop=plateau,
+    )
     return params, log, pre
 
 
 def train_joint(
-    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer | None = None
+    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer | None = None, epoch_hook=None
 ) -> dict[int, tuple[FlnParams, TrainLog]]:
-    """Expand the training set with every length; train one model per
-    evaluation length on the expanded set."""
+    """Expand the training set with every length, each window cut to its
+    length; train one model per evaluation length on the expanded set.
+    ``epoch_hook(h_eval)`` returns the epoch hook of that length's model."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    prepared = prepare_scenes(split.train, normalizer)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
-    expanded = [(p, h) for p in prepared for h in lengths]
+    windows = [
+        Window(p.obs[:, -h:], p.future)
+        for p in prepare_scenes(split.train, normalizer)
+        for h in lengths
+    ]
     out: dict[int, tuple[FlnParams, TrainLog]] = {}
     for index, h_eval in enumerate(lengths):
         seed = (cfg.seed, 7, index)
         params = bb.init_single_params(cfg.backbone, cfg.branches.h_long, seed)
-        records = _epochs(
-            params, expanded, _single_loss(params, lambda batch: batch.tag),
+        log = _epochs(
+            TrainLog("joint"), params, windows, _single_loss(params, lambda batch: batch.obs.shape[-2]),
             lambda p: _val_metrics(p, split.val, [h_eval], normalizer, cfg),
             cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
+            epoch_hook=None if epoch_hook is None else epoch_hook(h_eval),
         )
-        out[h_eval] = (params, TrainLog("joint", list(records)))
+        out[h_eval] = (params, log)
     return out

@@ -127,6 +127,37 @@ def test_eval_missing_checkpoint_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", ["unknown_backbone_key", "missing_model"])
+def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
+    from flexilen.backbone import init_single_params
+    from flexilen.checkpoint import save_checkpoint
+
+    prefix = tmp_path / "checkpoint"
+    save_checkpoint(prefix, init_single_params(BackboneConfig(d_model=8, heads=2), 3, 0))
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    if corrupt == "unknown_backbone_key":
+        manifest["model"]["backbone"]["bogus"] = 1
+    else:
+        del manifest["model"]
+    (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+    code = _run([
+        "eval", "--out", str(tmp_path / "e"), "--checkpoint", str(prefix), "--length", "3",
+    ])
+    assert code == 2
+    assert f"checkpoint {prefix}: malformed manifest" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("n_scenes", [1, 2])
+def test_train_with_an_empty_train_split_exits_2(tmp_path, capsys, n_scenes):
+    # scenes split by id hash, and neither syn-000000 nor syn-000001 falls in train
+    out = tmp_path / "run"
+    code = _run(["train", "--out", str(out), *TINY_ARGS, "--set", f"n_scenes={n_scenes}"])
+    assert code == 2
+    assert "the train split is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_below_shortest_branch_surfaces_routing_error(tmp_path, capsys):
     out = tmp_path / "fln"
     assert _run(["train", "--out", str(out), "--strategy", "fln", *TINY_ARGS]) == 0
@@ -242,41 +273,81 @@ def test_train_then_eval_from_saved_dataset(tmp_path):
     assert code == 0
 
 
+STRATEGY_ARGS = {
+    "fln": [],
+    "isolated": ["--length", "2"],
+    "mixed": [],
+    "finetune": ["--set", "finetune_target=2"],
+    "joint": [],
+}
+
+
 @pytest.mark.parametrize(
-    "strategy, stop_epoch",
+    "strategy, name, stop_epoch",
     # finetune's epochs 0-4 are the long-length phase; 6 is its second
-    # adaptation epoch, so the marker counts both phases
-    [("fln", 1), ("finetune", 6)],
-    ids=["fln", "finetune"],
+    # adaptation epoch, so the marker counts both phases; joint stops in the
+    # second epoch of its first model, the one for h_short=2
+    [
+        ("fln", "checkpoint", 1),
+        ("isolated", "checkpoint", 1),
+        ("mixed", "checkpoint", 1),
+        ("finetune", "checkpoint", 6),
+        ("joint", "checkpoint_h2", 1),
+    ],
+    ids=["fln", "isolated", "mixed", "finetune", "joint"],
 )
-def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path, strategy, stop_epoch):
+def test_interrupted_run_keeps_last_epoch_checkpoint(
+    tmp_path, monkeypatch, strategy, name, stop_epoch
+):
     """Per-epoch snapshots are written atomically, so an interrupt after any
     completed epoch leaves a loadable checkpoint for that epoch."""
+    from flexilen import cli
     from flexilen.checkpoint import load_checkpoint, save_checkpoint
-    from flexilen.config import load_run_config
-    from flexilen.data import generate_from_config, split_scenes
-    from flexilen.training import train_finetune, train_fln
 
-    cfg = load_run_config(None, {
-        "d_model": "8", "heads": "2", "layers": "1", "dec_hidden": "16", "modes": "2",
-        "horizon": "3", "h_short": "2", "h_medium": "3", "h_long": "4", "obs_len": "4",
-        "n_scenes": "30", "epochs": "5", "batch_size": "16", "strategy": strategy,
-        "finetune_target": "2", "finetune_patience": "50", "samples": "2",
-    })
-    scenes = generate_from_config(cfg.data, cfg.seed)
-    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    train = {"fln": train_fln, "finetune": train_finetune}[strategy]
-
-    def hook(params, epoch):
-        save_checkpoint(tmp_path / "checkpoint", params, {}, epoch=epoch + 1)
-        if epoch == stop_epoch:
+    def save_then_interrupt(prefix, params, run_config, epoch):
+        save_checkpoint(prefix, params, run_config, epoch=epoch)
+        if prefix.name == name and epoch == stop_epoch + 1:
             raise KeyboardInterrupt
 
+    monkeypatch.setattr(cli, "save_checkpoint", save_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
-        train(split, cfg, epoch_hook=hook)
-    params, manifest, _ = load_checkpoint(tmp_path / "checkpoint")
+        _run([
+            "train", "--out", str(tmp_path), "--strategy", strategy, *TINY_ARGS,
+            "--set", "n_scenes=30", "--set", "epochs=5", "--set", "finetune_patience=50",
+            *STRATEGY_ARGS[strategy],
+        ])
+    params, manifest, _ = load_checkpoint(tmp_path / name)
     assert manifest["epoch"] == stop_epoch + 1
     assert all(np.all(np.isfinite(t.data)) for t in params.tensors.values())
+    # joint's later models never started
+    assert list(tmp_path.glob("checkpoint*.json")) == [tmp_path / f"{name}.json"]
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_ARGS))
+def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, strategy):
+    """Checkpoints are written only by the per-epoch hook, one model at a
+    time, plus finetune's pre-adaptation model once at the end."""
+    from flexilen import cli
+
+    saved = []
+
+    def record(prefix, params, run_config, epoch):
+        saved.append((prefix.name, epoch))
+
+    monkeypatch.setattr(cli, "save_checkpoint", record)
+    assert _run([
+        "train", "--out", str(tmp_path), "--strategy", strategy, *TINY_ARGS,
+        "--set", "finetune_max_epochs=2", "--set", "finetune_patience=1",
+        *STRATEGY_ARGS[strategy],
+    ]) == 0
+    epochs = {
+        path.name[: -len("_summary.json")]: json.loads(path.read_text())["epochs"]
+        for path in tmp_path.glob("*_summary.json")
+    }
+    expected = [(name, epoch) for name in sorted(epochs) for epoch in range(1, epochs[name] + 1)]
+    if strategy == "finetune":
+        expected.append(("checkpoint_pretune", 2))
+    assert saved == expected
 
 
 def test_probe_pe_learnable_checkpoint_tables(tmp_path):

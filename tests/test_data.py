@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -214,3 +217,20 @@ def test_dataset_export_byte_identical(tmp_path):
         save_dataset(tmp_path / sub, _scenes(n=3, seed=5), {"seed": 5})
     assert (tmp_path / "a/dataset.bin").read_bytes() == (tmp_path / "b/dataset.bin").read_bytes()
     assert (tmp_path / "a/dataset.json").read_text() == (tmp_path / "b/dataset.json").read_text()
+
+
+@pytest.mark.parametrize("corrupt", ["shared_offset", "extra_bytes", "missing_bytes"])
+def test_load_dataset_rejects_offsets_that_do_not_tile_the_payload(tmp_path, corrupt):
+    save_dataset(tmp_path, _scenes(n=3, seed=2), {"seed": 2})
+    manifest_path, payload_path = tmp_path / "dataset.json", tmp_path / "dataset.bin"
+    if corrupt == "shared_offset":
+        # scene 1 reads scene 0's coordinates; every block still fits the payload
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scenes"][1]["offset"] = manifest["scenes"][0]["offset"]
+        manifest_path.write_text(json.dumps(manifest))
+    elif corrupt == "extra_bytes":
+        payload_path.write_bytes(payload_path.read_bytes() + bytes(16))
+    else:
+        payload_path.write_bytes(payload_path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=f"dataset {re.escape(str(tmp_path))}"):
+        load_dataset(tmp_path)

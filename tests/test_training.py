@@ -287,12 +287,12 @@ def test_joint_trains_one_model_per_length(tiny_split):
 
 
 def test_joint_expanded_dataset_size(tiny_split):
-    from flexilen.training import _make_batches, prepare_scenes
+    from flexilen.training import Window, _make_batches, prepare_scenes
 
     cfg = make_config()
     norm = fit_normalizer(tiny_split, cfg.data.horizon)
     prepared = prepare_scenes(tiny_split.train, norm)
-    expanded = [(p, h) for p in prepared for h in (2, 3, 4)]
+    expanded = [Window(p.obs[:, -h:], p.future) for p in prepared for h in (2, 3, 4)]
     batches = _make_batches(expanded, 1, np.random.default_rng(0))
     assert len(batches) == 3 * len(tiny_split.train)
 
