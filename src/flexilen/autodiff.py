@@ -20,9 +20,10 @@ Two invariants keep seeded results bit-identical while the engine changes:
   weight, a residual input) sums its gradient contributions in that order,
   and float addition is not associative, so another valid topological order
   can change the trained weights in the last bits, which training amplifies.
-* A fused node (``layer_norm``, ``linear``, ``attention`` here; the mixture
-  NLL and KL in ``mixture``) computes exactly what its composed chain of ops
-  did: forward and backward replay the chain's numpy calls in the chain's
+* A fused node (``layer_norm``, ``linear`` and ``attention`` here, the last
+  with its head split and merge; the decoder's mixture means and scales in
+  ``backbone.mixture_head``; the mixture NLL and KL in ``mixture``) computes
+  exactly what its composed chain of ops did: forward and backward replay the chain's numpy calls in the chain's
   order. It lists a parent once per gradient contribution the chain made,
   in the order the chain made them, and orders its parents so that the walk
   reaches them in the chain's order; the engine then adds every gradient as
@@ -142,9 +143,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -158,9 +156,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:
@@ -301,17 +296,6 @@ def _check_matmul(a_shape, b_shape, op: str) -> None:
         raise ValueError(f"{op}: inner dimensions differ ({a_shape} @ {b_shape})")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_matmul(a.shape, b.shape, "matmul")
-
-    def backward_fn(g):
-        ga = unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        gb = unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
-        return ga, gb
-
-    return record(a.data @ b.data, (a, b), backward_fn)
-
-
 # reductions -------------------------------------------------------------
 
 
@@ -351,13 +335,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    # the gradient's inverse permutation: input axes sorted by where axes sends them
-    inverse = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))
-    return record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def _is_basic_index(idx) -> bool:
@@ -448,31 +425,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return record(out, (x, w, b), backward_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention, ``softmax(q @ k^T * scale) @ v``, as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention, split and merge included, as one node.
 
-    Softmax runs over the last axis. Returns the context and the attention
-    weights (a plain array, for probes).
+    ``q`` is (B, Q, d) and ``k`` and ``v`` are (B, S, d). Each is split into
+    ``heads`` heads of d / heads columns, (B, heads, rows, d / heads); every
+    head computes ``softmax(q @ k^T * scale) @ v`` with the softmax over its
+    S keys; the heads are merged back into a (B, Q, d) context. Returns the
+    context and the attention weights, (B, heads, Q, S), as a plain array
+    for probes.
     """
-    kt = k.data.swapaxes(-1, -2)
-    _check_matmul(q.shape, kt.shape, "attention")
-    scores = (q.data @ kt) * scale
-    _check_matmul(scores.shape, v.shape, "attention")
+    if (
+        q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[0] != k.shape[0]
+        or q.shape[2] != k.shape[2] or heads < 1 or q.shape[2] % heads
+    ):
+        raise ValueError(
+            f"attention: queries {q.shape}, keys {k.shape} and values {v.shape} "
+            f"do not split into {heads} heads"
+        )
+    batch, rows, d = q.shape
+    head_dim = d // heads
+
+    def split(t: Tensor) -> np.ndarray:
+        return t.data.reshape(batch, t.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(g: np.ndarray) -> np.ndarray:
+        return g.transpose(0, 2, 1, 3).reshape(batch, g.shape[2], d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     check_finite(scores)  # an infinite score would get weight 0 or 1
     shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
     weights = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def backward_fn(g):
-        g_weights = unbroadcast(g @ v.data.swapaxes(-1, -2), weights.shape)
-        g_v = unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape)
+        g_heads = g.reshape(batch, rows, heads, head_dim).transpose(0, 2, 1, 3)
+        g_weights = g_heads @ vh.swapaxes(-1, -2)
+        g_v = weights.swapaxes(-1, -2) @ g_heads
         inner = np.add.reduce(g_weights * weights, axis=-1, keepdims=True)
-        g_scores = unbroadcast((g_weights - inner) * weights * scale, scores.shape)
-        g_q = unbroadcast(g_scores @ k.data, q.shape)
-        g_kt = unbroadcast(q.data.swapaxes(-1, -2) @ g_scores, kt.shape)
-        return g_q, g_kt.swapaxes(-1, -2), g_v
+        g_scores = (g_weights - inner) * weights * scale
+        g_q = g_scores @ kh
+        g_kt = qh.swapaxes(-1, -2) @ g_scores
+        return merge(g_q), merge(g_kt.swapaxes(-1, -2)), merge(g_v)
 
-    return record(weights @ v.data, (q, k, v), backward_fn), weights
+    return record(merge(weights @ vh), (q, k, v), backward_fn), weights
 
 
 # backward pass -----------------------------------------------------------

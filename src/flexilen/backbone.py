@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -275,23 +276,25 @@ def _attention(
     tokens: Tensor, queries: Tensor, branch: str, layer: int, params: FlnParams, capture=None
 ) -> Tensor:
     """Multi-head self-attention: ``queries`` (B, Q, d) attend over every row
-    of ``tokens`` (B, S, d), which supply the keys and values."""
-    cfg = params.cfg
-    batch, _, d = tokens.shape
-    head_dim = d // cfg.heads
+    of ``tokens`` (B, S, d), which supply the keys and values.
+
+    Four ``linear`` nodes project the queries, keys, values and the merged
+    context; one ``autodiff.attention`` node between them splits the heads,
+    attends and merges them back.
+    """
+    heads = params.cfg.heads
     prefix = f"enc.l{layer}.attn"
 
     def proj(source: Tensor, name: str) -> Tensor:
-        out = _linear(source, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
-        heads = (batch, source.shape[1], cfg.heads, head_dim)
-        return ad.transpose(ad.reshape(out, heads), (0, 2, 1, 3))
+        return _linear(source, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
 
-    q, k, v = proj(queries, "q"), proj(tokens, "k"), proj(tokens, "v")
-    context, weights = ad.attention(q, k, v, 1.0 / np.sqrt(head_dim))
+    scale = 1.0 / np.sqrt(tokens.shape[-1] // heads)
+    context, weights = ad.attention(
+        proj(queries, "q"), proj(tokens, "k"), proj(tokens, "v"), heads, scale
+    )
     if capture is not None:
         capture.setdefault(f"{prefix}.weights", []).append(weights)
-    merged = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (batch, queries.shape[1], d))
-    return _linear(merged, branch, params, f"{prefix}.wo", f"{prefix}.ob")
+    return _linear(context, branch, params, f"{prefix}.wo", f"{prefix}.ob")
 
 
 def transformer_encode(
@@ -352,29 +355,56 @@ def cv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
     return last[..., None, :] + steps[:, None] * vel[..., None, :]
 
 
+def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) -> MixturePrediction:
+    """Mixture parameters from the decoder head's output (B, N, K*T*4 + K).
+
+    The first K*T*4 columns are per-mode, per-step channels (K, T, 4): two
+    corrections added to ``baseline`` (B, N, T, 2) give the means, and a
+    softplus of the other two, plus ``SCALE_FLOOR``, gives the scales; the
+    last K columns are the logits. Means and scales are one node each, with
+    ``out`` as their only parent; they replay the slice, reshape, transpose,
+    add and softplus ops of the chain they replace. The logits are a slice.
+    """
+    batch, n_agents, _ = out.shape
+    width = modes * horizon * 4
+
+    def channels(a: np.ndarray) -> np.ndarray:  # (B, N, T, K, 4) view of out's first columns
+        return a[:, :, :width].reshape(batch, n_agents, modes, horizon, 4).transpose(0, 1, 3, 2, 4)
+
+    def to_out(g: np.ndarray, columns: slice) -> tuple[np.ndarray]:
+        z = np.zeros(out.shape)
+        channels(z)[..., columns] += g
+        return (z,)
+
+    core = channels(out.data)
+    raw_scales = core[..., 2:4]
+    means = ad.record(
+        core[..., 0:2] + baseline[:, :, :, None, :], (out,), lambda g: to_out(g, slice(0, 2))
+    )
+    scales = ad.record(
+        np.logaddexp(0.0, raw_scales) + SCALE_FLOOR,
+        (out,),
+        lambda g: to_out(g * expit(raw_scales), slice(2, 4)),
+    )
+    return MixturePrediction(means, scales, out[:, :, width:])
+
+
 def decode(pooled: Tensor, anchors: np.ndarray, branch: str, params: FlnParams) -> MixturePrediction:
     """Map each agent's last-timestep token (B, N, d), as ``transformer_encode``
     returns it, to mixture parameters.
 
-    The head emits per-mode, per-step corrections on top of a constant-
-    velocity rollout of the anchor trajectory, so the mixture means are
-    positions and a zero-output head is already a one-step extrapolator.
+    LayerNorm and a two-layer MLP give the head output; ``mixture_head``
+    splits it. The head emits per-mode, per-step corrections on top of a
+    constant-velocity rollout of the anchor trajectory, so the mixture means
+    are positions and a zero-output head is already a one-step extrapolator.
     ``anchors`` carries each agent's trailing observed positions (..., >=2, 2).
     """
     cfg = params.cfg
-    batch, n_agents, _ = pooled.shape
-    k, t = cfg.modes, cfg.horizon
     normed = specialized_layer_norm(pooled, branch, "dec.norm", params)
     act = _activation(cfg.activation)
     hidden = act(_linear(normed, branch, params, "dec.w1", "dec.b1"))
     out = _linear(hidden, branch, params, "dec.w2", "dec.b2")
-    core = ad.reshape(out[:, :, : k * t * 4], (batch, n_agents, k, t, 4))
-    core = ad.transpose(core, (0, 1, 3, 2, 4))  # (B, N, T, K, 4)
-    baseline = cv_rollout(anchors, t)  # (B, N, T, 2)
-    means = core[:, :, :, :, 0:2] + Tensor(baseline[:, :, :, None, :])
-    scales = ad.softplus(core[:, :, :, :, 2:4]) + SCALE_FLOOR
-    logits = out[:, :, k * t * 4 :]
-    return MixturePrediction(means, scales, logits)
+    return mixture_head(out, cv_rollout(anchors, cfg.horizon), cfg.modes, cfg.horizon)
 
 
 def _run(

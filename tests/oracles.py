@@ -49,9 +49,32 @@ def positional_encode(t: int, branch: str, params: FlnParams) -> np.ndarray:
 
 # ----------------------------------------------------------------------------
 # Composed tape ops. The package fuses the chains below into single nodes
-# (``autodiff.layer_norm``/``linear``/``attention``, ``mixture.nll``/
-# ``kl_distill``); these are the op-by-op chains those nodes replay, kept here
-# so tests can compare forward values and gradients bit for bit.
+# (``autodiff.layer_norm``/``linear``/``attention``, the means and scales of
+# ``backbone.mixture_head``, ``mixture.nll``/``kl_distill``); these are the
+# op-by-op chains those nodes replay, kept here so tests can compare forward
+# values and gradients bit for bit. ``matmul`` and ``transpose`` have no
+# caller in the package.
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul: both operands must have ndim >= 2")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul: inner dimensions differ ({a.shape} @ {b.shape})")
+
+    def backward_fn(g):
+        ga = ad.unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+        gb = ad.unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        return ga, gb
+
+    return ad.record(a.data @ b.data, (a, b), backward_fn)
+
+
+def transpose(a: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
+    # the gradient's inverse permutation: input axes sorted by where axes sends them
+    inverse = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))
+    return ad.record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -143,15 +166,38 @@ def layer_norm_composed(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> T
 
 
 def linear_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return x @ w + b
+    return matmul(x, w) + b
 
 
-def attention_composed(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
-    """The (B, heads, seq, head_dim) attention core; returns the context and
-    the weights' array, as ``autodiff.attention`` does."""
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * scale
+def attention_composed(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float
+) -> tuple[Tensor, np.ndarray]:
+    """Split (B, rows, d) projections into heads, attend, merge the heads;
+    returns the context and the weights' array, as ``autodiff.attention`` does."""
+    batch, rows, d = q.shape
+    head_dim = d // heads
+
+    def split(t: Tensor) -> Tensor:
+        return transpose(ad.reshape(t, (batch, t.shape[1], heads, head_dim)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * scale
     weights = softmax(scores, axis=-1)
-    return weights @ v, weights.data
+    merged = ad.reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (batch, rows, d))
+    return merged, weights.data
+
+
+def mixture_head_composed(
+    out: Tensor, baseline: np.ndarray, modes: int, horizon: int
+) -> MixturePrediction:
+    """``backbone.mixture_head`` as slice, reshape, transpose, add and softplus ops."""
+    batch, n_agents, _ = out.shape
+    width = modes * horizon * 4
+    core = ad.reshape(out[:, :, :width], (batch, n_agents, modes, horizon, 4))
+    core = transpose(core, (0, 1, 3, 2, 4))  # (B, N, T, K, 4)
+    means = core[:, :, :, :, 0:2] + Tensor(baseline[:, :, :, None, :])
+    scales = ad.softplus(core[:, :, :, :, 2:4]) + bb.SCALE_FLOOR
+    return MixturePrediction(means, scales, out[:, :, width:])
 
 
 def nll_composed(pred: MixturePrediction, future: np.ndarray) -> Tensor:
@@ -200,18 +246,15 @@ def _linear(x: Tensor, branch: str, params: FlnParams, weight: str, bias: str) -
 
 
 def _attention_all_tokens(tokens: Tensor, branch: str, layer: int, params: FlnParams) -> Tensor:
-    cfg = params.cfg
-    batch, seq, d = tokens.shape
-    head_dim = d // cfg.heads
+    heads = params.cfg.heads
     prefix = f"enc.l{layer}.attn"
 
     def proj(name: str) -> Tensor:
-        out = _linear(tokens, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
-        return ad.transpose(ad.reshape(out, (batch, seq, cfg.heads, head_dim)), (0, 2, 1, 3))
+        return _linear(tokens, branch, params, f"{prefix}.w{name}", f"{prefix}.{name}b")
 
-    context, _ = ad.attention(proj("q"), proj("k"), proj("v"), 1.0 / np.sqrt(head_dim))
-    merged = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (batch, seq, d))
-    return _linear(merged, branch, params, f"{prefix}.wo", f"{prefix}.ob")
+    scale = 1.0 / np.sqrt(tokens.shape[-1] // heads)
+    context, _ = ad.attention(proj("q"), proj("k"), proj("v"), heads, scale)
+    return _linear(context, branch, params, f"{prefix}.wo", f"{prefix}.ob")
 
 
 def transformer_encode_all_tokens(features: Tensor, branch: str, params: FlnParams) -> Tensor:

@@ -34,7 +34,7 @@ from flexilen.mixture import (
 from flexilen.protocols import run_length_shift_study, study_run_config
 
 from fdutil import finite_difference, max_rel_err
-from oracles import exp, log, nll_bruteforce, reduce_max, route_bruteforce, softmax, sqrt
+from oracles import exp, log, matmul, nll_bruteforce, reduce_max, route_bruteforce, softmax, sqrt
 
 GRAD_TOL = 1e-4
 
@@ -73,7 +73,7 @@ def test_criterion_1_gradient_correctness():
         "gelu": (ad.gelu, r.normal(size=5)),
         "softplus": (ad.softplus, r.normal(size=5)),
         "sqrt": (sqrt, r.uniform(0.2, 3, 5)),
-        "matmul": (lambda t: ad.matmul(t, Tensor(mat)), r.normal(size=(4, 3))),
+        "matmul": (lambda t: matmul(t, Tensor(mat)), r.normal(size=(4, 3))),
         "softmax": (lambda t: ad.mul(softmax(t), Tensor(vec)), r.normal(size=5)),
         "sum": (lambda t: ad.reduce_sum(ad.mul(t, t)), r.normal(size=5)),
         "mean": (lambda t: ad.reduce_mean(ad.mul(t, t)), r.normal(size=5)),
@@ -84,8 +84,8 @@ def test_criterion_1_gradient_correctness():
         ),
         "linear": (lambda t: ad.linear(t, Tensor(mat), Tensor(vec[:2])), r.normal(size=(4, 3))),
         "attention": (
-            lambda t: ad.attention(t, t * Tensor(vec[:2]), t, 0.7)[0],
-            r.normal(size=(1, 2, 3, 2)),
+            lambda t: ad.attention(t, t * Tensor(vec[:4]), t, 2, 0.7)[0],
+            r.normal(size=(1, 3, 4)),
         ),
     }
     for name, (op, x) in op_cases.items():

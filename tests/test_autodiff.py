@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flexilen import autodiff as ad
+from flexilen import backbone as bb
 from flexilen.autodiff import Tensor, backward, zero_grad
 
 from fdutil import assert_grad_close, finite_difference
@@ -68,7 +69,7 @@ _NONFINITE_FIRST_OPS = {
     "overflow": lambda: exp(Tensor([1e6])),
     # +inf and -inf together sum to NaN
     "both_infinities": lambda: ad.mul(Tensor([1e300, -1e300]), Tensor(1e300)),
-    "nan": lambda: ad.matmul(Tensor([[1e300, 1e300]]), Tensor([[1e300], [-1e300]])),
+    "nan": lambda: oracles.matmul(Tensor([[1e300, 1e300]]), Tensor([[1e300], [-1e300]])),
 }
 
 
@@ -130,18 +131,18 @@ def test_binary_gradients_match_finite_differences(name, seed):
 
 def test_matmul_identity():
     m = _rng(3).normal(size=(2, 2))
-    out = ad.matmul(Tensor(np.eye(2)), Tensor(m))
+    out = oracles.matmul(Tensor(np.eye(2)), Tensor(m))
     np.testing.assert_array_equal(out.data, m)
 
 
 def test_matmul_manual_case():
-    out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+    out = oracles.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
     np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
 
 def test_matmul_inner_dim_mismatch():
     with pytest.raises(ValueError):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        oracles.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 def test_matmul_gradcheck_3x4_4x2():
@@ -150,7 +151,7 @@ def test_matmul_gradcheck_3x4_4x2():
     y = r.normal(size=(4, 2))
     a = Tensor(x, requires_grad=True)
     b = Tensor(y, requires_grad=True)
-    backward(ad.matmul(a, b).sum())
+    backward(oracles.matmul(a, b).sum())
     fd_a = finite_difference(lambda v: float(np.sum(v @ y)), x)
     fd_b = finite_difference(lambda v: float(np.sum(x @ v)), y)
     assert_grad_close(a.grad, fd_a, tol=1e-6)
@@ -163,7 +164,7 @@ def test_matmul_batched_broadcast_grads():
     y = r.normal(size=(3, 5))
     a = Tensor(x, requires_grad=True)
     b = Tensor(y, requires_grad=True)
-    backward((ad.matmul(a, b) * Tensor(r.normal(size=(4, 2, 5)))).sum())
+    backward((oracles.matmul(a, b) * Tensor(r.normal(size=(4, 2, 5)))).sum())
     assert a.grad.shape == x.shape
     assert b.grad.shape == y.shape
 
@@ -268,7 +269,7 @@ def test_reduce_empty_axis_raises():
 def test_reshape_transpose_getitem_grads():
     x = _rng(14).normal(size=(2, 3, 4))
     t = Tensor(x, requires_grad=True)
-    out = ad.transpose(ad.reshape(t, (6, 4)), (1, 0))[1:3, :]
+    out = oracles.transpose(ad.reshape(t, (6, 4)), (1, 0))[1:3, :]
     backward(out.sum())
 
     def f(v):
@@ -281,7 +282,7 @@ def test_reshape_transpose_getitem_grads():
 def test_transpose_gradient_applies_the_inverse_permutation(axes):
     t = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
     upstream = _rng(18).normal(size=(4, 2, 3))
-    backward((ad.transpose(t, axes) * Tensor(upstream)).sum())
+    backward((oracles.transpose(t, axes) * Tensor(upstream)).sum())
     np.testing.assert_array_equal(t.grad, upstream.transpose(1, 2, 0))
 
 
@@ -318,7 +319,7 @@ def test_backward_composed_matmul_softmax_sum():
     a = Tensor(x, requires_grad=True)
 
     def forward(t):
-        return ad.reduce_sum(softmax(ad.matmul(t, Tensor(w)), axis=-1) * Tensor(mix))
+        return ad.reduce_sum(softmax(oracles.matmul(t, Tensor(w)), axis=-1) * Tensor(mix))
 
     backward(forward(a))
     fd = finite_difference(
@@ -345,7 +346,7 @@ def test_forward_is_bit_deterministic():
     w = r.normal(size=(4, 4))
 
     def run():
-        return softmax(ad.matmul(Tensor(x), Tensor(w)), axis=-1).data
+        return softmax(oracles.matmul(Tensor(x), Tensor(w)), axis=-1).data
 
     assert run().tobytes() == run().tobytes()
 
@@ -366,7 +367,7 @@ def test_property_composed_chain_gradcheck(seed):
     w = r.normal(size=(3, 3))
 
     def build(t: Tensor) -> Tensor:
-        h = softmax(ad.gelu(ad.matmul(t, Tensor(w))), axis=-1)
+        h = softmax(ad.gelu(oracles.matmul(t, Tensor(w))), axis=-1)
         return ad.reduce_mean(log(h + 0.1))
 
     t = Tensor(x, requires_grad=True)
@@ -443,14 +444,36 @@ def _linear_loss(linear, upstream):
     return loss
 
 
-def _attention_loss(attention, upstream, mix):
-    # q, k and v all come from x, which also feeds the residual add
+def _attention_loss(attention, heads, rows, upstream, mix):
+    # the queries are the rows of x that ``rows`` selects; q, k and v all
+    # come from x, which also feeds the residual add through the queries
     def loss(raw):
         x = raw * Tensor(1.25)
-        context, _ = attention(x * Tensor(mix[0]), x * Tensor(mix[1]), x * Tensor(mix[2]), 0.5)
-        return ((x + context) * Tensor(upstream)).sum()
+        queries = x[:, rows, :]
+        keys, values = x * Tensor(mix[1]), x * Tensor(mix[2])
+        context, _ = attention(queries * Tensor(mix[0]), keys, values, heads, 0.5)
+        return ((queries + context) * Tensor(upstream)).sum()
 
     return loss
+
+
+def _head_loss(head, baseline, upstream):
+    # out also reaches the loss directly, besides through its three outputs
+    def loss(raw):
+        out = raw * Tensor(1.5)
+        pred = head(out, baseline, 2, 3)
+        parts = (pred.means, pred.scales, pred.logits, out)
+        return sum((part * Tensor(up)).sum() for part, up in zip(parts, upstream, strict=True))
+
+    return loss
+
+
+_ATTENTION_CASES = {  # name: (heads, query rows)
+    "attention": (2, slice(None)),
+    "attention_h1": (1, slice(None)),
+    "attention_fewer_queries": (2, slice(0, None, 2)),
+}
+_FUSED = ["layer_norm", "linear", *_ATTENTION_CASES, "mixture_head"]
 
 
 def _fused_cases(seed):
@@ -459,20 +482,30 @@ def _fused_cases(seed):
     ln = (x, r.uniform(0.5, 2.0, 4), r.normal(size=4))
     up = r.normal(size=(2, 3, 4))
     lin = (x, r.normal(size=(4, 4)), r.normal(size=4))
-    att = (r.normal(size=(2, 2, 3, 4)),)
-    att_up, mix = r.normal(size=(2, 2, 3, 4)), r.normal(size=(3, 4))
-    return {
+    mix = r.normal(size=(3, 4))
+    out = (r.normal(size=(2, 3, 2 * 3 * 4 + 2)),)
+    baseline = r.normal(size=(2, 3, 3, 2))
+    head_up = [r.normal(size=shape) for shape in [(2, 3, 3, 2, 2)] * 2 + [(2, 3, 2), out[0].shape]]
+    cases = {
         "layer_norm": (_layer_norm_loss(ad.layer_norm, up), _layer_norm_loss(oracles.layer_norm_composed, up), ln),
         "linear": (_linear_loss(ad.linear, up), _linear_loss(oracles.linear_composed, up), lin),
-        "attention": (
-            _attention_loss(ad.attention, att_up, mix),
-            _attention_loss(oracles.attention_composed, att_up, mix),
-            att,
+        "mixture_head": (
+            _head_loss(bb.mixture_head, baseline, head_up),
+            _head_loss(oracles.mixture_head_composed, baseline, head_up),
+            out,
         ),
     }
+    for name, (heads, rows) in _ATTENTION_CASES.items():
+        att_up = up[:, rows, :]
+        cases[name] = (
+            _attention_loss(ad.attention, heads, rows, att_up, mix),
+            _attention_loss(oracles.attention_composed, heads, rows, att_up, mix),
+            (x,),
+        )
+    return cases
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "linear", "attention"])
+@pytest.mark.parametrize("name", _FUSED)
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25)
 def test_fused_node_equals_composed_chain_bit_for_bit(name, seed):
@@ -480,7 +513,7 @@ def test_fused_node_equals_composed_chain_bit_for_bit(name, seed):
     _assert_bitwise_equal(_value_and_grads(fused, leaves), _value_and_grads(composed, leaves))
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "linear", "attention"])
+@pytest.mark.parametrize("name", _FUSED)
 def test_fused_node_gradients_match_finite_differences(name):
     fused, _, leaves = _fused_cases(21)[name]
     grads = _value_and_grads(fused, leaves)[1:]
@@ -493,15 +526,17 @@ def test_fused_node_gradients_match_finite_differences(name):
 
 
 def test_fused_attention_returns_the_softmax_weights():
-    q, k, v = (Tensor(a) for a in _rng(22).normal(size=(3, 1, 2, 3, 4)))
-    context, weights = ad.attention(q, k, v, 0.5)
-    ref_context, ref_weights = oracles.attention_composed(q, k, v, 0.5)
+    q, k, v = (Tensor(a) for a in _rng(22).normal(size=(3, 2, 3, 4)))
+    context, weights = ad.attention(q, k, v, 2, 0.5)
+    ref_context, ref_weights = oracles.attention_composed(q, k, v, 2, 0.5)
+    assert weights.shape == (2, 2, 3, 3)
     np.testing.assert_array_equal(weights, ref_weights)
     np.testing.assert_array_equal(context.data, ref_context.data)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-14)
 
 
-# each case's non-finite value is hidden downstream (an infinite variance
+# each case makes a non-finite value inside the node; in layer_norm and
+# attention the rest of the chain would hide it (an infinite variance
 # normalizes to zeros; a -inf score gets weight 0), so only the fused node's
 # check on the intermediate raises
 _NONFINITE_FUSED = {
@@ -519,11 +554,17 @@ _NONFINITE_FUSED = {
         lambda *a: ad.attention(*a)[0],
         lambda *a: oracles.attention_composed(*a)[0],
         lambda: (
-            Tensor([[[[1e200, 0.0], [1.0, 0.0]]]]),
-            Tensor([[[[-1e200, 0.0], [1.0, 0.0]]]]),
-            Tensor(np.ones((1, 1, 2, 2))),
+            Tensor([[[1e200, 0.0], [1.0, 0.0]]]),
+            Tensor([[[-1e200, 0.0], [1.0, 0.0]]]),
+            Tensor(np.ones((1, 2, 2))),
+            1,
             1.0,
         ),
+    ),
+    "mixture_head": (  # a mean past the float range
+        lambda *a: bb.mixture_head(*a).means,
+        lambda *a: oracles.mixture_head_composed(*a).means,
+        lambda: (Tensor([[[1e308, 0.0, 0.0, 0.0, 0.0]]]), np.array([[[[1e308, 0.0]]]]), 1, 1),
     ),
 }
 

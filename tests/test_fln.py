@@ -238,6 +238,7 @@ def _composed_model(monkeypatch):
     monkeypatch.setattr(ad, "layer_norm", oracles.layer_norm_composed)
     monkeypatch.setattr(ad, "linear", oracles.linear_composed)
     monkeypatch.setattr(ad, "attention", oracles.attention_composed)
+    monkeypatch.setattr(bb, "mixture_head", oracles.mixture_head_composed)
     monkeypatch.setattr(fln_module, "nll", oracles.nll_composed)
     monkeypatch.setattr(fln_module, "kl_distill", oracles.kl_distill_composed)
 
