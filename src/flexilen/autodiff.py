@@ -286,16 +286,6 @@ def softplus(a: Tensor) -> Tensor:
     return record(out, (a,), lambda g: (g * expit(a.data),))
 
 
-# contraction ------------------------------------------------------------
-
-
-def _check_matmul(a_shape, b_shape, op: str) -> None:
-    if len(a_shape) < 2 or len(b_shape) < 2:
-        raise ValueError(f"{op}: both operands must have ndim >= 2")
-    if a_shape[-1] != b_shape[-2]:
-        raise ValueError(f"{op}: inner dimensions differ ({a_shape} @ {b_shape})")
-
-
 # reductions -------------------------------------------------------------
 
 
@@ -406,23 +396,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node."""
-    _check_matmul(x.shape, w.shape, "linear")
-    product = x.data @ w.data
-    try:
-        out = product + b.data
-    except ValueError as exc:
-        raise ValueError(f"linear: bias {b.shape} does not broadcast to {product.shape}") from exc
+    """``x @ w + b`` as one node, for a 2-D weight and a 1-D bias.
+
+    The leading axes of ``x`` are flattened into rows, so the forward, the
+    input gradient and the weight gradient are one 2-D GEMM each, and the
+    bias gradient is one reduce over the rows: the chain reshape, matmul,
+    add, reshape.
+    """
+    if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
+        raise ValueError(
+            f"linear: takes a 2-D weight and a 1-D bias of its width, got {w.shape} and {b.shape}"
+        )
+    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"linear: input {x.shape} does not end in the weight's {w.shape[0]} rows")
+    rows = x.data.reshape(-1, w.shape[0])
+    out_shape = x.shape[:-1] + (w.shape[1],)
 
     def backward_fn(g):
-        g_product = unbroadcast(g, product.shape)
-        g_x = None
-        if x.requires_grad:
-            g_x = unbroadcast(g_product @ w.data.swapaxes(-1, -2), x.shape)
-        g_w = unbroadcast(x.data.swapaxes(-1, -2) @ g_product, w.shape)
-        return g_x, g_w, unbroadcast(g, b.shape)
+        g_rows = g.reshape(-1, w.shape[1])
+        g_x = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return g_x, rows.T @ g_rows, np.add.reduce(g_rows, axis=0)
 
-    return record(out, (x, w, b), backward_fn)
+    return record((rows @ w.data + b.data).reshape(out_shape), (x, w, b), backward_fn)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, np.ndarray]:

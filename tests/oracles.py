@@ -166,7 +166,8 @@ def layer_norm_composed(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> T
 
 
 def linear_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w) + b
+    rows = ad.reshape(x, (-1, x.shape[-1]))
+    return ad.reshape(matmul(rows, w) + b, x.shape[:-1] + (w.shape[1],))
 
 
 def attention_composed(

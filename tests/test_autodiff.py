@@ -525,6 +525,14 @@ def test_fused_node_gradients_match_finite_differences(name):
         assert_grad_close(grads[i], finite_difference(f, x))
 
 
+@pytest.mark.parametrize(
+    "w_shape, b_shape", [((2, 4, 3), (3,)), ((4, 3), (1, 3))], ids=["3d_weight", "2d_bias"]
+)
+def test_linear_takes_only_a_2d_weight_and_a_1d_bias(w_shape, b_shape):
+    with pytest.raises(ValueError, match="^linear: takes a 2-D weight and a 1-D bias"):
+        ad.linear(Tensor(np.ones((2, 4))), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+
 def test_fused_attention_returns_the_softmax_weights():
     q, k, v = (Tensor(a) for a in _rng(22).normal(size=(3, 2, 3, 4)))
     context, weights = ad.attention(q, k, v, 2, 0.5)
