@@ -323,10 +323,14 @@ def load_dataset(in_dir: str | Path) -> tuple[list[TrajectoryScene], dict]:
     manifest = json.loads((in_dir / "dataset.json").read_text(encoding="utf-8"))
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
         raise ValueError(f"dataset {in_dir}: unsupported version {manifest.get('format_version')}")
-    blocks = [(e["id"], e["offset"], e["agents"] * e["steps"] * 2) for e in manifest["scenes"]]
+    try:
+        entries = [(e["id"], e["offset"], e["agents"], e["steps"], e["dt"]) for e in manifest["scenes"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"dataset {in_dir}: malformed manifest: {exc!r}") from exc
+    blocks = [(scene_id, offset, agents * steps * 2) for scene_id, offset, agents, steps, _ in entries]
     payload = read_payload(in_dir / "dataset.bin", blocks, f"dataset {in_dir}")
     scenes = []
-    for entry, (_, offset, size) in zip(manifest["scenes"], blocks):
-        positions = payload[offset : offset + size].reshape(entry["agents"], entry["steps"], 2)
-        scenes.append(TrajectoryScene(positions.astype(np.float64), entry["dt"], entry["id"]))
+    for scene_id, offset, agents, steps, dt in entries:
+        positions = payload[offset : offset + agents * steps * 2].reshape(agents, steps, 2)
+        scenes.append(TrajectoryScene(positions.astype(np.float64), dt, scene_id))
     return scenes, manifest

@@ -158,6 +158,20 @@ def test_train_with_an_empty_train_split_exits_2(tmp_path, capsys, n_scenes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["agents", "dt"])
+def test_train_on_a_dataset_scene_missing_a_key_exits_2(tmp_path, capsys, key):
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), *TINY_ARGS]) == 0
+    manifest = json.loads((data / "dataset.json").read_text())
+    del manifest["scenes"][0][key]
+    (data / "dataset.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    code = _run(["train", "--out", str(out), "--data", str(data), *TINY_ARGS])
+    assert code == 2
+    assert f"dataset {data}: malformed manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_below_shortest_branch_surfaces_routing_error(tmp_path, capsys):
     out = tmp_path / "fln"
     assert _run(["train", "--out", str(out), "--strategy", "fln", *TINY_ARGS]) == 0
