@@ -12,7 +12,8 @@ LayerNorm probe, and the positional-encoding probe on the learnable tables
 of a checkpoint and on the default sinusoidal config. Each line hashes that
 run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock ``seconds`` column removed, and the sweep, metrics and probe
-reports.
+reports. A training line also prints, at full precision, each model's
+``final_total`` and its last epoch's validation ADE at every length.
 
 Two checkouts that print the same lines trained and evaluated bit for bit
 alike. ``--against REV`` checks a change meant to alter no result against
@@ -20,7 +21,9 @@ another revision in one command: it extracts REV with ``git archive`` into a
 temporary directory, runs this script in a subprocess with that tree's
 ``src/`` first on ``PYTHONPATH`` (so an older revision gets every line,
 whatever its own copy of the script runs), and prints both hashes of every
-line with ``same`` or ``DIFFERS``; it exits 1 on any difference.
+line with ``same`` or ``DIFFERS``, and under a training line that differs
+both sides' final values, so a change that moves bits shows by how much; it
+exits 1 on any difference.
 
     PYTHONPATH=src python scripts/run_digest.py
     PYTHONPATH=src python scripts/run_digest.py --against HEAD~1
@@ -40,6 +43,7 @@ import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tarfile  # noqa: E402
@@ -102,14 +106,30 @@ def _cli(argv: list[str]) -> None:
         raise SystemExit(f"command failed ({code}): {' '.join(argv)}")
 
 
-def run(root: Path) -> dict[str, str]:
+def final_values(directory: Path) -> list[str]:
+    """``model.final_total=...`` and ``model.val_ade@H=...`` (the last
+    epoch's validation ADE at each length) for every model a training run
+    wrote, at full precision."""
+    values = []
+    for path in sorted(directory.glob("*_summary.json")):
+        model = path.name.removesuffix("_summary.json")
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        values.append(f"{model}.final_total={summary['final_total']!r}")
+        for h, (ade, _) in sorted(summary["final_val"].items(), key=lambda item: int(item[0])):
+            values.append(f"{model}.val_ade@{h}={ade!r}")
+    return values
+
+
+def run(root: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """Every line's hash, and each training line's ``final_values``."""
     data = root / "data"
     _cli(["generate", "--out", str(data), "--seed", str(SEED), *TINY])
-    lines = {}
+    lines, values = {}, {}
     for name, args in TRAIN_RUNS.items():
         out = root / name
         _cli(["train", "--out", str(out), "--data", str(data), "--seed", str(SEED), *TINY, *args])
         lines[name] = digest(out)
+        values[name] = final_values(out)
     checkpoints = [str(root / "fln-ablated" / "checkpoint"), str(root / "isolated" / "checkpoint")]
     sweep = root / "sweep"
     for index, checkpoint in enumerate(checkpoints):
@@ -129,7 +149,8 @@ def run(root: Path) -> dict[str, str]:
           "--h1", "2", "--h2", "4"])
     _cli(["probe", "pe", "--out", str(pe / "1"), "--h1", "2", "--h2", "8"])
     lines["probe_pe"] = digest(pe / "0") + digest(pe / "1")
-    return {name: hashlib.sha256(value.encode()).hexdigest() for name, value in lines.items()}
+    hashes = {name: hashlib.sha256(value.encode()).hexdigest() for name, value in lines.items()}
+    return hashes, values
 
 
 def start_against(rev: str, tmp: Path) -> subprocess.Popen:
@@ -159,24 +180,33 @@ def main_digest(argv: list[str] | None = None) -> int:
         # the other revision runs while this one does
         other = start_against(args.against, Path(tmp) / "rev") if args.against else None
         try:
-            ours = run(Path(tmp))
+            ours, our_values = run(Path(tmp))
         except BaseException:
             if other is not None:
                 other.kill()
             raise
         if other is None:
             for name, value in ours.items():
-                print(f"{name:12s} {value}")
+                print(" ".join([f"{name:12s}", value, *our_values.get(name, [])]))
             return 0
         stdout, stderr = other.communicate()
     if other.returncode:
         raise SystemExit(f"digest of {args.against} failed:\n{stderr}")
-    theirs = dict(line.split() for line in stdout.splitlines())
+    theirs, their_values = {}, {}
+    for line in stdout.splitlines():
+        name, value, *rest = line.split()
+        theirs[name], their_values[name] = value, dict(item.split("=", 1) for item in rest)
     differs = False
     for name in {**ours, **theirs}:
         mine, other_hash = ours.get(name, "-"), theirs.get(name, "-")
         differs |= mine != other_hash
         print(f"{name:12s} {mine} {other_hash} {'same' if mine == other_hash else 'DIFFERS'}")
+        if mine != other_hash:
+            # a training line shows by how much its results moved
+            mine_values = dict(item.split("=", 1) for item in our_values.get(name, []))
+            other_values = their_values.get(name, {})
+            for key in {**mine_values, **other_values}:
+                print(f"    {key:26s} {mine_values.get(key, '-'):>22s} {other_values.get(key, '-'):>22s}")
     return 1 if differs else 0
 
 
