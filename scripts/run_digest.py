@@ -106,21 +106,21 @@ def _cli(argv: list[str]) -> None:
         raise SystemExit(f"command failed ({code}): {' '.join(argv)}")
 
 
-def final_values(directory: Path) -> list[str]:
-    """``model.final_total=...`` and ``model.val_ade@H=...`` (the last
-    epoch's validation ADE at each length) for every model a training run
-    wrote, at full precision."""
-    values = []
+def final_values(directory: Path) -> dict[str, str]:
+    """``model.final_total`` and ``model.val_ade@H`` (the last epoch's
+    validation ADE at each length) for every model a training run wrote,
+    at full precision."""
+    values = {}
     for path in sorted(directory.glob("*_summary.json")):
         model = path.name.removesuffix("_summary.json")
         summary = json.loads(path.read_text(encoding="utf-8"))
-        values.append(f"{model}.final_total={summary['final_total']!r}")
+        values[f"{model}.final_total"] = repr(summary["final_total"])
         for h, (ade, _) in sorted(summary["final_val"].items(), key=lambda item: int(item[0])):
-            values.append(f"{model}.val_ade@{h}={ade!r}")
+            values[f"{model}.val_ade@{h}"] = repr(ade)
     return values
 
 
-def run(root: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
     """Every line's hash, and each training line's ``final_values``."""
     data = root / "data"
     _cli(["generate", "--out", str(data), "--seed", str(SEED), *TINY])
@@ -187,7 +187,8 @@ def main_digest(argv: list[str] | None = None) -> int:
             raise
         if other is None:
             for name, value in ours.items():
-                print(" ".join([f"{name:12s}", value, *our_values.get(name, [])]))
+                extra = [f"{key}={v}" for key, v in our_values.get(name, {}).items()]
+                print(" ".join([f"{name:12s}", value, *extra]))
             return 0
         stdout, stderr = other.communicate()
     if other.returncode:
@@ -203,8 +204,7 @@ def main_digest(argv: list[str] | None = None) -> int:
         print(f"{name:12s} {mine} {other_hash} {'same' if mine == other_hash else 'DIFFERS'}")
         if mine != other_hash:
             # a training line shows by how much its results moved
-            mine_values = dict(item.split("=", 1) for item in our_values.get(name, []))
-            other_values = their_values.get(name, {})
+            mine_values, other_values = our_values.get(name, {}), their_values.get(name, {})
             for key in {**mine_values, **other_values}:
                 print(f"    {key:26s} {mine_values.get(key, '-'):>22s} {other_values.get(key, '-'):>22s}")
     return 1 if differs else 0

@@ -23,8 +23,8 @@ Two invariants keep seeded results bit-identical while the engine changes:
 * A fused node (``layer_norm``, ``linear`` and ``attention`` here, the last
   with its head split and merge; the decoder's mixture means and scales in
   ``backbone.mixture_head``; the mixture NLL and KL in ``mixture``) computes
-  exactly what its composed chain of ops did: forward and backward replay the chain's numpy calls in the chain's
-  order. It lists a parent once per gradient contribution the chain made,
+  exactly what its composed chain of ops did: forward and backward replay
+  the chain's numpy calls in the chain's order. It lists a parent once per gradient contribution the chain made,
   in the order the chain made them, and orders its parents so that the walk
   reaches them in the chain's order; the engine then adds every gradient as
   before. This needs that no input of a fused node is computed from another
@@ -33,6 +33,14 @@ Two invariants keep seeded results bit-identical while the engine changes:
   every intermediate whose non-finite value the rest of the chain could
   hide (an infinite variance normalizes to zeros), so it raises wherever
   the chain raised.
+
+``linear`` takes a 2-D weight and a 1-D bias and flattens its input's
+leading axes into rows, so its chain is reshape, matmul, add, reshape: the
+forward, the input gradient and the weight gradient are one 2-D GEMM each,
+and the bias gradient is one reduce over the rows. A batched matmul forms
+the weight gradient as one small GEMM per leading index and then sums
+them; the 2-D GEMM adds the same products in another order, so the two
+train weights, and seeded results, that differ in their last bits.
 """
 from __future__ import annotations
 

@@ -362,8 +362,9 @@ def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) ->
     corrections added to ``baseline`` (B, N, T, 2) give the means, and a
     softplus of the other two, plus ``SCALE_FLOOR``, gives the scales; the
     last K columns are the logits. Means and scales are one node each, with
-    ``out`` as their only parent; they replay the slice, reshape, transpose,
-    add and softplus ops of the chain they replace. The logits are a slice.
+    ``out`` as their only parent, and replay the numpy calls of the op chain
+    slice, reshape, transpose, slice, then add (means) or softplus and add
+    (scales). The logits are a slice of ``out``.
     """
     batch, n_agents, _ = out.shape
     width = modes * horizon * 4
