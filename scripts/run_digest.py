@@ -13,7 +13,8 @@ of a checkpoint and on the default sinusoidal config. Each line hashes that
 run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock ``seconds`` column removed, and the sweep, metrics and probe
 reports. A training line also prints, at full precision, each model's
-``final_total`` and its last epoch's validation ADE at every length.
+``final_total`` and its last epoch's validation ADE at every length, and
+every line is followed by one indented line per artifact with its hash.
 
 Two checkouts that print the same lines trained and evaluated bit for bit
 alike. ``--against REV`` checks a change meant to alter no result against
@@ -21,9 +22,10 @@ another revision in one command: it extracts REV with ``git archive`` into a
 temporary directory, runs this script in a subprocess with that tree's
 ``src/`` first on ``PYTHONPATH`` (so an older revision gets every line,
 whatever its own copy of the script runs), and prints both hashes of every
-line with ``same`` or ``DIFFERS``, and under a training line that differs
-both sides' final values, so a change that moves bits shows by how much; it
-exits 1 on any difference.
+line with ``same`` or ``DIFFERS``. Under a line that differs it names the
+artifacts whose bytes differ, and under a training line both sides' final
+values, so a change that moves bits shows where and by how much; it exits 1
+on any difference.
 
     PYTHONPATH=src python scripts/run_digest.py
     PYTHONPATH=src python scripts/run_digest.py --against HEAD~1
@@ -64,9 +66,10 @@ ABLATED = [
     "--set", "detach_teacher=false", "--set", "activation=gelu",
     "--set", "pe_kind=learnable", "--set", "decoder_sln=true",
 ]
-NO_TD = [
+NO_TD = [  # learnable PE, since independent_pe changes nothing under sinusoidal rows
     "--set", "temporal_distillation=false", "--set", "weight_sharing=false",
     "--set", "independent_pe=false", "--set", "specialized_ln=false",
+    "--set", "pe_kind=learnable",
 ]
 TRAIN_RUNS = {
     "fln": ["--strategy", "fln"],
@@ -90,12 +93,20 @@ def _without_seconds(path: Path) -> bytes:
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
-def digest(directory: Path) -> str:
-    """SHA-256 over every file in ``directory``, by name, in sorted order."""
-    h = hashlib.sha256()
+def file_hashes(directory: Path) -> dict[str, str]:
+    """SHA-256 of every file in ``directory``, by name, in sorted order."""
+    hashes = {}
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         data = _without_seconds(path) if path.name.endswith("_log.csv") else path.read_bytes()
-        h.update(path.name.encode() + b"\0" + hashlib.sha256(data).digest())
+        hashes[path.name] = hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+def digest(files: dict[str, str]) -> str:
+    """One SHA-256 over ``file_hashes``."""
+    h = hashlib.sha256()
+    for name, file_hash in files.items():
+        h.update(name.encode() + b"\0" + bytes.fromhex(file_hash))
     return h.hexdigest()
 
 
@@ -120,37 +131,46 @@ def final_values(directory: Path) -> dict[str, str]:
     return values
 
 
-def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
-    """Every line's hash, and each training line's ``final_values``."""
+def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str, dict[str, str]]]:
+    """Every line's hash, each training line's ``final_values``, and every
+    line's ``file_hashes`` (a file's path relative to the line's run)."""
     data = root / "data"
     _cli(["generate", "--out", str(data), "--seed", str(SEED), *TINY])
-    lines, values = {}, {}
+    files, values = {}, {}
+
+    def record(name: str, *directories: Path) -> None:
+        # a line over several runs names its files by the run's subdirectory
+        files[name] = {}
+        for directory in directories:
+            prefix = "" if len(directories) == 1 else f"{directory.name}/"
+            files[name].update({prefix + f: h for f, h in file_hashes(directory).items()})
+
     for name, args in TRAIN_RUNS.items():
         out = root / name
         _cli(["train", "--out", str(out), "--data", str(data), "--seed", str(SEED), *TINY, *args])
-        lines[name] = digest(out)
+        record(name, out)
         values[name] = final_values(out)
     checkpoints = [str(root / "fln-ablated" / "checkpoint"), str(root / "isolated" / "checkpoint")]
     sweep = root / "sweep"
     for index, checkpoint in enumerate(checkpoints):
         _cli(["sweep", "--out", str(sweep / str(index)), "--checkpoint", checkpoint,
               "--data", str(data), "--lengths", "2..6"])
-    lines["sweep"] = digest(sweep / "0") + digest(sweep / "1")
+    record("sweep", sweep / "0", sweep / "1")
     evaluation = root / "eval"
     _cli(["eval", "--out", str(evaluation), "--checkpoint", str(root / "fln" / "checkpoint"),
           "--data", str(data), "--length", "5"])
-    lines["eval"] = digest(evaluation)
+    record("eval", evaluation)
     probe = root / "probe_ln"
     _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
           "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])
-    lines["probe_ln"] = digest(probe)
+    record("probe_ln", probe)
     pe = root / "probe_pe"
     _cli(["probe", "pe", "--out", str(pe / "0"), "--checkpoint", checkpoints[0],
           "--h1", "2", "--h2", "4"])
     _cli(["probe", "pe", "--out", str(pe / "1"), "--h1", "2", "--h2", "8"])
-    lines["probe_pe"] = digest(pe / "0") + digest(pe / "1")
-    hashes = {name: hashlib.sha256(value.encode()).hexdigest() for name, value in lines.items()}
-    return hashes, values
+    record("probe_pe", pe / "0", pe / "1")
+    hashes = {name: digest(line_files) for name, line_files in files.items()}
+    return hashes, values, files
 
 
 def start_against(rev: str, tmp: Path) -> subprocess.Popen:
@@ -180,7 +200,7 @@ def main_digest(argv: list[str] | None = None) -> int:
         # the other revision runs while this one does
         other = start_against(args.against, Path(tmp) / "rev") if args.against else None
         try:
-            ours, our_values = run(Path(tmp))
+            ours, our_values, our_files = run(Path(tmp))
         except BaseException:
             if other is not None:
                 other.kill()
@@ -189,21 +209,31 @@ def main_digest(argv: list[str] | None = None) -> int:
             for name, value in ours.items():
                 extra = [f"{key}={v}" for key, v in our_values.get(name, {}).items()]
                 print(" ".join([f"{name:12s}", value, *extra]))
+                for path, file_hash in our_files[name].items():
+                    print(f"    {path} {file_hash}")
             return 0
         stdout, stderr = other.communicate()
     if other.returncode:
         raise SystemExit(f"digest of {args.against} failed:\n{stderr}")
-    theirs, their_values = {}, {}
+    theirs, their_values, their_files = {}, {}, {}
     for line in stdout.splitlines():
+        if line.startswith(" "):  # a file of the line above
+            path, file_hash = line.split()
+            their_files[name][path] = file_hash
+            continue
         name, value, *rest = line.split()
         theirs[name], their_values[name] = value, dict(item.split("=", 1) for item in rest)
+        their_files[name] = {}
     differs = False
     for name in {**ours, **theirs}:
         mine, other_hash = ours.get(name, "-"), theirs.get(name, "-")
         differs |= mine != other_hash
         print(f"{name:12s} {mine} {other_hash} {'same' if mine == other_hash else 'DIFFERS'}")
         if mine != other_hash:
-            # a training line shows by how much its results moved
+            # which files moved, and for a training line by how much its results did
+            mine_files, other_files = our_files.get(name, {}), their_files.get(name, {})
+            moved = [p for p in {**mine_files, **other_files} if mine_files.get(p) != other_files.get(p)]
+            print(f"    files that differ: {' '.join(moved)}")
             mine_values, other_values = our_values.get(name, {}), their_values.get(name, {})
             for key in {**mine_values, **other_values}:
                 print(f"    {key:26s} {mine_values.get(key, '-'):>22s} {other_values.get(key, '-'):>22s}")

@@ -9,8 +9,8 @@ FFN and final norm run on N rows instead of N*H. A forward with ``capture``
 (the LayerNorm probe, which needs every position) keeps all rows and pools
 after the final norm, with the same result. A ``FlnParams`` container
 holds one shared set of backbone weights referenced by every branch, plus
-branch-specific positional tables and per-site LayerNorm affines; ablation
-switches collapse those back to shared storage.
+branch-specific positional tables and per-site LayerNorm affines; its tensor
+names alone say which branch reads which tensor.
 """
 from __future__ import annotations
 
@@ -50,28 +50,21 @@ def ln_sites(cfg: BackboneConfig) -> list[str]:
     return sites
 
 
-def _site_is_specialized(site: str, cfg: BackboneConfig, specialized_ln: bool) -> bool:
-    if site.startswith("enc."):
-        return specialized_ln
-    if site == "dec.norm":
-        return cfg.decoder_sln
-    raise KeyError(f"unknown LayerNorm site {site!r}")
-
-
 @dataclass
 class FlnParams:
     """Named parameter store for one model (single-branch or multi-branch).
 
-    ``tensors`` maps hierarchical names to shared Tensor objects; the shared
-    backbone weights exist exactly once and are referenced by every branch,
-    so an update through any branch is visible to all of them.
+    ``tensors`` maps hierarchical names to Tensor objects, and the names are
+    the model's layout: ``shared.*`` is read by every branch, while
+    ``theta.<b>.*`` (a backbone weight), ``sln.<b>.<site>.*`` (a LayerNorm
+    affine) and ``pe.<b>.table`` (a learnable positional table) belong to
+    branch ``b`` and take the place of the shared tensor of the same role.
+    A shared tensor exists exactly once and is referenced by every branch, so
+    an update through any branch is visible to all of them.
     """
 
     cfg: BackboneConfig
     lengths: dict[str, int]  # branch id -> observation length, ordered S < M <= L
-    weight_sharing: bool = True
-    independent_pe: bool = True
-    specialized_ln: bool = True
     tensors: dict[str, Tensor] = field(default_factory=dict)
 
     @property
@@ -87,46 +80,48 @@ class FlnParams:
         return max(self.lengths.values())
 
     def weight(self, branch: str, name: str) -> Tensor:
-        key = f"shared.{name}" if self.weight_sharing else f"theta.{branch}.{name}"
-        return self.tensors[key]
+        tensor = self.tensors.get(f"theta.{branch}.{name}")
+        return self.tensors[f"shared.{name}"] if tensor is None else tensor
 
     def ln_affine(self, branch: str, site: str) -> tuple[Tensor, Tensor]:
-        if _site_is_specialized(site, self.cfg, self.specialized_ln) and not self.is_single:
-            prefix = f"sln.{branch}.{site}"
-        else:
+        prefix = f"sln.{branch}.{site}"
+        if f"{prefix}.gamma" not in self.tensors:
             prefix = f"shared.{site}"
         return self.tensors[f"{prefix}.gamma"], self.tensors[f"{prefix}.beta"]
 
     def pe_table(self, branch: str) -> Tensor | None:
         if self.cfg.pe_kind != "learnable":
             return None
-        if self.independent_pe and not self.is_single:
-            return self.tensors[f"pe.{branch}.table"]
-        return self.tensors["pe.shared.table"]
+        table = self.tensors.get(f"pe.{branch}.table")
+        return self.tensors["pe.shared.table"] if table is None else table
+
+    def missing_tensor(self) -> str | None:
+        """The first tensor some branch's forward reads that the store lacks,
+        with that branch, or None when every branch has all it reads."""
+        for branch in self.branch_ids:
+            try:
+                for weight, bias, _, _ in _linear_layers(self.cfg):
+                    self.weight(branch, weight)
+                    self.weight(branch, bias)
+                for site in ln_sites(self.cfg):
+                    self.ln_affine(branch, site)
+                self.pe_table(branch)
+            except KeyError as exc:
+                return f"branch {branch} reads a missing tensor {exc.args[0]!r}"
+        return None
 
 
-def _init_theta(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    d = cfg.d_model
-    ffn = 2 * d
-    head_out = cfg.modes * cfg.horizon * 4 + cfg.modes
-    arrays: dict[str, np.ndarray] = {}
-    arrays["spatial.w1"] = _uniform(rng, (SPATIAL_IN, d), SPATIAL_IN)
-    arrays["spatial.b1"] = _uniform(rng, (d,), SPATIAL_IN)
-    arrays["spatial.w2"] = _uniform(rng, (d, d), d)
-    arrays["spatial.b2"] = _uniform(rng, (d,), d)
+def _linear_layers(cfg: BackboneConfig) -> list[tuple[str, str, int, int]]:
+    """(weight name, bias name, fan-in, fan-out) of every backbone linear
+    layer, in initialization order."""
+    d, ffn, hidden = cfg.d_model, 2 * cfg.d_model, cfg.dec_hidden
+    layers = [("spatial.w1", "spatial.b1", SPATIAL_IN, d), ("spatial.w2", "spatial.b2", d, d)]
     for layer in range(cfg.layers):
-        for proj in ("wq", "wk", "wv", "wo"):
-            arrays[f"enc.l{layer}.attn.{proj}"] = _uniform(rng, (d, d), d)
-            arrays[f"enc.l{layer}.attn.{proj[1]}b"] = _uniform(rng, (d,), d)
-        arrays[f"enc.l{layer}.ffn.w1"] = _uniform(rng, (d, ffn), d)
-        arrays[f"enc.l{layer}.ffn.b1"] = _uniform(rng, (ffn,), d)
-        arrays[f"enc.l{layer}.ffn.w2"] = _uniform(rng, (ffn, d), ffn)
-        arrays[f"enc.l{layer}.ffn.b2"] = _uniform(rng, (d,), ffn)
-    arrays["dec.w1"] = _uniform(rng, (d, cfg.dec_hidden), d)
-    arrays["dec.b1"] = _uniform(rng, (cfg.dec_hidden,), d)
-    arrays["dec.w2"] = _uniform(rng, (cfg.dec_hidden, head_out), cfg.dec_hidden)
-    arrays["dec.b2"] = _uniform(rng, (head_out,), cfg.dec_hidden)
-    return arrays
+        attn, ff = f"enc.l{layer}.attn", f"enc.l{layer}.ffn"
+        layers += [(f"{attn}.w{p}", f"{attn}.{p}b", d, d) for p in "qkvo"]
+        layers += [(f"{ff}.w1", f"{ff}.b1", d, ffn), (f"{ff}.w2", f"{ff}.b2", ffn, d)]
+    head_out = cfg.modes * cfg.horizon * 4 + cfg.modes
+    return layers + [("dec.w1", "dec.b1", d, hidden), ("dec.w2", "dec.b2", hidden, head_out)]
 
 
 def init_params(
@@ -138,51 +133,46 @@ def init_params(
     specialized_ln: bool = True,
 ) -> FlnParams:
     """Seeded parameter initialization: uniform +-1/sqrt(fan-in) weights, unit
-    LayerNorm affines, zero positional tables."""
+    LayerNorm affines, zero positional tables.
+
+    The flags choose which tensors exist, so the layout (see ``FlnParams``):
+    ``weight_sharing`` off gives each branch its own ``theta.<b>.*`` backbone,
+    ``specialized_ln`` its own encoder LayerNorm affines (the decoder's follow
+    ``cfg.decoder_sln``) and ``independent_pe`` its own learnable table. A
+    single-length model, ``lengths={"L": h}``, shares its affines and table
+    whatever the last two flags say.
+    """
     cfg.validate()
-    params = FlnParams(cfg, dict(lengths), weight_sharing, independent_pe, specialized_ln)
+    params = FlnParams(cfg, dict(lengths))
     branch_ids = params.branch_ids
     if set(lengths) != set(branch_ids):
         raise ValueError(f"branch ids must come from {BRANCH_IDS}, got {sorted(lengths)}")
+    branched = not params.is_single
     seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
     rng = np.random.default_rng([*seed_tuple, 0])
 
-    if weight_sharing:
-        for name, arr in _init_theta(cfg, rng).items():
-            params.tensors[f"shared.{name}"] = Tensor(arr, requires_grad=True)
-    else:
-        for branch in branch_ids:
-            for name, arr in _init_theta(cfg, rng).items():
-                params.tensors[f"theta.{branch}.{name}"] = Tensor(arr, requires_grad=True)
+    def add(name: str, value: np.ndarray) -> None:
+        params.tensors[name] = Tensor(value, requires_grad=True)
+
+    for owner in ["shared"] if weight_sharing else [f"theta.{b}" for b in branch_ids]:
+        for weight, bias, fan_in, fan_out in _linear_layers(cfg):
+            add(f"{owner}.{weight}", _uniform(rng, (fan_in, fan_out), fan_in))
+            add(f"{owner}.{bias}", _uniform(rng, (fan_out,), fan_in))
 
     d = cfg.d_model
     for site in ln_sites(cfg):
-        if _site_is_specialized(site, cfg, specialized_ln) and not params.is_single:
-            for branch in branch_ids:
-                params.tensors[f"sln.{branch}.{site}.gamma"] = Tensor(np.ones(d), requires_grad=True)
-                params.tensors[f"sln.{branch}.{site}.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        else:
-            params.tensors[f"shared.{site}.gamma"] = Tensor(np.ones(d), requires_grad=True)
-            params.tensors[f"shared.{site}.beta"] = Tensor(np.zeros(d), requires_grad=True)
+        per_branch = branched and (cfg.decoder_sln if site == "dec.norm" else specialized_ln)
+        for prefix in [f"sln.{b}.{site}" for b in branch_ids] if per_branch else [f"shared.{site}"]:
+            add(f"{prefix}.gamma", np.ones(d))
+            add(f"{prefix}.beta", np.zeros(d))
 
     if cfg.pe_kind == "learnable":
-        if independent_pe and not params.is_single:
+        if independent_pe and branched:
             for branch in branch_ids:
-                params.tensors[f"pe.{branch}.table"] = Tensor(
-                    np.zeros((lengths[branch], d)), requires_grad=True
-                )
+                add(f"pe.{branch}.table", np.zeros((lengths[branch], d)))
         else:
-            params.tensors["pe.shared.table"] = Tensor(
-                np.zeros((params.max_length, d)), requires_grad=True
-            )
+            add("pe.shared.table", np.zeros((params.max_length, d)))
     return params
-
-
-def init_single_params(cfg: BackboneConfig, obs_len: int, seed: int | tuple[int, ...]) -> FlnParams:
-    """A conventional single-length model: one branch, nothing specialized."""
-    return init_params(
-        cfg, {"L": obs_len}, seed, weight_sharing=True, independent_pe=False, specialized_ln=False
-    )
 
 
 # ------------------------------------------------------------ positional enc

@@ -1,9 +1,11 @@
 """Versioned checkpoint files: JSON manifest plus little-endian float64 payload.
 
 A checkpoint is a pair ``<prefix>.json`` / ``<prefix>.bin``. The manifest
-records the format version, a run-config snapshot, the model layout, a named
-parameter manifest (name, shape, element offset), an optional optimizer
-section, and the training-epoch marker. Offsets tile the payload exactly and
+records the format version, a run-config snapshot, the model (backbone config
+and branch lengths), a named parameter manifest (name, shape, element
+offset), an optional optimizer section, and the training-epoch marker. The
+parameter names are the model's layout (see ``FlnParams``); a loaded model
+must hold every tensor its branches read. Offsets tile the payload exactly and
 round-trips are bit-identical; writes are atomic (write-then-rename).
 """
 from __future__ import annotations
@@ -54,9 +56,6 @@ def save_checkpoint(
         "model": {
             "backbone": dataclasses.asdict(params.cfg),
             "lengths": params.lengths,
-            "weight_sharing": params.weight_sharing,
-            "independent_pe": params.independent_pe,
-            "specialized_ln": params.specialized_ln,
         },
         "parameters": param_entries,
     }
@@ -98,13 +97,8 @@ def load_checkpoint(
             entries = entries + list(opt_section["slots"])
         blocks = [(e["name"], e["offset"], _size(e["shape"])) for e in entries]
         model = manifest["model"]
-        params = FlnParams(
-            BackboneConfig(**model["backbone"]),
-            {k: int(v) for k, v in model["lengths"].items()},
-            weight_sharing=model["weight_sharing"],
-            independent_pe=model["independent_pe"],
-            specialized_ln=model["specialized_ln"],
-        )
+        lengths = {k: int(v) for k, v in model["lengths"].items()}
+        params = FlnParams(BackboneConfig(**model["backbone"]), lengths)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc!r}") from exc
     payload = read_payload(bin_path, blocks, f"checkpoint {prefix}")
@@ -114,6 +108,9 @@ def load_checkpoint(
         params.tensors[entry["name"]] = Tensor(
             block.reshape(entry["shape"]).astype(np.float64), requires_grad=True
         )
+    missing = params.missing_tensor()
+    if missing:
+        raise ValueError(f"checkpoint {prefix}: malformed manifest: {missing}")
 
     optimizer = None
     if opt_section:

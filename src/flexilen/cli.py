@@ -17,6 +17,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     FLAT_KEYS,
+    STRATEGIES,
     ConfigError,
     RunConfig,
     build_run_config,
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model with a chosen strategy")
     _add_shared(p_train)
     p_train.add_argument("--data", help="dataset directory (default: generate in memory)")
-    p_train.add_argument("--strategy", choices=["fln", "isolated", "mixed", "finetune", "joint"])
+    p_train.add_argument("--strategy", choices=STRATEGIES)
     p_train.add_argument("--length", type=int, help="observation length for strategy=isolated")
     p_train.set_defaults(func=cmd_train)
 

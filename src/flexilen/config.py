@@ -56,7 +56,8 @@ class BranchConfig:
     detach_teacher: bool = True
     weight_sharing: bool = True       # WS ablation off -> per-branch backbone copies
     temporal_distillation: bool = True  # TD ablation off -> per-branch NLL instead of KL
-    independent_pe: bool = True       # IPE ablation off -> one shared PE table
+    independent_pe: bool = True       # IPE ablation off -> one shared PE table;
+                                      # acts only with pe_kind=learnable
     specialized_ln: bool = True       # SLN ablation off -> one shared affine per site
 
     def validate(self) -> None:

@@ -327,6 +327,12 @@ def load_dataset(in_dir: str | Path) -> tuple[list[TrajectoryScene], dict]:
         entries = [(e["id"], e["offset"], e["agents"], e["steps"], e["dt"]) for e in manifest["scenes"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"dataset {in_dir}: malformed manifest: {exc!r}") from exc
+    for scene_id, *counts, _ in entries:
+        if any(type(count) is not int for count in counts):  # a bool is not a count either
+            raise ValueError(
+                f"dataset {in_dir}: malformed manifest: scene {scene_id!r} needs integer"
+                f" offset, agents and steps, got {counts}"
+            )
     blocks = [(scene_id, offset, agents * steps * 2) for scene_id, offset, agents, steps, _ in entries]
     payload = read_payload(in_dir / "dataset.bin", blocks, f"dataset {in_dir}")
     scenes = []

@@ -328,7 +328,7 @@ def train_isolated(
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
-    params = bb.init_single_params(cfg.backbone, h_train, cfg.seed)
+    params = bb.init_params(cfg.backbone, {"L": h_train}, cfg.seed)
     return params, _epochs(
         TrainLog("isolated"), params, prepare_scenes(split.train, normalizer),
         _single_loss(params, lambda batch: h_train),
@@ -348,7 +348,7 @@ def train_mixed(
     (renormalized) probabilities rho."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
     h_long = cfg.branches.h_long
-    params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
+    params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     candidates = [cfg.branches.h_short, cfg.branches.h_medium, h_long]
     probs = np.asarray((cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long))
     probs = probs / probs.sum()
@@ -376,7 +376,7 @@ def train_finetune(
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
     windows = prepare_scenes(split.train, normalizer)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
-    params = bb.init_single_params(cfg.backbone, h_long, cfg.seed)
+    params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
         TrainLog("finetune"), params, windows, _single_loss(params, lambda batch: h_long),
@@ -420,7 +420,7 @@ def train_joint(
     out: dict[int, tuple[FlnParams, TrainLog]] = {}
     for index, h_eval in enumerate(lengths):
         seed = (cfg.seed, 7, index)
-        params = bb.init_single_params(cfg.backbone, cfg.branches.h_long, seed)
+        params = bb.init_params(cfg.backbone, {"L": cfg.branches.h_long}, seed)
         log = _epochs(
             TrainLog("joint"), params, windows, _single_loss(params, lambda batch: batch.obs.shape[-2]),
             lambda p: _val_metrics(p, split.val, [h_eval], normalizer, cfg),

@@ -243,7 +243,7 @@ def test_forward_matches_all_token_encoder_bit_for_bit(layers, activation, pe_ki
     no gradient: every bit equals the encoder that computes all N*H tokens."""
     cfg = replace(TINY, layers=layers, activation=activation, pe_kind=pe_kind)
     if branch == "single":
-        params = _perturbed(bb.init_single_params(cfg, obs_len=4, seed=5), 6)
+        params = _perturbed(bb.init_params(cfg, {"L": 4}, 5), 6)
         h, oracle_branch = 4, None
     else:
         params = _perturbed(_fln_params(cfg, seed=5), 6)
@@ -325,7 +325,7 @@ def test_decode_gradcheck():
 
 
 def test_forward_reduces_to_single_branch_baseline_bit_exactly():
-    single = bb.init_single_params(TINY, obs_len=4, seed=3)
+    single = bb.init_params(TINY, {"L": 4}, 3)
     fln = _fln_params(seed=99)
     # copy shared weights and the L branch's specialized affines from the baseline
     for name, tensor in single.tensors.items():

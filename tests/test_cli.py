@@ -127,25 +127,57 @@ def test_eval_missing_checkpoint_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt", ["unknown_backbone_key", "missing_model"])
+@pytest.mark.parametrize("corrupt", ["unknown_backbone_key", "missing_model", "renamed_parameter"])
 def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
-    from flexilen.backbone import init_single_params
+    from flexilen.backbone import init_params
     from flexilen.checkpoint import save_checkpoint
 
     prefix = tmp_path / "checkpoint"
-    save_checkpoint(prefix, init_single_params(BackboneConfig(d_model=8, heads=2), 3, 0))
+    save_checkpoint(prefix, init_params(BackboneConfig(d_model=8, heads=2), {"L": 3}, 0))
     manifest = json.loads((tmp_path / "checkpoint.json").read_text())
     if corrupt == "unknown_backbone_key":
         manifest["model"]["backbone"]["bogus"] = 1
-    else:
+    elif corrupt == "missing_model":
         del manifest["model"]
+    else:
+        (entry,) = [e for e in manifest["parameters"] if e["name"] == "shared.dec.w2"]
+        entry["name"] = "shared.dec.w2x"
     (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
     code = _run([
         "eval", "--out", str(tmp_path / "e"), "--checkpoint", str(prefix), "--length", "3",
     ])
     assert code == 2
-    assert f"checkpoint {prefix}: malformed manifest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"checkpoint {prefix}: malformed manifest" in err
+    if corrupt == "renamed_parameter":
+        assert "branch L reads a missing tensor 'shared.dec.w2'" in err
     assert not (tmp_path / "e").exists()
+
+
+def test_eval_reads_the_layout_from_the_parameter_names(tmp_path):
+    # an older manifest also stored weight_sharing, independent_pe and
+    # specialized_ln; flipping one of them changes nothing a forward reads
+    out = tmp_path / "fln"
+    assert _run([
+        "train", "--out", str(out), "--strategy", "fln", *TINY_ARGS, "--set", "pe_kind=learnable",
+    ]) == 0
+    prefix = out / "checkpoint"
+    manifest = json.loads((out / "checkpoint.json").read_text())
+    assert sorted(manifest["model"]) == ["backbone", "lengths"]
+    flags = {"weight_sharing": True, "independent_pe": True, "specialized_ln": True}
+    reports = []
+    for flipped in [None, *flags]:
+        manifest["model"].update(flags)
+        if flipped is not None:
+            manifest["model"][flipped] = False
+        (out / "checkpoint.json").write_text(json.dumps(manifest))
+        eval_out = tmp_path / f"eval_{flipped}"
+        code = _run([
+            "eval", "--out", str(eval_out), "--checkpoint", str(prefix), "--length", "3",
+        ])
+        assert code == 0
+        reports.append((eval_out / "metrics.json").read_bytes())
+    assert reports[1:] == reports[:1] * 3
 
 
 @pytest.mark.parametrize("n_scenes", [1, 2])
@@ -169,6 +201,23 @@ def test_train_on_a_dataset_scene_missing_a_key_exits_2(tmp_path, capsys, key):
     code = _run(["train", "--out", str(out), "--data", str(data), *TINY_ARGS])
     assert code == 2
     assert f"dataset {data}: malformed manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value", [("agents", "3"), ("steps", 4.0), ("offset", False)], ids=["str", "float", "bool"]
+)
+def test_train_on_a_dataset_scene_with_a_non_integer_count_exits_2(tmp_path, capsys, key, value):
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), *TINY_ARGS]) == 0
+    manifest = json.loads((data / "dataset.json").read_text())
+    manifest["scenes"][0][key] = value
+    (data / "dataset.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    code = _run(["train", "--out", str(out), "--data", str(data), *TINY_ARGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"dataset {data}: malformed manifest: scene 'syn-000000' needs integer" in err
     assert not out.exists()
 
 

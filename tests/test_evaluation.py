@@ -122,7 +122,7 @@ def eval_setup():
     scenes = generate_synthetic(30, (2, 3), 4, 3, 0.4, seed=0)
     normalizer = Normalizer(horizon=3).fit(scenes)
     params = bb.init_params(TINY, {"S": 2, "M": 3, "L": 4}, 0)
-    single = bb.init_single_params(TINY, 4, 0)
+    single = bb.init_params(TINY, {"L": 4}, 0)
     return scenes, normalizer, params, single
 
 
