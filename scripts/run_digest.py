@@ -11,8 +11,8 @@ length longer than its longest branch (so routed truncation runs), the
 LayerNorm probe, and the positional-encoding probe on the learnable tables
 of a checkpoint and on the default sinusoidal config. Each line hashes that
 run's artifacts: checkpoint payloads and manifests, training logs with the
-wall-clock ``seconds`` column removed, and the sweep, metrics and probe
-reports. A training line also prints, at full precision, each model's
+wall-clock columns (``seconds``, ``val_seconds``) removed, and the sweep,
+metrics and probe reports. A training line also prints, at full precision, each model's
 ``final_total`` and its last epoch's validation ADE at every length, and
 every line is followed by one indented line per artifact with its hash.
 
@@ -48,11 +48,11 @@ import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
-import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from flexilen.cli import main  # noqa: E402
+from rev_tree import extract  # noqa: E402
 
 SEED = 3
 TINY = [
@@ -86,10 +86,13 @@ TRAIN_RUNS = {
 }
 
 
-def _without_seconds(path: Path) -> bytes:
-    """A training log's bytes with the wall-clock column dropped."""
+WALL_CLOCK = ("seconds", "val_seconds")  # training-log columns that time the run
+
+
+def _without_wall_clock(path: Path) -> bytes:
+    """A training log's bytes with every wall-clock column dropped."""
     rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
-    keep = [i for i, name in enumerate(rows[0]) if name != "seconds"]
+    keep = [i for i, name in enumerate(rows[0]) if name not in WALL_CLOCK]
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
@@ -97,7 +100,7 @@ def file_hashes(directory: Path) -> dict[str, str]:
     """SHA-256 of every file in ``directory``, by name, in sorted order."""
     hashes = {}
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
-        data = _without_seconds(path) if path.name.endswith("_log.csv") else path.read_bytes()
+        data = _without_wall_clock(path) if path.name.endswith("_log.csv") else path.read_bytes()
         hashes[path.name] = hashlib.sha256(data).hexdigest()
     return hashes
 
@@ -176,14 +179,7 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
 def start_against(rev: str, tmp: Path) -> subprocess.Popen:
     """Start this script in a subprocess on the ``src/`` of git revision
     ``rev``, extracted under ``tmp``."""
-    repo = Path(__file__).resolve().parent.parent
-    archive = subprocess.run(
-        ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"], capture_output=True
-    )
-    if archive.returncode:
-        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(tmp)
+    extract(rev, tmp, ("src",))
     path = [str(tmp / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve())],

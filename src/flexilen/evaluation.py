@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -59,19 +61,88 @@ def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
     return ade_per_agent, fde_per_agent
 
 
-def _windows(scenes: list[TrajectoryScene], h_eval: int, normalizer: Normalizer):
-    """Each scene in id order with its last ``h_eval`` normalized observed
-    steps and its shift."""
+@dataclass
+class SceneGroup:
+    """Scenes with equal agent count and length, normalized once and stacked.
+
+    ``index`` is each scene's position in scene-id order over the grouped
+    set, increasing within a group; ``scene_ids`` are their ids.
+    """
+
+    obs: np.ndarray       # (B, N, steps, 2) normalized histories
+    shifts: np.ndarray    # (B, 2) the shifts ``Normalizer.inverse`` undoes
+    future_m: np.ndarray  # (B, N, T, 2) futures in meters
+    index: np.ndarray     # (B,)
+    scene_ids: list[str]
+
+
+def by_shape(items: list, obs: Callable[[Any], np.ndarray]) -> list[list]:
+    """``items`` grouped by ``obs(item).shape[:2]`` (agent count, steps),
+    groups in sorted key order and members in input order: stacks the
+    mask-free attention core runs as one forward."""
+    members: dict[tuple[int, int], list] = {}
+    for item in items:
+        members.setdefault(obs(item).shape[:2], []).append(item)
+    return [members[key] for key in sorted(members)]
+
+
+def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[SceneGroup]:
+    """Normalize every scene once and group the scenes by observed shape,
+    groups ordered by (agents, steps)."""
+    entries = []
+    for index, scene in enumerate(sorted(scenes, key=lambda s: s.scene_id)):
+        observed, _, shift = normalizer.transform(scene)
+        entries.append((observed, shift, normalizer.future_m(scene), index, scene.scene_id))
+    groups = []
+    for members in by_shape(entries, lambda entry: entry[0]):
+        observed, shifts, futures, index, ids = zip(*members)
+        groups.append(SceneGroup(
+            np.stack(observed), np.stack(shifts), np.stack(futures), np.array(index), list(ids)
+        ))
+    return groups
+
+
+def _windows(groups: list[SceneGroup], h_eval: int) -> list[np.ndarray]:
+    """Each group's last ``h_eval`` normalized observed steps; the first
+    scene by id with fewer steps is rejected."""
     if h_eval < 1:
         raise ValueError(f"observation length must be >= 1, got {h_eval}")
-    for scene in sorted(scenes, key=lambda s: s.scene_id):
-        observed, _, shift = normalizer.transform(scene)
-        if observed.shape[1] < h_eval:
-            raise ValueError(
-                f"scene {scene.scene_id} has only {observed.shape[1]} observed steps"
-                f" (< {h_eval})"
-            )
-        yield scene, observed[:, -h_eval:, :], shift
+    short = [group for group in groups if group.obs.shape[2] < h_eval]
+    if short:
+        group = min(short, key=lambda g: g.index[0])
+        raise ValueError(
+            f"scene {group.scene_ids[0]} has only {group.obs.shape[2]} observed steps"
+            f" (< {h_eval})"
+        )
+    return [group.obs[..., -h_eval:, :] for group in groups]
+
+
+def _predict(params: FlnParams, obs: np.ndarray):
+    """One forward of a scene or a stack of scenes, and the branch it ran
+    ("-" for single-length models)."""
+    with ad.no_grad():
+        if params.is_single:
+            return bb.forward_single(obs, params), "-"
+        return forward_routed(obs, params)
+
+
+def _agent_errors(pred, k, sampling, seed, shifts, future_m, normalizer: Normalizer):
+    """Per-agent best-of-``k`` ADE and FDE in meters, shaped like the
+    leading axes of ``future_m``: one scene's prediction, or a stack's when
+    ``sampling`` is mode-means."""
+    samples = draw_samples(pred, k, mode=sampling, seed=seed)  # (k, ..., T, 2)
+    samples_m = normalizer.inverse(samples, shifts[..., None, None, :])
+    steps = future_m.shape[-2:]
+    per_ade, per_fde = _per_agent_min_displacement(
+        samples_m.reshape(k, -1, *steps), future_m.reshape(-1, *steps)
+    )
+    agents = future_m.shape[:-2]
+    return per_ade.reshape(agents), per_fde.reshape(agents)
+
+
+def _mean_errors(per_scene: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+    """Mean ADE and FDE over every agent of per-scene errors in id order."""
+    return tuple(float(np.concatenate(values).mean()) for values in zip(*per_scene))
 
 
 def evaluate(
@@ -83,7 +154,8 @@ def evaluate(
     sampling: str = "mode-means",
     seed: int = 0,
 ) -> Metrics:
-    """Aggregate ADE/FDE over a scene set at one observation length.
+    """Aggregate ADE/FDE over a scene set at one observation length, one
+    forward per scene.
 
     Multi-branch models route the length to a branch, which the result
     records; single-length models process it natively. Metrics are computed
@@ -92,33 +164,40 @@ def evaluate(
     """
     if not scenes:
         raise ValueError("no scenes to evaluate")
-    ade_values: list[np.ndarray] = []
-    fde_values: list[np.ndarray] = []
+    groups = group_scenes(scenes, normalizer)
+    per_scene: list = [None] * len(scenes)
     branch = "-"
-    for index, (scene, obs, shift) in enumerate(_windows(scenes, h_eval, normalizer)):
-        with ad.no_grad():
-            if params.is_single:
-                pred = bb.forward_single(obs, params)
-            else:
-                pred, branch = forward_routed(obs, params)
-        sample_seed = None if sampling == "mode-means" else int(
-            np.random.default_rng([seed, 5, index]).integers(2**31)
-        )
-        samples = draw_samples(pred, k, mode=sampling, seed=sample_seed)
-        samples_m = normalizer.inverse(samples, shift)
-        per_ade, per_fde = _per_agent_min_displacement(samples_m, normalizer.future_m(scene))
-        ade_values.append(per_ade)
-        fde_values.append(per_fde)
-    all_ade = np.concatenate(ade_values)
-    all_fde = np.concatenate(fde_values)
+    for group, obs in zip(groups, _windows(groups, h_eval)):
+        for row, index in enumerate(group.index):
+            pred, branch = _predict(params, obs[row])
+            sample_seed = None if sampling == "mode-means" else int(
+                np.random.default_rng([seed, 5, index]).integers(2**31)
+            )
+            per_scene[index] = _agent_errors(
+                pred, k, sampling, sample_seed, group.shifts[row], group.future_m[row], normalizer
+            )
+    ade_m, fde_m = _mean_errors(per_scene)
     return Metrics(
-        ade=float(all_ade.mean()),
-        fde=float(all_fde.mean()),
-        k=k,
-        eval_length=h_eval,
-        scene_count=len(scenes),
-        branch=branch,
+        ade=ade_m, fde=fde_m, k=k, eval_length=h_eval, scene_count=len(scenes), branch=branch
     )
+
+
+def evaluate_groups(
+    params: FlnParams, groups: list[SceneGroup], h_eval: int, k: int, normalizer: Normalizer
+) -> tuple[float, float]:
+    """Mode-means ADE and FDE of grouped scenes at one observation length,
+    one forward per group; equal, bit for bit, to ``evaluate`` on the same
+    scenes when the BLAS computes each GEMM row the same whatever the number
+    of rows."""
+    per_scene: list = [None] * sum(len(group.index) for group in groups)
+    for group, obs in zip(groups, _windows(groups, h_eval)):
+        pred, _ = _predict(params, obs)
+        per_ade, per_fde = _agent_errors(
+            pred, k, "mode-means", None, group.shifts, group.future_m, normalizer
+        )
+        for row, index in enumerate(group.index):
+            per_scene[index] = (per_ade[row], per_fde[row])
+    return _mean_errors(per_scene)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -172,21 +251,30 @@ def ln_statistics_probe(
     a length below every branch is rejected, as ``evaluate`` rejects it) on
     the last ``h_eval`` observed steps, cut to that branch's window.
     """
-    sums: dict[str, np.ndarray] = {}
-    sq_sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
+    if not scenes:
+        raise ValueError("no scenes to probe")
     used_branch = "-" if params.is_single else routed_branch(h_eval, params)
-    for _, obs, _ in _windows(scenes, h_eval, normalizer):
+    groups = group_scenes(scenes, normalizer)
+    captured: list = [None] * len(scenes)  # per scene in id order: site -> (N, H, d)
+    for group, obs in zip(groups, _windows(groups, h_eval)):
         capture: dict[str, list[np.ndarray]] = {}
         with ad.no_grad():
             if params.is_single:
                 bb.forward_single(obs, params, capture=capture)
             else:
                 forward_branch(obs, used_branch, params, capture=capture)
-        for site, values in capture.items():
-            if not site.startswith("enc.") or site.endswith(".weights"):
-                continue
-            arr = values[0][0]  # (N, H, d)
+        sites = {
+            site: values[0]
+            for site, values in capture.items()
+            if site.startswith("enc.") and not site.endswith(".weights")
+        }
+        for row, index in enumerate(group.index):
+            captured[index] = {site: arr[row] for site, arr in sites.items()}
+    sums: dict[str, np.ndarray] = {}
+    sq_sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for scene_sites in captured:  # accumulated scene by scene, in id order
+        for site, arr in scene_sites.items():
             flat = arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)  # (H, N*d)
             sums[site] = sums.get(site, 0.0) + flat.sum(axis=1)
             sq_sums[site] = sq_sums.get(site, 0.0) + (flat * flat).sum(axis=1)

@@ -268,27 +268,31 @@ def draw_samples(
     """Trajectory samples (k_eval, N, T, 2) for best-of-K evaluation.
 
     ``mode-means`` returns per-mode mean trajectories ordered by descending
-    mode weight (requires k_eval <= K). ``stochastic`` draws a mode index per
-    sample and agent, then Gaussian noise; reproducible under ``seed``.
+    mode weight (requires k_eval <= K); it also takes predictions with more
+    leading axes, (..., T, K, 2) -> (k_eval, ..., T, 2), such as a stack of
+    scenes. ``stochastic`` draws a mode index per sample and agent, then
+    Gaussian noise, for one unbatched (N, T, K, 2) prediction; reproducible
+    under ``seed``.
     """
     means = pred.means.data
     scales = pred.scales.data
-    if means.ndim != 4:
-        raise ValueError("draw_samples expects an unbatched (N, T, K, 2) prediction")
-    n_agents, horizon, n_modes, _ = means.shape
     logits = pred.logits.data
     weights = np.exp(logits - logits.max(-1, keepdims=True))
     weights = weights / weights.sum(-1, keepdims=True)
 
     if mode == "mode-means":
+        n_modes = means.shape[-2]
         if k_eval > n_modes:
             raise ValueError(f"mode-means needs k_eval <= {n_modes}, got {k_eval}")
-        order = np.argsort(-weights, axis=-1, kind="stable")  # (N, K)
-        idx = order[:, None, :, None]
-        reordered = np.take_along_axis(means, np.broadcast_to(idx, means.shape), axis=2)
-        return np.moveaxis(reordered, 2, 0)[:k_eval].copy()
+        order = np.argsort(-weights, axis=-1, kind="stable")  # (..., K)
+        idx = order[..., None, :, None]
+        reordered = np.take_along_axis(means, np.broadcast_to(idx, means.shape), axis=-2)
+        return np.moveaxis(reordered, -2, 0)[:k_eval].copy()
 
     if mode == "stochastic":
+        if means.ndim != 4:
+            raise ValueError("stochastic draw_samples expects an unbatched (N, T, K, 2) prediction")
+        n_agents, horizon, n_modes, _ = means.shape
         rng = np.random.default_rng(seed)
         cum = np.cumsum(weights, axis=-1)
         samples = np.empty((k_eval, n_agents, horizon, 2))

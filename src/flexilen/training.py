@@ -16,6 +16,15 @@ finetune runs the loop twice on one model, log, optimizer and shuffle stream
 and stops the second run on its validation plateau; joint runs it once per
 model, with the hook its ``epoch_hook`` factory returns for that model.
 
+Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
+val scenes by id, normalized and grouped by agent count and length, like
+the training batches. Per-epoch validation (``_val_metrics``) then runs one
+forward per group and length and gives the same ADE/FDE, bit for bit, as
+``evaluation.evaluate`` on those scenes, as long as the BLAS computes each
+GEMM row the same whatever the number of rows. ``evaluate``, which ``eval`` and
+``sweep`` use, stays at one forward per scene: the benchmark's traced
+``eval_sweep`` run checks routing by counting one routed call per scene.
+
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,
 lr * 0.5 * (1 + cos(pi * step / total_steps)), where total_steps is epochs
@@ -46,7 +55,7 @@ from .autodiff import Tensor, backward, zero_grad
 from .backbone import FlnParams
 from .config import RunConfig
 from .data import DatasetSplit, Normalizer, TrajectoryScene
-from .evaluation import evaluate
+from .evaluation import SceneGroup, by_shape, evaluate_groups, group_scenes
 from .fln import fln_loss
 from .mixture import nll
 
@@ -118,12 +127,8 @@ def _make_batches(
 ) -> list[Window]:
     """Group windows with equal agent count and length into shuffled batches;
     the attention core stays mask-free."""
-    groups: dict[tuple[int, int], list[Window]] = {}
-    for window in windows:
-        groups.setdefault(window.obs.shape[:2], []).append(window)
     batches: list[Window] = []
-    for key in sorted(groups):
-        members = groups[key]
+    for members in by_shape(windows, lambda window: window.obs):
         order = rng.permutation(len(members))
         for start in range(0, len(members), batch_size):
             chunk = [members[i] for i in order[start : start + batch_size]]
@@ -143,7 +148,8 @@ class EpochRecord:
     total: float
     reg: float
     kl: float
-    seconds: float
+    seconds: float      # the whole epoch, validation included
+    val_seconds: float  # validation alone
     val: dict[int, tuple[float, float]] = field(default_factory=dict)
 
 
@@ -156,7 +162,7 @@ class TrainLog:
         lengths = sorted({h for record in self.records for h in record.val})
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            header = ["epoch", "total", "reg", "kl", "seconds"]
+            header = ["epoch", "total", "reg", "kl", "seconds", "val_seconds"]
             for h in lengths:
                 header += [f"val_ade@{h}", f"val_fde@{h}"]
             writer.writerow(header)
@@ -167,6 +173,7 @@ class TrainLog:
                     f"{record.reg:.12g}",
                     f"{record.kl:.12g}",
                     f"{record.seconds:.3f}",
+                    f"{record.val_seconds:.3f}",
                 ]
                 for h in lengths:
                     ade_fde = record.val.get(h)
@@ -191,24 +198,33 @@ class TrainLog:
 # ------------------------------------------------------------ shared helpers
 
 
-def _val_metrics(
-    params: FlnParams,
-    val_scenes: list[TrajectoryScene],
-    lengths: list[int],
-    normalizer: Normalizer,
-    cfg: RunConfig,
-) -> dict[int, tuple[float, float]]:
-    if not val_scenes:
-        return {}
-    subset = sorted(val_scenes, key=lambda s: s.scene_id)[:VAL_SCENE_CAP]
+@dataclass
+class ValSet:
+    """A run's per-epoch validation scenes: the first ``VAL_SCENE_CAP`` val
+    scenes by id, normalized and grouped by agent count and length once, and
+    the ``k`` mode means each agent is scored with."""
+
+    groups: list[SceneGroup]
+    k: int
+    normalizer: Normalizer
+
+
+def val_set(split: DatasetSplit, normalizer: Normalizer, cfg: RunConfig) -> ValSet:
+    subset = sorted(split.val, key=lambda s: s.scene_id)[:VAL_SCENE_CAP]
     # validation always draws mode means, whatever cfg.eval.sampling is, so
     # it can take at most one sample per mode
     k = min(cfg.eval.samples, cfg.backbone.modes)
-    out = {}
-    for h in lengths:
-        metrics = evaluate(params, subset, h, k, normalizer, sampling="mode-means")
-        out[h] = (metrics.ade, metrics.fde)
-    return out
+    return ValSet(group_scenes(subset, normalizer), k, normalizer)
+
+
+def _val_metrics(
+    params: FlnParams, val: ValSet, lengths: list[int]
+) -> dict[int, tuple[float, float]]:
+    """(ADE, FDE) at each length, one forward per group; ``{}`` for an empty
+    val split."""
+    if not val.groups:
+        return {}
+    return {h: evaluate_groups(params, val.groups, h, val.k, val.normalizer) for h in lengths}
 
 
 def fit_normalizer(split: DatasetSplit, horizon: int) -> Normalizer:
@@ -242,7 +258,8 @@ def _epochs(
     ``loss_fn(batch) -> (total, reg, kl)`` is the only per-strategy part;
     ``total`` is minimized and ``kl`` is None for single-model losses. Each
     pass appends an EpochRecord, with ``validate(params)`` as its val
-    metrics, to ``log``, numbered on from the records already there; then
+    metrics and that call's time as its ``val_seconds``, to ``log``,
+    numbered on from the records already there; then
     ``epoch_hook(params, epoch)`` runs, and the loop ends early once
     ``stop(record)`` is true. With ``anneal`` the rate follows the
     half-cosine over this call's ``epochs`` passes, else it stays constant.
@@ -264,10 +281,13 @@ def _epochs(
             sums[1] += reg.item()
             if kl is not None:
                 sums[2] += kl.item()
+        val_started = time.perf_counter()
         val = validate(params)
+        ended = time.perf_counter()
         n = len(batches)
-        seconds = time.perf_counter() - started
-        record = EpochRecord(epoch, sums[0] / n, sums[1] / n, sums[2] / n, seconds, val)
+        record = EpochRecord(
+            epoch, sums[0] / n, sums[1] / n, sums[2] / n, ended - started, ended - val_started, val
+        )
         log.records.append(record)
         if epoch_hook is not None:
             epoch_hook(params, epoch)
@@ -302,6 +322,7 @@ def train_fln(
     uses it for atomic per-epoch checkpoints)."""
     branches = cfg.branches
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    val = val_set(split, normalizer, cfg)
     params = bb.init_params(
         cfg.backbone,
         branches.lengths,
@@ -313,7 +334,7 @@ def train_fln(
     return params, _epochs(
         TrainLog("fln"), params, prepare_scenes(split.train, normalizer),
         lambda batch: fln_loss(batch.obs, batch.future, params, branches),
-        lambda p: _val_metrics(p, split.val, list(branches.lengths.values()), normalizer, cfg),
+        lambda p: _val_metrics(p, val, list(branches.lengths.values())),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
@@ -328,11 +349,12 @@ def train_isolated(
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    val = val_set(split, normalizer, cfg)
     params = bb.init_params(cfg.backbone, {"L": h_train}, cfg.seed)
     return params, _epochs(
         TrainLog("isolated"), params, prepare_scenes(split.train, normalizer),
         _single_loss(params, lambda batch: h_train),
-        lambda p: _val_metrics(p, split.val, [h_train], normalizer, cfg),
+        lambda p: _val_metrics(p, val, [h_train]),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
@@ -347,6 +369,7 @@ def train_mixed(
     """One model; each iteration trains at a length drawn from the
     (renormalized) probabilities rho."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    val = val_set(split, normalizer, cfg)
     h_long = cfg.branches.h_long
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     candidates = [cfg.branches.h_short, cfg.branches.h_medium, h_long]
@@ -356,7 +379,7 @@ def train_mixed(
     return params, _epochs(
         TrainLog("mixed"), params, prepare_scenes(split.train, normalizer),
         _single_loss(params, lambda batch: candidates[int(length_rng.choice(3, p=probs))]),
-        lambda p: _val_metrics(p, split.val, [h_long], normalizer, cfg),
+        lambda p: _val_metrics(p, val, [h_long]),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
@@ -374,13 +397,14 @@ def train_finetune(
     Both phases share one model, log, optimizer state and shuffle stream, and
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    val = val_set(split, normalizer, cfg)
     windows = prepare_scenes(split.train, normalizer)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
         TrainLog("finetune"), params, windows, _single_loss(params, lambda batch: h_long),
-        lambda p: _val_metrics(p, split.val, [h_long], normalizer, cfg),
+        lambda p: _val_metrics(p, val, [h_long]),
         cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
     )
     pre = copy.deepcopy(params)
@@ -397,7 +421,7 @@ def train_finetune(
 
     _epochs(
         log, params, windows, _single_loss(params, lambda batch: target),
-        lambda p: _val_metrics(p, split.val, [target], normalizer, cfg),
+        lambda p: _val_metrics(p, val, [target]),
         cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
         anneal=False, epoch_hook=epoch_hook, stop=plateau,
     )
@@ -411,6 +435,7 @@ def train_joint(
     length; train one model per evaluation length on the expanded set.
     ``epoch_hook(h_eval)`` returns the epoch hook of that length's model."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    val = val_set(split, normalizer, cfg)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
     windows = [
         Window(p.obs[:, -h:], p.future)
@@ -423,7 +448,7 @@ def train_joint(
         params = bb.init_params(cfg.backbone, {"L": cfg.branches.h_long}, seed)
         log = _epochs(
             TrainLog("joint"), params, windows, _single_loss(params, lambda batch: batch.obs.shape[-2]),
-            lambda p: _val_metrics(p, split.val, [h_eval], normalizer, cfg),
+            lambda p: _val_metrics(p, val, [h_eval]),
             cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
             epoch_hook=None if epoch_hook is None else epoch_hook(h_eval),
         )

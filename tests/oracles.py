@@ -297,3 +297,38 @@ def forward_all_tokens(
     if batched:
         return pred
     return MixturePrediction(pred.means[0], pred.scales[0], pred.logits[0])
+
+
+# ----------------------------------------------------------------------------
+# Per-scene probe. ``evaluation.ln_statistics_probe`` runs one forward per
+# group of equal-shaped scenes; this is its per-scene loop, one forward per
+# scene in id order, kept to check the grouped one bit for bit.
+
+
+def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
+    """``site -> (H, 2)`` per-position mean and std, one forward per scene."""
+    branch = None if params.is_single else route_bruteforce(h_eval, params.lengths)
+    sums, sq_sums, counts = {}, {}, {}
+    for scene in sorted(scenes, key=lambda s: s.scene_id):
+        obs = normalizer.transform(scene)[0][:, -h_eval:, :]
+        capture = {}
+        with ad.no_grad():
+            if branch is None:
+                bb.forward_single(obs, params, capture=capture)
+            else:
+                obs = obs[:, -params.lengths[branch]:, :]
+                bb.forward(obs, branch, params, capture=capture, allow_shorter=True)
+        for site, values in capture.items():
+            if not site.startswith("enc.") or site.endswith(".weights"):
+                continue
+            arr = values[0][0]  # (N, H, d)
+            flat = arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)  # (H, N*d)
+            sums[site] = sums.get(site, 0.0) + flat.sum(axis=1)
+            sq_sums[site] = sq_sums.get(site, 0.0) + (flat * flat).sum(axis=1)
+            counts[site] = counts.get(site, 0) + flat.shape[1]
+    out = {}
+    for site in sums:
+        mean = sums[site] / counts[site]
+        var = np.maximum(sq_sums[site] / counts[site] - mean * mean, 0.0)
+        out[site] = np.stack([mean, np.sqrt(var)], axis=1)
+    return out

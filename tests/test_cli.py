@@ -83,6 +83,10 @@ def test_train_fln_emits_loss_columns(tmp_path):
     with open(out / "checkpoint_log.csv") as handle:
         header = next(csv.reader(handle))
     assert "reg" in header and "kl" in header
+    assert header[4:6] == ["seconds", "val_seconds"]
+    with open(out / "checkpoint_log.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert all(0.0 <= float(r["val_seconds"]) <= float(r["seconds"]) for r in rows)
     summary = json.loads((out / "checkpoint_summary.json").read_text())
     assert summary["strategy"] == "fln"
     assert summary["epochs"] == 2
@@ -631,6 +635,23 @@ def test_probe_ln_below_every_branch_exits_like_eval(trained, tmp_path, capsys):
         assert "observed length 1 is shorter than every branch length (minimum 2)" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+
+def test_probe_ln_on_an_empty_test_split_exits_like_eval(trained, tmp_path, capsys):
+    # 30 scenes at these fractions leave the test split empty
+    split = ["--set", "n_scenes=30", "--set", "train_frac=0.98", "--set", "val_frac=0.015"]
+    for command, message in (
+        (["eval"], "no scenes to evaluate"),
+        (["probe", "ln"], "no scenes to probe"),
+    ):
+        out = tmp_path / command[-1]
+        code = _run([
+            *command, "--out", str(out), "--length", "4", "--checkpoint", str(trained["fln"]),
+            *split,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from flexilen.evaluation import (
     pe_deviation_report,
 )
 
-from oracles import route_bruteforce
+from oracles import ln_statistics_per_scene, route_bruteforce
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 
@@ -223,6 +223,29 @@ def test_ln_probe_rejects_lengths_below_every_branch(eval_setup):
         ln_statistics_probe(params, scenes[:5], 1, normalizer)
     with pytest.raises(ValueError, match="no branch can be fed"):
         evaluate(params, scenes[:5], 1, 2, normalizer)
+
+
+@pytest.mark.parametrize("h_eval", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["fln", "single"])
+def test_ln_probe_equals_the_per_scene_loop_bit_for_bit(kind, h_eval):
+    # 2-4 agents and 5-step histories: several groups, each of several scenes,
+    # and for the FLN model every branch, at and below its window
+    scenes = generate_synthetic(24, (2, 4), 5, 3, 0.4, seed=4)
+    normalizer = Normalizer(horizon=3).fit(scenes)
+    cfg = BackboneConfig(d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3)
+    lengths = {"S": 2, "M": 3, "L": 4} if kind == "fln" else {"L": 4}
+    params = bb.init_params(cfg, lengths, 3)
+    report = ln_statistics_probe(params, scenes, h_eval, normalizer)
+    oracle = ln_statistics_per_scene(params, list(reversed(scenes)), h_eval, normalizer)
+    assert list(report.sites) == list(oracle)
+    for site, stats in oracle.items():
+        assert report.sites[site].tobytes() == stats.tobytes(), site
+
+
+def test_ln_probe_rejects_an_empty_scene_set(eval_setup):
+    _, normalizer, params, _ = eval_setup
+    with pytest.raises(ValueError, match="no scenes to probe"):
+        ln_statistics_probe(params, [], 4, normalizer)
 
 
 def test_ln_report_gap_suffix_aligned():

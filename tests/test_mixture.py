@@ -232,6 +232,32 @@ def test_mode_means_k_eval_limit():
         draw_samples(_random_pred(22, k=2), 3, mode="mode-means")
 
 
+def test_mode_means_of_a_stack_equals_the_per_scene_draws():
+    # (B, N, T, K, 2) -> (k, B, N, T, 2), with tied weights in one scene
+    r = np.random.default_rng(25)
+    b, n, t, k = 4, 3, 5, 3
+    means = r.normal(size=(b, n, t, k, 2))
+    logits = r.normal(size=(b, n, k))
+    logits[1, 0] = 0.5
+    stack = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
+    out = draw_samples(stack, 2, mode="mode-means")
+    per_scene = [
+        draw_samples(MixturePrediction(stack.means[i], stack.scales[i], stack.logits[i]), 2)
+        for i in range(b)
+    ]
+    assert out.shape == (2, b, n, t, 2)
+    assert out.tobytes() == np.stack(per_scene, axis=1).tobytes()
+
+
+def test_stochastic_sampling_rejects_a_stack():
+    r = np.random.default_rng(26)
+    means = r.normal(size=(2, 3, 4, 2, 2))
+    logits = r.normal(size=(2, 3, 2))
+    stack = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
+    with pytest.raises(ValueError, match="unbatched"):
+        draw_samples(stack, 2, mode="stochastic", seed=0)
+
+
 def test_stochastic_degenerate_noise_converges_to_means():
     pred = _random_pred(23, k=1)
     pred.scales.data[:] = 1e-12

@@ -10,9 +10,18 @@ from flexilen.config import (
     RunConfig,
     TrainConfig,
 )
-from flexilen.data import generate_from_config, split_scenes
+from flexilen import backbone as bb
+from flexilen import evaluation
+from flexilen.data import (
+    DatasetSplit,
+    TrajectoryScene,
+    generate_from_config,
+    generate_synthetic,
+    split_scenes,
+)
 from flexilen.fln import fln_loss
 from flexilen.training import (
+    VAL_SCENE_CAP,
     AdamState,
     adam_step,
     cosine_lr,
@@ -21,7 +30,9 @@ from flexilen.training import (
     train_finetune,
     train_isolated,
     train_joint,
+    _val_metrics,
     train_mixed,
+    val_set,
 )
 
 
@@ -303,3 +314,65 @@ def test_joint_seeded_determinism(tiny_split):
     b = train_joint(tiny_split, cfg)
     for h in a:
         assert _params_bytes(a[h][0]) == _params_bytes(b[h][0])
+
+
+# ---------------------------------------------------------------- validation
+
+
+@pytest.fixture(scope="module")
+def val_split():
+    """More val scenes than the cap, with 2-4 agents each, so that validation
+    runs several groups of several scenes."""
+    scenes = generate_synthetic(VAL_SCENE_CAP + 26, (2, 4), 4, 3, 0.4, seed=8)
+    return DatasetSplit(train=scenes[:20], val=scenes[::-1])
+
+
+@pytest.mark.parametrize("kind", ["fln", "single"])
+def test_validation_equals_per_scene_evaluate_bit_for_bit(val_split, kind, monkeypatch):
+    cfg = make_config()
+    normalizer = fit_normalizer(val_split, cfg.data.horizon)
+    lengths = {"S": 2, "M": 3, "L": 4} if kind == "fln" else {"L": 4}
+    params = bb.init_params(cfg.backbone, lengths, 2)
+    capped = sorted(val_split.val, key=lambda s: s.scene_id)[:VAL_SCENE_CAP]
+    expected = {}
+    for h in lengths.values():
+        metrics = evaluation.evaluate(params, capped, h, cfg.eval.samples, normalizer)
+        expected[h] = (metrics.ade, metrics.fde)
+    val = val_set(val_split, normalizer, cfg)
+    assert sum(len(group.index) for group in val.groups) == VAL_SCENE_CAP
+    assert len(val.groups) > 1
+    assert all(len(group.index) > 1 for group in val.groups)
+    forwards = []
+    forward = "forward_single" if kind == "single" else "forward_routed"
+    original = getattr(evaluation if kind == "fln" else evaluation.bb, forward)
+
+    def counted(obs, *args, **kwargs):
+        forwards.append(obs.shape)
+        return original(obs, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation if kind == "fln" else evaluation.bb, forward, counted)
+    got = _val_metrics(params, val, list(lengths.values()))
+    assert got == expected
+    assert len(forwards) == len(val.groups) * len(lengths)  # one forward per group and length
+
+
+def test_validation_of_an_empty_val_split_is_empty(tiny_split):
+    cfg = make_config()
+    normalizer = fit_normalizer(tiny_split, cfg.data.horizon)
+    params = bb.init_params(cfg.backbone, {"S": 2, "M": 3, "L": 4}, 0)
+    empty = DatasetSplit(train=tiny_split.train, val=[])
+    assert _val_metrics(params, val_set(empty, normalizer, cfg), [2, 3, 4]) == {}
+
+
+def test_validation_rejects_a_val_scene_shorter_than_the_length(val_split):
+    cfg = make_config()
+    normalizer = fit_normalizer(val_split, cfg.data.horizon)
+    params = bb.init_params(cfg.backbone, {"L": 4}, 0)
+    first = min(val_split.val, key=lambda s: s.scene_id)
+    short = TrajectoryScene(first.positions[:, 2:], first.dt, "syn-000000a")  # 2 observed steps
+    split = DatasetSplit(train=val_split.train, val=[*val_split.val, short])
+    message = "scene syn-000000a has only 2 observed steps \\(< 3\\)"
+    with pytest.raises(ValueError, match=message):
+        _val_metrics(params, val_set(split, normalizer, cfg), [2, 3])
+    with pytest.raises(ValueError, match=message):
+        evaluation.evaluate(params, split.val, 3, 2, normalizer)
