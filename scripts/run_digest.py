@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per training strategy, plus ``sweep``, ``eval`` and the probes.
+"""Print one SHA-256 per training strategy, plus ``generate``, ``sweep``, ``eval`` and the probes.
 
 Runs ``flexilen.cli.main`` in-process on a tiny seeded dataset, in a
-temporary directory: every training strategy (fln also with its ablation
+temporary directory: the ``generate`` that writes it (its line hashes
+``dataset.json`` and ``dataset.bin``), every training strategy (fln also with its ablation
 switches flipped, so the undetached-teacher and per-branch-NLL paths run,
 and with two encoder layers, so a first layer over every token feeds a last
 layer cut to the decoder's tokens),
@@ -137,8 +138,6 @@ def final_values(directory: Path) -> dict[str, str]:
 def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str, dict[str, str]]]:
     """Every line's hash, each training line's ``final_values``, and every
     line's ``file_hashes`` (a file's path relative to the line's run)."""
-    data = root / "data"
-    _cli(["generate", "--out", str(data), "--seed", str(SEED), *TINY])
     files, values = {}, {}
 
     def record(name: str, *directories: Path) -> None:
@@ -148,6 +147,9 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
             prefix = "" if len(directories) == 1 else f"{directory.name}/"
             files[name].update({prefix + f: h for f, h in file_hashes(directory).items()})
 
+    data = root / "data"
+    _cli(["generate", "--out", str(data), "--seed", str(SEED), *TINY])
+    record("generate", data)
     for name, args in TRAIN_RUNS.items():
         out = root / name
         _cli(["train", "--out", str(out), "--data", str(data), "--seed", str(SEED), *TINY, *args])

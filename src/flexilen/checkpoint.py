@@ -98,8 +98,10 @@ def load_checkpoint(
         blocks = [(e["name"], e["offset"], _size(e["shape"])) for e in entries]
         model = manifest["model"]
         lengths = {k: int(v) for k, v in model["lengths"].items()}
-        params = FlnParams(BackboneConfig(**model["backbone"]), lengths)
-    except (KeyError, TypeError) as exc:
+        backbone = BackboneConfig(**model["backbone"])
+        backbone.validate()
+        params = FlnParams(backbone, lengths)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc!r}") from exc
     payload = read_payload(bin_path, blocks, f"checkpoint {prefix}")
 

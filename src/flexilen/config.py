@@ -35,7 +35,10 @@ class BackboneConfig:
 
     def validate(self) -> None:
         for name in ("d_model", "heads", "layers", "dec_hidden", "modes", "horizon"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float is not a count either
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.heads != 0:
             raise ConfigError("d_model must be divisible by heads")

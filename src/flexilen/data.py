@@ -1,7 +1,12 @@
 """Scene generation, file ingestion, normalization, splits and dataset files.
 
 Synthetic scenes mix constant-velocity, constant-turn-rate, and stop-and-go
-agents with optional process noise and pairwise soft repulsion. Real data is
+agents with optional process noise and pairwise soft repulsion. Generation
+draws every scene's parameters from one seeded stream in scene-id order, so
+a scene's positions depend only on the seed and its index, then simulates
+all scenes of one agent count together, step by step: the same elementwise
+recursion in the same order as one scene alone, so the bytes are the same
+as if each scene were simulated by itself. Real data is
 ingested from the plain-text "frame agent x y" convention. ``Normalizer``
 owns the observed/future split: its ``transform`` cuts a scene into the
 normalized observed history and the normalized future, and every model input
@@ -48,17 +53,30 @@ class TrajectoryScene:
 # ----------------------------------------------------------------- synthesis
 
 
-def _simulate_agents(
-    rng: np.random.Generator,
-    n_agents: int,
-    n_steps: int,
-    dt: float,
-    motion_mix: tuple[float, float, float],
-    noise_sigma: float,
-    repulsion: float,
-) -> np.ndarray:
+def _check_generation_args(
+    n_scenes, agents_range, obs_len, horizon, dt, motion_mix, noise_sigma, repulsion
+) -> None:
+    for name, count in (("n_scenes", n_scenes), ("obs_len", obs_len), ("horizon", horizon)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    lo, hi = agents_range
+    integers = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (lo, hi))
+    if not (integers and 1 <= lo <= hi):
+        raise ValueError(f"agents_range must be integers with 1 <= low <= high, got {tuple(agents_range)}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     mix = np.asarray(motion_mix, dtype=np.float64)
-    mix = mix / mix.sum()
+    if mix.shape != (3,) or not (np.all(mix >= 0) and np.all(np.isfinite(mix)) and mix.sum() > 0):
+        raise ValueError(f"motion_mix must be 3 finite weights >= 0 with a positive sum, got {motion_mix}")
+    for name, value in (("noise_sigma", noise_sigma), ("repulsion", repulsion)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _draw_scene(rng, n_agents, n_steps, mix, noise_sigma):
+    """One scene's parameters, drawn from ``rng`` in the generator's fixed
+    order: kinds, start positions, heading, speed, omega's magnitude and sign,
+    the stop-and-go spans, then the noise."""
     kinds = rng.choice(3, size=n_agents, p=mix)
     pos = rng.uniform(-10.0, 10.0, size=(n_agents, 2))
     heading = rng.uniform(0.0, 2 * np.pi, size=n_agents)
@@ -80,31 +98,44 @@ def _simulate_agents(
             t += span
 
     noise = rng.normal(0.0, noise_sigma, size=(n_steps - 1, n_agents, 2)) if noise_sigma > 0 else None
+    return pos, heading, speed, omega, gate, noise
 
-    out = np.empty((n_agents, n_steps, 2))
-    out[:, 0] = pos
+
+def _simulate(draws: list[tuple], n_steps: int, dt: float, repulsion: float) -> np.ndarray:
+    """Positions (S, N, steps, 2) of S scenes with N agents each, stacked.
+
+    The same elementwise recursion as one scene at a time, in the same
+    operand order, so every scene's bits match its own unstacked run."""
+    pos, heading, speed, omega, gate, noise = zip(*draws)
+    pos, heading, speed, omega, gate = map(np.stack, (pos, heading, speed, omega, gate))
+    noise = None if noise[0] is None else np.stack(noise)
+    n_scenes, n_agents = speed.shape
+    out = np.empty((n_scenes, n_agents, n_steps, 2))
+    out[:, :, 0] = pos
+    straight = omega == 0.0
+    dtheta = omega * dt
+    diagonal = np.arange(n_agents)
     for step in range(1, n_steps):
-        v = speed * gate[:, step]
-        dtheta = omega * dt
+        v = speed * gate[:, :, step]
         # exact arc increment (reduces to a straight step when omega == 0)
-        radius = np.where(omega != 0.0, v / np.where(omega != 0.0, omega, 1.0), 0.0)
-        seg = np.empty((n_agents, 2))
-        straight = omega == 0.0
-        seg[straight, 0] = (v * dt * np.cos(heading))[straight]
-        seg[straight, 1] = (v * dt * np.sin(heading))[straight]
-        curved = ~straight
-        seg[curved, 0] = (radius * (np.sin(heading + dtheta) - np.sin(heading)))[curved]
-        seg[curved, 1] = (radius * (-np.cos(heading + dtheta) + np.cos(heading)))[curved]
+        radius = np.where(~straight, v / np.where(~straight, omega, 1.0), 0.0)
+        seg = np.empty((n_scenes, n_agents, 2))
+        seg[..., 0] = np.where(
+            straight, v * dt * np.cos(heading), radius * (np.sin(heading + dtheta) - np.sin(heading))
+        )
+        seg[..., 1] = np.where(
+            straight, v * dt * np.sin(heading), radius * (-np.cos(heading + dtheta) + np.cos(heading))
+        )
         if repulsion > 0 and n_agents > 1:
-            delta = pos[:, None, :] - pos[None, :, :]
+            delta = pos[:, :, None, :] - pos[:, None, :, :]
             dist_sq = np.sum(delta * delta, axis=-1) + 1e-6
-            np.fill_diagonal(dist_sq, np.inf)
-            seg = seg + repulsion * np.sum(delta / dist_sq[..., None], axis=1) * dt
+            dist_sq[:, diagonal, diagonal] = np.inf
+            seg = seg + repulsion * np.sum(delta / dist_sq[..., None], axis=2) * dt
         pos = pos + seg
         if noise is not None:
-            pos = pos + noise[step - 1]
+            pos = pos + noise[:, step - 1]
         heading = heading + dtheta
-        out[:, step] = pos
+        out[:, :, step] = pos
     return out
 
 
@@ -119,18 +150,35 @@ def generate_synthetic(
     repulsion: float = 0.0,
     seed: int = 0,
 ) -> list[TrajectoryScene]:
-    """Seeded scene synthesis; identical configs produce identical datasets."""
-    if n_scenes < 1 or obs_len < 1 or horizon < 1:
-        raise ValueError("counts must be positive")
+    """Seeded scene synthesis; identical configs produce identical datasets.
+
+    Two phases. The draw phase reads every scene's parameters, in scene-id
+    order, from one ``default_rng([seed, 3])`` stream: the agent count, then
+    everything ``_draw_scene`` draws. The simulate phase stacks the scenes of
+    each agent count and steps them together. A scene's positions therefore
+    depend only on the seed and its index, never on which other scenes share
+    its agent count. The recursion stays one step at a time, not a ``cumsum``
+    of increments: repulsion reads the positions of the step before, and
+    summing in another order would change the last bits of every position.
+    """
+    _check_generation_args(n_scenes, agents_range, obs_len, horizon, dt, motion_mix, noise_sigma, repulsion)
     lo, hi = agents_range
+    mix = np.asarray(motion_mix, dtype=np.float64)
+    mix = mix / mix.sum()
     rng = np.random.default_rng([seed, 3])
     n_steps = obs_len + horizon
-    scenes = []
+    groups: dict[int, list[int]] = {}
+    draws = []
     for index in range(n_scenes):
         n_agents = int(rng.integers(lo, hi + 1))
-        positions = _simulate_agents(rng, n_agents, n_steps, dt, motion_mix, noise_sigma, repulsion)
-        scenes.append(TrajectoryScene(positions, dt, f"syn-{index:06d}"))
-    return scenes
+        groups.setdefault(n_agents, []).append(index)
+        draws.append(_draw_scene(rng, n_agents, n_steps, mix, noise_sigma))
+    positions: list[np.ndarray | None] = [None] * n_scenes
+    for members in groups.values():
+        stacked = _simulate([draws[i] for i in members], n_steps, dt, repulsion)
+        for index, scene_positions in zip(members, stacked):
+            positions[index] = scene_positions
+    return [TrajectoryScene(p, dt, f"syn-{index:06d}") for index, p in enumerate(positions)]
 
 
 def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:

@@ -332,3 +332,84 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
         var = np.maximum(sq_sums[site] / counts[site] - mean * mean, 0.0)
         out[site] = np.stack([mean, np.sqrt(var)], axis=1)
     return out
+
+
+# ----------------------------------------------------------------------------
+# Per-scene simulator. ``data.generate_synthetic`` draws every scene first and
+# then steps all scenes of one agent count together; this is its per-scene
+# loop, each scene drawn and simulated in turn from the same stream, kept to
+# check the stacked one byte for byte.
+
+
+def _simulate_agents(
+    rng: np.random.Generator,
+    n_agents: int,
+    n_steps: int,
+    dt: float,
+    motion_mix: tuple[float, float, float],
+    noise_sigma: float,
+    repulsion: float,
+) -> np.ndarray:
+    mix = np.asarray(motion_mix, dtype=np.float64)
+    mix = mix / mix.sum()
+    kinds = rng.choice(3, size=n_agents, p=mix)
+    pos = rng.uniform(-10.0, 10.0, size=(n_agents, 2))
+    heading = rng.uniform(0.0, 2 * np.pi, size=n_agents)
+    speed = rng.uniform(0.4, 1.6, size=n_agents)
+    omega = np.where(kinds == 1, rng.uniform(0.2, 1.0, size=n_agents) * rng.choice([-1.0, 1.0], size=n_agents), 0.0)
+
+    # stop-and-go phase schedule: speed multiplier per step
+    gate = np.ones((n_agents, n_steps))
+    for agent in range(n_agents):
+        if kinds[agent] != 2:
+            continue
+        t = int(rng.integers(2, 6))
+        stopped = True
+        while t < n_steps:
+            span = int(rng.integers(2, 6)) if stopped else int(rng.integers(3, 8))
+            if stopped:
+                gate[agent, t : t + span] = 0.0
+            stopped = not stopped
+            t += span
+
+    noise = rng.normal(0.0, noise_sigma, size=(n_steps - 1, n_agents, 2)) if noise_sigma > 0 else None
+
+    out = np.empty((n_agents, n_steps, 2))
+    out[:, 0] = pos
+    for step in range(1, n_steps):
+        v = speed * gate[:, step]
+        dtheta = omega * dt
+        # exact arc increment (reduces to a straight step when omega == 0)
+        radius = np.where(omega != 0.0, v / np.where(omega != 0.0, omega, 1.0), 0.0)
+        seg = np.empty((n_agents, 2))
+        straight = omega == 0.0
+        seg[straight, 0] = (v * dt * np.cos(heading))[straight]
+        seg[straight, 1] = (v * dt * np.sin(heading))[straight]
+        curved = ~straight
+        seg[curved, 0] = (radius * (np.sin(heading + dtheta) - np.sin(heading)))[curved]
+        seg[curved, 1] = (radius * (-np.cos(heading + dtheta) + np.cos(heading)))[curved]
+        if repulsion > 0 and n_agents > 1:
+            delta = pos[:, None, :] - pos[None, :, :]
+            dist_sq = np.sum(delta * delta, axis=-1) + 1e-6
+            np.fill_diagonal(dist_sq, np.inf)
+            seg = seg + repulsion * np.sum(delta / dist_sq[..., None], axis=1) * dt
+        pos = pos + seg
+        if noise is not None:
+            pos = pos + noise[step - 1]
+        heading = heading + dtheta
+        out[:, step] = pos
+    return out
+
+
+def generate_per_scene(
+    n_scenes, agents_range, obs_len, horizon, dt, motion_mix, noise_sigma, repulsion, seed
+) -> list[tuple[str, np.ndarray]]:
+    """``(scene_id, positions)`` of every scene, simulated one scene at a time."""
+    lo, hi = agents_range
+    rng = np.random.default_rng([seed, 3])
+    scenes = []
+    for index in range(n_scenes):
+        n_agents = int(rng.integers(lo, hi + 1))
+        positions = _simulate_agents(rng, n_agents, obs_len + horizon, dt, motion_mix, noise_sigma, repulsion)
+        scenes.append((f"syn-{index:06d}", positions))
+    return scenes

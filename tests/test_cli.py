@@ -131,7 +131,17 @@ def test_eval_missing_checkpoint_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt", ["unknown_backbone_key", "missing_model", "renamed_parameter"])
+BAD_BACKBONE_VALUES = {
+    "layers_str": ("layers", "1"),
+    "layers_float": ("layers", 1.0),
+    "heads_bool": ("heads", True),
+    "d_model_0": ("d_model", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt", ["unknown_backbone_key", "missing_model", "renamed_parameter", *BAD_BACKBONE_VALUES]
+)
 def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
     from flexilen.backbone import init_params
     from flexilen.checkpoint import save_checkpoint
@@ -143,6 +153,9 @@ def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
         manifest["model"]["backbone"]["bogus"] = 1
     elif corrupt == "missing_model":
         del manifest["model"]
+    elif corrupt in BAD_BACKBONE_VALUES:
+        key, value = BAD_BACKBONE_VALUES[corrupt]
+        manifest["model"]["backbone"][key] = value
     else:
         (entry,) = [e for e in manifest["parameters"] if e["name"] == "shared.dec.w2"]
         entry["name"] = "shared.dec.w2x"
@@ -155,6 +168,8 @@ def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
     assert f"checkpoint {prefix}: malformed manifest" in err
     if corrupt == "renamed_parameter":
         assert "branch L reads a missing tensor 'shared.dec.w2'" in err
+    if corrupt in BAD_BACKBONE_VALUES:
+        assert BAD_BACKBONE_VALUES[corrupt][0] in err
     assert not (tmp_path / "e").exists()
 
 

@@ -14,6 +14,8 @@ from flexilen.data import (
     split_scenes,
 )
 
+from oracles import generate_per_scene
+
 LENGTHS = {"S": 2, "M": 6, "L": 8}
 
 
@@ -79,6 +81,49 @@ def test_repulsion_pushes_agents_apart():
     plain = generate_synthetic(**base)[0].positions
     pushed = generate_synthetic(**base, repulsion=0.5)[0].positions
     assert not np.allclose(plain, pushed)
+
+
+MIXES = {"cv": (1.0, 0.0, 0.0), "turn": (0.0, 1.0, 0.0), "stop": (0.0, 0.0, 1.0), "mixed": (0.6, 0.25, 0.15)}
+
+
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("obs_len, horizon", [(8, 12), (1, 1)])
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
+@pytest.mark.parametrize("repulsion", [0.0, 0.5])
+@pytest.mark.parametrize("agents_range", [(1, 1), (1, 6), (2, 4), (3, 3)], ids=lambda r: f"{r[0]}-{r[1]}")
+def test_generation_equals_the_per_scene_simulator_byte_for_byte(
+    agents_range, repulsion, noise_sigma, obs_len, horizon, mix
+):
+    for seed in range(3):
+        args = (12, agents_range, obs_len, horizon, 0.4, MIXES[mix], noise_sigma, repulsion, seed)
+        scenes = generate_synthetic(*args)
+        expected = generate_per_scene(*args)
+        assert [s.scene_id for s in scenes] == [scene_id for scene_id, _ in expected]
+        for scene, (_, positions) in zip(scenes, expected):
+            assert scene.positions.tobytes() == positions.tobytes(), (seed, scene.scene_id)
+
+
+@pytest.mark.parametrize(
+    "override, name",
+    [
+        ({"n_scenes": 0}, "n_scenes"),
+        ({"obs_len": 0}, "obs_len"),
+        ({"horizon": 0}, "horizon"),
+        ({"agents_range": (0, 2)}, "agents_range"),
+        ({"agents_range": (3, 2)}, "agents_range"),
+        ({"agents_range": (1.5, 2)}, "agents_range"),
+        ({"dt": 0.0}, "dt"),
+        ({"motion_mix": (0.0, 0.0, 0.0)}, "motion_mix"),
+        ({"motion_mix": (1.0, -0.5, 0.5)}, "motion_mix"),
+        ({"motion_mix": (1.0, 0.0)}, "motion_mix"),
+        ({"noise_sigma": -1.0}, "noise_sigma"),
+        ({"noise_sigma": float("nan")}, "noise_sigma"),
+        ({"repulsion": -1.0}, "repulsion"),
+    ],
+)
+def test_generation_rejects_a_bad_argument_by_name(override, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        _scenes(**override)
 
 
 # ------------------------------------------------------------ observed/future
