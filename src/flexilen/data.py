@@ -73,43 +73,51 @@ def _check_generation_args(
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _draw_scene(rng, n_agents, n_steps, mix, noise_sigma):
-    """One scene's parameters, drawn from ``rng`` in the generator's fixed
-    order: kinds, start positions, heading, speed, omega's magnitude and sign,
-    the stop-and-go spans, then the noise."""
-    kinds = rng.choice(3, size=n_agents, p=mix)
-    pos = rng.uniform(-10.0, 10.0, size=(n_agents, 2))
-    heading = rng.uniform(0.0, 2 * np.pi, size=n_agents)
-    speed = rng.uniform(0.4, 1.6, size=n_agents)
-    omega = np.where(kinds == 1, rng.uniform(0.2, 1.0, size=n_agents) * rng.choice([-1.0, 1.0], size=n_agents), 0.0)
+def _draw_scenes(rng, n_scenes, agents_range, n_steps, mix, noise_sigma):
+    """Every scene's agent count and parameters, drawn from ``rng`` scene by
+    scene in the generator's fixed order: agent count, kinds, start
+    positions, heading, speed, omega's magnitude and sign, the stop-and-go
+    spans, then the noise. Each parameter array is padded to the largest
+    agent count on axis 1; scene i's agents are its first ``counts[i]`` rows."""
+    lo, hi = agents_range
+    counts = np.empty(n_scenes, dtype=np.int64)
+    pos = np.zeros((n_scenes, hi, 2))
+    heading, speed, omega = np.zeros((3, n_scenes, hi))
+    gate = np.ones((n_scenes, hi, n_steps))  # stop-and-go: speed multiplier per step
+    noise = np.zeros((n_scenes, hi, n_steps - 1, 2)) if noise_sigma > 0 else None
+    for index in range(n_scenes):
+        n_agents = int(rng.integers(lo, hi + 1))
+        counts[index] = n_agents
+        kinds = rng.choice(3, size=n_agents, p=mix)
+        pos[index, :n_agents] = rng.uniform(-10.0, 10.0, size=(n_agents, 2))
+        heading[index, :n_agents] = rng.uniform(0.0, 2 * np.pi, size=n_agents)
+        speed[index, :n_agents] = rng.uniform(0.4, 1.6, size=n_agents)
+        turn = rng.uniform(0.2, 1.0, size=n_agents) * rng.choice([-1.0, 1.0], size=n_agents)
+        omega[index, :n_agents] = np.where(kinds == 1, turn, 0.0)
+        for agent in range(n_agents):
+            if kinds[agent] != 2:
+                continue
+            t = int(rng.integers(2, 6))
+            stopped = True
+            while t < n_steps:
+                span = int(rng.integers(2, 6)) if stopped else int(rng.integers(3, 8))
+                if stopped:
+                    gate[index, agent, t : t + span] = 0.0
+                stopped = not stopped
+                t += span
+        if noise is not None:
+            step_noise = rng.normal(0.0, noise_sigma, size=(n_steps - 1, n_agents, 2))
+            noise[index, :n_agents] = step_noise.transpose(1, 0, 2)
+    return counts, pos, heading, speed, omega, gate, noise
 
-    # stop-and-go phase schedule: speed multiplier per step
-    gate = np.ones((n_agents, n_steps))
-    for agent in range(n_agents):
-        if kinds[agent] != 2:
-            continue
-        t = int(rng.integers(2, 6))
-        stopped = True
-        while t < n_steps:
-            span = int(rng.integers(2, 6)) if stopped else int(rng.integers(3, 8))
-            if stopped:
-                gate[agent, t : t + span] = 0.0
-            stopped = not stopped
-            t += span
 
-    noise = rng.normal(0.0, noise_sigma, size=(n_steps - 1, n_agents, 2)) if noise_sigma > 0 else None
-    return pos, heading, speed, omega, gate, noise
-
-
-def _simulate(draws: list[tuple], n_steps: int, dt: float, repulsion: float) -> np.ndarray:
-    """Positions (S, N, steps, 2) of S scenes with N agents each, stacked.
+def _simulate(pos, heading, speed, omega, gate, noise, dt: float, repulsion: float) -> np.ndarray:
+    """Positions (S, N, steps, 2) of S scenes with N agents each, from their
+    stacked parameters (scene axis 0, agent axis 1).
 
     The same elementwise recursion as one scene at a time, in the same
     operand order, so every scene's bits match its own unstacked run."""
-    pos, heading, speed, omega, gate, noise = zip(*draws)
-    pos, heading, speed, omega, gate = map(np.stack, (pos, heading, speed, omega, gate))
-    noise = None if noise[0] is None else np.stack(noise)
-    n_scenes, n_agents = speed.shape
+    n_scenes, n_agents, n_steps = gate.shape
     out = np.empty((n_scenes, n_agents, n_steps, 2))
     out[:, :, 0] = pos
     straight = omega == 0.0
@@ -133,7 +141,7 @@ def _simulate(draws: list[tuple], n_steps: int, dt: float, repulsion: float) -> 
             seg = seg + repulsion * np.sum(delta / dist_sq[..., None], axis=2) * dt
         pos = pos + seg
         if noise is not None:
-            pos = pos + noise[:, step - 1]
+            pos = pos + noise[:, :, step - 1]
         heading = heading + dtheta
         out[:, :, step] = pos
     return out
@@ -153,30 +161,24 @@ def generate_synthetic(
     """Seeded scene synthesis; identical configs produce identical datasets.
 
     Two phases. The draw phase reads every scene's parameters, in scene-id
-    order, from one ``default_rng([seed, 3])`` stream: the agent count, then
-    everything ``_draw_scene`` draws. The simulate phase stacks the scenes of
-    each agent count and steps them together. A scene's positions therefore
-    depend only on the seed and its index, never on which other scenes share
-    its agent count. The recursion stays one step at a time, not a ``cumsum``
-    of increments: repulsion reads the positions of the step before, and
-    summing in another order would change the last bits of every position.
+    order, from one ``default_rng([seed, 3])`` stream (``_draw_scenes``).
+    The simulate phase stacks the scenes of each agent count and steps them
+    together. A scene's positions therefore depend only on the seed and its
+    index, never on which other scenes share its agent count. The recursion
+    stays one step at a time, not a ``cumsum`` of increments: repulsion reads
+    the positions of the step before, and summing in another order would
+    change the last bits of every position.
     """
     _check_generation_args(n_scenes, agents_range, obs_len, horizon, dt, motion_mix, noise_sigma, repulsion)
-    lo, hi = agents_range
     mix = np.asarray(motion_mix, dtype=np.float64)
     mix = mix / mix.sum()
     rng = np.random.default_rng([seed, 3])
-    n_steps = obs_len + horizon
-    groups: dict[int, list[int]] = {}
-    draws = []
-    for index in range(n_scenes):
-        n_agents = int(rng.integers(lo, hi + 1))
-        groups.setdefault(n_agents, []).append(index)
-        draws.append(_draw_scene(rng, n_agents, n_steps, mix, noise_sigma))
+    counts, *params = _draw_scenes(rng, n_scenes, agents_range, obs_len + horizon, mix, noise_sigma)
     positions: list[np.ndarray | None] = [None] * n_scenes
-    for members in groups.values():
-        stacked = _simulate([draws[i] for i in members], n_steps, dt, repulsion)
-        for index, scene_positions in zip(members, stacked):
+    for n_agents in np.unique(counts):
+        members = np.flatnonzero(counts == n_agents)
+        group = [None if p is None else p[members, :n_agents] for p in params]
+        for index, scene_positions in zip(members, _simulate(*group, dt, repulsion)):
             positions[index] = scene_positions
     return [TrajectoryScene(p, dt, f"syn-{index:06d}") for index, p in enumerate(positions)]
 
