@@ -83,7 +83,7 @@ def _draw_scenes(rng, n_scenes, agents_range, n_steps, mix, noise_sigma):
     counts = np.empty(n_scenes, dtype=np.int64)
     pos = np.zeros((n_scenes, hi, 2))
     heading, speed, omega = np.zeros((3, n_scenes, hi))
-    gate = np.ones((n_scenes, hi, n_steps))  # stop-and-go: speed multiplier per step
+    moving = np.ones((n_scenes, hi, n_steps), dtype=bool)  # stop-and-go: False while stopped
     noise = np.zeros((n_scenes, hi, n_steps - 1, 2)) if noise_sigma > 0 else None
     for index in range(n_scenes):
         n_agents = int(rng.integers(lo, hi + 1))
@@ -102,29 +102,29 @@ def _draw_scenes(rng, n_scenes, agents_range, n_steps, mix, noise_sigma):
             while t < n_steps:
                 span = int(rng.integers(2, 6)) if stopped else int(rng.integers(3, 8))
                 if stopped:
-                    gate[index, agent, t : t + span] = 0.0
+                    moving[index, agent, t : t + span] = False
                 stopped = not stopped
                 t += span
         if noise is not None:
             step_noise = rng.normal(0.0, noise_sigma, size=(n_steps - 1, n_agents, 2))
             noise[index, :n_agents] = step_noise.transpose(1, 0, 2)
-    return counts, pos, heading, speed, omega, gate, noise
+    return counts, pos, heading, speed, omega, moving, noise
 
 
-def _simulate(pos, heading, speed, omega, gate, noise, dt: float, repulsion: float) -> np.ndarray:
+def _simulate(pos, heading, speed, omega, moving, noise, dt: float, repulsion: float) -> np.ndarray:
     """Positions (S, N, steps, 2) of S scenes with N agents each, from their
     stacked parameters (scene axis 0, agent axis 1).
 
     The same elementwise recursion as one scene at a time, in the same
     operand order, so every scene's bits match its own unstacked run."""
-    n_scenes, n_agents, n_steps = gate.shape
+    n_scenes, n_agents, n_steps = moving.shape
     out = np.empty((n_scenes, n_agents, n_steps, 2))
     out[:, :, 0] = pos
     straight = omega == 0.0
     dtheta = omega * dt
     diagonal = np.arange(n_agents)
     for step in range(1, n_steps):
-        v = speed * gate[:, :, step]
+        v = speed * moving[:, :, step]  # speed * 1.0 or speed * 0.0, as a float gate gives
         # exact arc increment (reduces to a straight step when omega == 0)
         radius = np.where(~straight, v / np.where(~straight, omega, 1.0), 0.0)
         seg = np.empty((n_scenes, n_agents, 2))
