@@ -121,12 +121,13 @@ def _simulate(pos, heading, speed, omega, moving, noise, dt: float, repulsion: f
     out = np.empty((n_scenes, n_agents, n_steps, 2))
     out[:, :, 0] = pos
     straight = omega == 0.0
+    curved = ~straight
     dtheta = omega * dt
     diagonal = np.arange(n_agents)
     for step in range(1, n_steps):
         v = speed * moving[:, :, step]  # speed * 1.0 or speed * 0.0, as a float gate gives
         # exact arc increment (reduces to a straight step when omega == 0)
-        radius = np.where(~straight, v / np.where(~straight, omega, 1.0), 0.0)
+        radius = np.where(curved, v / np.where(curved, omega, 1.0), 0.0)
         seg = np.empty((n_scenes, n_agents, 2))
         seg[..., 0] = np.where(
             straight, v * dt * np.cos(heading), radius * (np.sin(heading + dtheta) - np.sin(heading))
