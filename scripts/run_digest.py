@@ -6,7 +6,8 @@ temporary directory: the ``generate`` that writes it (its line hashes
 ``dataset.json`` and ``dataset.bin``), every training strategy (fln also with its ablation
 switches flipped, so the undetached-teacher and per-branch-NLL paths run,
 and with two encoder layers, so a first layer over every token feeds a last
-layer cut to the decoder's tokens),
+layer cut to the decoder's tokens; isolated also with GELU alone, the one
+path that loads scipy, for ``erf``),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
 length longer than its longest branch (so routed truncation runs), the
 LayerNorm probe, and the positional-encoding probe on the learnable tables
@@ -78,6 +79,7 @@ TRAIN_RUNS = {
     "fln-no-td": ["--strategy", "fln", *NO_TD],
     "fln-2layer": ["--strategy", "fln", "--set", "layers=2"],
     "isolated": ["--strategy", "isolated", "--length", "2"],
+    "isolated-gelu": ["--strategy", "isolated", "--length", "2", "--set", "activation=gelu"],
     "mixed": ["--strategy", "mixed"],
     "finetune": [
         "--strategy", "finetune", "--set", "finetune_target=2",

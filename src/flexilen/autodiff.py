@@ -34,6 +34,11 @@ Two invariants keep seeded results bit-identical while the engine changes:
   hide (an infinite variance normalizes to zeros), so it raises wherever
   the chain raised.
 
+``softplus`` and the decoder's fused scales node share two numpy helpers,
+``softplus_array`` and its derivative ``sigmoid_array``, so that node still
+equals its chain bit for bit. Neither needs scipy: the package imports it
+only in ``gelu``, for ``erf``, on the first call.
+
 ``linear`` takes a 2-D weight and a 1-D bias and flattens its input's
 leading axes into rows, so its chain is reshape, matmul, add, reshape: the
 forward, the input gradient and the weight gradient are one 2-D GEMM each,
@@ -47,7 +52,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, expit
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -109,7 +113,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, whatever its shape."""
+        if self.data.size != 1:
+            raise ValueError(f"item: needs a one-element tensor, got shape {self.data.shape}")
+        return self.data.item()
 
     def numpy(self) -> np.ndarray:
         return self.data
@@ -278,6 +285,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
+    from scipy.special import erf  # only GELU needs scipy, so it loads on first use
+
     # exact erf form; derivative 0.5*(1+erf(x/sqrt2)) + x * pdf(x)
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT_2))
     out = a.data * cdf
@@ -289,9 +298,23 @@ def gelu(a: Tensor) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
+def softplus_array(x: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(x))`` elementwise, as ``max(x, 0) + log1p(exp(-|x|))``:
+    ``exp`` never overflows, and it costs a few times less than
+    ``np.logaddexp(0, x)``, from which it differs by at most a few ulp."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, the derivative of softplus: with
+    ``e = exp(-|x|)``, ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)``
+    below, so ``exp`` never overflows and a tail underflows gradually."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
-    return record(out, (a,), lambda g: (g * expit(a.data),))
+    return record(softplus_array(a.data), (a,), lambda g: (g * sigmoid_array(a.data),))
 
 
 # reductions -------------------------------------------------------------

@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -373,9 +372,9 @@ def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) ->
         core[..., 0:2] + baseline[:, :, :, None, :], (out,), lambda g: to_out(g, slice(0, 2))
     )
     scales = ad.record(
-        np.logaddexp(0.0, raw_scales) + SCALE_FLOOR,
+        ad.softplus_array(raw_scales) + SCALE_FLOOR,
         (out,),
-        lambda g: to_out(g * expit(raw_scales), slice(2, 4)),
+        lambda g: to_out(g * ad.sigmoid_array(raw_scales), slice(2, 4)),
     )
     return MixturePrediction(means, scales, out[:, :, width:])
 

@@ -23,7 +23,7 @@ from .config import (
     TrainConfig,
 )
 from .data import DatasetSplit, Normalizer, generate_from_config, split_scenes
-from .evaluation import evaluate
+from .evaluation import evaluate_groups, group_scenes
 from .training import fit_normalizer, train_fln, train_isolated
 
 
@@ -108,7 +108,9 @@ def run_length_shift_study(
 
     The ``prototype`` rows evaluate the long-length isolated model at the
     shorter lengths (its positional encoding follows the shorter input, which
-    is exactly the shift being measured).
+    is exactly the shift being measured). Test scenes are grouped once per
+    seed and scored by mode-means, one forward per group
+    (``evaluation.evaluate_groups``).
     """
     result = StudyResult(config=base)
     lengths = list(base.branches.lengths.values())
@@ -126,15 +128,16 @@ def run_length_shift_study(
 
         ade: dict[tuple[str, int], float] = {}
         fde: dict[tuple[str, int], float] = {}
+        test_groups = group_scenes(split.test, normalizer)
         for h in lengths:
             for model, params in (
                 ("it", isolated[h]),
                 ("prototype", isolated[h_long]),
                 ("fln", fln_params),
             ):
-                metrics = evaluate(params, split.test, h, base.eval.samples, normalizer)
-                ade[(model, h)] = metrics.ade
-                fde[(model, h)] = metrics.fde
+                ade[(model, h)], fde[(model, h)] = evaluate_groups(
+                    params, test_groups, h, base.eval.samples, normalizer
+                )
         result.seeds.append(
             SeedOutcome(seed, split, normalizer, isolated, fln_params, ade, fde)
         )

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flexilen
 from flexilen.cli import main
 from flexilen.config import BackboneConfig
 from flexilen.evaluation import pe_deviation_report
@@ -690,3 +695,46 @@ def test_probe_rejects_flags_it_does_not_read(trained, tmp_path, capsys, argv, f
     assert code == 2
     assert f"probe {argv[1]} does not take {flags}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SCIPY_MODULES = """
+import contextlib, io, json, sys
+from flexilen.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"failed: {argv}")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(commands: list[list[str]]) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``commands``."""
+    src = str(Path(flexilen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_default_commands_never_load_scipy_and_gelu_does(tmp_path):
+    data, run, gelu = (str(tmp_path / name) for name in ("data", "run", "gelu"))
+    checkpoint = str(tmp_path / "run" / "checkpoint")
+    default = [
+        ["generate", "--out", data, "--seed", "1", *TINY_ARGS],
+        ["train", "--out", run, "--data", data, "--strategy", "fln", *TINY_ARGS],
+        ["eval", "--out", str(tmp_path / "eval"), "--checkpoint", checkpoint, "--data", data,
+         "--length", "3"],
+        ["sweep", "--out", str(tmp_path / "sweep"), "--checkpoint", checkpoint, "--data", data,
+         "--lengths", "2..4"],
+    ]
+    assert _scipy_modules_after(default) == []
+    loaded = _scipy_modules_after([
+        ["train", "--out", gelu, "--data", data, "--strategy", "fln", *TINY_ARGS,
+         "--set", "activation=gelu"],
+    ])
+    assert "scipy.special" in loaded
+    assert (tmp_path / "gelu" / "checkpoint.json").exists()
