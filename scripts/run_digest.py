@@ -9,9 +9,11 @@ and with two encoder layers, so a first layer over every token feeds a last
 layer cut to the decoder's tokens; isolated also with GELU alone, the one
 path that loads scipy, for ``erf``),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
-length longer than its longest branch (so routed truncation runs), the
-LayerNorm probe, and the positional-encoding probe on the learnable tables
-of a checkpoint and on the default sinusoidal config. Each line hashes that
+length longer than its longest branch (so routed truncation runs), an
+evaluation of the isolated checkpoint at a longer length with
+``sampling=stochastic`` (so seeded per-scene draws from a grouped forward
+run), the LayerNorm probe, and the positional-encoding probe on the
+learnable tables of a checkpoint and on the default sinusoidal config. Each line hashes that
 run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock columns (``seconds``, ``val_seconds``) removed, and the sweep,
 metrics and probe reports. A training line also prints, at full precision, each model's
@@ -167,6 +169,10 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
     _cli(["eval", "--out", str(evaluation), "--checkpoint", str(root / "fln" / "checkpoint"),
           "--data", str(data), "--length", "5"])
     record("eval", evaluation)
+    stochastic = root / "eval-stochastic"
+    _cli(["eval", "--out", str(stochastic), "--checkpoint", str(root / "isolated" / "checkpoint"),
+          "--data", str(data), "--length", "4", "--set", "sampling=stochastic"])
+    record("eval-stochastic", stochastic)
     probe = root / "probe_ln"
     _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
           "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])

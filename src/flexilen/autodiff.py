@@ -34,8 +34,9 @@ Two invariants keep seeded results bit-identical while the engine changes:
   hide (an infinite variance normalizes to zeros), so it raises wherever
   the chain raised.
 
-``softplus`` and the decoder's fused scales node share two numpy helpers,
-``softplus_array`` and its derivative ``sigmoid_array``, so that node still
+The decoder's fused scales node computes softplus and its derivative with
+two numpy helpers, ``softplus_array`` and ``sigmoid_array``; the composed
+chain's softplus op (a test oracle) calls the same two, so the node still
 equals its chain bit for bit. Neither needs scipy: the package imports it
 only in ``gelu``, for ``erf``, on the first call.
 
@@ -311,10 +312,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     below, so ``exp`` never overflows and a tail underflows gradually."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
-
-
-def softplus(a: Tensor) -> Tensor:
-    return record(softplus_array(a.data), (a,), lambda g: (g * sigmoid_array(a.data),))
 
 
 # reductions -------------------------------------------------------------

@@ -18,12 +18,14 @@ model, with the hook its ``epoch_hook`` factory returns for that model.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
 val scenes by id, normalized and grouped by agent count and length, like
-the training batches. Per-epoch validation (``_val_metrics``) then runs one
-forward per group and length and gives the same ADE/FDE, bit for bit, as
-``evaluation.evaluate`` on those scenes, as long as the BLAS computes each
-GEMM row the same whatever the number of rows. ``evaluate``, which ``eval`` and
-``sweep`` use, stays at one forward per scene: the benchmark's traced
-``eval_sweep`` run checks routing by counting one routed call per scene.
+the training batches. Per-epoch validation (``_val_metrics``) then runs
+``evaluation.evaluate_groups``, one forward per group and length, and gives
+the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
+computes each GEMM row the same whatever the number of rows.
+``evaluation.evaluate``, which ``eval`` and ``sweep`` use, scores through the
+same core; only a multi-branch model keeps one forward per scene there,
+since the benchmark's traced ``eval_sweep`` run checks routing by counting
+one routed call per scene.
 
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,

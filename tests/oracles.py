@@ -7,7 +7,9 @@ from flexilen import autodiff as ad
 from flexilen import backbone as bb
 from flexilen.autodiff import DomainError, Tensor
 from flexilen.backbone import FlnParams, sinusoidal_pe
-from flexilen.mixture import LOG_2PI, MixturePrediction
+from flexilen.evaluation import Metrics
+from flexilen.fln import forward_routed
+from flexilen.mixture import LOG_2PI, MixturePrediction, draw_samples
 
 
 def route_bruteforce(h_prime: int, lengths: dict[str, int]) -> str:
@@ -52,8 +54,9 @@ def positional_encode(t: int, branch: str, params: FlnParams) -> np.ndarray:
 # (``autodiff.layer_norm``/``linear``/``attention``, the means and scales of
 # ``backbone.mixture_head``, ``mixture.nll``/``kl_distill``); these are the
 # op-by-op chains those nodes replay, kept here so tests can compare forward
-# values and gradients bit for bit. ``matmul`` and ``transpose`` have no
-# caller in the package.
+# values and gradients bit for bit. ``matmul``, ``transpose`` and
+# ``softplus`` have no caller in the package; ``softplus`` runs the scales
+# node's two numpy helpers, ``autodiff.softplus_array`` and ``sigmoid_array``.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -87,6 +90,10 @@ def log(a: Tensor) -> Tensor:
     if (a.data <= 0.0).any():
         raise DomainError("log: input must be strictly positive")
     return ad.record(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def softplus(a: Tensor) -> Tensor:
+    return ad.record(ad.softplus_array(a.data), (a,), lambda g: (g * ad.sigmoid_array(a.data),))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -197,7 +204,7 @@ def mixture_head_composed(
     core = ad.reshape(out[:, :, :width], (batch, n_agents, modes, horizon, 4))
     core = transpose(core, (0, 1, 3, 2, 4))  # (B, N, T, K, 4)
     means = core[:, :, :, :, 0:2] + Tensor(baseline[:, :, :, None, :])
-    scales = ad.softplus(core[:, :, :, :, 2:4]) + bb.SCALE_FLOOR
+    scales = softplus(core[:, :, :, :, 2:4]) + bb.SCALE_FLOOR
     return MixturePrediction(means, scales, out[:, :, width:])
 
 
@@ -332,6 +339,40 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
         var = np.maximum(sq_sums[site] / counts[site] - mean * mean, 0.0)
         out[site] = np.stack([mean, np.sqrt(var)], axis=1)
     return out
+
+
+# ----------------------------------------------------------------------------
+# Per-scene evaluation. ``evaluation.evaluate`` scores a single-length model
+# with one forward per group of equal-shaped scenes, and per-epoch validation
+# does the same for every model; this is the same scoring with one forward
+# per scene in id order, kept to check the grouped one bit for bit.
+
+
+def evaluate_per_scene(
+    params: FlnParams, scenes, h_eval: int, k: int, normalizer,
+    sampling: str = "mode-means", seed: int = 0,
+) -> Metrics:
+    """``evaluation.evaluate``'s metrics, one forward per scene."""
+    per_ade, per_fde, branch = [], [], "-"
+    for index, scene in enumerate(sorted(scenes, key=lambda s: s.scene_id)):
+        observed, _, shift = normalizer.transform(scene)
+        with ad.no_grad():
+            if params.is_single:
+                pred = bb.forward_single(observed[:, -h_eval:, :], params)
+            else:
+                pred, branch = forward_routed(observed[:, -h_eval:, :], params)
+        sample_seed = None if sampling == "mode-means" else int(
+            np.random.default_rng([seed, 5, index]).integers(2**31)
+        )
+        samples = draw_samples(pred, k, mode=sampling, seed=sample_seed)  # (k, N, T, 2)
+        samples_m = normalizer.inverse(samples, shift[None, None, :])
+        disp = np.linalg.norm(samples_m - normalizer.future_m(scene)[None], axis=-1)
+        per_ade.append(disp.mean(axis=-1).min(axis=0))
+        per_fde.append(disp[:, :, -1].min(axis=0))
+    return Metrics(
+        ade=float(np.concatenate(per_ade).mean()), fde=float(np.concatenate(per_fde).mean()),
+        k=k, eval_length=h_eval, scene_count=len(scenes), branch=branch,
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from flexilen.autodiff import Tensor, backward, zero_grad
 
 from fdutil import assert_grad_close, finite_difference
 import oracles
-from oracles import exp, log, logsumexp, reduce_max, softmax, sqrt
+from oracles import exp, log, logsumexp, reduce_max, softmax, softplus, sqrt
 
 
 def _rng(seed=0):
@@ -94,7 +94,7 @@ _UNARY_OPS = {
     "relu": (ad.relu, lambda r: r.normal(size=5) + 0.1),
     "gelu": (ad.gelu, lambda r: r.normal(size=5)),
     "sqrt": (sqrt, lambda r: r.uniform(0.1, 5, size=5)),
-    "softplus": (ad.softplus, lambda r: r.normal(size=5)),
+    "softplus": (softplus, lambda r: r.normal(size=5)),
 }
 
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexilen import backbone as bb
+from flexilen import evaluation
 from flexilen.config import BackboneConfig, BranchConfig
 from flexilen.data import Normalizer, generate_synthetic, split_scenes
 from flexilen.evaluation import (
@@ -12,12 +15,13 @@ from flexilen.evaluation import (
     evaluate,
     fde,
     generality_sweep,
+    group_scenes,
     ln_report_gap,
     ln_statistics_probe,
     pe_deviation_report,
 )
 
-from oracles import ln_statistics_per_scene, route_bruteforce
+from oracles import evaluate_per_scene, ln_statistics_per_scene, route_bruteforce
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 
@@ -173,6 +177,93 @@ def test_generality_sweep_routing_matches_oracle(eval_setup):
     for row in rows:
         assert np.isfinite(row.ade) and np.isfinite(row.fde)
         assert row.branch == route_bruteforce(row.eval_length, params.lengths)
+
+
+# ------------------------------------------------------- grouped evaluation
+
+
+@pytest.fixture(scope="module")
+def grouped_setup():
+    """2-4 agents and 5-step histories, so that the scenes fall into several
+    groups of several scenes; TINY single-length models (trained length 4)
+    with sinusoidal and with learnable PE, and a TINY FLN model."""
+    scenes = generate_synthetic(24, (2, 4), 5, 3, 0.4, seed=4)
+    normalizer = Normalizer(horizon=3).fit(scenes)
+    assert all(len(group.index) > 1 for group in group_scenes(scenes, normalizer))
+    learnable = dataclasses.replace(TINY, pe_kind="learnable")
+    models = {
+        "single": bb.init_params(TINY, {"L": 4}, 3),
+        "single-learnable": bb.init_params(learnable, {"L": 4}, 3),
+        "fln": bb.init_params(TINY, {"S": 2, "M": 3, "L": 4}, 3),
+    }
+    return scenes, normalizer, models
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("sampling, k", [("mode-means", 2), ("stochastic", 3)])
+@pytest.mark.parametrize(
+    "model, h_eval",
+    [("single", 2), ("single", 4), ("single", 5), ("single-learnable", 2),
+     ("single-learnable", 4), ("fln", 2), ("fln", 5)],
+)
+def test_evaluate_equals_the_per_scene_loop_bit_for_bit(
+    grouped_setup, model, h_eval, sampling, k, reverse
+):
+    # a single-length model at, below and (sinusoidal PE only) above its
+    # trained length 4; the FLN model's one-scene groups at a branch length
+    # and above every branch
+    scenes, normalizer, models = grouped_setup
+    ordered = list(reversed(scenes)) if reverse else scenes
+    got = evaluate(models[model], ordered, h_eval, k, normalizer, sampling, seed=7)
+    assert got == evaluate_per_scene(models[model], ordered, h_eval, k, normalizer, sampling, 7)
+
+
+def _counting(calls: list, function):
+    def counted(obs, *args, **kwargs):
+        result = function(obs, *args, **kwargs)
+        calls.append((obs.shape, result[1] if isinstance(result, tuple) else "-"))
+        return result
+
+    return counted
+
+
+def test_evaluate_routes_one_scene_per_call_and_the_sweep_evaluates_once_per_length(
+    grouped_setup, monkeypatch
+):
+    # the benchmark's traced eval_sweep checks routing by counting
+    # forward_routed calls, so a routed model keeps one per scene
+    scenes, normalizer, models = grouped_setup
+    routed, evaluated = [], []
+    monkeypatch.setattr(evaluation, "forward_routed", _counting(routed, evaluation.forward_routed))
+    original = evaluation.evaluate
+
+    def counted_evaluate(params, scenes, h_eval, *args, **kwargs):
+        evaluated.append((len(scenes), h_eval))
+        return original(params, scenes, h_eval, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate", counted_evaluate)
+    lengths = [2, 3, 4, 5]
+    rows = generality_sweep(models["fln"], scenes, lengths, 2, normalizer, "stochastic")
+    assert evaluated == [(len(scenes), h) for h in lengths]
+    assert len(routed) == len(lengths) * len(scenes)
+    for h, row in zip(lengths, rows):
+        calls = routed[:len(scenes)]
+        del routed[:len(scenes)]
+        assert all(shape[0] == 1 and shape[-2] == h for shape, _ in calls)
+        assert {branch for _, branch in calls} == {row.branch}
+        assert row.branch == route_bruteforce(h, models["fln"].lengths)
+
+
+@pytest.mark.parametrize("sampling", ["mode-means", "stochastic"])
+def test_evaluate_runs_a_single_length_model_once_per_group(grouped_setup, sampling, monkeypatch):
+    scenes, normalizer, models = grouped_setup
+    groups = group_scenes(scenes, normalizer)
+    forwards = []
+    monkeypatch.setattr(evaluation.bb, "forward_single", _counting(forwards, bb.forward_single))
+    for h in (2, 4, 5):
+        evaluate(models["single"], scenes, h, 2, normalizer, sampling)
+        assert [shape for shape, _ in forwards] == [(*g.obs.shape[:2], h, 2) for g in groups]
+        forwards.clear()
 
 
 # -------------------------------------------------------------------- probes

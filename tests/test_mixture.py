@@ -282,7 +282,7 @@ def _pred_from(raw: Tensor, n: int, t: int, k: int) -> MixturePrediction:
     tensor, as the decoder's do, so gradients from the three meet again."""
     core = ad.reshape(raw[:, : t * k * 4], (n, t, k, 4))
     means = core[:, :, :, 0:2]
-    scales = ad.softplus(core[:, :, :, 2:4]) + 1e-3
+    scales = oracles.softplus(core[:, :, :, 2:4]) + 1e-3
     return MixturePrediction(means, scales, raw[:, t * k * 4 :])
 
 

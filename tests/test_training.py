@@ -35,6 +35,8 @@ from flexilen.training import (
     val_set,
 )
 
+from oracles import evaluate_per_scene
+
 
 def make_config(**over):
     defaults = dict(
@@ -336,7 +338,7 @@ def test_validation_equals_per_scene_evaluate_bit_for_bit(val_split, kind, monke
     capped = sorted(val_split.val, key=lambda s: s.scene_id)[:VAL_SCENE_CAP]
     expected = {}
     for h in lengths.values():
-        metrics = evaluation.evaluate(params, capped, h, cfg.eval.samples, normalizer)
+        metrics = evaluate_per_scene(params, capped, h, cfg.eval.samples, normalizer)
         expected[h] = (metrics.ade, metrics.fde)
     val = val_set(val_split, normalizer, cfg)
     assert sum(len(group.index) for group in val.groups) == VAL_SCENE_CAP
