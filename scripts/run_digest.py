@@ -12,7 +12,9 @@ a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
 length longer than its longest branch (so routed truncation runs), an
 evaluation of the isolated checkpoint at a longer length with
 ``sampling=stochastic`` (so seeded per-scene draws from a grouped forward
-run), the LayerNorm probe, and the positional-encoding probe on the
+run), the same for the FLN checkpoint at that unseen length (so seeded
+per-scene draws from a group of routed per-scene forwards run), the
+LayerNorm probe, and the positional-encoding probe on the
 learnable tables of a checkpoint and on the default sinusoidal config. Each line hashes that
 run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock columns (``seconds``, ``val_seconds``) removed, and the sweep,
@@ -173,6 +175,10 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
     _cli(["eval", "--out", str(stochastic), "--checkpoint", str(root / "isolated" / "checkpoint"),
           "--data", str(data), "--length", "4", "--set", "sampling=stochastic"])
     record("eval-stochastic", stochastic)
+    fln_stochastic = root / "eval-fln-stochastic"
+    _cli(["eval", "--out", str(fln_stochastic), "--checkpoint", str(root / "fln" / "checkpoint"),
+          "--data", str(data), "--length", "5", "--set", "sampling=stochastic"])
+    record("eval-fln-stochastic", fln_stochastic)
     probe = root / "probe_ln"
     _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
           "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])

@@ -8,16 +8,20 @@ all scenes of one agent count together, step by step: the same elementwise
 recursion in the same order as one scene alone, so the bytes are the same
 as if each scene were simulated by itself. Real data is
 ingested from the plain-text "frame agent x y" convention. ``Normalizer``
-owns the observed/future split: its ``transform`` cuts a scene into the
-normalized observed history and the normalized future, and every model input
-is a suffix ``[..., -H:, :]`` of that history.
+owns the observed/future split: its ``transform`` cuts a scene, or a stack
+of scenes with equal agent count and length, into the normalized observed
+history and the normalized future, and every model input is a suffix
+``[..., -H:, :]`` of that history.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -38,7 +42,11 @@ class TrajectoryScene:
             raise ValueError(f"positions must be (N, steps, 2), got {self.positions.shape}")
         if self.positions.shape[0] < 1:
             raise ValueError("scene needs at least one agent")
-        if not np.all(np.isfinite(self.positions)):
+        # the sum is finite unless a value is NaN or Inf, or large finite
+        # values overflow it; only then is the elementwise test needed
+        if not math.isfinite(np.add.reduce(self.positions, axis=None)) and not np.isfinite(
+            self.positions
+        ).all():
             raise ValueError(f"scene {self.scene_id}: non-finite positions")
 
     @property
@@ -247,38 +255,76 @@ def load_trajnet(path: str | Path, obs_len: int, horizon: int, dt: float = 0.4) 
 # ------------------------------------------------------------- normalization
 
 
+def by_shape(items: list, positions: Callable[[Any], np.ndarray]) -> list[list]:
+    """``items`` grouped by ``positions(item).shape[-3:-1]`` (agent count,
+    steps), groups in sorted key order and members in input order: the
+    stacks that one normalization, or one mask-free attention forward,
+    covers."""
+    members: dict[tuple[int, int], list] = {}
+    for item in items:
+        members.setdefault(positions(item).shape[-3:-1], []).append(item)
+    return [members[key] for key in sorted(members)]
+
+
+def stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(index, positions)`` per ``by_shape`` group of ``scenes``: the
+    members' indices into ``scenes``, increasing, and their positions
+    stacked (B, N, steps, 2)."""
+    return [
+        (np.array(members), np.stack([scenes[i].positions for i in members]))
+        for members in by_shape(list(range(len(scenes))), lambda i: scenes[i].positions)
+    ]
+
+
 @dataclass
 class Normalizer:
     """The observed/future split of a scene, plus per-scene translation to the
     centroid's last observed position and a global scale fit on the training
-    split only."""
+    split only.
+
+    ``transform``, ``future_m`` and the shift work on a positions array of
+    any leading shape, (..., N, steps, 2): one scene, or a stack of scenes
+    with equal agent count and length, normalized in one call."""
 
     horizon: int
     scale: float | None = None
 
-    def _shift(self, scene: TrajectoryScene) -> np.ndarray:
-        return scene.positions[:, -self.horizon - 1, :].mean(axis=0)
+    def _shift(self, positions: np.ndarray) -> np.ndarray:
+        """(..., 2): the agents' mean position at the last observed step."""
+        return positions[..., -self.horizon - 1, :].mean(axis=-2)
 
     def fit(self, scenes: list[TrajectoryScene]) -> "Normalizer":
+        """The scale: the std of every scene's shifted positions. Each stack
+        of equal-shaped scenes is shifted in one call, and each scene's
+        values are written at its own offset in the flat sample, so the sum
+        runs over the scenes in the order given."""
         if not scenes:
             raise ValueError("the train split is empty: no scene to fit the normalizer on")
-        flat = np.concatenate([(s.positions - self._shift(s)).reshape(-1) for s in scenes])
+        offsets = np.cumsum([0] + [scene.positions.size for scene in scenes])
+        flat = np.empty(offsets[-1])
+        for index, positions in stack_by_shape(scenes):
+            shifted = positions - self._shift(positions)[..., None, None, :]
+            at = offsets[index][:, None] + np.arange(shifted[0].size)
+            flat[at.reshape(-1)] = shifted.reshape(-1)
         scale = float(np.std(flat))
         self.scale = scale if scale > 0 else 1.0
         return self
 
-    def transform(self, scene: TrajectoryScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(observed, future, shift)``: the normalized history (N, steps - T,
-        2), the normalized future (N, T, 2), and the shift ``inverse`` undoes."""
+    def transform(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(observed, future, shift)`` of positions (..., N, steps, 2): the
+        normalized history (..., N, steps - T, 2), the normalized future
+        (..., N, T, 2), both views of one array, and the shift (..., 2)
+        ``inverse`` undoes."""
         if self.scale is None:
             raise ValueError("normalizer must be fit before transform")
-        shift = self._shift(scene)
-        positions = (scene.positions - shift) / self.scale
-        return positions[:, : -self.horizon, :], positions[:, -self.horizon :, :], shift
+        shift = self._shift(positions)
+        normalized = (positions - shift[..., None, None, :]) / self.scale
+        return normalized[..., : -self.horizon, :], normalized[..., -self.horizon :, :], shift
 
-    def future_m(self, scene: TrajectoryScene) -> np.ndarray:
-        """The scene's future in meters, the target of ``inverse``d predictions."""
-        return scene.positions[:, -self.horizon :, :]
+    def future_m(self, positions: np.ndarray) -> np.ndarray:
+        """The future (..., N, T, 2) in meters, the target of ``inverse``d
+        predictions."""
+        return positions[..., -self.horizon :, :]
 
     def inverse(self, positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
         if self.scale is None:

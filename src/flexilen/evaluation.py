@@ -7,7 +7,6 @@ import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .backbone import FlnParams
 from .config import BackboneConfig
-from .data import Normalizer, TrajectoryScene
+from .data import Normalizer, TrajectoryScene, stack_by_shape
 from .fln import forward_branch, forward_routed, routed_branch
 from .mixture import MixturePrediction, draw_samples
 
@@ -63,7 +62,8 @@ def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
 
 @dataclass
 class SceneGroup:
-    """Scenes with equal agent count and length, normalized once and stacked.
+    """Scenes with equal agent count and length, stacked and normalized in
+    one call.
 
     ``index`` is each scene's position in scene-id order over the grouped
     set, increasing within a group; ``scene_ids`` are their ids.
@@ -76,28 +76,16 @@ class SceneGroup:
     scene_ids: list[str]
 
 
-def by_shape(items: list, obs: Callable[[Any], np.ndarray]) -> list[list]:
-    """``items`` grouped by ``obs(item).shape[:2]`` (agent count, steps),
-    groups in sorted key order and members in input order: stacks the
-    mask-free attention core runs as one forward."""
-    members: dict[tuple[int, int], list] = {}
-    for item in items:
-        members.setdefault(obs(item).shape[:2], []).append(item)
-    return [members[key] for key in sorted(members)]
-
-
 def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[SceneGroup]:
-    """Normalize every scene once and group the scenes by observed shape,
-    groups ordered by (agents, steps)."""
-    entries = []
-    for index, scene in enumerate(sorted(scenes, key=lambda s: s.scene_id)):
-        observed, _, shift = normalizer.transform(scene)
-        entries.append((observed, shift, normalizer.future_m(scene), index, scene.scene_id))
+    """Stack the scenes of each observed shape and normalize each stack in
+    one call, groups ordered by (agents, steps)."""
+    ordered = sorted(scenes, key=lambda s: s.scene_id)
     groups = []
-    for members in by_shape(entries, lambda entry: entry[0]):
-        observed, shifts, futures, index, ids = zip(*members)
+    for index, positions in stack_by_shape(ordered):
+        observed, _, shifts = normalizer.transform(positions)
         groups.append(SceneGroup(
-            np.stack(observed), np.stack(shifts), np.stack(futures), np.array(index), list(ids)
+            observed, shifts, normalizer.future_m(positions), index,
+            [ordered[i].scene_id for i in index],
         ))
     return groups
 
@@ -120,20 +108,38 @@ def _windows(groups: list[SceneGroup], h_eval: int) -> list[np.ndarray]:
 def _agent_errors(pred, k, sampling, seed, group: SceneGroup, normalizer: Normalizer):
     """Per-agent best-of-``k`` ADE and FDE in meters, (B, N) each, of a
     group's stacked prediction. ``stochastic`` draws each scene from its own
-    rows, seeded from ``default_rng([seed, 5, index])``."""
-    if sampling == "stochastic":
-        samples = np.stack([draw_samples(
-            MixturePrediction(pred.means[row], pred.scales[row], pred.logits[row]), k, sampling,
-            int(np.random.default_rng([seed, 5, index]).integers(2**31)),
-        ) for row, index in enumerate(group.index)], axis=1)
-    else:
-        samples = draw_samples(pred, k, mode=sampling)  # (k, B, N, T, 2)
+    stream, seeded from ``default_rng([seed, 5, index])``."""
+    seeds = None if sampling == "mode-means" else [
+        int(np.random.default_rng([seed, 5, index]).integers(2**31)) for index in group.index
+    ]
+    samples = draw_samples(pred, k, sampling, seeds)  # (k, B, N, T, 2)
     samples_m = normalizer.inverse(samples, group.shifts[:, None, None, :])
     steps = group.future_m.shape[-2:]
     per_ade, per_fde = _per_agent_min_displacement(
         samples_m.reshape(k, -1, *steps), group.future_m.reshape(-1, *steps)
     )
     return per_ade.reshape(group.future_m.shape[:2]), per_fde.reshape(group.future_m.shape[:2])
+
+
+def _forward(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
+    """One forward of a stack of windows: at the model's own length, or
+    through the branch ``forward_routed`` picks."""
+    with ad.no_grad():
+        if params.is_single:
+            return bb.forward_single(obs, params)
+        return forward_routed(obs, params)[0]
+
+
+def _routed_per_scene(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
+    """``_forward`` one scene at a time, joined into one stacked prediction.
+    ``evaluate`` runs a routed model this way, one forward_routed call per
+    scene, because the benchmark checks routing by counting those calls
+    until it counts scenes (ROADMAP item 3)."""
+    preds = [_forward(params, obs[row : row + 1]) for row in range(len(obs))]
+    return MixturePrediction(*(
+        ad.Tensor(np.concatenate([getattr(pred, name).data for pred in preds]))
+        for name in ("means", "scales", "logits")
+    ))
 
 
 def evaluate(
@@ -146,24 +152,20 @@ def evaluate(
     seed: int = 0,
 ) -> Metrics:
     """Aggregate ADE/FDE over a scene set at one observation length, scored
-    by ``evaluate_groups``.
+    by ``evaluate_groups`` one group of equal-shaped scenes at a time.
 
-    Single-length models process the length natively, one forward per group
-    of equal-shaped scenes; multi-branch models route it to a branch, which
-    the result records, one forward per scene. Metrics are computed in
-    denormalized meters and are independent of scene ordering (scenes are
-    sorted by id first).
+    Single-length models process the length natively, one forward per
+    group; multi-branch models route it to a branch, which the result
+    records, one forward per scene, and the group's predictions are joined
+    and scored together. Metrics are computed in denormalized meters and are
+    independent of scene ordering (scenes are sorted by id first).
     """
     if not scenes:
         raise ValueError("no scenes to evaluate")
-    groups = group_scenes(scenes, normalizer)
-    if not params.is_single:
-        # one forward_routed call per scene: the benchmark checks routing by
-        # counting those calls until it counts scenes (ROADMAP item 3)
-        groups = [SceneGroup(g.obs[r:r + 1], g.shifts[r:r + 1], g.future_m[r:r + 1],
-                             g.index[r:r + 1], g.scene_ids[r:r + 1])
-                  for g in groups for r in range(len(g.index))]
-    ade_m, fde_m = evaluate_groups(params, groups, h_eval, k, normalizer, sampling, seed)
+    predict = _forward if params.is_single else _routed_per_scene
+    ade_m, fde_m = evaluate_groups(
+        params, group_scenes(scenes, normalizer), h_eval, k, normalizer, sampling, seed, predict
+    )
     branch = "-" if params.is_single else routed_branch(h_eval, params)
     return Metrics(
         ade=ade_m, fde=fde_m, k=k, eval_length=h_eval, scene_count=len(scenes), branch=branch
@@ -178,19 +180,18 @@ def evaluate_groups(
     normalizer: Normalizer,
     sampling: str = "mode-means",
     seed: int = 0,
+    predict: Callable[[FlnParams, np.ndarray], MixturePrediction] = _forward,
 ) -> tuple[float, float]:
     """ADE and FDE over every agent of grouped scenes at one observation
-    length, one forward per group; equal, bit for bit, to one forward per
-    scene when the BLAS computes each GEMM row the same whatever the number
-    of rows."""
+    length: each group's windows go through ``predict`` (by default one
+    forward per group) and are scored in one pass. Equal, bit for bit, to
+    one forward per scene when the BLAS computes each GEMM row the same
+    whatever the number of rows."""
     per_scene: list = [None] * sum(len(group.index) for group in groups)
     for group, obs in zip(groups, _windows(groups, h_eval)):
-        with ad.no_grad():
-            if params.is_single:
-                pred = bb.forward_single(obs, params)
-            else:
-                pred, _ = forward_routed(obs, params)
-        per_ade, per_fde = _agent_errors(pred, k, sampling, seed, group, normalizer)
+        per_ade, per_fde = _agent_errors(
+            predict(params, obs), k, sampling, seed, group, normalizer
+        )
         for row, index in enumerate(group.index):
             per_scene[index] = (per_ade[row], per_fde[row])
     return tuple(float(np.concatenate(values).mean()) for values in zip(*per_scene))

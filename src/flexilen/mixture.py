@@ -11,6 +11,7 @@ exact because all branches share the decoder that orders the modes.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +264,7 @@ def draw_samples(
     pred: MixturePrediction,
     k_eval: int,
     mode: str = "mode-means",
-    seed: int | None = None,
+    seed: int | Sequence[int] | None = None,
 ) -> np.ndarray:
     """Trajectory samples (k_eval, N, T, 2) for best-of-K evaluation.
 
@@ -271,8 +272,10 @@ def draw_samples(
     mode weight (requires k_eval <= K); it also takes predictions with more
     leading axes, (..., T, K, 2) -> (k_eval, ..., T, 2), such as a stack of
     scenes. ``stochastic`` draws a mode index per sample and agent, then
-    Gaussian noise, for one unbatched (N, T, K, 2) prediction; reproducible
-    under ``seed``.
+    Gaussian noise: for one (N, T, K, 2) prediction from a stream seeded
+    with ``seed``, and for a stack of scenes (B, N, T, K, 2), giving
+    (k_eval, B, N, T, 2), from one stream per scene seeded with ``seed[b]``,
+    so that each scene's samples are those of its own unbatched draw.
     """
     means = pred.means.data
     scales = pred.scales.data
@@ -290,19 +293,29 @@ def draw_samples(
         return np.moveaxis(reordered, -2, 0)[:k_eval].copy()
 
     if mode == "stochastic":
-        if means.ndim != 4:
-            raise ValueError("stochastic draw_samples expects an unbatched (N, T, K, 2) prediction")
-        n_agents, horizon, n_modes, _ = means.shape
-        rng = np.random.default_rng(seed)
+        stacked = means.ndim == 5
+        if means.ndim not in (4, 5) or (stacked and (seed is None or np.isscalar(seed))):
+            raise ValueError(
+                "stochastic draw_samples takes an unbatched (N, T, K, 2) prediction with one"
+                " seed, or a stack (B, N, T, K, 2) with one seed per scene"
+            )
+        if not stacked:
+            means, scales, weights, seed = means[None], scales[None], weights[None], [seed]
+        if len(seed) != means.shape[0]:
+            raise ValueError(f"{means.shape[0]} stacked scenes need as many seeds, got {len(seed)}")
+        n_scenes, n_agents, horizon, n_modes, _ = means.shape
+        rngs = [np.random.default_rng(s) for s in seed]
         cum = np.cumsum(weights, axis=-1)
-        samples = np.empty((k_eval, n_agents, horizon, 2))
+        picked = (n_scenes, n_agents, horizon, 1, 2)
+        samples = np.empty((k_eval, n_scenes, n_agents, horizon, 2))
         for k in range(k_eval):
-            u = rng.random(n_agents)
-            modes = np.minimum((u[:, None] > cum).sum(-1), n_modes - 1)
-            sel = modes[:, None, None, None]
-            mu = np.take_along_axis(means, np.broadcast_to(sel, (n_agents, horizon, 1, 2)), axis=2)[:, :, 0]
-            sd = np.take_along_axis(scales, np.broadcast_to(sel, (n_agents, horizon, 1, 2)), axis=2)[:, :, 0]
-            samples[k] = mu + sd * rng.standard_normal((n_agents, horizon, 2))
-        return samples
+            u = np.stack([rng.random(n_agents) for rng in rngs])  # (B, N)
+            modes = np.minimum((u[..., None] > cum).sum(-1), n_modes - 1)
+            sel = np.broadcast_to(modes[..., None, None, None], picked)
+            mu = np.take_along_axis(means, sel, axis=-2)[..., 0, :]
+            sd = np.take_along_axis(scales, sel, axis=-2)[..., 0, :]
+            noise = np.stack([rng.standard_normal((n_agents, horizon, 2)) for rng in rngs])
+            samples[k] = mu + sd * noise
+        return samples if stacked else samples[:, 0]
 
     raise ValueError(f"unknown sampling mode {mode!r}")

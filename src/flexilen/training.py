@@ -17,15 +17,17 @@ and stops the second run on its validation plateau; joint runs it once per
 model, with the hook its ``epoch_hook`` factory returns for that model.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
-val scenes by id, normalized and grouped by agent count and length, like
-the training batches. Per-epoch validation (``_val_metrics``) then runs
+val scenes by id, stacked by agent count and length and normalized one
+stack per call, like the training windows (``prepare_scenes``).
+Per-epoch validation (``_val_metrics``) then runs
 ``evaluation.evaluate_groups``, one forward per group and length, and gives
 the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
 computes each GEMM row the same whatever the number of rows.
 ``evaluation.evaluate``, which ``eval`` and ``sweep`` use, scores through the
-same core; only a multi-branch model keeps one forward per scene there,
-since the benchmark's traced ``eval_sweep`` run checks routing by counting
-one routed call per scene.
+same core, one group at a time; only a multi-branch model keeps one forward
+per scene there, joined per group before scoring, since the benchmark's
+traced ``eval_sweep`` run checks routing by counting one routed call per
+scene.
 
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,
@@ -56,8 +58,8 @@ from . import backbone as bb
 from .autodiff import Tensor, backward, zero_grad
 from .backbone import FlnParams
 from .config import RunConfig
-from .data import DatasetSplit, Normalizer, TrajectoryScene
-from .evaluation import SceneGroup, by_shape, evaluate_groups, group_scenes
+from .data import DatasetSplit, Normalizer, TrajectoryScene, by_shape, stack_by_shape
+from .evaluation import SceneGroup, evaluate_groups, group_scenes
 from .fln import fln_loss
 from .mixture import nll
 
@@ -118,10 +120,15 @@ class Window:
 
 
 def prepare_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[Window]:
-    return [
-        Window(*normalizer.transform(scene)[:2])
-        for scene in sorted(scenes, key=lambda s: s.scene_id)
-    ]
+    """One window per scene, in scene-id order: views of the stacks that
+    each group of equal-shaped scenes is normalized in, one call a group."""
+    ordered = sorted(scenes, key=lambda s: s.scene_id)
+    windows: list = [None] * len(ordered)
+    for index, positions in stack_by_shape(ordered):
+        observed, future, _ = normalizer.transform(positions)
+        for row, i in enumerate(index):
+            windows[i] = Window(observed[row], future[row])
+    return windows
 
 
 def _make_batches(

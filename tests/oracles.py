@@ -307,6 +307,34 @@ def forward_all_tokens(
 
 
 # ----------------------------------------------------------------------------
+# Per-scene normalization. ``data.Normalizer`` shifts and scales a stack of
+# equal-shaped scenes in one call; this is its formula for one scene, kept to
+# check the stacked one byte for byte.
+
+
+def shift_per_scene(positions: np.ndarray, horizon: int) -> np.ndarray:
+    """The agents' mean position (2,) at the scene's last observed step."""
+    return positions[:, -horizon - 1, :].mean(axis=0)
+
+
+def scale_per_scene(scenes, horizon: int) -> float:
+    """``Normalizer.fit``'s scale: the std of every scene's shifted
+    positions, concatenated scene by scene."""
+    flat = np.concatenate(
+        [(s.positions - shift_per_scene(s.positions, horizon)).reshape(-1) for s in scenes]
+    )
+    scale = float(np.std(flat))
+    return scale if scale > 0 else 1.0
+
+
+def transform_per_scene(positions: np.ndarray, normalizer):
+    """``(observed, future, shift)`` of one scene's positions (N, steps, 2)."""
+    shift = shift_per_scene(positions, normalizer.horizon)
+    normalized = (positions - shift) / normalizer.scale
+    return normalized[:, : -normalizer.horizon, :], normalized[:, -normalizer.horizon :, :], shift
+
+
+# ----------------------------------------------------------------------------
 # Per-scene probe. ``evaluation.ln_statistics_probe`` runs one forward per
 # group of equal-shaped scenes; this is its per-scene loop, one forward per
 # scene in id order, kept to check the grouped one bit for bit.
@@ -317,7 +345,7 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
     branch = None if params.is_single else route_bruteforce(h_eval, params.lengths)
     sums, sq_sums, counts = {}, {}, {}
     for scene in sorted(scenes, key=lambda s: s.scene_id):
-        obs = normalizer.transform(scene)[0][:, -h_eval:, :]
+        obs = transform_per_scene(scene.positions, normalizer)[0][:, -h_eval:, :]
         capture = {}
         with ad.no_grad():
             if branch is None:
@@ -355,7 +383,7 @@ def evaluate_per_scene(
     """``evaluation.evaluate``'s metrics, one forward per scene."""
     per_ade, per_fde, branch = [], [], "-"
     for index, scene in enumerate(sorted(scenes, key=lambda s: s.scene_id)):
-        observed, _, shift = normalizer.transform(scene)
+        observed, _, shift = transform_per_scene(scene.positions, normalizer)
         with ad.no_grad():
             if params.is_single:
                 pred = bb.forward_single(observed[:, -h_eval:, :], params)
@@ -366,7 +394,8 @@ def evaluate_per_scene(
         )
         samples = draw_samples(pred, k, mode=sampling, seed=sample_seed)  # (k, N, T, 2)
         samples_m = normalizer.inverse(samples, shift[None, None, :])
-        disp = np.linalg.norm(samples_m - normalizer.future_m(scene)[None], axis=-1)
+        future_m = scene.positions[:, -normalizer.horizon :, :]
+        disp = np.linalg.norm(samples_m - future_m[None], axis=-1)
         per_ade.append(disp.mean(axis=-1).min(axis=0))
         per_fde.append(disp[:, :, -1].min(axis=0))
     return Metrics(

@@ -13,8 +13,9 @@ from flexilen.data import (
     save_dataset,
     split_scenes,
 )
-
-from oracles import generate_per_scene
+from flexilen.evaluation import group_scenes
+from flexilen.training import prepare_scenes
+from oracles import generate_per_scene, scale_per_scene, transform_per_scene
 
 LENGTHS = {"S": 2, "M": 6, "L": 8}
 
@@ -126,27 +127,46 @@ def test_generation_rejects_a_bad_argument_by_name(override, name):
         _scenes(**override)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scene_with_a_nan_or_an_inf_raises(value):
+    positions = np.zeros((2, 3, 2))
+    positions[1, 2, 0] = value
+    with pytest.raises(ValueError, match="^scene bad: non-finite"):
+        TrajectoryScene(positions, 0.4, "bad")
+
+
+def test_finite_scene_whose_sum_overflows_loads(tmp_path):
+    # the sum-first finiteness check falls back to the elementwise one
+    positions = np.full((2, 3, 2), 1e308)
+    positions[1] = -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(positions.sum())
+        save_dataset(tmp_path, [TrajectoryScene(positions, 0.4, "huge")], {})
+        (scene,), _ = load_dataset(tmp_path)
+    assert scene.positions.tobytes() == positions.tobytes()
+
+
 # ------------------------------------------------------------ observed/future
 
 
 def test_truncation_suffix_identity():
     scene = _scenes(n=1)[0]
     norm = Normalizer(horizon=12).fit([scene])
-    observed, future, shift = norm.transform(scene)
+    observed, future, shift = norm.transform(scene.positions)
     assert observed.shape == (scene.n_agents, 8, 2)
     assert future.shape == (scene.n_agents, 12, 2)
     # the two windows tile the scene: history first, then the shared future
     np.testing.assert_array_equal(
         np.concatenate([observed, future], axis=1), (scene.positions - shift) / norm.scale
     )
-    np.testing.assert_array_equal(norm.future_m(scene), scene.positions[:, 8:, :])
+    np.testing.assert_array_equal(norm.future_m(scene.positions), scene.positions[:, 8:, :])
     x_l, x_s = observed[:, -LENGTHS["L"]:, :], observed[:, -LENGTHS["S"]:, :]
     np.testing.assert_array_equal(x_s, x_l[:, 6:8, :])
 
 
 def test_truncation_honors_short_length_set():
     scene = _scenes(n=1, obs_len=4)[0]
-    observed, future, _ = Normalizer(horizon=12).fit([scene]).transform(scene)
+    observed, future, _ = Normalizer(horizon=12).fit([scene]).transform(scene.positions)
     assert observed.shape[-2] == 4
     assert future.shape[-2] == 12
 
@@ -201,7 +221,7 @@ def test_normalize_round_trip_identity():
     scenes = _scenes(n=5)
     norm = Normalizer(horizon=12).fit(scenes)
     for scene in scenes:
-        observed, future, shift = norm.transform(scene)
+        observed, future, shift = norm.transform(scene.positions)
         restored = norm.inverse(np.concatenate([observed, future], axis=1), shift)
         np.testing.assert_allclose(restored, scene.positions, atol=1e-12)
 
@@ -211,7 +231,7 @@ def test_normalize_train_stats_reused():
     test = _scenes(n=5, seed=2)
     norm = Normalizer(horizon=12).fit(train)
     scale = norm.scale
-    norm.transform(test[0])
+    norm.transform(test[0].positions)
     assert norm.scale == scale
 
 
@@ -220,11 +240,50 @@ def test_zero_centered_scene_untranslated():
     shift0 = scene.positions[:, -13, :].mean(axis=0)
     centered = TrajectoryScene(scene.positions - shift0, scene.dt, scene.scene_id)
     norm = Normalizer(horizon=12).fit([centered])
-    observed, future, shift = norm.transform(centered)
+    observed, future, shift = norm.transform(centered.positions)
     np.testing.assert_allclose(shift, np.zeros(2), atol=1e-12)
     np.testing.assert_allclose(
         np.concatenate([observed, future], axis=1), centered.positions / norm.scale, atol=1e-12
     )
+
+
+def test_stacked_normalization_equals_the_per_scene_formula():
+    # 1-4 agents and two history lengths, given in shuffled order: groups of
+    # several scenes each, normalized as stacks. Each scene is magnified by
+    # its own factor of up to 1e8, so that the order in which fit sums the
+    # scenes shows in the last bits of the scale: summed group by group, or
+    # in id order, the same values give another scale.
+    scenes = _scenes(n=24, agents_range=(1, 4), obs_len=5, horizon=3) + [
+        TrajectoryScene(s.positions, s.dt, "long-" + s.scene_id)
+        for s in _scenes(seed=1, n=16, agents_range=(1, 4), obs_len=7, horizon=3)
+    ]
+    r = np.random.default_rng(10)
+    scenes = [
+        TrajectoryScene(scenes[i].positions * 10 ** r.uniform(0, 8), 0.4, scenes[i].scene_id)
+        for i in r.permutation(len(scenes))
+    ]
+    scale = scale_per_scene(scenes, 3)
+    for other_order in (lambda s: s.positions.shape, lambda s: s.scene_id):
+        assert scale_per_scene(sorted(scenes, key=other_order), 3) != scale
+    norm = Normalizer(horizon=3).fit(scenes)
+    assert np.float64(norm.scale).tobytes() == np.float64(scale).tobytes()
+    by_id = sorted(scenes, key=lambda s: s.scene_id)
+    expected = [transform_per_scene(s.positions, norm) for s in by_id]
+    groups = group_scenes(scenes, norm)
+    assert len(groups) == 8 and all(len(g.index) > 1 for g in groups)
+    assert sorted(i for g in groups for i in g.index) == list(range(len(scenes)))
+    for group in groups:
+        for row, index in enumerate(group.index):
+            observed, _, shift = expected[index]
+            assert group.scene_ids[row] == by_id[index].scene_id
+            assert group.obs[row].tobytes() == observed.tobytes()
+            assert group.shifts[row].tobytes() == shift.tobytes()
+            assert group.future_m[row].tobytes() == by_id[index].positions[:, -3:].tobytes()
+    windows = prepare_scenes(scenes, norm)
+    assert len(windows) == len(scenes)
+    for window, (observed, future, _) in zip(windows, expected):
+        assert window.obs.tobytes() == observed.tobytes()
+        assert window.future.tobytes() == future.tobytes()
 
 
 # -------------------------------------------------------------------- splits

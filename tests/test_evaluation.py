@@ -231,10 +231,19 @@ def test_evaluate_routes_one_scene_per_call_and_the_sweep_evaluates_once_per_len
     grouped_setup, monkeypatch
 ):
     # the benchmark's traced eval_sweep checks routing by counting
-    # forward_routed calls, so a routed model keeps one per scene
+    # forward_routed calls, so a routed model keeps one per scene; the
+    # group's predictions are then drawn from, and scored, together
     scenes, normalizer, models = grouped_setup
-    routed, evaluated = [], []
+    groups = group_scenes(scenes, normalizer)
+    routed, evaluated, drawn = [], [], []
     monkeypatch.setattr(evaluation, "forward_routed", _counting(routed, evaluation.forward_routed))
+    original_draw = evaluation.draw_samples
+
+    def counted_draw(pred, *args, **kwargs):
+        drawn.append(pred.means.shape[:2])
+        return original_draw(pred, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "draw_samples", counted_draw)
     original = evaluation.evaluate
 
     def counted_evaluate(params, scenes, h_eval, *args, **kwargs):
@@ -243,15 +252,19 @@ def test_evaluate_routes_one_scene_per_call_and_the_sweep_evaluates_once_per_len
 
     monkeypatch.setattr(evaluation, "evaluate", counted_evaluate)
     lengths = [2, 3, 4, 5]
-    rows = generality_sweep(models["fln"], scenes, lengths, 2, normalizer, "stochastic")
-    assert evaluated == [(len(scenes), h) for h in lengths]
-    assert len(routed) == len(lengths) * len(scenes)
-    for h, row in zip(lengths, rows):
-        calls = routed[:len(scenes)]
-        del routed[:len(scenes)]
-        assert all(shape[0] == 1 and shape[-2] == h for shape, _ in calls)
-        assert {branch for _, branch in calls} == {row.branch}
-        assert row.branch == route_bruteforce(h, models["fln"].lengths)
+    for sampling in ("stochastic", "mode-means"):
+        rows = generality_sweep(models["fln"], scenes, lengths, 2, normalizer, sampling)
+        assert evaluated == [(len(scenes), h) for h in lengths]
+        assert len(routed) == len(lengths) * len(scenes)
+        assert drawn == [g.obs.shape[:2] for g in groups] * len(lengths)
+        for h, row in zip(lengths, rows):
+            calls = routed[:len(scenes)]
+            del routed[:len(scenes)]
+            assert all(shape[0] == 1 and shape[-2] == h for shape, _ in calls)
+            assert {branch for _, branch in calls} == {row.branch}
+            assert row.branch == route_bruteforce(h, models["fln"].lengths)
+        evaluated.clear()
+        drawn.clear()
 
 
 @pytest.mark.parametrize("sampling", ["mode-means", "stochastic"])

@@ -258,6 +258,28 @@ def test_stochastic_sampling_rejects_a_stack():
         draw_samples(stack, 2, mode="stochastic", seed=0)
 
 
+def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
+    # one stream per scene, seeded with that scene's seed
+    r = np.random.default_rng(27)
+    b, n, t, k = 3, 4, 5, 3
+    means = r.normal(size=(b, n, t, k, 2))
+    scales = r.uniform(0.1, 1.0, size=(b, n, t, k, 2))
+    stack = MixturePrediction(Tensor(means), Tensor(scales), Tensor(r.normal(size=(b, n, k))))
+    seeds = [11, 5, 11]
+    out = draw_samples(stack, 4, mode="stochastic", seed=seeds)
+    per_scene = [
+        draw_samples(
+            MixturePrediction(stack.means[i], stack.scales[i], stack.logits[i]), 4,
+            mode="stochastic", seed=seeds[i],
+        )
+        for i in range(b)
+    ]
+    assert out.shape == (4, b, n, t, 2)
+    assert out.tobytes() == np.stack(per_scene, axis=1).tobytes()
+    with pytest.raises(ValueError, match="3 stacked scenes need as many seeds, got 2"):
+        draw_samples(stack, 4, mode="stochastic", seed=seeds[:2])
+
+
 def test_stochastic_degenerate_noise_converges_to_means():
     pred = _random_pred(23, k=1)
     pred.scales.data[:] = 1e-12

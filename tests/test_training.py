@@ -168,7 +168,7 @@ def test_fln_detached_teacher_step_keeps_teacher_params(tiny_split):
     cfg = make_config()
     norm = fit_normalizer(tiny_split, cfg.data.horizon)
     params, _ = train_fln(tiny_split, cfg, normalizer=norm)
-    observed, future, _ = norm.transform(tiny_split.train[0])
+    observed, future, _ = norm.transform(tiny_split.train[0].positions)
     loss = fln_loss(observed, future, params, cfg.branches)
     zero_grad(params.tensors)
     backward(loss.kl)
