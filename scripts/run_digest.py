@@ -5,9 +5,10 @@ Runs ``flexilen.cli.main`` in-process on a tiny seeded dataset, in a
 temporary directory: the ``generate`` that writes it (its line hashes
 ``dataset.json`` and ``dataset.bin``), every training strategy (fln also with its ablation
 switches flipped, so the undetached-teacher and per-branch-NLL paths run,
-and with two encoder layers, so a first layer over every token feeds a last
-layer cut to the decoder's tokens; isolated also with GELU alone, the one
-path that loads scipy, for ``erf``),
+with two encoder layers, so a first layer over every token feeds a last
+layer cut to the decoder's tokens, and with five scenes a batch, so a
+group's rows split into several batches and end with a short one; isolated
+also with GELU alone, the one path that loads scipy, for ``erf``),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
 length longer than its longest branch (so routed truncation runs), an
 evaluation of the isolated checkpoint at a longer length with
@@ -82,6 +83,7 @@ TRAIN_RUNS = {
     "fln-ablated": ["--strategy", "fln", *ABLATED],
     "fln-no-td": ["--strategy", "fln", *NO_TD],
     "fln-2layer": ["--strategy", "fln", "--set", "layers=2"],
+    "fln-batch5": ["--strategy", "fln", "--set", "batch_size=5"],
     "isolated": ["--strategy", "isolated", "--length", "2"],
     "isolated-gelu": ["--strategy", "isolated", "--length", "2", "--set", "activation=gelu"],
     "mixed": ["--strategy", "mixed"],

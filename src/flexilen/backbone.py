@@ -63,7 +63,7 @@ class FlnParams:
     """
 
     cfg: BackboneConfig
-    lengths: dict[str, int]  # branch id -> observation length, ordered S < M <= L
+    lengths: dict[str, int]  # branch id -> observation length, ordered S < M < L
     tensors: dict[str, Tensor] = field(default_factory=dict)
 
     @property

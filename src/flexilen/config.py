@@ -64,8 +64,8 @@ class BranchConfig:
     specialized_ln: bool = True       # SLN ablation off -> one shared affine per site
 
     def validate(self) -> None:
-        if not (1 <= self.h_short < self.h_medium <= self.h_long):
-            raise ConfigError("branch lengths must satisfy 1 <= h_short < h_medium <= h_long")
+        if not (1 <= self.h_short < self.h_medium < self.h_long):
+            raise ConfigError("branch lengths must satisfy 1 <= h_short < h_medium < h_long")
         if self.lambda_kl < 0:
             raise ConfigError("lambda_kl must be >= 0")
 

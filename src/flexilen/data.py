@@ -1,4 +1,4 @@
-"""Scene generation, file ingestion, normalization, splits and dataset files.
+"""Scene generation, normalization, splits and dataset files.
 
 Synthetic scenes mix constant-velocity, constant-turn-rate, and stop-and-go
 agents with optional process noise and pairwise soft repulsion. Generation
@@ -6,22 +6,19 @@ draws every scene's parameters from one seeded stream in scene-id order, so
 a scene's positions depend only on the seed and its index, then simulates
 all scenes of one agent count together, step by step: the same elementwise
 recursion in the same order as one scene alone, so the bytes are the same
-as if each scene were simulated by itself. Real data is
-ingested from the plain-text "frame agent x y" convention. ``Normalizer``
-owns the observed/future split: its ``transform`` cuts a scene, or a stack
-of scenes with equal agent count and length, into the normalized observed
-history and the normalized future, and every model input is a suffix
-``[..., -H:, :]`` of that history.
+as if each scene were simulated by itself. ``Normalizer`` owns the
+observed/future split: its ``transform`` cuts a scene, or a stack of scenes
+with equal agent count and length (``stack_by_shape``), into the normalized
+observed history and the normalized future, and every model input is a
+suffix ``[..., -H:, :]`` of that history.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -206,73 +203,21 @@ def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
     )
 
 
-# ------------------------------------------------------------------ loading
-
-
-def load_trajnet(path: str | Path, obs_len: int, horizon: int, dt: float = 0.4) -> list[TrajectoryScene]:
-    """Read whitespace rows of ``frame agent x y`` into fixed-length scenes.
-
-    Consecutive frames are chunked into non-overlapping windows of
-    obs_len + horizon; agents present in every frame of a window form one
-    scene, others are skipped.
-    """
-    path = Path(path)
-    rows: dict[float, dict[float, tuple[float, float]]] = {}
-    text = path.read_text(encoding="utf-8")
-    count = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) < 4:
-            raise ValueError(f"{path}:{lineno}: expected 'frame agent x y', got {stripped!r}")
-        try:
-            frame, agent, x, y = (float(p) for p in parts[:4])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-        rows.setdefault(frame, {})[agent] = (x, y)
-        count += 1
-    if count == 0:
-        raise ValueError(f"{path}: empty file")
-
-    frames = sorted(rows)
-    window = obs_len + horizon
-    scenes = []
-    for chunk_index in range(len(frames) // window):
-        chunk = frames[chunk_index * window : (chunk_index + 1) * window]
-        present = set(rows[chunk[0]])
-        for frame in chunk[1:]:
-            present &= set(rows[frame])
-        if not present:
-            continue
-        agents = sorted(present)
-        positions = np.array([[rows[frame][agent] for frame in chunk] for agent in agents])
-        scenes.append(TrajectoryScene(positions, dt, f"{path.stem}-{chunk_index:04d}"))
-    return scenes
-
-
 # ------------------------------------------------------------- normalization
 
 
-def by_shape(items: list, positions: Callable[[Any], np.ndarray]) -> list[list]:
-    """``items`` grouped by ``positions(item).shape[-3:-1]`` (agent count,
-    steps), groups in sorted key order and members in input order: the
-    stacks that one normalization, or one mask-free attention forward,
-    covers."""
-    members: dict[tuple[int, int], list] = {}
-    for item in items:
-        members.setdefault(positions(item).shape[-3:-1], []).append(item)
-    return [members[key] for key in sorted(members)]
-
-
 def stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(index, positions)`` per ``by_shape`` group of ``scenes``: the
-    members' indices into ``scenes``, increasing, and their positions
-    stacked (B, N, steps, 2)."""
+    """``(index, positions)`` per group of ``scenes`` with equal agent count
+    and steps, groups in sorted (agents, steps) order: the members' indices
+    into ``scenes``, increasing, and their positions stacked (B, N, steps,
+    2). One stack is what one normalization, or one mask-free attention
+    forward, covers."""
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, scene in enumerate(scenes):
+        members.setdefault(scene.positions.shape[:2], []).append(i)
     return [
-        (np.array(members), np.stack([scenes[i].positions for i in members]))
-        for members in by_shape(list(range(len(scenes))), lambda i: scenes[i].positions)
+        (np.array(members[key]), np.stack([scenes[i].positions for i in members[key]]))
+        for key in sorted(members)
     ]
 
 

@@ -7,18 +7,20 @@ Strategies:
   finetune  train at the long length, then adapt to a target length
   joint     dataset expanded with every length, one model per eval length
 
-All five run through one loop, ``_epochs``, over ``Window``s: shuffled
-batches of equal agent count and length, one loss, one backward and one Adam
-step per batch; after each pass it appends an EpochRecord to the run's
-TrainLog, calls the epoch hook and asks the ``stop`` rule, both optional. A
-strategy chooses its windows, the per-batch loss and the number of passes;
-finetune runs the loop twice on one model, log, optimizer and shuffle stream
-and stops the second run on its validation plateau; joint runs it once per
-model, with the hook its ``epoch_hook`` factory returns for that model.
+All five run through one loop, ``_epochs``, over the normalized ``Window``
+stacks of ``prepare_scenes``, one per (agent count, steps) group: each batch
+is a shuffled row slice of one stack, with one loss, one backward and one
+Adam step; after each pass it appends an EpochRecord to the run's TrainLog,
+calls the epoch hook and asks the ``stop`` rule, both optional. A strategy
+chooses its stacks, the per-batch loss and the number of passes; finetune
+runs the loop twice on one model, log, optimizer and shuffle stream and
+stops the second run on its validation plateau; joint cuts every stack to
+each of its lengths and runs the loop once per model, with the hook its
+``epoch_hook`` factory returns for that model.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
 val scenes by id, stacked by agent count and length and normalized one
-stack per call, like the training windows (``prepare_scenes``).
+stack per call, like the training stacks (``prepare_scenes``).
 Per-epoch validation (``_val_metrics``) then runs
 ``evaluation.evaluate_groups``, one forward per group and length, and gives
 the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
@@ -58,7 +60,7 @@ from . import backbone as bb
 from .autodiff import Tensor, backward, zero_grad
 from .backbone import FlnParams
 from .config import RunConfig
-from .data import DatasetSplit, Normalizer, TrajectoryScene, by_shape, stack_by_shape
+from .data import DatasetSplit, Normalizer, TrajectoryScene, stack_by_shape
 from .evaluation import SceneGroup, evaluate_groups, group_scenes
 from .fln import fln_loss
 from .mixture import nll
@@ -115,35 +117,32 @@ def cosine_lr(lr: float, step: int, total_steps: int) -> float:
 
 @dataclass
 class Window:
-    obs: np.ndarray     # (N, steps, 2) normalized history; (B, N, steps, 2) batched
-    future: np.ndarray  # (N, T, 2) normalized future; (B, N, T, 2) batched
+    """A stack of normalized windows with equal agent count and length: a
+    ``prepare_scenes`` group, or a batch of its rows."""
+
+    obs: np.ndarray     # (B, N, steps, 2) normalized histories
+    future: np.ndarray  # (B, N, T, 2) normalized futures
 
 
 def prepare_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[Window]:
-    """One window per scene, in scene-id order: views of the stacks that
-    each group of equal-shaped scenes is normalized in, one call a group."""
+    """One stack per (agent count, steps) group of ``scenes``, in sorted
+    group order with rows in scene-id order, each normalized in one call."""
     ordered = sorted(scenes, key=lambda s: s.scene_id)
-    windows: list = [None] * len(ordered)
-    for index, positions in stack_by_shape(ordered):
-        observed, future, _ = normalizer.transform(positions)
-        for row, i in enumerate(index):
-            windows[i] = Window(observed[row], future[row])
-    return windows
+    return [Window(*normalizer.transform(positions)[:2]) for _, positions in stack_by_shape(ordered)]
 
 
 def _make_batches(
-    windows: list[Window], batch_size: int, rng: np.random.Generator
+    stacks: list[Window], batch_size: int, rng: np.random.Generator
 ) -> list[Window]:
-    """Group windows with equal agent count and length into shuffled batches;
-    the attention core stays mask-free."""
+    """Shuffled batches of up to ``batch_size`` rows of one stack, so the
+    attention core stays mask-free: one permutation of each stack's rows,
+    cut into consecutive slices, then one permutation of all batches."""
     batches: list[Window] = []
-    for members in by_shape(windows, lambda window: window.obs):
-        order = rng.permutation(len(members))
-        for start in range(0, len(members), batch_size):
-            chunk = [members[i] for i in order[start : start + batch_size]]
-            batches.append(
-                Window(np.stack([w.obs for w in chunk]), np.stack([w.future for w in chunk]))
-            )
+    for stack in stacks:
+        order = rng.permutation(len(stack.obs))
+        for start in range(0, len(order), batch_size):
+            rows = order[start : start + batch_size]
+            batches.append(Window(stack.obs[rows], stack.future[rows]))
     final_order = rng.permutation(len(batches))
     return [batches[i] for i in final_order]
 
@@ -250,7 +249,7 @@ def _stream(seed: int | tuple, stream: int) -> np.random.Generator:
 def _epochs(
     log: TrainLog,
     params: FlnParams,
-    windows: list[Window],
+    stacks: list[Window],
     loss_fn,
     validate,
     cfg: RunConfig,
@@ -262,7 +261,7 @@ def _epochs(
     stop=None,
 ) -> TrainLog:
     """The training loop of every strategy: up to ``epochs`` shuffled passes
-    over ``windows`` with one Adam step per batch.
+    over the rows of ``stacks`` with one Adam step per batch.
 
     ``loss_fn(batch) -> (total, reg, kl)`` is the only per-strategy part;
     ``total`` is minimized and ``kl`` is None for single-model losses. Each
@@ -277,7 +276,7 @@ def _epochs(
     for epoch in range(len(log.records), len(log.records) + epochs):
         started = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
-        batches = _make_batches(windows, cfg.train.batch_size, shuffle_rng)
+        batches = _make_batches(stacks, cfg.train.batch_size, shuffle_rng)
         total_steps = epochs * len(batches)
         for batch in batches:
             total, reg, kl = loss_fn(batch)
@@ -407,12 +406,12 @@ def train_finetune(
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
     val = val_set(split, normalizer, cfg)
-    windows = prepare_scenes(split.train, normalizer)
+    stacks = prepare_scenes(split.train, normalizer)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
-        TrainLog("finetune"), params, windows, _single_loss(params, lambda batch: h_long),
+        TrainLog("finetune"), params, stacks, _single_loss(params, lambda batch: h_long),
         lambda p: _val_metrics(p, val, [h_long]),
         cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
     )
@@ -429,7 +428,7 @@ def train_finetune(
         return stale >= cfg.train.finetune_patience
 
     _epochs(
-        log, params, windows, _single_loss(params, lambda batch: target),
+        log, params, stacks, _single_loss(params, lambda batch: target),
         lambda p: _val_metrics(p, val, [target]),
         cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
         anneal=False, epoch_hook=epoch_hook, stop=plateau,
@@ -440,15 +439,15 @@ def train_finetune(
 def train_joint(
     split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer | None = None, epoch_hook=None
 ) -> dict[int, tuple[FlnParams, TrainLog]]:
-    """Expand the training set with every length, each window cut to its
-    length; train one model per evaluation length on the expanded set.
+    """Expand the training set with every length, each stack cut to its last
+    h steps for each length h; train one model per evaluation length on it.
     ``epoch_hook(h_eval)`` returns the epoch hook of that length's model."""
     normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
     val = val_set(split, normalizer, cfg)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
-    windows = [
-        Window(p.obs[:, -h:], p.future)
-        for p in prepare_scenes(split.train, normalizer)
+    stacks = [
+        Window(stack.obs[..., -h:, :], stack.future)
+        for stack in prepare_scenes(split.train, normalizer)
         for h in lengths
     ]
     out: dict[int, tuple[FlnParams, TrainLog]] = {}
@@ -456,7 +455,7 @@ def train_joint(
         seed = (cfg.seed, 7, index)
         params = bb.init_params(cfg.backbone, {"L": cfg.branches.h_long}, seed)
         log = _epochs(
-            TrainLog("joint"), params, windows, _single_loss(params, lambda batch: batch.obs.shape[-2]),
+            TrainLog("joint"), params, stacks, _single_loss(params, lambda batch: batch.obs.shape[-2]),
             lambda p: _val_metrics(p, val, [h_eval]),
             cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
             epoch_hook=None if epoch_hook is None else epoch_hook(h_eval),

@@ -10,6 +10,7 @@ from flexilen.backbone import FlnParams, sinusoidal_pe
 from flexilen.evaluation import Metrics
 from flexilen.fln import forward_routed
 from flexilen.mixture import LOG_2PI, MixturePrediction, draw_samples
+from flexilen.training import Window
 
 
 def route_bruteforce(h_prime: int, lengths: dict[str, int]) -> str:
@@ -332,6 +333,43 @@ def transform_per_scene(positions: np.ndarray, normalizer):
     shift = shift_per_scene(positions, normalizer.horizon)
     normalized = (positions - shift) / normalizer.scale
     return normalized[:, : -normalizer.horizon, :], normalized[:, -normalizer.horizon :, :], shift
+
+
+# ----------------------------------------------------------------------------
+# Per-scene batching. ``training.prepare_scenes`` normalizes one stack per
+# (agent count, steps) group and ``training._make_batches`` takes each batch
+# as a row slice of one stack; this is the layout they replaced, one window
+# per scene, regrouped by shape and stacked batch by batch, kept to check the
+# stacked one bit for bit.
+
+
+def prepare_per_scene(scenes, normalizer) -> list[Window]:
+    """One (N, steps, 2) window per scene, in scene-id order."""
+    return [
+        Window(*transform_per_scene(scene.positions, normalizer)[:2])
+        for scene in sorted(scenes, key=lambda s: s.scene_id)
+    ]
+
+
+def batches_per_scene(windows: list[Window], batch_size: int, rng) -> list[Window]:
+    """The windows grouped by (agent count, length), groups in sorted order
+    and members in input order; one permutation of each group, cut into
+    batches that are each ``np.stack``ed, then one permutation of all
+    batches."""
+    members: dict[tuple[int, int], list[Window]] = {}
+    for window in windows:
+        members.setdefault(window.obs.shape[:2], []).append(window)
+    batches = []
+    for key in sorted(members):
+        group = members[key]
+        order = rng.permutation(len(group))
+        for start in range(0, len(group), batch_size):
+            chunk = [group[i] for i in order[start : start + batch_size]]
+            batches.append(
+                Window(np.stack([w.obs for w in chunk]), np.stack([w.future for w in chunk]))
+            )
+    final_order = rng.permutation(len(batches))
+    return [batches[i] for i in final_order]
 
 
 # ----------------------------------------------------------------------------

@@ -214,6 +214,15 @@ def test_train_with_an_empty_train_split_exits_2(tmp_path, capsys, n_scenes):
     assert not out.exists()
 
 
+def test_train_with_equal_medium_and_long_lengths_exits_2(tmp_path, capsys):
+    # joint would train two length-4 models, and routing to 4 would pick M
+    out = tmp_path / "run"
+    code = _run(["train", "--out", str(out), *TINY_ARGS, "--set", "h_medium=4"])
+    assert code == 2
+    assert "1 <= h_short < h_medium < h_long" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["agents", "dt"])
 def test_train_on_a_dataset_scene_missing_a_key_exits_2(tmp_path, capsys, key):
     data = tmp_path / "data"
@@ -538,7 +547,7 @@ def trained(tmp_path_factory):
         (["eval", "--length", "3", "--set", "d_model=4"], "{ckpt} was trained with d_model=8"),
         (["sweep", "--lengths", "2..4", "--set", "horizon=4"], "{ckpt} was trained with horizon=3"),
         (["probe", "ln", "--length", "3", "--set", "epochs=5"], "{ckpt} was trained with epochs=2"),
-        (["probe", "pe", "--h1", "2", "--h2", "3", "--set", "h_medium=4"], "with h_medium=3"),
+        (["probe", "pe", "--h1", "2", "--h2", "3", "--set", "lambda_kl=0.5"], "with lambda_kl=1.0"),
         (["sweep", "--lengths", "4..2"], "--lengths '4..2' names no length"),
     ],
     ids=[

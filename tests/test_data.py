@@ -9,7 +9,6 @@ from flexilen.data import (
     TrajectoryScene,
     generate_synthetic,
     load_dataset,
-    load_trajnet,
     save_dataset,
     split_scenes,
 )
@@ -171,49 +170,6 @@ def test_truncation_honors_short_length_set():
     assert future.shape[-2] == 12
 
 
-# ------------------------------------------------------------------- loading
-
-
-def test_load_trajnet_full_presence(tmp_path):
-    lines = []
-    for frame in range(20):
-        for agent in (1, 2):
-            lines.append(f"{frame * 10} {agent} {agent + frame * 0.1:.3f} {agent - frame * 0.1:.3f}")
-    path = tmp_path / "scene.txt"
-    path.write_text("\n".join(lines), encoding="utf-8")
-    scenes = load_trajnet(path, obs_len=8, horizon=12)
-    assert len(scenes) == 1
-    assert scenes[0].n_agents == 2
-    assert scenes[0].n_steps == 20
-
-
-def test_load_trajnet_partial_presence_excluded(tmp_path):
-    lines = []
-    for frame in range(20):
-        lines.append(f"{frame} 1 {frame * 0.5} 0.0")
-        if frame < 10:
-            lines.append(f"{frame} 2 0.0 {frame * 0.5}")
-    path = tmp_path / "partial.txt"
-    path.write_text("\n".join(lines), encoding="utf-8")
-    scenes = load_trajnet(path, obs_len=8, horizon=12)
-    assert len(scenes) == 1
-    assert scenes[0].n_agents == 1
-
-
-def test_load_trajnet_malformed_row_names_line(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 1 0.0 0.0\n1 1 oops 0.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.txt:2"):
-        load_trajnet(path, obs_len=1, horizon=1)
-
-
-def test_load_trajnet_empty_file(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
-        load_trajnet(path, obs_len=1, horizon=1)
-
-
 # ------------------------------------------------------------- normalization
 
 
@@ -279,11 +235,14 @@ def test_stacked_normalization_equals_the_per_scene_formula():
             assert group.obs[row].tobytes() == observed.tobytes()
             assert group.shifts[row].tobytes() == shift.tobytes()
             assert group.future_m[row].tobytes() == by_id[index].positions[:, -3:].tobytes()
-    windows = prepare_scenes(scenes, norm)
-    assert len(windows) == len(scenes)
-    for window, (observed, future, _) in zip(windows, expected):
-        assert window.obs.tobytes() == observed.tobytes()
-        assert window.future.tobytes() == future.tobytes()
+    stacks = prepare_scenes(scenes, norm)  # the training stacks, in the groups' order
+    assert len(stacks) == len(groups)
+    for stack, group in zip(stacks, groups):
+        assert len(stack.obs) == len(stack.future) == len(group.index)
+        for row, index in enumerate(group.index):
+            observed, future, _ = expected[index]
+            assert stack.obs[row].tobytes() == observed.tobytes()
+            assert stack.future[row].tobytes() == future.tobytes()
 
 
 # -------------------------------------------------------------------- splits

@@ -7,7 +7,7 @@ from flexilen import autodiff as ad
 from flexilen import backbone as bb
 from flexilen import fln as fln_module
 from flexilen.autodiff import backward, zero_grad
-from flexilen.config import BackboneConfig, BranchConfig
+from flexilen.config import BackboneConfig, BranchConfig, ConfigError
 from flexilen.data import generate_synthetic
 from flexilen.fln import (
     count_parameters,
@@ -152,6 +152,12 @@ def test_route_matches_bruteforce_oracle(h):
 def test_route_rejects_nonpositive():
     with pytest.raises(ValueError):
         route(0, {"S": 2, "M": 6, "L": 8})
+
+
+def test_branch_config_rejects_equal_medium_and_long_lengths():
+    # with M == L, routing to that length picks M, not the teacher L
+    with pytest.raises(ConfigError, match="h_short < h_medium < h_long"):
+        BranchConfig(h_short=2, h_medium=4, h_long=4).validate()
 
 
 # ------------------------------------------------------------ forward_routed

@@ -14,6 +14,7 @@ from flexilen import backbone as bb
 from flexilen import evaluation
 from flexilen.data import (
     DatasetSplit,
+    Normalizer,
     TrajectoryScene,
     generate_from_config,
     generate_synthetic,
@@ -23,6 +24,8 @@ from flexilen.fln import fln_loss
 from flexilen.training import (
     VAL_SCENE_CAP,
     AdamState,
+    Window,
+    _make_batches,
     adam_step,
     cosine_lr,
     fit_normalizer,
@@ -32,10 +35,11 @@ from flexilen.training import (
     train_joint,
     _val_metrics,
     train_mixed,
+    prepare_scenes,
     val_set,
 )
 
-from oracles import evaluate_per_scene
+from oracles import batches_per_scene, evaluate_per_scene, prepare_per_scene
 
 
 def make_config(**over):
@@ -300,14 +304,38 @@ def test_joint_trains_one_model_per_length(tiny_split):
 
 
 def test_joint_expanded_dataset_size(tiny_split):
-    from flexilen.training import Window, _make_batches, prepare_scenes
-
     cfg = make_config()
     norm = fit_normalizer(tiny_split, cfg.data.horizon)
-    prepared = prepare_scenes(tiny_split.train, norm)
-    expanded = [Window(p.obs[:, -h:], p.future) for p in prepared for h in (2, 3, 4)]
+    stacks = prepare_scenes(tiny_split.train, norm)
+    expanded = [Window(s.obs[..., -h:, :], s.future) for s in stacks for h in (2, 3, 4)]
     batches = _make_batches(expanded, 1, np.random.default_rng(0))
     assert len(batches) == 3 * len(tiny_split.train)
+    lengths = [batch.obs.shape[2] for batch in batches]
+    assert all(lengths.count(h) == len(tiny_split.train) for h in (2, 3, 4))
+
+
+@pytest.mark.parametrize("cut", ["plain", "joint"])
+@pytest.mark.parametrize("batch_size", [1, 5, 64])
+def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
+    # 48 scenes of 1-4 agents in shuffled order: several stacks, some cut
+    # into many batches and some ending with a short one
+    scenes = generate_synthetic(48, (1, 4), 4, 3, 0.4, seed=5)
+    scenes = [scenes[i] for i in np.random.default_rng(1).permutation(len(scenes))]
+    norm = Normalizer(horizon=3).fit(scenes)
+    stacks, windows = prepare_scenes(scenes, norm), prepare_per_scene(scenes, norm)
+    assert len(stacks) == 4 and sum(len(s.obs) for s in stacks) == len(windows)
+    if cut == "joint":
+        stacks = [Window(s.obs[..., -h:, :], s.future) for s in stacks for h in (2, 3, 4)]
+        windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in (2, 3, 4)]
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = _make_batches(stacks, batch_size, rng)
+    expected = batches_per_scene(windows, batch_size, oracle_rng)
+    assert len(got) == len(expected)
+    for batch, oracle in zip(got, expected):
+        assert batch.obs.shape == oracle.obs.shape
+        assert batch.obs.tobytes() == oracle.obs.tobytes()
+        assert batch.future.tobytes() == oracle.future.tobytes()
+    assert rng.integers(2**62) == oracle_rng.integers(2**62)
 
 
 def test_joint_seeded_determinism(tiny_split):
