@@ -119,15 +119,6 @@ class Tensor:
             raise ValueError(f"item: needs a one-element tensor, got shape {self.data.shape}")
         return self.data.item()
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -417,28 +417,20 @@ def _run(
 
 
 def forward(
-    observations: np.ndarray,
-    branch: str,
-    params: FlnParams,
-    capture=None,
-    allow_shorter: bool = False,
+    observations: np.ndarray, branch: str, params: FlnParams, capture=None
 ) -> MixturePrediction:
     """Full branch forward: spatial encoding + PE -> encoder -> decoder.
 
-    The observation length must equal the branch's training length; this
-    guard is what keeps a length/branch mismatch from silently shifting the
-    input distribution. ``allow_shorter`` admits shorter inputs for routed
-    inference, suffix-aligned within the branch window.
+    Takes any window up to the branch's training length; a shorter one is
+    suffix-aligned within the branch window, so its last step keeps the
+    encoding it was trained with, and a longer one is rejected
+    (``_pe_rows``). Callers that need the full length check it themselves
+    (``fln.fln_loss``).
     """
     if branch not in params.lengths:
         raise ValueError(f"unknown branch {branch!r}; model has {params.branch_ids}")
-    fed = np.asarray(observations).shape[-2]
-    expected = params.lengths[branch]
-    if fed != expected and not (allow_shorter and fed < expected):
-        raise ValueError(
-            f"observation length {fed} does not match branch {branch} (H={expected})"
-        )
-    return _run(observations, branch, params, _pe_rows(params, branch, fed), capture=capture)
+    pe_rows = _pe_rows(params, branch, np.shape(observations)[-2])
+    return _run(observations, branch, params, pe_rows, capture=capture)
 
 
 def forward_single(

@@ -24,7 +24,7 @@ from .config import (
     load_run_config,
     run_config_to_flat,
 )
-from .data import generate_from_config, load_dataset, save_dataset, split_scenes
+from .data import Normalizer, generate_from_config, load_dataset, save_dataset, split_scenes
 from .evaluation import (
     evaluate,
     generality_sweep,
@@ -37,7 +37,6 @@ from .evaluation import (
     write_sweep_csv,
 )
 from .training import (
-    fit_normalizer,
     train_fln,
     train_finetune,
     train_isolated,
@@ -112,7 +111,7 @@ def _split(args, cfg: RunConfig):
     data = getattr(args, "data", None)
     scenes = load_dataset(data)[0] if data else generate_from_config(cfg.data, cfg.seed)
     split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    return split, fit_normalizer(split, cfg.data.horizon)
+    return split, Normalizer(cfg.data.horizon).fit(split.train)
 
 
 def cmd_generate(args) -> int:

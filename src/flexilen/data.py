@@ -234,8 +234,16 @@ class Normalizer:
     horizon: int
     scale: float | None = None
 
-    def _shift(self, positions: np.ndarray) -> np.ndarray:
-        """(..., 2): the agents' mean position at the last observed step."""
+    def _shift(self, positions: np.ndarray, scene_id: str | None = None) -> np.ndarray:
+        """(..., 2): the agents' mean position at the last observed step.
+        Positions with no step before the future are rejected, naming
+        ``scene_id`` when it is given."""
+        steps = positions.shape[-2]
+        if steps <= self.horizon:
+            where = "" if scene_id is None else f"scene {scene_id}: "
+            raise ValueError(
+                f"{where}{steps} steps leave no observed step before the {self.horizon}-step future"
+            )
         return positions[..., -self.horizon - 1, :].mean(axis=-2)
 
     def fit(self, scenes: list[TrajectoryScene]) -> "Normalizer":
@@ -248,21 +256,25 @@ class Normalizer:
         offsets = np.cumsum([0] + [scene.positions.size for scene in scenes])
         flat = np.empty(offsets[-1])
         for index, positions in stack_by_shape(scenes):
-            shifted = positions - self._shift(positions)[..., None, None, :]
+            shift = self._shift(positions, scenes[index[0]].scene_id)
+            shifted = positions - shift[..., None, None, :]
             at = offsets[index][:, None] + np.arange(shifted[0].size)
             flat[at.reshape(-1)] = shifted.reshape(-1)
         scale = float(np.std(flat))
         self.scale = scale if scale > 0 else 1.0
         return self
 
-    def transform(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def transform(
+        self, positions: np.ndarray, scene_id: str | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(observed, future, shift)`` of positions (..., N, steps, 2): the
         normalized history (..., N, steps - T, 2), the normalized future
         (..., N, T, 2), both views of one array, and the shift (..., 2)
-        ``inverse`` undoes."""
+        ``inverse`` undoes. ``scene_id`` names the scene, or a stack's first
+        scene, in the error for positions too short to cut."""
         if self.scale is None:
             raise ValueError("normalizer must be fit before transform")
-        shift = self._shift(positions)
+        shift = self._shift(positions, scene_id)
         normalized = (positions - shift[..., None, None, :]) / self.scale
         return normalized[..., : -self.horizon, :], normalized[..., -self.horizon :, :], shift
 
@@ -272,9 +284,12 @@ class Normalizer:
         return positions[..., -self.horizon :, :]
 
     def inverse(self, positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """Meters from normalized positions (..., N, T, 2) and the shift
+        (..., 2) ``transform`` returned, broadcast over agents and steps as
+        ``transform`` subtracts it."""
         if self.scale is None:
             raise ValueError("normalizer must be fit before inverse")
-        return positions * self.scale + shift
+        return positions * self.scale + shift[..., None, None, :]
 
 
 # -------------------------------------------------------------------- splits

@@ -15,7 +15,7 @@ from . import backbone as bb
 from .backbone import FlnParams
 from .config import BackboneConfig
 from .data import Normalizer, TrajectoryScene, stack_by_shape
-from .fln import forward_branch, forward_routed, routed_branch
+from .fln import forward_routed, routed_branch
 from .mixture import MixturePrediction, draw_samples
 
 
@@ -36,18 +36,10 @@ class Metrics:
         return payload
 
 
-def ade(samples: np.ndarray, gt: np.ndarray) -> float:
-    """Best-of-K average displacement: per agent, the min over samples of the
-    mean per-timestep Euclidean error, averaged over agents."""
-    return float(np.mean(_per_agent_min_displacement(samples, gt)[0]))
-
-
-def fde(samples: np.ndarray, gt: np.ndarray) -> float:
-    """Best-of-K final displacement (last timestep only)."""
-    return float(np.mean(_per_agent_min_displacement(samples, gt)[1]))
-
-
 def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
+    """Best-of-K displacement per agent of samples (K, N, T, 2) against gt
+    (N, T, 2): the min over samples of the mean per-timestep Euclidean error
+    (ADE), and of the last timestep's error (FDE), (N,) each."""
     samples = np.asarray(samples, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[1:] != gt.shape:
@@ -82,7 +74,7 @@ def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[
     ordered = sorted(scenes, key=lambda s: s.scene_id)
     groups = []
     for index, positions in stack_by_shape(ordered):
-        observed, _, shifts = normalizer.transform(positions)
+        observed, _, shifts = normalizer.transform(positions, ordered[index[0]].scene_id)
         groups.append(SceneGroup(
             observed, shifts, normalizer.future_m(positions), index,
             [ordered[i].scene_id for i in index],
@@ -113,7 +105,7 @@ def _agent_errors(pred, k, sampling, seed, group: SceneGroup, normalizer: Normal
         int(np.random.default_rng([seed, 5, index]).integers(2**31)) for index in group.index
     ]
     samples = draw_samples(pred, k, sampling, seeds)  # (k, B, N, T, 2)
-    samples_m = normalizer.inverse(samples, group.shifts[:, None, None, :])
+    samples_m = normalizer.inverse(samples, group.shifts)
     steps = group.future_m.shape[-2:]
     per_ade, per_fde = _per_agent_min_displacement(
         samples_m.reshape(k, -1, *steps), group.future_m.reshape(-1, *steps)
@@ -259,7 +251,8 @@ def ln_statistics_probe(
             if params.is_single:
                 bb.forward_single(obs, params, capture=capture)
             else:
-                forward_branch(obs, used_branch, params, capture=capture)
+                obs = obs[..., -params.lengths[used_branch]:, :]
+                bb.forward(obs, used_branch, params, capture=capture)
         sites = {
             site: values[0]
             for site, values in capture.items()

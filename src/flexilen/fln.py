@@ -33,9 +33,10 @@ def fln_loss(
     """Combined loss over the three branches of one (possibly batched) scene.
 
     Each branch sees the last H_b steps of ``observed``, with H_b the model's
-    own branch length, so the three inputs are suffixes of one history; a
-    history shorter than the long branch is rejected by the branch forward,
-    and a ``cfg`` whose lengths differ from the model's is rejected here.
+    own branch length, so the three inputs are suffixes of one history. A
+    history shorter than the long branch is rejected, since the branch
+    forward would take it suffix-aligned, and so is a ``cfg`` whose lengths
+    differ from the model's.
     reg is the long branch's NLL against ``future``; kl is the sum of
     teacher-to-student distillation terms in the default configuration, or
     the direct per-branch NLL when temporal distillation is ablated.
@@ -43,6 +44,9 @@ def fln_loss(
     lengths = params.lengths
     if cfg.lengths != lengths:
         raise ValueError(f"config branch lengths {cfg.lengths} do not match the model's {lengths}")
+    fed = np.shape(observed)[-2]
+    if fed < lengths["L"]:
+        raise ValueError(f"observation length {fed} does not match branch L (H={lengths['L']})")
     preds = {
         branch: bb.forward(observed[..., -lengths[branch]:, :], branch, params)
         for branch in ("L", "M", "S")
@@ -66,20 +70,6 @@ def route(h_prime: int, lengths: dict[str, int]) -> str:
     return min(lengths, key=lambda b: (abs(h_prime - lengths[b]), -lengths[b]))
 
 
-def forward_branch(
-    observations: np.ndarray, branch: str, params: FlnParams, capture=None
-) -> MixturePrediction:
-    """Run one branch on its most recent window of an observation.
-
-    Inputs longer than the branch keep their last H_b steps; shorter ones are
-    suffix-aligned within the branch window.
-    """
-    obs = np.asarray(observations, dtype=np.float64)
-    return bb.forward(
-        obs[..., -params.lengths[branch]:, :], branch, params, capture=capture, allow_shorter=True
-    )
-
-
 def routed_branch(h_prime: int, params: FlnParams) -> str:
     """The branch an observation of ``h_prime`` steps runs through: the one
     ``route`` picks. Lengths shorter than every branch are rejected."""
@@ -95,9 +85,11 @@ def routed_branch(h_prime: int, params: FlnParams) -> str:
 
 def forward_routed(observations: np.ndarray, params: FlnParams) -> tuple[MixturePrediction, str]:
     """Run the branch ``routed_branch`` picks for an arbitrary-length
-    observation."""
+    observation on its last H_b steps; a shorter observation is
+    suffix-aligned within the branch window by ``backbone.forward``."""
     branch = routed_branch(np.shape(observations)[-2], params)
-    return forward_branch(observations, branch, params), branch
+    obs = np.asarray(observations, dtype=np.float64)
+    return bb.forward(obs[..., -params.lengths[branch]:, :], branch, params), branch
 
 
 @dataclass

@@ -57,9 +57,6 @@ class MixturePrediction:
     def horizon(self) -> int:
         return self.means.shape[-3]
 
-    def detach(self) -> "MixturePrediction":
-        return MixturePrediction(self.means.detach(), self.scales.detach(), self.logits.detach())
-
 
 def _check_scales(pred: MixturePrediction) -> None:
     if np.any(pred.scales.data <= 0.0):
@@ -264,18 +261,17 @@ def draw_samples(
     pred: MixturePrediction,
     k_eval: int,
     mode: str = "mode-means",
-    seed: int | Sequence[int] | None = None,
+    seed: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Trajectory samples (k_eval, N, T, 2) for best-of-K evaluation.
+    """Trajectory samples for best-of-K evaluation, (k_eval, ..., T, 2).
 
     ``mode-means`` returns per-mode mean trajectories ordered by descending
-    mode weight (requires k_eval <= K); it also takes predictions with more
-    leading axes, (..., T, K, 2) -> (k_eval, ..., T, 2), such as a stack of
-    scenes. ``stochastic`` draws a mode index per sample and agent, then
-    Gaussian noise: for one (N, T, K, 2) prediction from a stream seeded
-    with ``seed``, and for a stack of scenes (B, N, T, K, 2), giving
-    (k_eval, B, N, T, 2), from one stream per scene seeded with ``seed[b]``,
-    so that each scene's samples are those of its own unbatched draw.
+    mode weight (requires k_eval <= K), for a prediction of any leading
+    shape, (..., T, K, 2) -> (k_eval, ..., T, 2), such as one scene or a
+    stack of scenes. ``stochastic`` takes a stack of scenes (B, N, T, K, 2)
+    and one seed per scene, and draws a mode index per sample and agent,
+    then Gaussian noise, from one stream per scene seeded with ``seed[b]``,
+    so that each scene's samples do not depend on the rest of the stack.
     """
     means = pred.means.data
     scales = pred.scales.data
@@ -293,14 +289,10 @@ def draw_samples(
         return np.moveaxis(reordered, -2, 0)[:k_eval].copy()
 
     if mode == "stochastic":
-        stacked = means.ndim == 5
-        if means.ndim not in (4, 5) or (stacked and (seed is None or np.isscalar(seed))):
+        if means.ndim != 5 or seed is None or np.isscalar(seed):
             raise ValueError(
-                "stochastic draw_samples takes an unbatched (N, T, K, 2) prediction with one"
-                " seed, or a stack (B, N, T, K, 2) with one seed per scene"
+                "stochastic draw_samples takes a stack (B, N, T, K, 2) with one seed per scene"
             )
-        if not stacked:
-            means, scales, weights, seed = means[None], scales[None], weights[None], [seed]
         if len(seed) != means.shape[0]:
             raise ValueError(f"{means.shape[0]} stacked scenes need as many seeds, got {len(seed)}")
         n_scenes, n_agents, horizon, n_modes, _ = means.shape
@@ -316,6 +308,6 @@ def draw_samples(
             sd = np.take_along_axis(scales, sel, axis=-2)[..., 0, :]
             noise = np.stack([rng.standard_normal((n_agents, horizon, 2)) for rng in rngs])
             samples[k] = mu + sd * noise
-        return samples if stacked else samples[:, 0]
+        return samples
 
     raise ValueError(f"unknown sampling mode {mode!r}")

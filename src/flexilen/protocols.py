@@ -24,7 +24,7 @@ from .config import (
 )
 from .data import DatasetSplit, Normalizer, generate_from_config, split_scenes
 from .evaluation import evaluate_groups, group_scenes
-from .training import fit_normalizer, train_fln, train_isolated
+from .training import train_fln, train_isolated
 
 
 def study_run_config(
@@ -120,7 +120,7 @@ def run_length_shift_study(
         cfg = replace(base, seed=seed)
         scenes = generate_from_config(cfg.data, cfg.seed)
         split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-        normalizer = fit_normalizer(split, cfg.data.horizon)
+        normalizer = Normalizer(cfg.data.horizon).fit(split.train)
         isolated: dict[int, FlnParams] = {}
         for h in lengths:
             isolated[h], _ = train_isolated(split, cfg, h, normalizer=normalizer)

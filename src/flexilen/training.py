@@ -124,11 +124,25 @@ class Window:
     future: np.ndarray  # (B, N, T, 2) normalized futures
 
 
-def prepare_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[Window]:
+def prepare_scenes(
+    scenes: list[TrajectoryScene], normalizer: Normalizer, h_max: int
+) -> list[Window]:
     """One stack per (agent count, steps) group of ``scenes``, in sorted
-    group order with rows in scene-id order, each normalized in one call."""
+    group order with rows in scene-id order, each normalized in one call.
+    ``h_max`` is the longest window the run trains at; the first scene by
+    id with fewer observed steps is rejected, as ``evaluation`` rejects it."""
     ordered = sorted(scenes, key=lambda s: s.scene_id)
-    return [Window(*normalizer.transform(positions)[:2]) for _, positions in stack_by_shape(ordered)]
+    stacks = [
+        Window(*normalizer.transform(positions, ordered[index[0]].scene_id)[:2])
+        for index, positions in stack_by_shape(ordered)
+    ]
+    for scene in ordered:
+        observed = scene.n_steps - normalizer.horizon
+        if observed < h_max:
+            raise ValueError(
+                f"scene {scene.scene_id} has only {observed} observed steps (< {h_max})"
+            )
+    return stacks
 
 
 def _make_batches(
@@ -235,10 +249,6 @@ def _val_metrics(
     return {h: evaluate_groups(params, val.groups, h, val.k, val.normalizer) for h in lengths}
 
 
-def fit_normalizer(split: DatasetSplit, horizon: int) -> Normalizer:
-    return Normalizer(horizon=horizon).fit(split.train)
-
-
 def _stream(seed: int | tuple, stream: int) -> np.random.Generator:
     return np.random.default_rng([*((seed,) if isinstance(seed, int) else seed), stream])
 
@@ -329,7 +339,7 @@ def train_fln(
     ``epoch_hook(params, epoch)`` runs after every completed epoch (the CLI
     uses it for atomic per-epoch checkpoints)."""
     branches = cfg.branches
-    normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     params = bb.init_params(
         cfg.backbone,
@@ -340,7 +350,7 @@ def train_fln(
         specialized_ln=branches.specialized_ln,
     )
     return params, _epochs(
-        TrainLog("fln"), params, prepare_scenes(split.train, normalizer),
+        TrainLog("fln"), params, prepare_scenes(split.train, normalizer, branches.h_long),
         lambda batch: fln_loss(batch.obs, batch.future, params, branches),
         lambda p: _val_metrics(p, val, list(branches.lengths.values())),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
@@ -356,11 +366,11 @@ def train_isolated(
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
-    normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     params = bb.init_params(cfg.backbone, {"L": h_train}, cfg.seed)
     return params, _epochs(
-        TrainLog("isolated"), params, prepare_scenes(split.train, normalizer),
+        TrainLog("isolated"), params, prepare_scenes(split.train, normalizer, h_train),
         _single_loss(params, lambda batch: h_train),
         lambda p: _val_metrics(p, val, [h_train]),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
@@ -376,7 +386,7 @@ def train_mixed(
 ) -> tuple[FlnParams, TrainLog]:
     """One model; each iteration trains at a length drawn from the
     (renormalized) probabilities rho."""
-    normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     h_long = cfg.branches.h_long
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
@@ -385,7 +395,7 @@ def train_mixed(
     probs = probs / probs.sum()
     length_rng = _stream(cfg.seed, STREAM_LENGTH)
     return params, _epochs(
-        TrainLog("mixed"), params, prepare_scenes(split.train, normalizer),
+        TrainLog("mixed"), params, prepare_scenes(split.train, normalizer, h_long),
         _single_loss(params, lambda batch: candidates[int(length_rng.choice(3, p=probs))]),
         lambda p: _val_metrics(p, val, [h_long]),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
@@ -404,10 +414,10 @@ def train_finetune(
 
     Both phases share one model, log, optimizer state and shuffle stream, and
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
-    normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
-    stacks = prepare_scenes(split.train, normalizer)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
+    stacks = prepare_scenes(split.train, normalizer, h_long)
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
@@ -442,12 +452,12 @@ def train_joint(
     """Expand the training set with every length, each stack cut to its last
     h steps for each length h; train one model per evaluation length on it.
     ``epoch_hook(h_eval)`` returns the epoch hook of that length's model."""
-    normalizer = normalizer or fit_normalizer(split, cfg.data.horizon)
+    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
     stacks = [
         Window(stack.obs[..., -h:, :], stack.future)
-        for stack in prepare_scenes(split.train, normalizer)
+        for stack in prepare_scenes(split.train, normalizer, max(lengths))
         for h in lengths
     ]
     out: dict[int, tuple[FlnParams, TrainLog]] = {}

@@ -228,7 +228,9 @@ def kl_distill_composed(
     for pred in (teacher, student):
         if np.any(pred.scales.data <= 0.0):
             raise DomainError("mixture scales must be strictly positive")
-    t = teacher.detach() if detach_teacher else teacher
+    t = MixturePrediction(
+        Tensor(teacher.means.data), Tensor(teacher.scales.data), Tensor(teacher.logits.data)
+    ) if detach_teacher else teacher
     log_ratio = log(student.scales) - log(t.scales)
     var_t = t.scales * t.scales
     var_s = student.scales * student.scales
@@ -390,7 +392,7 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
                 bb.forward_single(obs, params, capture=capture)
             else:
                 obs = obs[:, -params.lengths[branch]:, :]
-                bb.forward(obs, branch, params, capture=capture, allow_shorter=True)
+                bb.forward(obs, branch, params, capture=capture)
         for site, values in capture.items():
             if not site.startswith("enc.") or site.endswith(".weights"):
                 continue
@@ -414,6 +416,14 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
 # per scene in id order, kept to check the grouped one bit for bit.
 
 
+def one_scene(pred: MixturePrediction) -> MixturePrediction:
+    """A one-scene stack (1, N, T, K, 2) of an (N, T, K, 2) prediction, as
+    ``draw_samples`` takes it for stochastic draws."""
+    return MixturePrediction(*(
+        Tensor(getattr(pred, name).data[None]) for name in ("means", "scales", "logits")
+    ))
+
+
 def evaluate_per_scene(
     params: FlnParams, scenes, h_eval: int, k: int, normalizer,
     sampling: str = "mode-means", seed: int = 0,
@@ -427,11 +437,11 @@ def evaluate_per_scene(
                 pred = bb.forward_single(observed[:, -h_eval:, :], params)
             else:
                 pred, branch = forward_routed(observed[:, -h_eval:, :], params)
-        sample_seed = None if sampling == "mode-means" else int(
+        sample_seed = None if sampling == "mode-means" else [int(
             np.random.default_rng([seed, 5, index]).integers(2**31)
-        )
-        samples = draw_samples(pred, k, mode=sampling, seed=sample_seed)  # (k, N, T, 2)
-        samples_m = normalizer.inverse(samples, shift[None, None, :])
+        )]
+        samples = draw_samples(one_scene(pred), k, mode=sampling, seed=sample_seed)[:, 0]
+        samples_m = normalizer.inverse(samples, shift)
         future_m = scene.positions[:, -normalizer.horizon :, :]
         disp = np.linalg.norm(samples_m - future_m[None], axis=-1)
         per_ade.append(disp.mean(axis=-1).min(axis=0))

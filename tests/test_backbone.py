@@ -354,14 +354,14 @@ def test_forward_branches_differ_on_same_scene():
 
 def test_forward_guards_length_branch_mismatch():
     params = _fln_params()
-    with pytest.raises(ValueError):
-        bb.forward(_obs(14, n=2, h=3), "L", params)  # H^M-length input into branch L
+    with pytest.raises(ValueError, match="cannot feed 5 steps through branch L"):
+        bb.forward(_obs(14, n=2, h=5), "L", params)  # longer than branch L (H=4)
 
 
-def test_forward_allow_shorter_suffix_alignment():
+def test_forward_suffix_aligns_a_shorter_window():
     params = _fln_params()
     obs = _obs(15, n=2, h=3)
-    pred = bb.forward(obs, "L", params, allow_shorter=True)
+    pred = bb.forward(obs, "L", params)
     assert pred.means.shape == (2, TINY.horizon, TINY.modes, 2)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import flexilen
 from flexilen.cli import main
 from flexilen.config import BackboneConfig
+from flexilen.data import TrajectoryScene, generate_synthetic, save_dataset
 from flexilen.evaluation import pe_deviation_report
 
 TINY_ARGS = [
@@ -444,6 +446,87 @@ def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, stra
     if strategy == "finetune":
         expected.append(("checkpoint_pretune", 2))
     assert saved == expected
+
+
+def _count_adam_steps(monkeypatch) -> list:
+    from flexilen import training
+
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args, **kwargs: steps.append(1))
+    return steps
+
+
+@pytest.mark.parametrize("val", [["--set", "val_frac=0"], []], ids=["no-val", "val"])
+def test_train_isolated_longer_than_the_observed_history_exits_2(
+    tmp_path, capsys, monkeypatch, val
+):
+    # obs_len 4: a length-20 model would train on 4 steps, or fail after an epoch
+    steps = _count_adam_steps(monkeypatch)
+    out = tmp_path / "run"
+    code = _run([
+        "train", "--out", str(out), "--strategy", "isolated", "--length", "20", *TINY_ARGS, *val
+    ])
+    assert code == 2
+    assert re.search(r"scene syn-\d+ has only 4 observed steps \(< 20\)", capsys.readouterr().err)
+    assert not steps and not list(out.glob("checkpoint*"))
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_ARGS))
+def test_train_on_a_dataset_shorter_than_its_lengths_exits_2(
+    tmp_path, capsys, monkeypatch, strategy
+):
+    # the dataset has 4 observed steps; the run's config asks for h_long=6
+    steps = _count_adam_steps(monkeypatch)
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), *TINY_ARGS]) == 0
+    out = tmp_path / "run"
+    code = _run([
+        "train", "--out", str(out), "--data", str(data), "--strategy", strategy, *TINY_ARGS,
+        "--set", "h_long=6", "--set", "obs_len=6", "--set", "val_frac=0",
+        *(["--length", "6"] if strategy == "isolated" else STRATEGY_ARGS[strategy]),
+    ])
+    assert code == 2
+    assert re.search(r"scene syn-\d+ has only 4 observed steps \(< 6\)", capsys.readouterr().err)
+    assert not steps and not list(out.glob("checkpoint*"))
+
+
+@pytest.fixture(scope="module")
+def no_observed_step(tmp_path_factory):
+    """A dataset whose scenes end where the 3-step future starts: 2 and 3
+    steps in all, so no observed step is left before the future."""
+    data = tmp_path_factory.mktemp("cut") / "data"
+    scenes = generate_synthetic(20, (2, 2), 4, 3, 0.4, seed=0)
+    save_dataset(data, [
+        TrajectoryScene(s.positions[:, : 2 + index % 2], s.dt, s.scene_id)
+        for index, s in enumerate(scenes)
+    ], {})
+    return data
+
+
+def test_train_on_scenes_with_no_observed_step_exits_2(tmp_path, capsys, no_observed_step):
+    out = tmp_path / "run"
+    code = _run(["train", "--out", str(out), "--data", str(no_observed_step), *TINY_ARGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"scene syn-\d+: [23] steps leave no observed step before the 3-step future", err)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fln", "iso"])
+def test_eval_on_scenes_with_no_observed_step_exits_2(
+    trained, tmp_path, capsys, no_observed_step, kind
+):
+    out = tmp_path / "eval"
+    code = _run([
+        "eval", "--out", str(out), "--checkpoint", str(trained[kind]), "--length", "4",
+        "--data", str(no_observed_step),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"scene syn-\d+: [23] steps leave no observed step before the 3-step future", err)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_probe_pe_learnable_checkpoint_tables(tmp_path):

@@ -182,6 +182,33 @@ def test_normalize_round_trip_identity():
         np.testing.assert_allclose(restored, scene.positions, atol=1e-12)
 
 
+def test_inverse_broadcasts_the_shift_of_a_stack_like_transform():
+    scenes = _scenes(n=4, agents_range=(3, 3))
+    norm = Normalizer(horizon=12).fit(scenes)
+    stack = np.stack([scene.positions for scene in scenes])  # (B, N, steps, 2)
+    observed, future, shifts = norm.transform(stack)
+    assert shifts.shape == (4, 2)
+    restored = norm.inverse(np.concatenate([observed, future], axis=-2), shifts)
+    np.testing.assert_allclose(restored, stack, atol=1e-12)
+    samples = future[None].repeat(2, axis=0)  # (k, B, N, T, 2), as evaluation draws them
+    assert norm.inverse(samples, shifts).tobytes() == (
+        samples * norm.scale + shifts[:, None, None, :]
+    ).tobytes()
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_positions_with_no_observed_step_are_rejected(steps):
+    positions = np.zeros((2, steps, 2))
+    message = f"{steps} steps leave no observed step before the 3-step future"
+    with pytest.raises(ValueError, match=f"^scene s1: {message}"):
+        Normalizer(horizon=3).fit([TrajectoryScene(positions, 0.4, "s1")])
+    norm = Normalizer(horizon=3, scale=1.0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        norm.transform(positions)
+    with pytest.raises(ValueError, match=f"^scene s1: {message}"):
+        group_scenes([TrajectoryScene(positions, 0.4, "s1")], norm)
+
+
 def test_normalize_train_stats_reused():
     train = _scenes(n=5, seed=1)
     test = _scenes(n=5, seed=2)
@@ -235,7 +262,7 @@ def test_stacked_normalization_equals_the_per_scene_formula():
             assert group.obs[row].tobytes() == observed.tobytes()
             assert group.shifts[row].tobytes() == shift.tobytes()
             assert group.future_m[row].tobytes() == by_id[index].positions[:, -3:].tobytes()
-    stacks = prepare_scenes(scenes, norm)  # the training stacks, in the groups' order
+    stacks = prepare_scenes(scenes, norm, 5)  # the training stacks, in the groups' order
     assert len(stacks) == len(groups)
     for stack, group in zip(stacks, groups):
         assert len(stack.obs) == len(stack.future) == len(group.index)

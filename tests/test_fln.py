@@ -12,7 +12,6 @@ from flexilen.data import generate_synthetic
 from flexilen.fln import (
     count_parameters,
     fln_loss,
-    forward_branch,
     forward_routed,
     route,
 )
@@ -187,14 +186,16 @@ def test_routed_rejects_below_shortest():
         forward_routed(np.zeros((2, 1, 2)), params)
 
 
-def test_forward_branch_keeps_the_branch_window_of_any_length():
-    params, _, _ = _setup()
+def test_forward_routed_keeps_the_branch_window_of_any_length():
+    params = bb.init_params(TINY, {"S": 2, "M": 5, "L": 9}, 0)
     obs = np.random.default_rng(1).normal(size=(2, 9, 2))
-    longer = forward_branch(obs, "M", params)
-    np.testing.assert_array_equal(longer.means.data, bb.forward(obs[:, -3:], "M", params).means.data)
-    shorter = forward_branch(obs[:, -2:], "L", params)
+    longer, branch = forward_routed(obs[:, -6:], params)  # nearest branch M, one step longer
+    assert branch == "M"
+    np.testing.assert_array_equal(longer.means.data, bb.forward(obs[:, -5:], "M", params).means.data)
+    shorter, branch = forward_routed(obs[:, -4:], params)  # nearest branch M, one step shorter
+    assert branch == "M"
     np.testing.assert_array_equal(
-        shorter.means.data, bb.forward(obs[:, -2:], "L", params, allow_shorter=True).means.data
+        shorter.means.data, bb.forward(obs[:, -4:], "M", params).means.data
     )
 
 

@@ -15,7 +15,7 @@ from flexilen.mixture import (
 
 from fdutil import assert_grad_close, finite_difference
 import oracles
-from oracles import nll_bruteforce
+from oracles import nll_bruteforce, one_scene
 
 
 def _random_pred(seed, n=3, t=4, k=2, requires_grad=False):
@@ -254,8 +254,10 @@ def test_stochastic_sampling_rejects_a_stack():
     means = r.normal(size=(2, 3, 4, 2, 2))
     logits = r.normal(size=(2, 3, 2))
     stack = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
-    with pytest.raises(ValueError, match="unbatched"):
+    with pytest.raises(ValueError, match="one seed per scene"):
         draw_samples(stack, 2, mode="stochastic", seed=0)
+    with pytest.raises(ValueError, match="one seed per scene"):  # an unstacked prediction
+        draw_samples(_random_pred(26), 2, mode="stochastic", seed=[0])
 
 
 def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
@@ -269,9 +271,9 @@ def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
     out = draw_samples(stack, 4, mode="stochastic", seed=seeds)
     per_scene = [
         draw_samples(
-            MixturePrediction(stack.means[i], stack.scales[i], stack.logits[i]), 4,
-            mode="stochastic", seed=seeds[i],
-        )
+            one_scene(MixturePrediction(stack.means[i], stack.scales[i], stack.logits[i])), 4,
+            mode="stochastic", seed=[seeds[i]],
+        )[:, 0]
         for i in range(b)
     ]
     assert out.shape == (4, b, n, t, 2)
@@ -283,14 +285,14 @@ def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
 def test_stochastic_degenerate_noise_converges_to_means():
     pred = _random_pred(23, k=1)
     pred.scales.data[:] = 1e-12
-    out = draw_samples(pred, 4, mode="stochastic", seed=0)
+    out = draw_samples(one_scene(pred), 4, mode="stochastic", seed=[0])[:, 0]
     np.testing.assert_allclose(out, np.broadcast_to(pred.means.data[:, :, 0, :], out.shape), atol=1e-9)
 
 
 def test_stochastic_seeded_determinism():
-    pred = _random_pred(24)
-    a = draw_samples(pred, 5, mode="stochastic", seed=42)
-    b = draw_samples(pred, 5, mode="stochastic", seed=42)
+    pred = one_scene(_random_pred(24))
+    a = draw_samples(pred, 5, mode="stochastic", seed=[42])
+    b = draw_samples(pred, 5, mode="stochastic", seed=[42])
     assert a.tobytes() == b.tobytes()
 
 

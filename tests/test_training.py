@@ -28,7 +28,6 @@ from flexilen.training import (
     _make_batches,
     adam_step,
     cosine_lr,
-    fit_normalizer,
     train_fln,
     train_finetune,
     train_isolated,
@@ -170,7 +169,7 @@ def test_fln_lambda_zero_trains_long_branch_only(tiny_split):
 
 def test_fln_detached_teacher_step_keeps_teacher_params(tiny_split):
     cfg = make_config()
-    norm = fit_normalizer(tiny_split, cfg.data.horizon)
+    norm = Normalizer(cfg.data.horizon).fit(tiny_split.train)
     params, _ = train_fln(tiny_split, cfg, normalizer=norm)
     observed, future, _ = norm.transform(tiny_split.train[0].positions)
     loss = fln_loss(observed, future, params, cfg.branches)
@@ -305,8 +304,8 @@ def test_joint_trains_one_model_per_length(tiny_split):
 
 def test_joint_expanded_dataset_size(tiny_split):
     cfg = make_config()
-    norm = fit_normalizer(tiny_split, cfg.data.horizon)
-    stacks = prepare_scenes(tiny_split.train, norm)
+    norm = Normalizer(cfg.data.horizon).fit(tiny_split.train)
+    stacks = prepare_scenes(tiny_split.train, norm, 4)
     expanded = [Window(s.obs[..., -h:, :], s.future) for s in stacks for h in (2, 3, 4)]
     batches = _make_batches(expanded, 1, np.random.default_rng(0))
     assert len(batches) == 3 * len(tiny_split.train)
@@ -322,7 +321,7 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     scenes = generate_synthetic(48, (1, 4), 4, 3, 0.4, seed=5)
     scenes = [scenes[i] for i in np.random.default_rng(1).permutation(len(scenes))]
     norm = Normalizer(horizon=3).fit(scenes)
-    stacks, windows = prepare_scenes(scenes, norm), prepare_per_scene(scenes, norm)
+    stacks, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
     assert len(stacks) == 4 and sum(len(s.obs) for s in stacks) == len(windows)
     if cut == "joint":
         stacks = [Window(s.obs[..., -h:, :], s.future) for s in stacks for h in (2, 3, 4)]
@@ -360,7 +359,7 @@ def val_split():
 @pytest.mark.parametrize("kind", ["fln", "single"])
 def test_validation_equals_per_scene_evaluate_bit_for_bit(val_split, kind, monkeypatch):
     cfg = make_config()
-    normalizer = fit_normalizer(val_split, cfg.data.horizon)
+    normalizer = Normalizer(cfg.data.horizon).fit(val_split.train)
     lengths = {"S": 2, "M": 3, "L": 4} if kind == "fln" else {"L": 4}
     params = bb.init_params(cfg.backbone, lengths, 2)
     capped = sorted(val_split.val, key=lambda s: s.scene_id)[:VAL_SCENE_CAP]
@@ -388,7 +387,7 @@ def test_validation_equals_per_scene_evaluate_bit_for_bit(val_split, kind, monke
 
 def test_validation_of_an_empty_val_split_is_empty(tiny_split):
     cfg = make_config()
-    normalizer = fit_normalizer(tiny_split, cfg.data.horizon)
+    normalizer = Normalizer(cfg.data.horizon).fit(tiny_split.train)
     params = bb.init_params(cfg.backbone, {"S": 2, "M": 3, "L": 4}, 0)
     empty = DatasetSplit(train=tiny_split.train, val=[])
     assert _val_metrics(params, val_set(empty, normalizer, cfg), [2, 3, 4]) == {}
@@ -396,7 +395,7 @@ def test_validation_of_an_empty_val_split_is_empty(tiny_split):
 
 def test_validation_rejects_a_val_scene_shorter_than_the_length(val_split):
     cfg = make_config()
-    normalizer = fit_normalizer(val_split, cfg.data.horizon)
+    normalizer = Normalizer(cfg.data.horizon).fit(val_split.train)
     params = bb.init_params(cfg.backbone, {"L": 4}, 0)
     first = min(val_split.val, key=lambda s: s.scene_id)
     short = TrajectoryScene(first.positions[:, 2:], first.dt, "syn-000000a")  # 2 observed steps
