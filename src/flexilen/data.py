@@ -8,9 +8,11 @@ all scenes of one agent count together, step by step: the same elementwise
 recursion in the same order as one scene alone, so the bytes are the same
 as if each scene were simulated by itself. ``Normalizer`` owns the
 observed/future split: its ``transform`` cuts a scene, or a stack of scenes
-with equal agent count and length (``stack_by_shape``), into the normalized
-observed history and the normalized future, and every model input is a
-suffix ``[..., -H:, :]`` of that history.
+with equal agent count and length, into the normalized observed history and
+the normalized future. ``group_scenes`` is the one builder of those stacks,
+``SceneGroup``s that training, validation, evaluation and the study all
+read, and ``windows`` the one length check: every model input is a suffix
+``[..., -H:, :]`` of a group's history.
 """
 from __future__ import annotations
 
@@ -206,7 +208,7 @@ def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
 # ------------------------------------------------------------- normalization
 
 
-def stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(index, positions)`` per group of ``scenes`` with equal agent count
     and steps, groups in sorted (agents, steps) order: the members' indices
     into ``scenes``, increasing, and their positions stacked (B, N, steps,
@@ -255,7 +257,7 @@ class Normalizer:
             raise ValueError("the train split is empty: no scene to fit the normalizer on")
         offsets = np.cumsum([0] + [scene.positions.size for scene in scenes])
         flat = np.empty(offsets[-1])
-        for index, positions in stack_by_shape(scenes):
+        for index, positions in _stack_by_shape(scenes):
             shift = self._shift(positions, scenes[index[0]].scene_id)
             shifted = positions - shift[..., None, None, :]
             at = offsets[index][:, None] + np.arange(shifted[0].size)
@@ -290,6 +292,51 @@ class Normalizer:
         if self.scale is None:
             raise ValueError("normalizer must be fit before inverse")
         return positions * self.scale + shift[..., None, None, :]
+
+
+@dataclass
+class SceneGroup:
+    """Scenes with equal agent count and length, stacked and normalized in
+    one call.
+
+    ``index`` is each scene's position in scene-id order over the grouped
+    set, increasing within a group; ``scene_ids`` are their ids.
+    """
+
+    obs: np.ndarray       # (B, N, steps, 2) normalized histories
+    future: np.ndarray    # (B, N, T, 2) normalized futures
+    shifts: np.ndarray    # (B, 2) the shifts ``Normalizer.inverse`` undoes
+    future_m: np.ndarray  # (B, N, T, 2) futures in meters, a copy
+    index: np.ndarray     # (B,)
+    scene_ids: list[str]
+
+
+def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[SceneGroup]:
+    """Stack the scenes of each observed shape and normalize each stack in
+    one call, groups ordered by (agents, steps), rows in scene-id order."""
+    ordered = sorted(scenes, key=lambda s: s.scene_id)
+    groups = []
+    for index, positions in _stack_by_shape(ordered):
+        observed, future, shifts = normalizer.transform(positions, ordered[index[0]].scene_id)
+        groups.append(SceneGroup(
+            observed, future, shifts, normalizer.future_m(positions).copy(), index,
+            [ordered[i].scene_id for i in index],
+        ))
+    return groups
+
+
+def windows(groups: list[SceneGroup], h: int) -> list[np.ndarray]:
+    """Each group's last ``h`` normalized observed steps; the first scene by
+    id with fewer steps is rejected."""
+    if h < 1:
+        raise ValueError(f"observation length must be >= 1, got {h}")
+    short = [group for group in groups if group.obs.shape[2] < h]
+    if short:
+        group = min(short, key=lambda g: g.index[0])
+        raise ValueError(
+            f"scene {group.scene_ids[0]} has only {group.obs.shape[2]} observed steps (< {h})"
+        )
+    return [group.obs[..., -h:, :] for group in groups]
 
 
 # -------------------------------------------------------------------- splits

@@ -1,5 +1,11 @@
 """Displacement metrics, per-length evaluation, generality sweeps, and the
-positional-encoding / LayerNorm-statistics diagnostic probes."""
+positional-encoding / LayerNorm-statistics diagnostic probes.
+
+Evaluation, the sweep and the LayerNorm probe read the scene groups of
+``data.group_scenes``, cut to a length by ``data.windows``. The normalizer
+is always the caller's: fitted on the training split, and for a checkpoint
+rebuilt from the scale it was trained with.
+"""
 from __future__ import annotations
 
 import csv
@@ -14,7 +20,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .backbone import FlnParams
 from .config import BackboneConfig
-from .data import Normalizer, TrajectoryScene, stack_by_shape
+from .data import Normalizer, SceneGroup, TrajectoryScene, group_scenes, windows
 from .fln import forward_routed, routed_branch
 from .mixture import MixturePrediction, draw_samples
 
@@ -50,51 +56,6 @@ def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
     ade_per_agent = disp.mean(axis=-1).min(axis=0)      # (N,)
     fde_per_agent = disp[:, :, -1].min(axis=0)          # (N,)
     return ade_per_agent, fde_per_agent
-
-
-@dataclass
-class SceneGroup:
-    """Scenes with equal agent count and length, stacked and normalized in
-    one call.
-
-    ``index`` is each scene's position in scene-id order over the grouped
-    set, increasing within a group; ``scene_ids`` are their ids.
-    """
-
-    obs: np.ndarray       # (B, N, steps, 2) normalized histories
-    shifts: np.ndarray    # (B, 2) the shifts ``Normalizer.inverse`` undoes
-    future_m: np.ndarray  # (B, N, T, 2) futures in meters
-    index: np.ndarray     # (B,)
-    scene_ids: list[str]
-
-
-def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[SceneGroup]:
-    """Stack the scenes of each observed shape and normalize each stack in
-    one call, groups ordered by (agents, steps)."""
-    ordered = sorted(scenes, key=lambda s: s.scene_id)
-    groups = []
-    for index, positions in stack_by_shape(ordered):
-        observed, _, shifts = normalizer.transform(positions, ordered[index[0]].scene_id)
-        groups.append(SceneGroup(
-            observed, shifts, normalizer.future_m(positions), index,
-            [ordered[i].scene_id for i in index],
-        ))
-    return groups
-
-
-def _windows(groups: list[SceneGroup], h_eval: int) -> list[np.ndarray]:
-    """Each group's last ``h_eval`` normalized observed steps; the first
-    scene by id with fewer steps is rejected."""
-    if h_eval < 1:
-        raise ValueError(f"observation length must be >= 1, got {h_eval}")
-    short = [group for group in groups if group.obs.shape[2] < h_eval]
-    if short:
-        group = min(short, key=lambda g: g.index[0])
-        raise ValueError(
-            f"scene {group.scene_ids[0]} has only {group.obs.shape[2]} observed steps"
-            f" (< {h_eval})"
-        )
-    return [group.obs[..., -h_eval:, :] for group in groups]
 
 
 def _agent_errors(pred, k, sampling, seed, group: SceneGroup, normalizer: Normalizer):
@@ -180,7 +141,7 @@ def evaluate_groups(
     one forward per scene when the BLAS computes each GEMM row the same
     whatever the number of rows."""
     per_scene: list = [None] * sum(len(group.index) for group in groups)
-    for group, obs in zip(groups, _windows(groups, h_eval)):
+    for group, obs in zip(groups, windows(groups, h_eval)):
         per_ade, per_fde = _agent_errors(
             predict(params, obs), k, sampling, seed, group, normalizer
         )
@@ -245,7 +206,7 @@ def ln_statistics_probe(
     used_branch = "-" if params.is_single else routed_branch(h_eval, params)
     groups = group_scenes(scenes, normalizer)
     captured: list = [None] * len(scenes)  # per scene in id order: site -> (N, H, d)
-    for group, obs in zip(groups, _windows(groups, h_eval)):
+    for group, obs in zip(groups, windows(groups, h_eval)):
         capture: dict[str, list[np.ndarray]] = {}
         with ad.no_grad():
             if params.is_single:

@@ -22,8 +22,8 @@ from .config import (
     RunConfig,
     TrainConfig,
 )
-from .data import DatasetSplit, Normalizer, generate_from_config, split_scenes
-from .evaluation import evaluate_groups, group_scenes
+from .data import DatasetSplit, Normalizer, generate_from_config, group_scenes, split_scenes
+from .evaluation import evaluate_groups
 from .training import train_fln, train_isolated
 
 
@@ -123,8 +123,8 @@ def run_length_shift_study(
         normalizer = Normalizer(cfg.data.horizon).fit(split.train)
         isolated: dict[int, FlnParams] = {}
         for h in lengths:
-            isolated[h], _ = train_isolated(split, cfg, h, normalizer=normalizer)
-        fln_params, _ = train_fln(split, cfg, normalizer=normalizer)
+            isolated[h], _ = train_isolated(split, cfg, h, normalizer)
+        fln_params, _ = train_fln(split, cfg, normalizer)
 
         ade: dict[tuple[str, int], float] = {}
         fde: dict[tuple[str, int], float] = {}

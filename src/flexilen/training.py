@@ -7,20 +7,20 @@ Strategies:
   finetune  train at the long length, then adapt to a target length
   joint     dataset expanded with every length, one model per eval length
 
-All five run through one loop, ``_epochs``, over the normalized ``Window``
-stacks of ``prepare_scenes``, one per (agent count, steps) group: each batch
-is a shuffled row slice of one stack, with one loss, one backward and one
-Adam step; after each pass it appends an EpochRecord to the run's TrainLog,
-calls the epoch hook and asks the ``stop`` rule, both optional. A strategy
-chooses its stacks, the per-batch loss and the number of passes; finetune
-runs the loop twice on one model, log, optimizer and shuffle stream and
-stops the second run on its validation plateau; joint cuts every stack to
-each of its lengths and runs the loop once per model, with the hook its
-``epoch_hook`` factory returns for that model.
+All five run through one loop, ``_epochs``, over the ``data.SceneGroup``s
+of ``prepare_scenes``, one per (agent count, steps) group: each batch is a
+shuffled ``(obs, future)`` row slice of one group, with one loss, one
+backward and one Adam step; after each pass it appends an EpochRecord to the
+run's TrainLog, calls the epoch hook and asks the ``stop`` rule, both
+optional. A strategy chooses its groups, the per-batch loss and the number
+of passes; finetune runs the loop twice on one model, log, optimizer and
+shuffle stream and stops the second run on its validation plateau; joint
+cuts every group to each of its lengths and runs the loop once per model,
+with the hook its ``epoch_hook`` factory returns for that model. Every
+strategy takes the normalizer its caller fitted on the training split.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
-val scenes by id, stacked by agent count and length and normalized one
-stack per call, like the training stacks (``prepare_scenes``).
+val scenes by id, grouped by ``data.group_scenes`` like the training groups.
 Per-epoch validation (``_val_metrics``) then runs
 ``evaluation.evaluate_groups``, one forward per group and length, and gives
 the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
@@ -51,7 +51,7 @@ import copy
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,8 @@ from . import backbone as bb
 from .autodiff import Tensor, backward, zero_grad
 from .backbone import FlnParams
 from .config import RunConfig
-from .data import DatasetSplit, Normalizer, TrajectoryScene, stack_by_shape
-from .evaluation import SceneGroup, evaluate_groups, group_scenes
+from .data import DatasetSplit, Normalizer, SceneGroup, TrajectoryScene, group_scenes, windows
+from .evaluation import evaluate_groups
 from .fln import fln_loss
 from .mixture import nll
 
@@ -115,48 +115,30 @@ def cosine_lr(lr: float, step: int, total_steps: int) -> float:
 # ------------------------------------------------------------------ batching
 
 
-@dataclass
-class Window:
-    """A stack of normalized windows with equal agent count and length: a
-    ``prepare_scenes`` group, or a batch of its rows."""
-
-    obs: np.ndarray     # (B, N, steps, 2) normalized histories
-    future: np.ndarray  # (B, N, T, 2) normalized futures
-
-
 def prepare_scenes(
     scenes: list[TrajectoryScene], normalizer: Normalizer, h_max: int
-) -> list[Window]:
-    """One stack per (agent count, steps) group of ``scenes``, in sorted
-    group order with rows in scene-id order, each normalized in one call.
-    ``h_max`` is the longest window the run trains at; the first scene by
-    id with fewer observed steps is rejected, as ``evaluation`` rejects it."""
-    ordered = sorted(scenes, key=lambda s: s.scene_id)
-    stacks = [
-        Window(*normalizer.transform(positions, ordered[index[0]].scene_id)[:2])
-        for index, positions in stack_by_shape(ordered)
-    ]
-    for scene in ordered:
-        observed = scene.n_steps - normalizer.horizon
-        if observed < h_max:
-            raise ValueError(
-                f"scene {scene.scene_id} has only {observed} observed steps (< {h_max})"
-            )
-    return stacks
+) -> list[SceneGroup]:
+    """The training groups of ``scenes`` (``data.group_scenes``). ``h_max``
+    is the longest window the run trains at; the first scene by id with
+    fewer observed steps is rejected, as ``evaluation`` rejects it."""
+    groups = group_scenes(scenes, normalizer)
+    windows(groups, h_max)
+    return groups
 
 
 def _make_batches(
-    stacks: list[Window], batch_size: int, rng: np.random.Generator
-) -> list[Window]:
-    """Shuffled batches of up to ``batch_size`` rows of one stack, so the
-    attention core stays mask-free: one permutation of each stack's rows,
-    cut into consecutive slices, then one permutation of all batches."""
-    batches: list[Window] = []
-    for stack in stacks:
-        order = rng.permutation(len(stack.obs))
+    groups: list[SceneGroup], batch_size: int, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Shuffled ``(obs, future)`` batches of up to ``batch_size`` rows of one
+    group, so the attention core stays mask-free: one permutation of each
+    group's rows, cut into consecutive slices, then one permutation of all
+    batches."""
+    batches = []
+    for group in groups:
+        order = rng.permutation(len(group.obs))
         for start in range(0, len(order), batch_size):
             rows = order[start : start + batch_size]
-            batches.append(Window(stack.obs[rows], stack.future[rows]))
+            batches.append((group.obs[rows], group.future[rows]))
     final_order = rng.permutation(len(batches))
     return [batches[i] for i in final_order]
 
@@ -223,8 +205,8 @@ class TrainLog:
 @dataclass
 class ValSet:
     """A run's per-epoch validation scenes: the first ``VAL_SCENE_CAP`` val
-    scenes by id, normalized and grouped by agent count and length once, and
-    the ``k`` mode means each agent is scored with."""
+    scenes by id, grouped once, and the ``k`` mode means each agent is
+    scored with."""
 
     groups: list[SceneGroup]
     k: int
@@ -259,7 +241,7 @@ def _stream(seed: int | tuple, stream: int) -> np.random.Generator:
 def _epochs(
     log: TrainLog,
     params: FlnParams,
-    stacks: list[Window],
+    groups: list[SceneGroup],
     loss_fn,
     validate,
     cfg: RunConfig,
@@ -271,9 +253,9 @@ def _epochs(
     stop=None,
 ) -> TrainLog:
     """The training loop of every strategy: up to ``epochs`` shuffled passes
-    over the rows of ``stacks`` with one Adam step per batch.
+    over the rows of ``groups`` with one Adam step per batch.
 
-    ``loss_fn(batch) -> (total, reg, kl)`` is the only per-strategy part;
+    ``loss_fn(obs, future) -> (total, reg, kl)`` is the only per-strategy part;
     ``total`` is minimized and ``kl`` is None for single-model losses. Each
     pass appends an EpochRecord, with ``validate(params)`` as its val
     metrics and that call's time as its ``val_seconds``, to ``log``,
@@ -286,10 +268,10 @@ def _epochs(
     for epoch in range(len(log.records), len(log.records) + epochs):
         started = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
-        batches = _make_batches(stacks, cfg.train.batch_size, shuffle_rng)
+        batches = _make_batches(groups, cfg.train.batch_size, shuffle_rng)
         total_steps = epochs * len(batches)
-        for batch in batches:
-            total, reg, kl = loss_fn(batch)
+        for obs, future in batches:
+            total, reg, kl = loss_fn(obs, future)
             zero_grad(params.tensors)
             backward(total)
             lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
@@ -315,11 +297,11 @@ def _epochs(
 
 
 def _single_loss(params: FlnParams, length_of):
-    """Single-model NLL on the last ``length_of(batch)`` observed steps."""
+    """Single-model NLL on the last ``length_of(obs)`` observed steps."""
 
-    def loss_fn(batch: Window):
-        h = length_of(batch)
-        loss = nll(bb.forward_single(batch.obs[:, :, -h:, :], params), batch.future)
+    def loss_fn(obs: np.ndarray, future: np.ndarray):
+        h = length_of(obs)
+        loss = nll(bb.forward_single(obs[:, :, -h:, :], params), future)
         return loss, loss, None
 
     return loss_fn
@@ -331,7 +313,7 @@ def _single_loss(params: FlnParams, length_of):
 def train_fln(
     split: DatasetSplit,
     cfg: RunConfig,
-    normalizer: Normalizer | None = None,
+    normalizer: Normalizer,
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """One-time training of all three branches with the combined loss.
@@ -339,7 +321,6 @@ def train_fln(
     ``epoch_hook(params, epoch)`` runs after every completed epoch (the CLI
     uses it for atomic per-epoch checkpoints)."""
     branches = cfg.branches
-    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     params = bb.init_params(
         cfg.backbone,
@@ -351,7 +332,7 @@ def train_fln(
     )
     return params, _epochs(
         TrainLog("fln"), params, prepare_scenes(split.train, normalizer, branches.h_long),
-        lambda batch: fln_loss(batch.obs, batch.future, params, branches),
+        lambda obs, future: fln_loss(obs, future, params, branches),
         lambda p: _val_metrics(p, val, list(branches.lengths.values())),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
@@ -362,16 +343,15 @@ def train_isolated(
     split: DatasetSplit,
     cfg: RunConfig,
     h_train: int,
-    normalizer: Normalizer | None = None,
+    normalizer: Normalizer,
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
-    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     params = bb.init_params(cfg.backbone, {"L": h_train}, cfg.seed)
     return params, _epochs(
         TrainLog("isolated"), params, prepare_scenes(split.train, normalizer, h_train),
-        _single_loss(params, lambda batch: h_train),
+        _single_loss(params, lambda obs: h_train),
         lambda p: _val_metrics(p, val, [h_train]),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
@@ -381,12 +361,11 @@ def train_isolated(
 def train_mixed(
     split: DatasetSplit,
     cfg: RunConfig,
-    normalizer: Normalizer | None = None,
+    normalizer: Normalizer,
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """One model; each iteration trains at a length drawn from the
     (renormalized) probabilities rho."""
-    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     h_long = cfg.branches.h_long
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
@@ -396,7 +375,7 @@ def train_mixed(
     length_rng = _stream(cfg.seed, STREAM_LENGTH)
     return params, _epochs(
         TrainLog("mixed"), params, prepare_scenes(split.train, normalizer, h_long),
-        _single_loss(params, lambda batch: candidates[int(length_rng.choice(3, p=probs))]),
+        _single_loss(params, lambda obs: candidates[int(length_rng.choice(3, p=probs))]),
         lambda p: _val_metrics(p, val, [h_long]),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
@@ -406,7 +385,7 @@ def train_mixed(
 def train_finetune(
     split: DatasetSplit,
     cfg: RunConfig,
-    normalizer: Normalizer | None = None,
+    normalizer: Normalizer,
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog, FlnParams]:
     """Train at the long length, then continue at the target length until the
@@ -414,14 +393,13 @@ def train_finetune(
 
     Both phases share one model, log, optimizer state and shuffle stream, and
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
-    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
-    stacks = prepare_scenes(split.train, normalizer, h_long)
+    groups = prepare_scenes(split.train, normalizer, h_long)
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
-        TrainLog("finetune"), params, stacks, _single_loss(params, lambda batch: h_long),
+        TrainLog("finetune"), params, groups, _single_loss(params, lambda obs: h_long),
         lambda p: _val_metrics(p, val, [h_long]),
         cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
     )
@@ -438,7 +416,7 @@ def train_finetune(
         return stale >= cfg.train.finetune_patience
 
     _epochs(
-        log, params, stacks, _single_loss(params, lambda batch: target),
+        log, params, groups, _single_loss(params, lambda obs: target),
         lambda p: _val_metrics(p, val, [target]),
         cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
         anneal=False, epoch_hook=epoch_hook, stop=plateau,
@@ -447,17 +425,16 @@ def train_finetune(
 
 
 def train_joint(
-    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer | None = None, epoch_hook=None
+    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer, epoch_hook=None
 ) -> dict[int, tuple[FlnParams, TrainLog]]:
     """Expand the training set with every length, each stack cut to its last
     h steps for each length h; train one model per evaluation length on it.
     ``epoch_hook(h_eval)`` returns the epoch hook of that length's model."""
-    normalizer = normalizer or Normalizer(cfg.data.horizon).fit(split.train)
     val = val_set(split, normalizer, cfg)
     lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
-    stacks = [
-        Window(stack.obs[..., -h:, :], stack.future)
-        for stack in prepare_scenes(split.train, normalizer, max(lengths))
+    groups = [
+        replace(group, obs=group.obs[..., -h:, :])
+        for group in prepare_scenes(split.train, normalizer, max(lengths))
         for h in lengths
     ]
     out: dict[int, tuple[FlnParams, TrainLog]] = {}
@@ -465,7 +442,7 @@ def train_joint(
         seed = (cfg.seed, 7, index)
         params = bb.init_params(cfg.backbone, {"L": cfg.branches.h_long}, seed)
         log = _epochs(
-            TrainLog("joint"), params, stacks, _single_loss(params, lambda batch: batch.obs.shape[-2]),
+            TrainLog("joint"), params, groups, _single_loss(params, lambda obs: obs.shape[-2]),
             lambda p: _val_metrics(p, val, [h_eval]),
             cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
             epoch_hook=None if epoch_hook is None else epoch_hook(h_eval),

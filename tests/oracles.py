@@ -1,6 +1,8 @@
 """Independent reference implementations that tests compare the package against."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from flexilen import autodiff as ad
@@ -10,7 +12,6 @@ from flexilen.backbone import FlnParams, sinusoidal_pe
 from flexilen.evaluation import Metrics
 from flexilen.fln import forward_routed
 from flexilen.mixture import LOG_2PI, MixturePrediction, draw_samples
-from flexilen.training import Window
 
 
 def route_bruteforce(h_prime: int, lengths: dict[str, int]) -> str:
@@ -339,10 +340,19 @@ def transform_per_scene(positions: np.ndarray, normalizer):
 
 # ----------------------------------------------------------------------------
 # Per-scene batching. ``training.prepare_scenes`` normalizes one stack per
-# (agent count, steps) group and ``training._make_batches`` takes each batch
-# as a row slice of one stack; this is the layout they replaced, one window
-# per scene, regrouped by shape and stacked batch by batch, kept to check the
+# (agent count, steps) group (``data.group_scenes``) and
+# ``training._make_batches`` takes each ``(obs, future)`` batch as a row
+# slice of one group; this is the layout they replaced, one window per
+# scene, regrouped by shape and stacked batch by batch, kept to check the
 # stacked one bit for bit.
+
+
+@dataclass
+class Window:
+    """One scene's normalized window, or a batch of them stacked."""
+
+    obs: np.ndarray     # ([B,] N, steps, 2) normalized histories
+    future: np.ndarray  # ([B,] N, T, 2) normalized futures
 
 
 def prepare_per_scene(scenes, normalizer) -> list[Window]:

@@ -243,7 +243,7 @@ def test_criterion_4_parameter_overhead():
 
 def test_criterion_5_baseline_reduction_identities():
     from flexilen.config import DataConfig, EvalConfig
-    from flexilen.data import generate_from_config, split_scenes
+    from flexilen.data import Normalizer, generate_from_config, split_scenes
     from flexilen.training import train_isolated, train_mixed
 
     cfg = RunConfig(
@@ -263,8 +263,9 @@ def test_criterion_5_baseline_reduction_identities():
     cfg.validate()
     scenes = generate_from_config(cfg.data, cfg.seed)
     split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    mixed_params, _ = train_mixed(split, cfg)
-    isolated_params, _ = train_isolated(split, cfg, cfg.branches.h_long)
+    normalizer = Normalizer(cfg.data.horizon).fit(split.train)
+    mixed_params, _ = train_mixed(split, cfg, normalizer)
+    isolated_params, _ = train_isolated(split, cfg, cfg.branches.h_long, normalizer)
     blob = lambda p: b"".join(t.data.tobytes() for _, t in sorted(p.tensors.items()))
     bit_exact = blob(mixed_params) == blob(isolated_params)
 

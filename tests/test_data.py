@@ -8,12 +8,11 @@ from flexilen.data import (
     Normalizer,
     TrajectoryScene,
     generate_synthetic,
+    group_scenes,
     load_dataset,
     save_dataset,
     split_scenes,
 )
-from flexilen.evaluation import group_scenes
-from flexilen.training import prepare_scenes
 from oracles import generate_per_scene, scale_per_scene, transform_per_scene
 
 LENGTHS = {"S": 2, "M": 6, "L": 8}
@@ -256,20 +255,14 @@ def test_stacked_normalization_equals_the_per_scene_formula():
     assert len(groups) == 8 and all(len(g.index) > 1 for g in groups)
     assert sorted(i for g in groups for i in g.index) == list(range(len(scenes)))
     for group in groups:
+        assert group.future_m.flags.owndata  # it does not pin the raw stack
         for row, index in enumerate(group.index):
-            observed, _, shift = expected[index]
+            observed, future, shift = expected[index]
             assert group.scene_ids[row] == by_id[index].scene_id
             assert group.obs[row].tobytes() == observed.tobytes()
+            assert group.future[row].tobytes() == future.tobytes()
             assert group.shifts[row].tobytes() == shift.tobytes()
             assert group.future_m[row].tobytes() == by_id[index].positions[:, -3:].tobytes()
-    stacks = prepare_scenes(scenes, norm, 5)  # the training stacks, in the groups' order
-    assert len(stacks) == len(groups)
-    for stack, group in zip(stacks, groups):
-        assert len(stack.obs) == len(stack.future) == len(group.index)
-        for row, index in enumerate(group.index):
-            observed, future, _ = expected[index]
-            assert stack.obs[row].tobytes() == observed.tobytes()
-            assert stack.future[row].tobytes() == future.tobytes()
 
 
 # -------------------------------------------------------------------- splits

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from flexilen import backbone as bb
 from flexilen import evaluation
 from flexilen.config import BackboneConfig, BranchConfig
-from flexilen.data import Normalizer, generate_synthetic, split_scenes
+from flexilen.data import Normalizer, generate_synthetic, group_scenes, split_scenes
 from flexilen.evaluation import (
     LnStatReport,
     evaluate,
     generality_sweep,
-    group_scenes,
     ln_report_gap,
     ln_statistics_probe,
     pe_deviation_report,

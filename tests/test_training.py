@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from flexilen.fln import fln_loss
 from flexilen.training import (
     VAL_SCENE_CAP,
     AdamState,
-    Window,
     _make_batches,
     adam_step,
     cosine_lr,
@@ -38,7 +39,7 @@ from flexilen.training import (
     val_set,
 )
 
-from oracles import batches_per_scene, evaluate_per_scene, prepare_per_scene
+from oracles import Window, batches_per_scene, evaluate_per_scene, prepare_per_scene
 
 
 def make_config(**over):
@@ -71,6 +72,11 @@ def tiny_split():
     cfg = make_config()
     scenes = generate_from_config(cfg.data, cfg.seed)
     return split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
+
+
+@pytest.fixture(scope="module")
+def tiny_norm(tiny_split):
+    return Normalizer(make_config().data.horizon).fit(tiny_split.train)
 
 
 def _params_bytes(params):
@@ -130,15 +136,15 @@ def test_cosine_lr_anneals_from_lr_to_zero():
 # ----------------------------------------------------------------- train_fln
 
 
-def test_fln_loss_decreases_substantially(tiny_split):
+def test_fln_loss_decreases_substantially(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="fln", epochs=30, batch_size=16, lr=3e-3))
-    _, log = train_fln(tiny_split, cfg)
+    _, log = train_fln(tiny_split, cfg, tiny_norm)
     assert log.records[-1].total < 0.5 * log.records[0].total
 
 
-def test_fln_log_identity_and_nonnegative_kl(tiny_split):
+def test_fln_log_identity_and_nonnegative_kl(tiny_split, tiny_norm):
     cfg = make_config()
-    _, log = train_fln(tiny_split, cfg)
+    _, log = train_fln(tiny_split, cfg, tiny_norm)
     for record in log.records:
         assert record.kl >= 0.0
         assert record.total == pytest.approx(
@@ -146,16 +152,16 @@ def test_fln_log_identity_and_nonnegative_kl(tiny_split):
         )
 
 
-def test_fln_seeded_bit_determinism(tiny_split):
+def test_fln_seeded_bit_determinism(tiny_split, tiny_norm):
     cfg = make_config()
-    a, _ = train_fln(tiny_split, cfg)
-    b, _ = train_fln(tiny_split, cfg)
+    a, _ = train_fln(tiny_split, cfg, tiny_norm)
+    b, _ = train_fln(tiny_split, cfg, tiny_norm)
     assert _params_bytes(a) == _params_bytes(b)
 
 
-def test_fln_lambda_zero_trains_long_branch_only(tiny_split):
+def test_fln_lambda_zero_trains_long_branch_only(tiny_split, tiny_norm):
     cfg = make_config(branches=BranchConfig(h_short=2, h_medium=3, h_long=4, lambda_kl=0.0))
-    params, log = train_fln(tiny_split, cfg)
+    params, log = train_fln(tiny_split, cfg, tiny_norm)
     # branch-specific S/M parameters never receive gradient, so they keep
     # their initialization (LN affines at identity)
     for branch in ("S", "M"):
@@ -189,43 +195,43 @@ def test_fln_detached_teacher_step_keeps_teacher_params(tiny_split):
 # ------------------------------------------------------------ train_isolated
 
 
-def test_isolated_trains_and_evaluates_at_one_length(tiny_split):
+def test_isolated_trains_and_evaluates_at_one_length(tiny_split, tiny_norm):
     cfg = make_config()
-    params, log = train_isolated(tiny_split, cfg, 4)
+    params, log = train_isolated(tiny_split, cfg, 4, tiny_norm)
     assert params.is_single
     assert params.lengths == {"L": 4}
     assert list(log.records[-1].val) == [4]
 
 
-def test_three_isolated_runs_triple_storage(tiny_split):
+def test_three_isolated_runs_triple_storage(tiny_split, tiny_norm):
     cfg = make_config()
     totals = []
     for h in (2, 3, 4):
-        params, _ = train_isolated(tiny_split, cfg, h)
+        params, _ = train_isolated(tiny_split, cfg, h, tiny_norm)
         totals.append(sum(t.size for t in params.tensors.values()))
     # identical architectures per length (PE is parameter-free here)
     assert sum(totals) == 3 * totals[0]
 
 
-def test_isolated_seeded_determinism(tiny_split):
+def test_isolated_seeded_determinism(tiny_split, tiny_norm):
     cfg = make_config()
-    a, _ = train_isolated(tiny_split, cfg, 3)
-    b, _ = train_isolated(tiny_split, cfg, 3)
+    a, _ = train_isolated(tiny_split, cfg, 3, tiny_norm)
+    b, _ = train_isolated(tiny_split, cfg, 3, tiny_norm)
     assert _params_bytes(a) == _params_bytes(b)
 
 
 # --------------------------------------------------------------- train_mixed
 
 
-def test_mixed_degenerate_rho_reproduces_isolated_bit_exactly(tiny_split):
+def test_mixed_degenerate_rho_reproduces_isolated_bit_exactly(tiny_split, tiny_norm):
     cfg = make_config(
         train=TrainConfig(
             strategy="mixed", epochs=3, batch_size=16, lr=2e-3,
             rho_short=0.0, rho_medium=0.0, rho_long=1.0,
         )
     )
-    mixed_params, _ = train_mixed(tiny_split, cfg)
-    isolated_params, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long)
+    mixed_params, _ = train_mixed(tiny_split, cfg, tiny_norm)
+    isolated_params, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long, tiny_norm)
     assert _params_bytes(mixed_params) == _params_bytes(isolated_params)
 
 
@@ -250,21 +256,21 @@ def test_mixed_draw_frequencies_within_three_sigma():
 # ------------------------------------------------------------ train_finetune
 
 
-def test_finetune_preserves_pre_checkpoint_and_adapts(tiny_split):
+def test_finetune_preserves_pre_checkpoint_and_adapts(tiny_split, tiny_norm):
     cfg = make_config(
         train=TrainConfig(
             strategy="finetune", epochs=2, batch_size=16, lr=2e-3,
             finetune_target=2, finetune_patience=2, finetune_max_epochs=4,
         )
     )
-    params, log, pre = train_finetune(tiny_split, cfg)
+    params, log, pre = train_finetune(tiny_split, cfg, tiny_norm)
     assert _params_bytes(pre) != _params_bytes(params)
     assert len(log.records) > cfg.train.epochs
     # the 4Ts -> 2Ts protocol is just this config
     assert cfg.branches.h_long == 4 and cfg.train.finetune_target == 2
 
 
-def test_finetune_pre_model_is_the_isolated_long_model(tiny_split):
+def test_finetune_pre_model_is_the_isolated_long_model(tiny_split, tiny_norm):
     # the long-length phase draws from the same init and shuffle streams as
     # isolated training at h_long
     cfg = make_config(
@@ -273,19 +279,19 @@ def test_finetune_pre_model_is_the_isolated_long_model(tiny_split):
             finetune_target=2, finetune_patience=2, finetune_max_epochs=2,
         )
     )
-    _, _, pre = train_finetune(tiny_split, cfg)
-    isolated, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long)
+    _, _, pre = train_finetune(tiny_split, cfg, tiny_norm)
+    isolated, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long, tiny_norm)
     assert _params_bytes(pre) == _params_bytes(isolated)
 
 
-def test_finetune_target_equal_long_is_continued_training(tiny_split):
+def test_finetune_target_equal_long_is_continued_training(tiny_split, tiny_norm):
     cfg = make_config(
         train=TrainConfig(
             strategy="finetune", epochs=2, batch_size=16, lr=2e-3,
             finetune_target=4, finetune_patience=1, finetune_max_epochs=2,
         )
     )
-    params, log, pre = train_finetune(tiny_split, cfg)
+    params, log, pre = train_finetune(tiny_split, cfg, tiny_norm)
     # phase 2 keeps training at the same length: the loss column stays
     # continuous with phase 1 (no distribution change)
     assert log.records[cfg.train.epochs].total < log.records[0].total
@@ -294,9 +300,9 @@ def test_finetune_target_equal_long_is_continued_training(tiny_split):
 # --------------------------------------------------------------- train_joint
 
 
-def test_joint_trains_one_model_per_length(tiny_split):
+def test_joint_trains_one_model_per_length(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="joint", epochs=2, batch_size=16, lr=2e-3))
-    models = train_joint(tiny_split, cfg)
+    models = train_joint(tiny_split, cfg, tiny_norm)
     assert sorted(models) == [2, 3, 4]
     blobs = {h: _params_bytes(params) for h, (params, _) in models.items()}
     assert len(set(blobs.values())) == 3  # independently initialized models
@@ -305,11 +311,11 @@ def test_joint_trains_one_model_per_length(tiny_split):
 def test_joint_expanded_dataset_size(tiny_split):
     cfg = make_config()
     norm = Normalizer(cfg.data.horizon).fit(tiny_split.train)
-    stacks = prepare_scenes(tiny_split.train, norm, 4)
-    expanded = [Window(s.obs[..., -h:, :], s.future) for s in stacks for h in (2, 3, 4)]
+    groups = prepare_scenes(tiny_split.train, norm, 4)
+    expanded = [replace(g, obs=g.obs[..., -h:, :]) for g in groups for h in (2, 3, 4)]
     batches = _make_batches(expanded, 1, np.random.default_rng(0))
     assert len(batches) == 3 * len(tiny_split.train)
-    lengths = [batch.obs.shape[2] for batch in batches]
+    lengths = [obs.shape[2] for obs, _ in batches]
     assert all(lengths.count(h) == len(tiny_split.train) for h in (2, 3, 4))
 
 
@@ -321,26 +327,26 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     scenes = generate_synthetic(48, (1, 4), 4, 3, 0.4, seed=5)
     scenes = [scenes[i] for i in np.random.default_rng(1).permutation(len(scenes))]
     norm = Normalizer(horizon=3).fit(scenes)
-    stacks, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
-    assert len(stacks) == 4 and sum(len(s.obs) for s in stacks) == len(windows)
+    groups, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
+    assert len(groups) == 4 and sum(len(g.obs) for g in groups) == len(windows)
     if cut == "joint":
-        stacks = [Window(s.obs[..., -h:, :], s.future) for s in stacks for h in (2, 3, 4)]
+        groups = [replace(g, obs=g.obs[..., -h:, :]) for g in groups for h in (2, 3, 4)]
         windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in (2, 3, 4)]
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-    got = _make_batches(stacks, batch_size, rng)
+    got = _make_batches(groups, batch_size, rng)
     expected = batches_per_scene(windows, batch_size, oracle_rng)
     assert len(got) == len(expected)
-    for batch, oracle in zip(got, expected):
-        assert batch.obs.shape == oracle.obs.shape
-        assert batch.obs.tobytes() == oracle.obs.tobytes()
-        assert batch.future.tobytes() == oracle.future.tobytes()
+    for (obs, future), oracle in zip(got, expected):
+        assert obs.shape == oracle.obs.shape
+        assert obs.tobytes() == oracle.obs.tobytes()
+        assert future.tobytes() == oracle.future.tobytes()
     assert rng.integers(2**62) == oracle_rng.integers(2**62)
 
 
-def test_joint_seeded_determinism(tiny_split):
+def test_joint_seeded_determinism(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="joint", epochs=1, batch_size=16, lr=2e-3))
-    a = train_joint(tiny_split, cfg)
-    b = train_joint(tiny_split, cfg)
+    a = train_joint(tiny_split, cfg, tiny_norm)
+    b = train_joint(tiny_split, cfg, tiny_norm)
     for h in a:
         assert _params_bytes(a[h][0]) == _params_bytes(b[h][0])
 
