@@ -14,10 +14,12 @@ length longer than its longest branch (so routed truncation runs), an
 evaluation of the isolated checkpoint at a longer length with
 ``sampling=stochastic`` (so seeded per-scene draws from a grouped forward
 run), the same for the FLN checkpoint at that unseen length (so seeded
-per-scene draws from a group of routed per-scene forwards run), the
-LayerNorm probe, and the positional-encoding probe on the
-learnable tables of a checkpoint and on the default sinusoidal config. Each line hashes that
-run's artifacts: checkpoint payloads and manifests, training logs with the
+per-scene draws from a group of routed per-scene forwards run), an
+evaluation of the FLN checkpoint on data regenerated with another seed (so
+``eval`` scores with the normalizer scale the checkpoint records, not one
+refit on the new data), the LayerNorm probe, and the positional-encoding
+probe on the learnable tables of a checkpoint and on the default sinusoidal
+config. Each line hashes that run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock columns (``seconds``, ``val_seconds``) removed, and the sweep,
 metrics and probe reports. A training line also prints, at full precision, each model's
 ``final_total`` and its last epoch's validation ADE at every length, and
@@ -181,6 +183,10 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
     _cli(["eval", "--out", str(fln_stochastic), "--checkpoint", str(root / "fln" / "checkpoint"),
           "--data", str(data), "--length", "5", "--set", "sampling=stochastic"])
     record("eval-fln-stochastic", fln_stochastic)
+    other_data = root / "eval-other-data"
+    _cli(["eval", "--out", str(other_data), "--checkpoint", str(root / "fln" / "checkpoint"),
+          "--seed", str(SEED + 1), "--length", "4"])
+    record("eval-other-data", other_data)
     probe = root / "probe_ln"
     _cli(["probe", "ln", "--out", str(probe), "--checkpoint", checkpoints[0],
           "--checkpoint", checkpoints[1], "--data", str(data), "--length", "2"])

@@ -3,7 +3,9 @@
 A checkpoint is a pair ``<prefix>.json`` / ``<prefix>.bin``. The manifest
 records the format version, a run-config snapshot, the model (backbone config
 and branch lengths), a named parameter manifest (name, shape, element
-offset), an optional optimizer section, and the training-epoch marker. The
+offset), an optional optimizer section, the training-epoch marker, and the
+``scale`` of the normalizer the model was trained with (``train`` always
+writes it; ``eval``, ``sweep`` and ``probe ln`` read it). The
 parameter names are the model's layout (see ``FlnParams``); a loaded model
 must hold every tensor its branches read. Offsets tile the payload exactly and
 round-trips are bit-identical; writes are atomic (write-then-rename).
@@ -44,6 +46,7 @@ def save_checkpoint(
     run_config: dict | None = None,
     epoch: int = 0,
     optimizer: AdamState | None = None,
+    scale: float | None = None,
 ) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -59,6 +62,8 @@ def save_checkpoint(
         },
         "parameters": param_entries,
     }
+    if scale is not None:
+        manifest["scale"] = scale
     blobs = [param_arrays[name].astype("<f8").tobytes() for name in param_arrays]
     if optimizer is not None:
         opt_arrays: dict[str, np.ndarray] = {}

@@ -4,13 +4,17 @@ Every command builds its run config in ``_build_config``: the defaults, or
 the checkpoint's run config for eval, sweep and probe, then ``--config``, then
 ``--set``, then the flags that name a key (``--samples K`` is ``--set
 samples=K``). On a checkpoint only data, eval and seed keys may differ from
-its run config. Every command validates its full configuration before
-touching the filesystem, echoes the effective seed into its output manifest,
-and exits nonzero on any error.
+its run config. ``train`` fits the normalizer on its train split and writes
+its scale into every checkpoint; ``eval``, ``sweep`` and ``probe ln`` rebuild
+that normalizer from the checkpoint and never refit it on the data they are
+given. Every command validates its full configuration before touching the
+filesystem, echoes the effective seed into its output manifest, and exits
+nonzero on any error.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -80,8 +84,8 @@ def _build_config(args, base: dict | None = None) -> RunConfig:
 
 
 def _checkpoint_config(args, checkpoint: str):
-    """A checkpoint's model and its run config under this command's
-    overrides, which may change only data, eval and seed keys."""
+    """A checkpoint's model, its run config under this command's overrides,
+    which may change only data, eval and seed keys, and its manifest."""
     params, manifest, _ = load_checkpoint(checkpoint)
     base = manifest.get("run_config") or {}
     cfg = _build_config(args, base)
@@ -96,22 +100,28 @@ def _checkpoint_config(args, checkpoint: str):
             f"checkpoint {checkpoint} was trained with {', '.join(locked)}; only data, eval"
             " and seed keys may differ from its run config"
         )
-    return params, cfg
+    return params, cfg, manifest
 
 
 def _checkpoint_run(args, checkpoint: str):
-    """``_checkpoint_config`` plus the run's ``_split``."""
-    params, cfg = _checkpoint_config(args, checkpoint)
-    return (params, cfg, *_split(args, cfg))
+    """``_checkpoint_config``'s model and run config, the run's ``_split``,
+    and the normalizer the checkpoint was trained with, built from the scale
+    its manifest records."""
+    params, cfg, manifest = _checkpoint_config(args, checkpoint)
+    scale = manifest.get("scale")
+    if type(scale) is not float or not 0 < scale < math.inf:
+        raise ConfigError(
+            f"checkpoint {checkpoint} records no normalizer scale (got {scale!r});"
+            " retrain it to write one"
+        )
+    return params, cfg, _split(args, cfg), Normalizer(cfg.data.horizon, scale)
 
 
 def _split(args, cfg: RunConfig):
-    """The run's scenes (``--data``, or generated from the config), split, and
-    the normalizer fitted on the training part."""
+    """The run's scenes (``--data``, or generated from the config), split."""
     data = getattr(args, "data", None)
     scenes = load_dataset(data)[0] if data else generate_from_config(cfg.data, cfg.seed)
-    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-    return split, Normalizer(cfg.data.horizon).fit(split.train)
+    return split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
 
 
 def cmd_generate(args) -> int:
@@ -140,13 +150,17 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     out = Path(args.out)
-    split, normalizer = _split(args, cfg)
+    split = _split(args, cfg)
+    normalizer = Normalizer(cfg.data.horizon).fit(split.train)
     run_flat = run_config_to_flat(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
+    def save(name: str, params, epoch: int) -> None:
+        save_checkpoint(out / name, params, run_flat, epoch=epoch, scale=normalizer.scale)
+
     # atomic per-epoch snapshots: an interrupted run keeps its last completed epoch
     def checkpoint_hook(name: str):
-        return lambda params, epoch: save_checkpoint(out / name, params, run_flat, epoch=epoch + 1)
+        return lambda params, epoch: save(name, params, epoch + 1)
 
     strategy = cfg.train.strategy
     hook = checkpoint_hook("checkpoint")
@@ -158,7 +172,7 @@ def cmd_train(args) -> int:
         _, log = train_mixed(split, cfg, normalizer, epoch_hook=hook)
     elif strategy == "finetune":
         _, log, pre = train_finetune(split, cfg, normalizer, epoch_hook=hook)
-        save_checkpoint(out / "checkpoint_pretune", pre, run_flat, epoch=cfg.train.epochs)
+        save("checkpoint_pretune", pre, cfg.train.epochs)
     if strategy == "joint":
         models = train_joint(split, cfg, normalizer, lambda h: checkpoint_hook(f"checkpoint_h{h}"))
         logs = {f"checkpoint_h{h}": log for h, (_, log) in models.items()}
@@ -251,7 +265,7 @@ def cmd_probe(args) -> int:
     out = Path(args.out)
     if args.kind == "pe":
         if args.checkpoint:
-            params, _ = _checkpoint_config(args, args.checkpoint[0])
+            params, _, _ = _checkpoint_config(args, args.checkpoint[0])
             tables = (_branch_table(params, args.h1), _branch_table(params, args.h2))
             report = pe_deviation_report(
                 params.cfg, args.h1, args.h2, tables=None if tables[0] is None else tables

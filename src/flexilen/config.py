@@ -2,10 +2,11 @@
 
 ``RunConfig`` is the merged view the CLI loads from a flat key=value config
 file with command-line overrides; every field is validated before any work
-starts and unknown keys are rejected.
+starts (a float must be finite) and unknown keys are rejected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -166,6 +167,9 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for key, value in run_config_to_flat(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         self.backbone.validate()
         self.branches.validate()
         self.data.validate()

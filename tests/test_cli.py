@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 
 import flexilen
+from flexilen.checkpoint import load_checkpoint
 from flexilen.cli import main
-from flexilen.config import BackboneConfig
-from flexilen.data import TrajectoryScene, generate_synthetic, save_dataset
-from flexilen.evaluation import pe_deviation_report
+from flexilen.config import FLAT_KEYS, BackboneConfig, build_run_config
+from flexilen.data import (
+    Normalizer,
+    TrajectoryScene,
+    generate_from_config,
+    generate_synthetic,
+    save_dataset,
+    split_scenes,
+)
+from flexilen.evaluation import evaluate, pe_deviation_report
 
 TINY_ARGS = [
     "--set", "d_model=8", "--set", "heads=2", "--set", "layers=1",
@@ -62,6 +70,16 @@ def test_unknown_config_key_rejected(tmp_path):
         code = _run(["generate", "--out", str(tmp_path / "x"), "--set", f"{key}=1", *TINY_ARGS])
         assert code != 0
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(k for k, (_, _, kind) in FLAT_KEYS.items() if kind is float))
+def test_non_finite_float_keys_exit_2_before_writing(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    code = _run(["train", "--out", str(out), *TINY_ARGS, "--set", f"{key}={value}"])
+    assert code == 2
+    assert f"{key} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -400,10 +418,10 @@ def test_interrupted_run_keeps_last_epoch_checkpoint(
     """Per-epoch snapshots are written atomically, so an interrupt after any
     completed epoch leaves a loadable checkpoint for that epoch."""
     from flexilen import cli
-    from flexilen.checkpoint import load_checkpoint, save_checkpoint
+    from flexilen.checkpoint import save_checkpoint
 
-    def save_then_interrupt(prefix, params, run_config, epoch):
-        save_checkpoint(prefix, params, run_config, epoch=epoch)
+    def save_then_interrupt(prefix, params, run_config, epoch, scale):
+        save_checkpoint(prefix, params, run_config, epoch=epoch, scale=scale)
         if prefix.name == name and epoch == stop_epoch + 1:
             raise KeyboardInterrupt
 
@@ -429,8 +447,9 @@ def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, stra
 
     saved = []
 
-    def record(prefix, params, run_config, epoch):
+    def record(prefix, params, run_config, epoch, scale):
         saved.append((prefix.name, epoch))
+        assert type(scale) is float and scale > 0
 
     monkeypatch.setattr(cli, "save_checkpoint", record)
     assert _run([
@@ -710,6 +729,48 @@ def test_eval_data_keys_take_effect_from_set_and_config(trained, tmp_path):
     assert payloads["set"] == payloads["config"]
     assert payloads["set"]["scene_count"] > payloads["checkpoint"]["scene_count"]
     assert "routed_branch" not in payloads["set"]
+
+
+def test_eval_on_other_data_reads_the_checkpoint_scale(trained, tmp_path):
+    # data regenerated with another seed is scored with the normalizer fitted
+    # at training time, not one refit on the new data's train split
+    out = tmp_path / "eval"
+    assert _run([
+        "eval", "--out", str(out), "--checkpoint", str(trained["fln"]), "--length", "3",
+        "--seed", "11",
+    ]) == 0
+    params, manifest, _ = load_checkpoint(trained["fln"])
+    cfg = build_run_config(manifest["run_config"])
+    trained_split, other_split = (
+        split_scenes(generate_from_config(cfg.data, seed), cfg.data.train_frac, cfg.data.val_frac)
+        for seed in (0, 11)
+    )
+    normalizer = Normalizer(cfg.data.horizon).fit(trained_split.train)
+    assert manifest["scale"] == normalizer.scale
+    expected = evaluate(params, other_split.test, 3, cfg.eval.samples, normalizer, seed=11)
+    payload = json.loads((out / "metrics.json").read_text())
+    assert (payload["ade"], payload["fde"]) == (expected.ade, expected.fde)
+    refit = Normalizer(cfg.data.horizon).fit(other_split.train)
+    assert refit.scale != normalizer.scale
+    assert evaluate(params, other_split.test, 3, cfg.eval.samples, refit, seed=11).ade != expected.ade
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--length", "3"], ["sweep", "--lengths", "2..4"], ["probe", "ln", "--length", "3"]],
+    ids=["eval", "sweep", "probe-ln"],
+)
+def test_checkpoint_without_a_scale_exits_2(trained, tmp_path, capsys, argv):
+    prefix = tmp_path / "checkpoint"
+    manifest = json.loads(Path(f"{trained['fln']}.json").read_text())
+    del manifest["scale"]
+    Path(f"{prefix}.json").write_text(json.dumps(manifest))
+    Path(f"{prefix}.bin").write_bytes(Path(f"{trained['fln']}.bin").read_bytes())
+    out = tmp_path / "out"
+    code = _run([*argv, "--out", str(out), "--checkpoint", str(prefix)])
+    assert code == 2
+    assert f"checkpoint {prefix} records no normalizer scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_samples_flag_is_set_samples(trained, tmp_path):
