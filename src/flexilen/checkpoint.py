@@ -61,9 +61,8 @@ def save_checkpoint(
             "lengths": params.lengths,
         },
         "parameters": param_entries,
+        "scale": scale,
     }
-    if scale is not None:
-        manifest["scale"] = scale
     blobs = [param_arrays[name].astype("<f8").tobytes() for name in param_arrays]
     if optimizer is not None:
         opt_arrays: dict[str, np.ndarray] = {}

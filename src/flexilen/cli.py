@@ -4,12 +4,11 @@ Every command builds its run config in ``_build_config``: the defaults, or
 the checkpoint's run config for eval, sweep and probe, then ``--config``, then
 ``--set``, then the flags that name a key (``--samples K`` is ``--set
 samples=K``). On a checkpoint only data, eval and seed keys may differ from
-its run config. ``train`` fits the normalizer on its train split and writes
-its scale into every checkpoint; ``eval``, ``sweep`` and ``probe ln`` rebuild
-that normalizer from the checkpoint and never refit it on the data they are
-given. Every command validates its full configuration before touching the
-filesystem, echoes the effective seed into its output manifest, and exits
-nonzero on any error.
+its run config. ``train`` writes its normalizer's scale into every
+checkpoint, and ``eval``, ``sweep`` and ``probe ln`` normalize with it,
+whatever data they read. Every command validates its full configuration
+before touching the filesystem, echoes the effective seed into its output
+manifest, and exits nonzero on any error.
 """
 from __future__ import annotations
 
@@ -105,15 +104,11 @@ def _checkpoint_config(args, checkpoint: str):
 
 def _checkpoint_run(args, checkpoint: str):
     """``_checkpoint_config``'s model and run config, the run's ``_split``,
-    and the normalizer the checkpoint was trained with, built from the scale
-    its manifest records."""
+    and the normalizer rebuilt from the scale the checkpoint records."""
     params, cfg, manifest = _checkpoint_config(args, checkpoint)
     scale = manifest.get("scale")
     if type(scale) is not float or not 0 < scale < math.inf:
-        raise ConfigError(
-            f"checkpoint {checkpoint} records no normalizer scale (got {scale!r});"
-            " retrain it to write one"
-        )
+        raise ConfigError(f"checkpoint {checkpoint} records no normalizer scale; retrain it")
     return params, cfg, _split(args, cfg), Normalizer(cfg.data.horizon, scale)
 
 

@@ -229,9 +229,9 @@ class Normalizer:
     centroid's last observed position and a global scale fit on the training
     split only.
 
-    ``transform``, ``future_m`` and the shift work on a positions array of
-    any leading shape, (..., N, steps, 2): one scene, or a stack of scenes
-    with equal agent count and length, normalized in one call."""
+    ``transform`` and the shift work on a positions array of any leading
+    shape, (..., N, steps, 2): one scene, or a stack of scenes with equal
+    agent count and length, normalized in one call."""
 
     horizon: int
     scale: float | None = None
@@ -280,11 +280,6 @@ class Normalizer:
         normalized = (positions - shift[..., None, None, :]) / self.scale
         return normalized[..., : -self.horizon, :], normalized[..., -self.horizon :, :], shift
 
-    def future_m(self, positions: np.ndarray) -> np.ndarray:
-        """The future (..., N, T, 2) in meters, the target of ``inverse``d
-        predictions."""
-        return positions[..., -self.horizon :, :]
-
     def inverse(self, positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Meters from normalized positions (..., N, T, 2) and the shift
         (..., 2) ``transform`` returned, broadcast over agents and steps as
@@ -319,7 +314,7 @@ def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[
     for index, positions in _stack_by_shape(ordered):
         observed, future, shifts = normalizer.transform(positions, ordered[index[0]].scene_id)
         groups.append(SceneGroup(
-            observed, future, shifts, normalizer.future_m(positions).copy(), index,
+            observed, future, shifts, positions[..., -normalizer.horizon :, :].copy(), index,
             [ordered[i].scene_id for i in index],
         ))
     return groups

@@ -2,10 +2,8 @@
 positional-encoding / LayerNorm-statistics diagnostic probes.
 
 Evaluation, the sweep and the LayerNorm probe read the scene groups of
-``data.group_scenes``, cut to a length by ``data.windows``. The normalizer
-is always the caller's: fitted on the training split, and for a checkpoint
-rebuilt from the scale it was trained with.
-"""
+``data.group_scenes``, cut to a length by ``data.windows``, and normalize
+with the caller's normalizer, the one the model was trained with."""
 from __future__ import annotations
 
 import csv

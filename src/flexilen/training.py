@@ -120,7 +120,7 @@ def prepare_scenes(
 ) -> list[SceneGroup]:
     """The training groups of ``scenes`` (``data.group_scenes``). ``h_max``
     is the longest window the run trains at; the first scene by id with
-    fewer observed steps is rejected, as ``evaluation`` rejects it."""
+    fewer observed steps is rejected by ``data.windows``."""
     groups = group_scenes(scenes, normalizer)
     windows(groups, h_max)
     return groups

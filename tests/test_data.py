@@ -157,7 +157,8 @@ def test_truncation_suffix_identity():
     np.testing.assert_array_equal(
         np.concatenate([observed, future], axis=1), (scene.positions - shift) / norm.scale
     )
-    np.testing.assert_array_equal(norm.future_m(scene.positions), scene.positions[:, 8:, :])
+    (group,) = group_scenes([scene], norm)
+    np.testing.assert_array_equal(group.future_m[0], scene.positions[:, 8:, :])
     x_l, x_s = observed[:, -LENGTHS["L"]:, :], observed[:, -LENGTHS["S"]:, :]
     np.testing.assert_array_equal(x_s, x_l[:, 6:8, :])
 
