@@ -128,17 +128,17 @@ def prepare_scenes(
 
 def _make_batches(
     groups: list[SceneGroup], batch_size: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffled ``(obs, future)`` batches of up to ``batch_size`` rows of one
+) -> list[tuple[SceneGroup, np.ndarray]]:
+    """Shuffled ``(group, rows)`` batches of up to ``batch_size`` rows of one
     group, so the attention core stays mask-free: one permutation of each
     group's rows, cut into consecutive slices, then one permutation of all
-    batches."""
+    batches. A batch holds row indices, not rows: ``_epochs`` copies each
+    batch's ``obs`` and ``future`` rows only when it runs the batch."""
     batches = []
     for group in groups:
         order = rng.permutation(len(group.obs))
         for start in range(0, len(order), batch_size):
-            rows = order[start : start + batch_size]
-            batches.append((group.obs[rows], group.future[rows]))
+            batches.append((group, order[start : start + batch_size]))
     final_order = rng.permutation(len(batches))
     return [batches[i] for i in final_order]
 
@@ -270,8 +270,8 @@ def _epochs(
         sums = [0.0, 0.0, 0.0]
         batches = _make_batches(groups, cfg.train.batch_size, shuffle_rng)
         total_steps = epochs * len(batches)
-        for obs, future in batches:
-            total, reg, kl = loss_fn(obs, future)
+        for group, rows in batches:
+            total, reg, kl = loss_fn(group.obs[rows], group.future[rows])
             zero_grad(params.tensors)
             backward(total)
             lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr

@@ -340,11 +340,10 @@ def transform_per_scene(positions: np.ndarray, normalizer):
 
 # ----------------------------------------------------------------------------
 # Per-scene batching. ``training.prepare_scenes`` normalizes one stack per
-# (agent count, steps) group (``data.group_scenes``) and
-# ``training._make_batches`` takes each ``(obs, future)`` batch as a row
-# slice of one group; this is the layout they replaced, one window per
-# scene, regrouped by shape and stacked batch by batch, kept to check the
-# stacked one bit for bit.
+# (agent count, steps) group (``data.group_scenes``) and each training
+# batch is a row slice of one group (``training._make_batches``); this is
+# the layout they replaced, one window per scene, regrouped by shape and
+# stacked batch by batch, kept to check the stacked one bit for bit.
 
 
 @dataclass

@@ -315,7 +315,7 @@ def test_joint_expanded_dataset_size(tiny_split):
     expanded = [replace(g, obs=g.obs[..., -h:, :]) for g in groups for h in (2, 3, 4)]
     batches = _make_batches(expanded, 1, np.random.default_rng(0))
     assert len(batches) == 3 * len(tiny_split.train)
-    lengths = [obs.shape[2] for obs, _ in batches]
+    lengths = [group.obs.shape[2] for group, _ in batches]
     assert all(lengths.count(h) == len(tiny_split.train) for h in (2, 3, 4))
 
 
@@ -336,7 +336,8 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     got = _make_batches(groups, batch_size, rng)
     expected = batches_per_scene(windows, batch_size, oracle_rng)
     assert len(got) == len(expected)
-    for (obs, future), oracle in zip(got, expected):
+    for (group, rows), oracle in zip(got, expected):
+        obs, future = group.obs[rows], group.future[rows]
         assert obs.shape == oracle.obs.shape
         assert obs.tobytes() == oracle.obs.tobytes()
         assert future.tobytes() == oracle.future.tobytes()
