@@ -10,7 +10,10 @@ raises ``FloatingPointError``. The check sums the result first, since a finite
 sum proves every element finite; only a non-finite sum (which finite elements
 can also overflow to) falls back to the elementwise test. Ops call ufuncs and
 array methods directly: numpy's Python wrappers cost more than the arithmetic
-at model sizes, and skipping them leaves every bit unchanged.
+at model sizes, and skipping them leaves every bit unchanged. Where a wrapper
+would broadcast, gather or scatter, an op allocates and assigns instead
+(``spread`` fills an empty array; ``mixture`` marks the argmax with a
+one-hot mask and ``np.where``).
 
 Two invariants keep seeded results bit-identical while the engine changes:
 
@@ -22,9 +25,11 @@ Two invariants keep seeded results bit-identical while the engine changes:
   can change the trained weights in the last bits, which training amplifies.
 * A fused node (``layer_norm``, ``linear`` and ``attention`` here, the last
   with its head split and merge; the decoder's mixture means and scales in
-  ``backbone.mixture_head``; the mixture NLL and KL in ``mixture``) computes
-  exactly what its composed chain of ops did: forward and backward replay
-  the chain's numpy calls in the chain's order. It lists a parent once per gradient contribution the chain made,
+  ``backbone.mixture_head``, each a gather of head-output columns; the
+  mixture NLL and KL in ``mixture``, over mode-major (..., K, T, 2)
+  mixtures) computes exactly what its composed chain of ops did: forward
+  and backward replay the chain's arithmetic in the chain's order. It
+  lists a parent once per gradient contribution the chain made,
   in the order the chain made them, and orders its parents so that the walk
   reaches them in the chain's order; the engine then adds every gradient as
   before. This needs that no input of a fused node is computed from another
@@ -207,7 +212,9 @@ def spread(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdim
     """Copy a reduction's gradient back over the axes it reduced."""
     if not keepdims:
         g = g.reshape([1 if ax in axes else n for ax, n in enumerate(shape)])
-    return np.broadcast_to(g, shape).copy()
+    out = np.empty(shape)
+    out[...] = g
+    return out
 
 
 def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
@@ -534,7 +541,7 @@ def backward(loss: Tensor) -> None:
         raise ValueError("loss does not require grad (no recorded graph)")
     order = _topo_order(loss)
     try:
-        loss._pending = np.ones_like(loss.data)
+        loss._pending = np.ones(loss.data.shape)
         for node in reversed(order):
             g = node._pending
             node._pending = None

@@ -347,36 +347,54 @@ def cv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
 def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) -> MixturePrediction:
     """Mixture parameters from the decoder head's output (B, N, K*T*4 + K).
 
-    The first K*T*4 columns are per-mode, per-step channels (K, T, 4): two
-    corrections added to ``baseline`` (B, N, T, 2) give the means, and a
-    softplus of the other two, plus ``SCALE_FLOOR``, gives the scales; the
-    last K columns are the logits. Means and scales are one node each, with
-    ``out`` as their only parent, and replay the numpy calls of the op chain
-    slice, reshape, transpose, slice, then add (means) or softplus and add
-    (scales). The logits are a slice of ``out``.
+    The first K*T*4 columns are per-mode, per-step channels (K, T, 4): the
+    mean's column of mode k, step t and coordinate c is k*T*4 + t*4 + c, and
+    the raw scale's is two further on. Two corrections added to ``baseline``
+    (B, N, T, 2) give the means, and a softplus of the other two, plus
+    ``SCALE_FLOOR``, gives the scales, both (B, N, K, T, 2); the last K
+    columns are the logits. Means and scales are one node each, with ``out``
+    as their only parent: a gather of their columns of ``out``, whose
+    backward scatters the gradient into the same columns of a zero
+    (B*N, width) array. Each equals, bit for bit, the op chain slice,
+    reshape, slice, then add (means) or softplus and add (scales). The
+    logits are a slice of ``out``.
     """
-    batch, n_agents, _ = out.shape
-    width = modes * horizon * 4
+    batch, n_agents, width = out.shape
+    core = modes * horizon * 4
+    mean_columns, scale_columns = _head_columns(modes, horizon)
+    shape = (batch, n_agents, modes, horizon, 2)
+    rows = out.data.reshape(batch * n_agents, width)
 
-    def channels(a: np.ndarray) -> np.ndarray:  # (B, N, T, K, 4) view of out's first columns
-        return a[:, :, :width].reshape(batch, n_agents, modes, horizon, 4).transpose(0, 1, 3, 2, 4)
+    def to_out(g: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray]:
+        z = np.zeros(rows.shape)
+        # one write per column; the engine's sum with the other parts' zeros
+        # then turns a -0.0 into 0.0, as the chain's add into zeros does
+        z[:, columns] = g.reshape(len(rows), -1)
+        return (z.reshape(out.shape),)
 
-    def to_out(g: np.ndarray, columns: slice) -> tuple[np.ndarray]:
-        z = np.zeros(out.shape)
-        channels(z)[..., columns] += g
-        return (z,)
-
-    core = channels(out.data)
-    raw_scales = core[..., 2:4]
+    raw_scales = rows[:, scale_columns]
     means = ad.record(
-        core[..., 0:2] + baseline[:, :, :, None, :], (out,), lambda g: to_out(g, slice(0, 2))
+        rows[:, mean_columns].reshape(shape) + baseline[:, :, None, :, :],
+        (out,),
+        lambda g: to_out(g, mean_columns),
     )
     scales = ad.record(
-        ad.softplus_array(raw_scales) + SCALE_FLOOR,
+        (ad.softplus_array(raw_scales) + SCALE_FLOOR).reshape(shape),
         (out,),
-        lambda g: to_out(g * ad.sigmoid_array(raw_scales), slice(2, 4)),
+        lambda g: to_out(g.reshape(raw_scales.shape) * ad.sigmoid_array(raw_scales), scale_columns),
     )
-    return MixturePrediction(means, scales, out[:, :, width:])
+    return MixturePrediction(means, scales, out[:, :, core:])
+
+
+@functools.lru_cache(maxsize=256)
+def _head_columns(modes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The head-output columns of the means and of the raw scales, each in
+    (K, T, 2) order, flat and read-only."""
+    k, t, c = np.ogrid[:modes, :horizon, :2]
+    means = (k * (horizon * 4) + t * 4 + c).reshape(-1)
+    scales = means + 2
+    means.flags.writeable = scales.flags.writeable = False
+    return means, scales
 
 
 def decode(pooled: Tensor, anchors: np.ndarray, branch: str, params: FlnParams) -> MixturePrediction:

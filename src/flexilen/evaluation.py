@@ -83,9 +83,9 @@ def _forward(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
 
 def _routed_per_scene(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
     """``_forward`` one scene at a time, joined into one stacked prediction.
-    ``evaluate`` runs a routed model this way, one forward_routed call per
-    scene, because the benchmark checks routing by counting those calls
-    until it counts scenes (ROADMAP item 3)."""
+    ``evaluate`` and the sweep run a routed model this way, one
+    forward_routed call per scene, because the benchmark checks routing by
+    counting those calls until it counts scenes (ROADMAP item 3)."""
     preds = [_forward(params, obs[row : row + 1]) for row in range(len(obs))]
     return MixturePrediction(*(
         ad.Tensor(np.concatenate([getattr(pred, name).data for pred in preds]))
@@ -113,13 +113,25 @@ def evaluate(
     """
     if not scenes:
         raise ValueError("no scenes to evaluate")
+    return _metrics(params, group_scenes(scenes, normalizer), h_eval, k, normalizer, sampling, seed)
+
+
+def _metrics(
+    params: FlnParams,
+    groups: list[SceneGroup],
+    h_eval: int,
+    k: int,
+    normalizer: Normalizer,
+    sampling: str,
+    seed: int,
+) -> Metrics:
+    """``evaluate``'s metrics of scenes already grouped."""
     predict = _forward if params.is_single else _routed_per_scene
-    ade_m, fde_m = evaluate_groups(
-        params, group_scenes(scenes, normalizer), h_eval, k, normalizer, sampling, seed, predict
-    )
+    ade_m, fde_m = evaluate_groups(params, groups, h_eval, k, normalizer, sampling, seed, predict)
     branch = "-" if params.is_single else routed_branch(h_eval, params)
+    scene_count = sum(len(group.index) for group in groups)
     return Metrics(
-        ade=ade_m, fde=fde_m, k=k, eval_length=h_eval, scene_count=len(scenes), branch=branch
+        ade=ade_m, fde=fde_m, k=k, eval_length=h_eval, scene_count=scene_count, branch=branch
     )
 
 
@@ -161,8 +173,12 @@ def generality_sweep(
     seed: int = 0,
 ) -> list[Metrics]:
     """Evaluate a list of observation lengths, one ``Metrics`` (with its
-    routed branch) per length."""
-    return [evaluate(params, scenes, h, k, normalizer, sampling, seed) for h in lengths]
+    routed branch) per length, each equal to ``evaluate``'s at that length.
+    The scenes are grouped and normalized once for the whole sweep."""
+    if not scenes:
+        raise ValueError("no scenes to evaluate")
+    groups = group_scenes(scenes, normalizer)
+    return [_metrics(params, groups, h, k, normalizer, sampling, seed) for h in lengths]
 
 
 def write_sweep_csv(path: str | Path, rows: list[Metrics]) -> None:

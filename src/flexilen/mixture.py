@@ -25,11 +25,14 @@ HALF_LOG_2PI = 0.5 * LOG_2PI
 
 @dataclass
 class MixturePrediction:
-    """Mixture parameters for N agents over T future steps and K modes.
+    """Mixture parameters for N agents over K modes and T future steps.
 
-    means:  (..., T, K, 2) meters
-    scales: (..., T, K, 2) meters, diagonal standard deviations (> 0)
+    means:  (..., K, T, 2) meters
+    scales: (..., K, T, 2) meters, diagonal standard deviations (> 0)
     logits: (..., K) unitless mode scores; softmax gives per-agent weights
+
+    Mode-major: each mode's trajectory is one contiguous (T, 2) block, the
+    decoder head's own column order, so the likelihood sums it in one reduce.
     """
 
     means: Tensor
@@ -42,8 +45,8 @@ class MixturePrediction:
                 f"means/scales shape mismatch: {self.means.shape} vs {self.scales.shape}"
             )
         if self.means.ndim < 3 or self.means.shape[-1] != 2:
-            raise ValueError(f"means must be (..., T, K, 2), got {self.means.shape}")
-        expected_logits = self.means.shape[:-3] + (self.means.shape[-2],)
+            raise ValueError(f"means must be (..., K, T, 2), got {self.means.shape}")
+        expected_logits = self.means.shape[:-2]
         if self.logits.shape != expected_logits:
             raise ValueError(
                 f"logits shape {self.logits.shape} inconsistent with means {self.means.shape}"
@@ -51,15 +54,15 @@ class MixturePrediction:
 
     @property
     def n_modes(self) -> int:
-        return self.means.shape[-2]
+        return self.means.shape[-3]
 
     @property
     def horizon(self) -> int:
-        return self.means.shape[-3]
+        return self.means.shape[-2]
 
 
 def _check_scales(pred: MixturePrediction) -> None:
-    if np.any(pred.scales.data <= 0.0):
+    if (pred.scales.data <= 0.0).any():
         raise DomainError("mixture scales must be strictly positive")
 
 
@@ -73,33 +76,25 @@ def _mean(a: np.ndarray):
     return np.add.reduce(a, axis=tuple(range(a.ndim))) / a.size
 
 
-def _mean_backward(g, a: np.ndarray) -> np.ndarray:
-    axes = tuple(range(a.ndim))
-    return ad.spread(g / a.size, a.shape, axes, False)
-
-
 def _logsumexp(a: np.ndarray):
     """log-sum-exp over the last axis, keeping it: the max, then the log of
     the summed shifted exponentials plus the max.
 
     Returns the value, the shifted array and a backward that maps the
     value's gradient to the two contributions ``a`` gets, through the shift
-    and through the max, in that order.
+    and through the max (at the first argmax), in that order.
     """
-    ax = a.ndim - 1
-    at_max = np.expand_dims(np.argmax(a, axis=ax), ax)  # ties go to the first
-    peak = np.take_along_axis(a, at_max, axis=ax)
+    is_max = np.arange(a.shape[-1]) == a.argmax(axis=-1, keepdims=True)  # ties go to the first
+    peak = a.max(axis=-1, keepdims=True)
     shifted = a - peak
     e = np.exp(shifted)
-    total = np.add.reduce(e, axis=(ax,), keepdims=True)
+    total = np.add.reduce(e, axis=(a.ndim - 1,), keepdims=True)
     out = np.log(total) + peak
 
     def backward(g):
-        g_shifted = ad.spread(g / total, e.shape, (ax,), True) * e
+        g_shifted = g / total * e  # g / total broadcast over the axis, times e
         g_peak = g + ad.unbroadcast(-g_shifted, peak.shape)
-        via_peak = np.zeros(a.shape)
-        np.put_along_axis(via_peak, at_max, g_peak, axis=ax)
-        return g_shifted, via_peak
+        return g_shifted, np.where(is_max, g_peak, 0.0)
 
     return out, shifted, backward
 
@@ -134,12 +129,11 @@ def nll(pred: MixturePrediction, future: np.ndarray) -> Tensor:
         )
     _check_nonempty(pred, "nll")
     means, scales, horizon = pred.means.data, pred.scales.data, pred.horizon
-    density_axes = (means.ndim - 3, means.ndim - 1)  # T and the coordinates
-    diff = np.expand_dims(future, -2) - means  # (..., T, K, 2)
+    diff = future[..., None, :, :] - means  # (..., K, T, 2)
     z = diff / scales
     terms = -np.log(scales) - HALF_LOG_2PI - 0.5 * (z * z)
-    # per-mode trajectory log density, summed over coordinates and T -> (..., K)
-    log_density = np.add.reduce(terms, axis=density_axes)
+    # per-mode trajectory log density: each mode's T*2 block in one reduce -> (..., K)
+    log_density = np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
     log_weights, log_softmax_backward = _log_softmax(pred.logits.data)
     lse, shifted, lse_backward = _logsumexp(log_density + log_weights)
     # a non-finite joint, or a shift that overflows, would vanish in exp()
@@ -148,10 +142,10 @@ def nll(pred: MixturePrediction, future: np.ndarray) -> Tensor:
     value = -_mean(per_agent) / horizon
 
     def backward_fn(g):
-        g_lse = _mean_backward(-(g / horizon), per_agent).reshape(lse.shape)
+        g_lse = -(g / horizon) / per_agent.size  # the mean's gradient, one value for all
         via_shift, via_peak = lse_backward(g_lse)
         g_joint = via_shift + via_peak
-        g_terms = ad.spread(g_joint, terms.shape, density_axes, False)
+        g_terms = g_joint[..., None, None]  # broadcast over each mode's (T, 2) block
         g_square = -g_terms * 0.5
         via_square = g_square * z  # once per factor of z * z
         g_z = via_square + via_square
@@ -197,7 +191,7 @@ def kl_distill(
     mean_diff = t_means - s_means
     numerator = t_scales * t_scales + mean_diff * mean_diff
     per_dim = log_ratio + numerator / denominator - 0.5
-    per_step = np.add.reduce(per_dim, axis=(per_dim.ndim - 1,))
+    per_step = per_dim[..., 0] + per_dim[..., 1]  # the sum over the two coordinates
     gaussian = _mean(per_step)
 
     log_t, log_softmax_t_backward = _log_softmax(t_logits)
@@ -210,17 +204,14 @@ def kl_distill(
     categorical = _mean(per_agent)
 
     def backward_fn(g):
-        g_per_dim = ad.spread(
-            _mean_backward(g, per_step), per_dim.shape, (per_dim.ndim - 1,), False
-        )
+        # both means spread one value over every element: g / count, broadcast
+        g_per_dim = g / per_step.size
         g_numerator = g_per_dim / denominator
         g_denominator = -g_per_dim * numerator / (denominator * denominator)
         via_s_square = g_denominator * 2.0 * s_scales  # once per factor of s * s
         via_diff_square = g_numerator * mean_diff  # once per factor
         g_mean_diff = via_diff_square + via_diff_square
-        g_product = ad.spread(
-            _mean_backward(g, per_agent), log_gap.shape, (log_gap.ndim - 1,), False
-        )
+        g_product = g / per_agent.size
         g_log_gap = g_product * weights_t
         student_means_scales = (-g_mean_diff, g_per_dim / s_scales, via_s_square, via_s_square)
         student_logits = log_softmax_s_backward(-g_log_gap)
@@ -267,8 +258,8 @@ def draw_samples(
 
     ``mode-means`` returns per-mode mean trajectories ordered by descending
     mode weight (requires k_eval <= K), for a prediction of any leading
-    shape, (..., T, K, 2) -> (k_eval, ..., T, 2), such as one scene or a
-    stack of scenes. ``stochastic`` takes a stack of scenes (B, N, T, K, 2)
+    shape, (..., K, T, 2) -> (k_eval, ..., T, 2), such as one scene or a
+    stack of scenes. ``stochastic`` takes a stack of scenes (B, N, K, T, 2)
     and one seed per scene, and draws a mode index per sample and agent,
     then Gaussian noise, from one stream per scene seeded with ``seed[b]``,
     so that each scene's samples do not depend on the rest of the stack.
@@ -280,32 +271,32 @@ def draw_samples(
     weights = weights / weights.sum(-1, keepdims=True)
 
     if mode == "mode-means":
-        n_modes = means.shape[-2]
+        n_modes = means.shape[-3]
         if k_eval > n_modes:
             raise ValueError(f"mode-means needs k_eval <= {n_modes}, got {k_eval}")
         order = np.argsort(-weights, axis=-1, kind="stable")  # (..., K)
-        idx = order[..., None, :, None]
-        reordered = np.take_along_axis(means, np.broadcast_to(idx, means.shape), axis=-2)
-        return np.moveaxis(reordered, -2, 0)[:k_eval].copy()
+        trajectories = means.reshape(-1, *means.shape[-3:])  # (agents, K, T, 2)
+        top = order.reshape(-1, n_modes)[:, :k_eval].T  # (k_eval, agents)
+        picked = trajectories[np.arange(len(trajectories)), top]  # (k_eval, agents, T, 2)
+        return picked.reshape((k_eval,) + means.shape[:-3] + means.shape[-2:])
 
     if mode == "stochastic":
         if means.ndim != 5 or seed is None or np.isscalar(seed):
             raise ValueError(
-                "stochastic draw_samples takes a stack (B, N, T, K, 2) with one seed per scene"
+                "stochastic draw_samples takes a stack (B, N, K, T, 2) with one seed per scene"
             )
         if len(seed) != means.shape[0]:
             raise ValueError(f"{means.shape[0]} stacked scenes need as many seeds, got {len(seed)}")
-        n_scenes, n_agents, horizon, n_modes, _ = means.shape
+        n_scenes, n_agents, n_modes, horizon, _ = means.shape
         rngs = [np.random.default_rng(s) for s in seed]
         cum = np.cumsum(weights, axis=-1)
-        picked = (n_scenes, n_agents, horizon, 1, 2)
+        scene_rows, agent_rows = np.arange(n_scenes)[:, None], np.arange(n_agents)
         samples = np.empty((k_eval, n_scenes, n_agents, horizon, 2))
         for k in range(k_eval):
             u = np.stack([rng.random(n_agents) for rng in rngs])  # (B, N)
             modes = np.minimum((u[..., None] > cum).sum(-1), n_modes - 1)
-            sel = np.broadcast_to(modes[..., None, None, None], picked)
-            mu = np.take_along_axis(means, sel, axis=-2)[..., 0, :]
-            sd = np.take_along_axis(scales, sel, axis=-2)[..., 0, :]
+            mu = means[scene_rows, agent_rows, modes]  # (B, N, T, 2)
+            sd = scales[scene_rows, agent_rows, modes]
             noise = np.stack([rng.standard_normal((n_agents, horizon, 2)) for rng in rngs])
             samples[k] = mu + sd * noise
         return samples

@@ -25,11 +25,12 @@ Per-epoch validation (``_val_metrics``) then runs
 ``evaluation.evaluate_groups``, one forward per group and length, and gives
 the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
 computes each GEMM row the same whatever the number of rows.
-``evaluation.evaluate``, which ``eval`` and ``sweep`` use, scores through the
-same core, one group at a time; only a multi-branch model keeps one forward
-per scene there, joined per group before scoring, since the benchmark's
-traced ``eval_sweep`` run checks routing by counting one routed call per
-scene.
+``evaluation.evaluate`` and ``evaluation.generality_sweep``, which ``eval``
+and ``sweep`` use, score through the same core, one group at a time (the
+sweep groups the scenes once for all its lengths); only a multi-branch model
+keeps one forward per scene there, joined per group before scoring, since
+the benchmark's traced ``eval_sweep`` run checks routing by counting one
+routed call per scene.
 
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,
@@ -89,22 +90,47 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """First/second-moment update with bias correction; grad-less parameters
-    are left untouched."""
+    are left untouched and get no moment slots.
+
+    One flat update over the concatenated gradients, moments and values of
+    every parameter with a gradient, element for element the per-tensor
+    arithmetic; each tensor's value and its ``state.m``/``state.v`` slots
+    are then views of their segment of the flat results."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
-    for name, tensor in params.items():
-        grad = tensor.grad
-        if grad is None:
-            continue
-        m = state.m.get(name)
-        v = state.v.get(name)
-        m = (1.0 - beta1) * grad if m is None else beta1 * m + (1.0 - beta1) * grad
-        v = (1.0 - beta2) * grad * grad if v is None else beta2 * v + (1.0 - beta2) * grad * grad
-        state.m[name] = m
-        state.v[name] = v
-        tensor.data = tensor.data - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+    named = [(name, tensor) for name, tensor in params.items() if tensor.grad is not None]
+    if not named:
+        return
+    grad = np.concatenate([tensor.grad.reshape(-1) for _, tensor in named])
+    m = _moment(state.m, named, beta1, (1.0 - beta1) * grad)
+    v = _moment(state.v, named, beta2, (1.0 - beta2) * grad * grad)
+    data = np.concatenate([tensor.data.reshape(-1) for _, tensor in named])
+    data = data - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+    offset = 0
+    for name, tensor in named:
+        shape, stop = tensor.data.shape, offset + tensor.data.size
+        tensor.data = data[offset:stop].reshape(shape)
+        state.m[name] = m[offset:stop].reshape(shape)
+        state.v[name] = v[offset:stop].reshape(shape)
+        offset = stop
+
+
+def _moment(slots: dict[str, np.ndarray], named, beta: float, fresh: np.ndarray) -> np.ndarray:
+    """``beta * slot + fresh`` over the flat segments of ``named``, or
+    ``fresh`` alone in the segment of a tensor that has no slot yet."""
+    old = [slots.get(name) for name, _ in named]
+    if all(slot is not None for slot in old):
+        return beta * np.concatenate([slot.reshape(-1) for slot in old]) + fresh
+    out = fresh.copy()
+    offset = 0
+    for slot, (_, tensor) in zip(old, named):
+        stop = offset + tensor.data.size
+        if slot is not None:
+            out[offset:stop] = beta * slot.reshape(-1) + fresh[offset:stop]
+        offset = stop
+    return out
 
 
 def cosine_lr(lr: float, step: int, total_steps: int) -> float:

@@ -33,9 +33,9 @@ def nll_bruteforce(pred: MixturePrediction, future: np.ndarray) -> float:
     weights = np.exp(logits - logits.max(-1, keepdims=True))
     weights = weights / weights.sum(-1, keepdims=True)
     future = np.asarray(future, dtype=np.float64)
-    diff = np.expand_dims(future, -2) - means
+    diff = future[..., None, :, :] - means  # (..., K, T, 2)
     dens = np.prod(
-        np.exp(-0.5 * (diff / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=(-3, -1)
+        np.exp(-0.5 * (diff / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=(-2, -1)
     )  # (..., K)
     mix = np.sum(weights * dens, axis=-1)
     return float(np.mean(-np.log(mix))) / pred.horizon
@@ -200,12 +200,11 @@ def attention_composed(
 def mixture_head_composed(
     out: Tensor, baseline: np.ndarray, modes: int, horizon: int
 ) -> MixturePrediction:
-    """``backbone.mixture_head`` as slice, reshape, transpose, add and softplus ops."""
+    """``backbone.mixture_head`` as slice, reshape, slice, add and softplus ops."""
     batch, n_agents, _ = out.shape
     width = modes * horizon * 4
     core = ad.reshape(out[:, :, :width], (batch, n_agents, modes, horizon, 4))
-    core = transpose(core, (0, 1, 3, 2, 4))  # (B, N, T, K, 4)
-    means = core[:, :, :, :, 0:2] + Tensor(baseline[:, :, :, None, :])
+    means = core[:, :, :, :, 0:2] + Tensor(baseline[:, :, None, :, :])
     scales = softplus(core[:, :, :, :, 2:4]) + bb.SCALE_FLOOR
     return MixturePrediction(means, scales, out[:, :, width:])
 
@@ -214,11 +213,11 @@ def nll_composed(pred: MixturePrediction, future: np.ndarray) -> Tensor:
     if np.any(pred.scales.data <= 0.0):
         raise DomainError("mixture scales must be strictly positive")
     future = np.asarray(future, dtype=np.float64)
-    target = Tensor(np.expand_dims(future, -2))  # (..., T, 1, 2)
+    target = Tensor(future[..., None, :, :])  # (..., 1, T, 2)
     z = (target - pred.means) / pred.scales
-    log_density = ad.reduce_sum(
-        -log(pred.scales) - 0.5 * LOG_2PI - 0.5 * (z * z), axis=(-3, -1)
-    )
+    terms = -log(pred.scales) - 0.5 * LOG_2PI - 0.5 * (z * z)
+    # each mode's (T, 2) block, flattened and summed
+    log_density = ad.reduce_sum(ad.reshape(terms, terms.shape[:-2] + (-1,)), axis=-1)
     joint = log_density + log_softmax(pred.logits, axis=-1)
     return -ad.reduce_mean(logsumexp(joint, axis=-1)) / pred.horizon
 
@@ -244,6 +243,72 @@ def kl_distill_composed(
     weights_t = softmax(t.logits, axis=-1)
     categorical = ad.reduce_mean(ad.reduce_sum(weights_t * (log_t - log_s), axis=-1))
     return gaussian + categorical
+
+
+# ----------------------------------------------------------------------------
+# Time-major sampling. ``MixturePrediction`` lays modes out mode-major,
+# (..., K, T, 2); this is ``mixture.draw_samples`` as it read the time-major
+# layout (..., T, K, 2), kept to check that the move changed no sample.
+
+
+def time_major(pred: MixturePrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A prediction's means, scales and logits, means and scales (..., T, K, 2)."""
+    return pred.means.data.swapaxes(-3, -2), pred.scales.data.swapaxes(-3, -2), pred.logits.data
+
+
+def draw_samples_time_major(
+    means: np.ndarray, scales: np.ndarray, logits: np.ndarray, k_eval: int,
+    mode: str = "mode-means", seed=None,
+) -> np.ndarray:
+    """(k_eval, ..., T, 2) samples of a time-major mixture."""
+    weights = np.exp(logits - logits.max(-1, keepdims=True))
+    weights = weights / weights.sum(-1, keepdims=True)
+    if mode == "mode-means":
+        order = np.argsort(-weights, axis=-1, kind="stable")  # (..., K)
+        idx = order[..., None, :, None]
+        reordered = np.take_along_axis(means, np.broadcast_to(idx, means.shape), axis=-2)
+        return np.moveaxis(reordered, -2, 0)[:k_eval].copy()
+    n_scenes, n_agents, horizon, n_modes, _ = means.shape
+    rngs = [np.random.default_rng(s) for s in seed]
+    cum = np.cumsum(weights, axis=-1)
+    picked = (n_scenes, n_agents, horizon, 1, 2)
+    samples = np.empty((k_eval, n_scenes, n_agents, horizon, 2))
+    for k in range(k_eval):
+        u = np.stack([rng.random(n_agents) for rng in rngs])  # (B, N)
+        modes = np.minimum((u[..., None] > cum).sum(-1), n_modes - 1)
+        sel = np.broadcast_to(modes[..., None, None, None], picked)
+        mu = np.take_along_axis(means, sel, axis=-2)[..., 0, :]
+        sd = np.take_along_axis(scales, sel, axis=-2)[..., 0, :]
+        noise = np.stack([rng.standard_normal((n_agents, horizon, 2)) for rng in rngs])
+        samples[k] = mu + sd * noise
+    return samples
+
+
+# ----------------------------------------------------------------------------
+# Per-tensor Adam. ``training.adam_step`` updates every parameter with a
+# gradient in one flat pass over their concatenated gradients and moments;
+# this is the per-tensor loop it replaced, kept to check it bit for bit.
+
+
+def adam_step_per_tensor(
+    params: dict[str, Tensor], state, lr: float,
+    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+) -> None:
+    state.step += 1
+    t = state.step
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for name, tensor in params.items():
+        grad = tensor.grad
+        if grad is None:
+            continue
+        m = state.m.get(name)
+        v = state.v.get(name)
+        m = (1.0 - beta1) * grad if m is None else beta1 * m + (1.0 - beta1) * grad
+        v = (1.0 - beta2) * grad * grad if v is None else beta2 * v + (1.0 - beta2) * grad * grad
+        state.m[name] = m
+        state.v[name] = v
+        tensor.data = tensor.data - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
 # ----------------------------------------------------------------------------
@@ -426,7 +491,7 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
 
 
 def one_scene(pred: MixturePrediction) -> MixturePrediction:
-    """A one-scene stack (1, N, T, K, 2) of an (N, T, K, 2) prediction, as
+    """A one-scene stack (1, N, K, T, 2) of an (N, K, T, 2) prediction, as
     ``draw_samples`` takes it for stochastic draws."""
     return MixturePrediction(*(
         Tensor(getattr(pred, name).data[None]) for name in ("means", "scales", "logits")

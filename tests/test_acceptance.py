@@ -143,16 +143,16 @@ def test_criterion_2_distribution_oracles():
     for seed in range(20):
         rr = np.random.default_rng(seed)
         pred = MixturePrediction(
-            Tensor(rr.normal(size=(3, 4, 2, 2))),
-            Tensor(rr.uniform(0.3, 2.0, size=(3, 4, 2, 2))),
+            Tensor(rr.normal(size=(3, 2, 4, 2))),
+            Tensor(rr.uniform(0.3, 2.0, size=(3, 2, 4, 2))),
             Tensor(rr.normal(size=(3, 2))),
         )
         gt = rr.normal(size=(3, 4, 2))
         worst_nll = max(worst_nll, abs(nll(pred, gt).item() - nll_bruteforce(pred, gt)))
 
     pred = MixturePrediction(
-        Tensor(r.normal(size=(2, 3, 2, 2))),
-        Tensor(r.uniform(0.5, 1.5, size=(2, 3, 2, 2))),
+        Tensor(r.normal(size=(2, 2, 3, 2))),
+        Tensor(r.uniform(0.5, 1.5, size=(2, 2, 3, 2))),
         Tensor(r.normal(size=(2, 2))),
     )
     kl_self = kl_distill(pred, pred).item()

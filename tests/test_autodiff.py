@@ -547,7 +547,7 @@ def _fused_cases(seed):
     mix = r.normal(size=(3, 4))
     out = (r.normal(size=(2, 3, 2 * 3 * 4 + 2)),)
     baseline = r.normal(size=(2, 3, 3, 2))
-    head_up = [r.normal(size=shape) for shape in [(2, 3, 3, 2, 2)] * 2 + [(2, 3, 2), out[0].shape]]
+    head_up = [r.normal(size=shape) for shape in [(2, 3, 2, 3, 2)] * 2 + [(2, 3, 2), out[0].shape]]
     cases = {
         "layer_norm": (_layer_norm_loss(ad.layer_norm, up), _layer_norm_loss(oracles.layer_norm_composed, up), ln),
         "linear": (_linear_loss(ad.linear, up), _linear_loss(oracles.linear_composed, up), lin),

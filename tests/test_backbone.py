@@ -297,9 +297,32 @@ def test_decode_scales_strictly_positive_and_shapes():
     encoded = Tensor(np.random.default_rng(9).normal(scale=50.0, size=(1, 3, 8)))
     anchors = np.random.default_rng(90).normal(size=(1, 3, 2, 2))
     pred = bb.decode(encoded, anchors, "L", params)
-    assert pred.means.shape == (1, 3, TINY.horizon, TINY.modes, 2)
+    assert pred.means.shape == (1, 3, TINY.modes, TINY.horizon, 2)
     assert pred.logits.shape == (1, 3, TINY.modes)
     assert np.all(pred.scales.data > 0)
+
+
+@pytest.mark.parametrize("modes, horizon", [(2, 3), (1, 1), (5, 12)])
+def test_mixture_head_column_contract(modes, horizon):
+    # the head's columns are (K, T, 4): a checkpoint's dec.w2 keeps its
+    # meaning only while mode k, step t and channel c read column k*T*4 + t*4 + c
+    r = np.random.default_rng(modes * 100 + horizon)
+    batch, n_agents = 2, 3
+    out = r.normal(size=(batch, n_agents, modes * horizon * 4 + modes))
+    anchors = r.normal(size=(batch, n_agents, 2, 2))
+    baseline = bb.cv_rollout(anchors, horizon)
+    pred = bb.mixture_head(Tensor(out), baseline, modes, horizon)
+    assert pred.means.shape == pred.scales.shape == (batch, n_agents, modes, horizon, 2)
+    for b in range(batch):
+        for n in range(n_agents):
+            for k in range(modes):
+                for t in range(horizon):
+                    column = k * horizon * 4 + t * 4
+                    for c in range(2):
+                        assert pred.means.data[b, n, k, t, c] == out[b, n, column + c] + baseline[b, n, t, c]
+                        raw = out[b, n, column + 2 + c : column + 3 + c]
+                        assert pred.scales.data[b, n, k, t, c] == ad.softplus_array(raw)[0] + bb.SCALE_FLOOR
+    assert pred.logits.data.tobytes() == out[:, :, modes * horizon * 4 :].tobytes()
 
 
 def test_decode_gradcheck():
@@ -362,7 +385,7 @@ def test_forward_suffix_aligns_a_shorter_window():
     params = _fln_params()
     obs = _obs(15, n=2, h=3)
     pred = bb.forward(obs, "L", params)
-    assert pred.means.shape == (2, TINY.horizon, TINY.modes, 2)
+    assert pred.means.shape == (2, TINY.modes, TINY.horizon, 2)
 
 
 def test_shared_theta_update_changes_all_branches():

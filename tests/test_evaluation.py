@@ -234,15 +234,28 @@ def _counting(calls: list, function):
     return counted
 
 
-def test_evaluate_routes_one_scene_per_call_and_the_sweep_evaluates_once_per_length(
+def _counting_transforms(monkeypatch) -> list:
+    calls = []
+    original = Normalizer.transform
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Normalizer, "transform", counted)
+    return calls
+
+
+def test_evaluate_routes_one_scene_per_call_and_the_sweep_groups_once(
     grouped_setup, monkeypatch
 ):
     # the benchmark's traced eval_sweep checks routing by counting
     # forward_routed calls, so a routed model keeps one per scene; the
-    # group's predictions are then drawn from, and scored, together
+    # group's predictions are then drawn from, and scored, together; the
+    # sweep normalizes each group once, whatever the number of lengths
     scenes, normalizer, models = grouped_setup
     groups = group_scenes(scenes, normalizer)
-    routed, evaluated, drawn = [], [], []
+    routed, drawn = [], []
     monkeypatch.setattr(evaluation, "forward_routed", _counting(routed, evaluation.forward_routed))
     original_draw = evaluation.draw_samples
 
@@ -251,17 +264,11 @@ def test_evaluate_routes_one_scene_per_call_and_the_sweep_evaluates_once_per_len
         return original_draw(pred, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "draw_samples", counted_draw)
-    original = evaluation.evaluate
-
-    def counted_evaluate(params, scenes, h_eval, *args, **kwargs):
-        evaluated.append((len(scenes), h_eval))
-        return original(params, scenes, h_eval, *args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "evaluate", counted_evaluate)
+    transforms = _counting_transforms(monkeypatch)
     lengths = [2, 3, 4, 5]
     for sampling in ("stochastic", "mode-means"):
         rows = generality_sweep(models["fln"], scenes, lengths, 2, normalizer, sampling)
-        assert evaluated == [(len(scenes), h) for h in lengths]
+        assert len(transforms) == len(groups)
         assert len(routed) == len(lengths) * len(scenes)
         assert drawn == [g.obs.shape[:2] for g in groups] * len(lengths)
         for h, row in zip(lengths, rows):
@@ -270,8 +277,22 @@ def test_evaluate_routes_one_scene_per_call_and_the_sweep_evaluates_once_per_len
             assert all(shape[0] == 1 and shape[-2] == h for shape, _ in calls)
             assert {branch for _, branch in calls} == {row.branch}
             assert row.branch == route_bruteforce(h, models["fln"].lengths)
-        evaluated.clear()
+        transforms.clear()
         drawn.clear()
+
+
+@pytest.mark.parametrize("model", ["single", "single-learnable", "fln"])
+@pytest.mark.parametrize("sampling", ["mode-means", "stochastic"])
+def test_sweep_equals_per_length_evaluate_bit_for_bit(grouped_setup, model, sampling, monkeypatch):
+    scenes, normalizer, models = grouped_setup
+    params = models[model]
+    lengths = [2, 3, 4] if model == "single-learnable" else [2, 3, 4, 5]  # a table has 4 rows
+    n_groups = len(group_scenes(scenes, normalizer))
+    transforms = _counting_transforms(monkeypatch)
+    rows = generality_sweep(params, scenes, lengths, 2, normalizer, sampling, seed=3)
+    assert len(transforms) == n_groups
+    for h, row in zip(lengths, rows, strict=True):
+        assert row == evaluate(params, scenes, h, 2, normalizer, sampling, seed=3)
 
 
 @pytest.mark.parametrize("sampling", ["mode-means", "stochastic"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexilen import autodiff as ad
@@ -15,14 +15,15 @@ from flexilen.mixture import (
 
 from fdutil import assert_grad_close, finite_difference
 import oracles
-from oracles import nll_bruteforce, one_scene
+from oracles import draw_samples_time_major, nll_bruteforce, one_scene, time_major
 
 
 def _random_pred(seed, n=3, t=4, k=2, requires_grad=False):
+    """A mode-major prediction: means and scales (n, k, t, 2)."""
     r = np.random.default_rng(seed)
     return MixturePrediction(
-        means=Tensor(r.normal(size=(n, t, k, 2)), requires_grad=requires_grad),
-        scales=Tensor(r.uniform(0.3, 2.0, size=(n, t, k, 2)), requires_grad=requires_grad),
+        means=Tensor(r.normal(size=(n, k, t, 2)), requires_grad=requires_grad),
+        scales=Tensor(r.uniform(0.3, 2.0, size=(n, k, t, 2)), requires_grad=requires_grad),
         logits=Tensor(r.normal(size=(n, k)), requires_grad=requires_grad),
     )
 
@@ -34,8 +35,8 @@ def test_nll_at_mean_unit_scale_is_log_2pi():
     n, t = 2, 5
     gt = np.random.default_rng(0).normal(size=(n, t, 2))
     pred = MixturePrediction(
-        means=Tensor(gt[:, :, None, :]),
-        scales=Tensor(np.ones((n, t, 1, 2))),
+        means=Tensor(gt[:, None, :, :]),
+        scales=Tensor(np.ones((n, 1, t, 2))),
         logits=Tensor(np.zeros((n, 1))),
     )
     # per-step NLL for a unit Gaussian evaluated at its mean: 2 * 0.5 * ln(2*pi)
@@ -45,12 +46,12 @@ def test_nll_at_mean_unit_scale_is_log_2pi():
 def test_nll_mixture_of_identical_modes_collapses():
     r = np.random.default_rng(1)
     gt = r.normal(size=(3, 4, 2))
-    mu = r.normal(size=(3, 4, 1, 2))
-    sd = r.uniform(0.5, 1.5, size=(3, 4, 1, 2))
+    mu = r.normal(size=(3, 1, 4, 2))
+    sd = r.uniform(0.5, 1.5, size=(3, 1, 4, 2))
     single = MixturePrediction(Tensor(mu), Tensor(sd), Tensor(np.zeros((3, 1))))
     double = MixturePrediction(
-        Tensor(np.repeat(mu, 2, axis=2)),
-        Tensor(np.repeat(sd, 2, axis=2)),
+        Tensor(np.repeat(mu, 2, axis=1)),
+        Tensor(np.repeat(sd, 2, axis=1)),
         Tensor(np.zeros((3, 2))),  # equal weights [0.5, 0.5]
     )
     assert nll(double, gt).item() == pytest.approx(nll(single, gt).item(), rel=1e-12)
@@ -67,7 +68,7 @@ def test_nll_matches_bruteforce_density_sum(seed):
 def test_nll_single_mode_is_per_step_mean():
     pred = _random_pred(30, k=1)
     gt = np.random.default_rng(31).normal(size=(3, 4, 2))
-    mu, sd = pred.means.data[:, :, 0, :], pred.scales.data[:, :, 0, :]
+    mu, sd = pred.means.data[:, 0], pred.scales.data[:, 0]
     per_step = np.sum(-np.log(sd) - 0.5 * LOG_2PI - 0.5 * ((gt - mu) / sd) ** 2, axis=-1)
     assert nll(pred, gt).item() == pytest.approx(-np.mean(per_step), rel=1e-12)
 
@@ -78,13 +79,13 @@ def test_nll_penalises_switching_modes_between_timesteps():
     # A per-step mixture scores both alike (one exact mode at every step),
     # a trajectory mixture must score A worse.
     gt = np.zeros((1, 4, 2))
-    switching = np.array([[True, False]] * 2 + [[False, True]] * 2)  # (T, K)
-    steady = np.array([[True, False]] * 4)
+    switching = np.array([[True, False]] * 2 + [[False, True]] * 2).T  # (K, T)
+    steady = np.array([[True, False]] * 4).T
 
     def score(exact_on):
-        means = np.where(exact_on[None, :, :, None], 0.0, np.full((1, 4, 2, 2), 3.0))
+        means = np.where(exact_on[None, :, :, None], 0.0, np.full((1, 2, 4, 2), 3.0))
         pred = MixturePrediction(
-            Tensor(means), Tensor(np.full((1, 4, 2, 2), 0.5)), Tensor(np.zeros((1, 2)))
+            Tensor(means), Tensor(np.full((1, 2, 4, 2), 0.5)), Tensor(np.zeros((1, 2)))
         )
         return nll(pred, gt).item()
 
@@ -214,17 +215,17 @@ def test_kl_shape_mismatch_raises():
 def test_mode_means_single_mode_is_exact():
     pred = _random_pred(20, k=1)
     out = draw_samples(pred, 1, mode="mode-means")
-    np.testing.assert_array_equal(out[0], pred.means.data[:, :, 0, :])
+    np.testing.assert_array_equal(out[0], pred.means.data[:, 0])
 
 
 def test_mode_means_ordering_by_weight():
     r = np.random.default_rng(21)
-    means = r.normal(size=(2, 3, 2, 2))
+    means = r.normal(size=(2, 2, 3, 2))  # (N, K, T, 2)
     logits = np.array([[0.0, 2.0], [1.0, -1.0]])  # agent 0 prefers mode 1, agent 1 mode 0
     pred = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
     out = draw_samples(pred, 2, mode="mode-means")
-    np.testing.assert_array_equal(out[0, 0], means[0, :, 1, :])
-    np.testing.assert_array_equal(out[0, 1], means[1, :, 0, :])
+    np.testing.assert_array_equal(out[0, 0], means[0, 1])
+    np.testing.assert_array_equal(out[0, 1], means[1, 0])
 
 
 def test_mode_means_k_eval_limit():
@@ -233,10 +234,10 @@ def test_mode_means_k_eval_limit():
 
 
 def test_mode_means_of_a_stack_equals_the_per_scene_draws():
-    # (B, N, T, K, 2) -> (k, B, N, T, 2), with tied weights in one scene
+    # (B, N, K, T, 2) -> (k, B, N, T, 2), with tied weights in one scene
     r = np.random.default_rng(25)
     b, n, t, k = 4, 3, 5, 3
-    means = r.normal(size=(b, n, t, k, 2))
+    means = r.normal(size=(b, n, k, t, 2))
     logits = r.normal(size=(b, n, k))
     logits[1, 0] = 0.5
     stack = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
@@ -251,7 +252,7 @@ def test_mode_means_of_a_stack_equals_the_per_scene_draws():
 
 def test_stochastic_sampling_rejects_a_stack():
     r = np.random.default_rng(26)
-    means = r.normal(size=(2, 3, 4, 2, 2))
+    means = r.normal(size=(2, 3, 2, 4, 2))
     logits = r.normal(size=(2, 3, 2))
     stack = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
     with pytest.raises(ValueError, match="one seed per scene"):
@@ -264,8 +265,8 @@ def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
     # one stream per scene, seeded with that scene's seed
     r = np.random.default_rng(27)
     b, n, t, k = 3, 4, 5, 3
-    means = r.normal(size=(b, n, t, k, 2))
-    scales = r.uniform(0.1, 1.0, size=(b, n, t, k, 2))
+    means = r.normal(size=(b, n, k, t, 2))
+    scales = r.uniform(0.1, 1.0, size=(b, n, k, t, 2))
     stack = MixturePrediction(Tensor(means), Tensor(scales), Tensor(r.normal(size=(b, n, k))))
     seeds = [11, 5, 11]
     out = draw_samples(stack, 4, mode="stochastic", seed=seeds)
@@ -286,7 +287,7 @@ def test_stochastic_degenerate_noise_converges_to_means():
     pred = _random_pred(23, k=1)
     pred.scales.data[:] = 1e-12
     out = draw_samples(one_scene(pred), 4, mode="stochastic", seed=[0])[:, 0]
-    np.testing.assert_allclose(out, np.broadcast_to(pred.means.data[:, :, 0, :], out.shape), atol=1e-9)
+    np.testing.assert_allclose(out, np.broadcast_to(pred.means.data[:, 0], out.shape), atol=1e-9)
 
 
 def test_stochastic_seeded_determinism():
@@ -294,6 +295,37 @@ def test_stochastic_seeded_determinism():
     a = draw_samples(pred, 5, mode="stochastic", seed=[42])
     b = draw_samples(pred, 5, mode="stochastic", seed=[42])
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["one-agent", "scene", "stack"])
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 5), t=st.integers(1, 6))
+@settings(max_examples=20)
+def test_mode_means_equal_the_time_major_oracle(lead, seed, k, t):
+    r = np.random.default_rng(seed)
+    means = r.normal(size=lead + (k, t, 2))
+    logits = r.normal(size=lead + (k,))
+    if k > 1 and lead:
+        logits.reshape(-1, k)[0, :2] = 0.25  # a tie keeps the lower mode first
+    pred = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
+    k_eval = int(r.integers(1, k + 1))
+    got = draw_samples(pred, k_eval, mode="mode-means")
+    want = draw_samples_time_major(*time_major(pred), k_eval, mode="mode-means")
+    assert got.shape == want.shape == (k_eval,) + lead + (t, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 5), t=st.integers(1, 6))
+@settings(max_examples=20)
+def test_stochastic_draws_equal_the_time_major_oracle(seed, k, t):
+    r = np.random.default_rng(seed)
+    b, n = 2, 3
+    means = r.normal(size=(b, n, k, t, 2))
+    scales = r.uniform(0.1, 1.0, size=(b, n, k, t, 2))
+    pred = MixturePrediction(Tensor(means), Tensor(scales), Tensor(r.normal(size=(b, n, k))))
+    seeds = [int(x) for x in r.integers(2**31, size=b)]
+    got = draw_samples(pred, 4, mode="stochastic", seed=seeds)
+    want = draw_samples_time_major(*time_major(pred), 4, mode="stochastic", seed=seeds)
+    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- fused nodes
@@ -304,26 +336,26 @@ def test_stochastic_seeded_determinism():
 def _pred_from(raw: Tensor, n: int, t: int, k: int) -> MixturePrediction:
     """A prediction whose means, scales and logits all derive from one
     tensor, as the decoder's do, so gradients from the three meet again."""
-    core = ad.reshape(raw[:, : t * k * 4], (n, t, k, 4))
+    core = ad.reshape(raw[:, : k * t * 4], (n, k, t, 4))
     means = core[:, :, :, 0:2]
     scales = oracles.softplus(core[:, :, :, 2:4]) + 1e-3
-    return MixturePrediction(means, scales, raw[:, t * k * 4 :])
+    return MixturePrediction(means, scales, raw[:, k * t * 4 :])
 
 
-def _nll_loss(nll_fn, future, extra):
+def _nll_loss(nll_fn, future, k, extra):
     # the scales also feed a term outside the node, whose gradient reaches
     # them first
     def loss(raw):
-        pred = _pred_from(raw, *future.shape[:2], 2)
+        pred = _pred_from(raw, *future.shape[:2], k)
         return (pred.scales * Tensor(extra)).sum() + nll_fn(pred, future)
 
     return loss
 
 
-def _kl_loss(kl_fn, future, detach):
+def _kl_loss(kl_fn, future, k, detach):
     def loss(raw_teacher, raw_student):
         n, t = future.shape[:2]
-        teacher, student = _pred_from(raw_teacher, n, t, 2), _pred_from(raw_student, n, t, 2)
+        teacher, student = _pred_from(raw_teacher, n, t, k), _pred_from(raw_student, n, t, k)
         return nll(teacher, future) + kl_fn(teacher, student, detach)
 
     return loss
@@ -336,17 +368,20 @@ def _grads(loss_fn, leaves):
     return [loss.data] + [t.grad for t in tensors]
 
 
-def _fused_mixture_cases(seed):
+def _fused_mixture_cases(seed, n=3, t=4, k=2):
     r = np.random.default_rng(seed)
-    n, t, k = 3, 4, 2
     future = r.normal(size=(n, t, 2))
-    raw = [r.normal(size=(n, t * k * 4 + k)) for _ in range(2)]
-    extra = r.normal(size=(n, t, k, 2))
-    cases = {"nll": (_nll_loss(nll, future, extra), _nll_loss(oracles.nll_composed, future, extra), raw[:1])}
+    raw = [r.normal(size=(n, k * t * 4 + k)) for _ in range(2)]
+    extra = r.normal(size=(n, k, t, 2))
+    cases = {
+        "nll": (
+            _nll_loss(nll, future, k, extra), _nll_loss(oracles.nll_composed, future, k, extra), raw[:1]
+        )
+    }
     for detach in (True, False):
         cases[f"kl_detach_{detach}"] = (
-            _kl_loss(kl_distill, future, detach),
-            _kl_loss(oracles.kl_distill_composed, future, detach),
+            _kl_loss(kl_distill, future, k, detach),
+            _kl_loss(oracles.kl_distill_composed, future, k, detach),
             raw,
         )
     return cases
@@ -356,10 +391,16 @@ _FUSED_MIXTURE = ["nll", "kl_detach_True", "kl_detach_False"]
 
 
 @pytest.mark.parametrize("name", _FUSED_MIXTURE)
-@given(seed=st.integers(0, 10_000))
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 4), t=st.integers(1, 12), k=st.integers(1, 6),
+)
+@example(seed=0, n=3, t=4, k=1)
+@example(seed=1, n=3, t=1, k=2)
+@example(seed=2, n=2, t=12, k=5)  # the config's horizon and modes
 @settings(max_examples=25)
-def test_fused_node_equals_composed_chain_bit_for_bit(name, seed):
-    fused, composed, leaves = _fused_mixture_cases(seed)[name]
+def test_fused_node_equals_composed_chain_bit_for_bit(name, seed, n, t, k):
+    fused, composed, leaves = _fused_mixture_cases(seed, n, t, k)[name]
     for got, want in zip(_grads(fused, leaves), _grads(composed, leaves), strict=True):
         np.testing.assert_array_equal(got, want, strict=True)
 
@@ -383,7 +424,7 @@ def _far_mode_pred():
     # mode 1's mean is so far off that z*z overflows, yet mode 0 alone keeps
     # the log-sum-exp finite
     means = np.zeros((1, 2, 2, 2))
-    means[:, :, 1, :] = 1e160
+    means[:, 1] = 1e160
     return MixturePrediction(Tensor(means), Tensor(np.full((1, 2, 2, 2), 1e-3)), Tensor(np.zeros((1, 2))))
 
 

@@ -39,7 +39,15 @@ from flexilen.training import (
     val_set,
 )
 
-from oracles import Window, batches_per_scene, evaluate_per_scene, prepare_per_scene
+from flexilen.checkpoint import load_checkpoint, save_checkpoint
+
+from oracles import (
+    Window,
+    adam_step_per_tensor,
+    batches_per_scene,
+    evaluate_per_scene,
+    prepare_per_scene,
+)
 
 
 def make_config(**over):
@@ -171,6 +179,55 @@ def test_fln_lambda_zero_trains_long_branch_only(tiny_split, tiny_norm):
     assert not np.array_equal(params.tensors["sln.L.enc.l0.norm1.gamma"].data, np.ones(8))
     for record in log.records:
         assert record.total == record.reg
+
+
+def _adam_states_equal(params_a, state_a, params_b, state_b) -> None:
+    assert state_a.step == state_b.step
+    assert sorted(state_a.m) == sorted(state_b.m) == sorted(state_a.v) == sorted(state_b.v)
+    for name in state_a.m:
+        assert state_a.m[name].tobytes() == state_b.m[name].tobytes()
+        assert state_a.v[name].tobytes() == state_b.v[name].tobytes()
+    for name, tensor in params_a.items():
+        assert tensor.data.shape == params_b[name].data.shape
+        assert tensor.data.tobytes() == params_b[name].data.tobytes()
+
+
+def test_flat_adam_equals_the_per_tensor_loop_bit_for_bit(tmp_path):
+    # "late" first gets a gradient at step 3 (a first-step slot init beside
+    # running slots), "frozen" never does; the moments then round-trip
+    # through a checkpoint and both runs go on from it
+    cfg = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
+    model = bb.init_params(cfg, {"S": 2, "M": 3, "L": 4}, 5)
+    names = sorted(model.tensors)
+    late, frozen = names[0], names[-1]
+    oracle = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in model.tensors.items()}
+    flat_state, oracle_state = AdamState(), AdamState()
+    r = np.random.default_rng(6)
+
+    def step(lr):
+        for name in names:
+            grad = None
+            if name != frozen and (name != late or flat_state.step >= 2):
+                grad = r.normal(size=model.tensors[name].shape)
+                grad.reshape(-1)[:2] = (0.0, -0.0)
+            model.tensors[name].grad = grad
+            oracle[name].grad = None if grad is None else grad.copy()
+        adam_step(model.tensors, flat_state, lr)
+        adam_step_per_tensor(oracle, oracle_state, lr)
+
+    for i in range(4):
+        step(0.01 * (i + 1))
+        _adam_states_equal(model.tensors, flat_state, oracle, oracle_state)
+        assert frozen not in flat_state.m
+        assert (late in flat_state.m) == (i >= 2)
+    assert model.tensors[frozen].data.tobytes() == oracle[frozen].data.tobytes()
+
+    save_checkpoint(tmp_path / "model", model, optimizer=flat_state)
+    model, _, flat_state = load_checkpoint(tmp_path / "model")
+    _adam_states_equal(model.tensors, flat_state, oracle, oracle_state)
+    for i in range(3):
+        step(0.02)
+        _adam_states_equal(model.tensors, flat_state, oracle, oracle_state)
 
 
 def test_fln_detached_teacher_step_keeps_teacher_params(tiny_split):
