@@ -85,7 +85,7 @@ def _routed_per_scene(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
     """``_forward`` one scene at a time, joined into one stacked prediction.
     ``evaluate`` and the sweep run a routed model this way, one
     forward_routed call per scene, because the benchmark checks routing by
-    counting those calls until it counts scenes (ROADMAP item 3)."""
+    counting those calls until it counts scenes (ROADMAP item 4)."""
     preds = [_forward(params, obs[row : row + 1]) for row in range(len(obs))]
     return MixturePrediction(*(
         ad.Tensor(np.concatenate([getattr(pred, name).data for pred in preds]))
