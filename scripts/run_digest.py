@@ -8,7 +8,10 @@ switches flipped, so the undetached-teacher and per-branch-NLL paths run,
 with two encoder layers, so a first layer over every token feeds a last
 layer cut to the decoder's tokens, and with five scenes a batch, so a
 group's rows split into several batches and end with a short one; isolated
-also with GELU alone, the one path that loads scipy, for ``erf``),
+also with GELU alone, the one path that loads scipy, for ``erf``), an
+isolated model with a learnable positional table, trained at length 4 and
+evaluated at length 2 (so a single-length model reads the first rows of its
+learnable table; this line hashes both runs),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
 length longer than its longest branch (so routed truncation runs), an
 evaluation of the isolated checkpoint at a longer length with
@@ -165,6 +168,13 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
         _cli(["train", "--out", str(out), "--data", str(data), "--seed", str(SEED), *TINY, *args])
         record(name, out)
         values[name] = final_values(out)
+    learnable = root / "isolated-learnable"
+    _cli(["train", "--out", str(learnable), "--data", str(data), "--seed", str(SEED), *TINY,
+          "--strategy", "isolated", "--length", "4", "--set", "pe_kind=learnable"])
+    _cli(["eval", "--out", str(learnable / "eval"), "--checkpoint", str(learnable / "checkpoint"),
+          "--data", str(data), "--length", "2"])
+    record("isolated-learnable", learnable, learnable / "eval")
+    values["isolated-learnable"] = final_values(learnable)
     checkpoints = [str(root / "fln-ablated" / "checkpoint"), str(root / "isolated" / "checkpoint")]
     sweep = root / "sweep"
     for index, checkpoint in enumerate(checkpoints):

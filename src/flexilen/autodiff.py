@@ -5,6 +5,14 @@ top of numpy arrays. Forward passes are bit-deterministic in single-threaded
 execution; every differentiable op ships an analytic backward that the test
 suite checks against central finite differences.
 
+The engine keeps only the ops the model records: ``add`` and ``mul`` (a
+``Tensor``'s ``+`` and ``*``, in either order), ``relu``, ``gelu``,
+``reshape``, ``getitem`` (slicing) and the fused ``layer_norm``, ``linear``
+and ``attention`` nodes, beside the fused nodes of ``backbone`` and
+``mixture``. The other ops of the chains those nodes replay (sub, div, neg,
+exp, log, sqrt, softplus, softmax, matmul, transpose and the sum, mean and
+max reductions) are test oracles, in ``tests/oracles.py``.
+
 Every op result is checked, always: the first op that makes a NaN or Inf
 raises ``FloatingPointError``. The check sums the result first, since a finite
 sum proves every element finite; only a non-finite sum (which finite elements
@@ -134,40 +142,14 @@ class Tensor:
     def __radd__(self, other):
         return add(as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -208,10 +190,8 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def spread(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool):
-    """Copy a reduction's gradient back over the axes it reduced."""
-    if not keepdims:
-        g = g.reshape([1 if ax in axes else n for ax, n in enumerate(shape)])
+def spread(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Copy a keepdims reduction's gradient back over the axes it reduced."""
     out = np.empty(shape)
     out[...] = g
     return out
@@ -227,7 +207,7 @@ def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
 # elementwise ------------------------------------------------------------
 
 
-# add and sub skip the gradient of a constant operand (a positional table, a
+# add skips the gradient of a constant operand (a positional table, a
 # baseline, a floor): its broadcast sums would be thrown away
 
 
@@ -242,40 +222,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return record(
-        _broadcast(np.subtract, a, b, "sub"),
-        (a, b),
-        lambda g: (
-            unbroadcast(g, a.shape) if a.requires_grad else None,
-            unbroadcast(-g, b.shape) if b.requires_grad else None,
-        ),
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return record(
         _broadcast(np.multiply, a, b, "mul"),
         (a, b),
         lambda g: (unbroadcast(g * b.data, a.shape), unbroadcast(g * a.data, b.shape)),
     )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if not b.data.all():
-        raise DomainError("div: divisor contains zero")
-    return record(
-        _broadcast(np.divide, a, b, "div"),
-        (a, b),
-        lambda g: (
-            unbroadcast(g / b.data, a.shape),
-            unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    return record(-a.data, (a,), lambda g: (-g,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -310,39 +262,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     below, so ``exp`` never overflows and a tail underflows gradually."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
-
-
-# reductions -------------------------------------------------------------
-
-
-def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _check_nonempty(shape, axes, op: str):
-    for a in axes:
-        if shape[a] == 0:
-            raise ValueError(f"{op}: cannot reduce empty axis {a}")
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _axis_tuple(axis, a.ndim)
-    _check_nonempty(a.shape, axes, "sum")
-    out = np.add.reduce(a.data, axis=axes, keepdims=keepdims)
-    return record(out, (a,), lambda g: (spread(g, a.shape, axes, keepdims),))
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _axis_tuple(axis, a.ndim)
-    _check_nonempty(a.shape, axes, "mean")
-    count = math.prod(a.shape[ax] for ax in axes)
-    # np.mean's own arithmetic: the sum divided by the element count
-    out = np.add.reduce(a.data, axis=axes, keepdims=keepdims) / count
-    return record(out, (a,), lambda g: (spread(g / count, a.shape, axes, keepdims),))
 
 
 # shape manipulation ------------------------------------------------------
@@ -407,13 +326,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         g_scaled = unbroadcast(g, scaled.shape)
         g_normalized = unbroadcast(g_scaled * gamma.data, normalized.shape)
         g_std = unbroadcast(-g_normalized * centered / (std * std), std.shape)
-        g_square = spread(g_std * 0.5 / std / count, centered.shape, axes, True)
+        g_square = spread(g_std * 0.5 / std / count, centered.shape)
         via_square = g_square * centered  # once per factor of centered * centered
         g_centered = g_normalized / std + via_square + via_square
         g_mu = unbroadcast(-g_centered, mu.shape)
         return (
             g_centered,
-            spread(g_mu / count, x.shape, axes, True),
+            spread(g_mu / count, x.shape),
             unbroadcast(g_scaled * normalized, gamma.shape),
             unbroadcast(g, beta.shape),
         )

@@ -187,45 +187,37 @@ def sinusoidal_pe(t_indices: np.ndarray, shift: int, d_model: int) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
-def _sinusoidal_rows(start: int, stop: int, shift: int, d_model: int) -> np.ndarray:
-    """``sinusoidal_pe`` rows ``start..stop-1``, built once per key: every
-    forward at a given length reads the same rows. Read-only, since callers
-    share them."""
-    rows = sinusoidal_pe(np.arange(start, stop), shift, d_model)
+def _sinusoidal_rows(start: int, stop: int, d_model: int) -> np.ndarray:
+    """``sinusoidal_pe`` rows ``start..stop-1`` shifted by ``stop``, built
+    once per key: every forward at a given length reads the same rows.
+    Read-only, since callers share them."""
+    rows = sinusoidal_pe(np.arange(start, stop), stop, d_model)
     rows.flags.writeable = False
     return rows
 
 
-def _pe_rows(params: FlnParams, branch: str, fed_length: int) -> Tensor:
-    """Positional rows for feeding ``fed_length`` steps through a branch.
+def _pe_rows(params: FlnParams, branch: str, start: int, stop: int) -> Tensor:
+    """Positional rows ``start..stop-1`` of ``branch``, the sinusoidal ones
+    shifted by ``stop``.
 
-    Shorter-than-branch inputs are suffix-aligned within the branch window so
-    the most recent observation keeps its trained encoding.
+    A branch forward of ``fed`` steps reads ``(H_b - fed, H_b)``: a shorter
+    input is suffix-aligned within the branch window, so the most recent
+    observation keeps its trained encoding. A single-length model reads
+    ``(0, fed)``: the sinusoidal shift tracks the current input length (the
+    behavior that produces positional deviation under length changes).
     """
-    h_branch = params.lengths[branch]
-    if fed_length > h_branch:
-        raise ValueError(f"cannot feed {fed_length} steps through branch {branch} (H={h_branch})")
-    offset = h_branch - fed_length
+    if start < 0:
+        raise ValueError(f"cannot feed {stop - start} steps through branch {branch} (H={stop})")
     if params.cfg.pe_kind == "sinusoidal":
-        return Tensor(_sinusoidal_rows(offset, h_branch, h_branch, params.cfg.d_model))
-    table = params.pe_table(branch)
+        return Tensor(_sinusoidal_rows(start, stop, params.cfg.d_model))
     # a shared (ablated) table is sized for the longest branch; each branch
     # reads its first H rows
-    return table[offset:h_branch]
-
-
-def _pe_rows_native(params: FlnParams, fed_length: int) -> Tensor:
-    """Positional rows for a single-length model evaluated at an arbitrary
-    length: the sinusoidal shift tracks the current input length (the
-    behavior that produces positional deviation under length changes)."""
-    if params.cfg.pe_kind == "sinusoidal":
-        return Tensor(_sinusoidal_rows(0, fed_length, fed_length, params.cfg.d_model))
-    table = params.pe_table(params.branch_ids[-1])
-    if fed_length > table.shape[0]:
+    table = params.pe_table(branch)
+    if stop > table.shape[0]:
         raise ValueError(
-            f"input length {fed_length} exceeds the learnable table ({table.shape[0]} rows)"
+            f"input length {stop} exceeds the learnable table ({table.shape[0]} rows)"
         )
-    return table[0:fed_length]
+    return table[start:stop]
 
 
 # ------------------------------------------------------------------- layers
@@ -447,7 +439,8 @@ def forward(
     """
     if branch not in params.lengths:
         raise ValueError(f"unknown branch {branch!r}; model has {params.branch_ids}")
-    pe_rows = _pe_rows(params, branch, np.shape(observations)[-2])
+    h_branch = params.lengths[branch]
+    pe_rows = _pe_rows(params, branch, h_branch - np.shape(observations)[-2], h_branch)
     return _run(observations, branch, params, pe_rows, capture=capture)
 
 
@@ -464,4 +457,4 @@ def forward_single(
         raise ValueError("forward_single expects a single-branch model; use routing instead")
     branch = params.branch_ids[0]
     fed = np.asarray(observations).shape[-2]
-    return _run(observations, branch, params, _pe_rows_native(params, fed), capture=capture)
+    return _run(observations, branch, params, _pe_rows(params, branch, 0, fed), capture=capture)

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import FlnParams
 from .config import BackboneConfig
-from .data import read_payload
+from .data import read_payload, write_payload
 from .training import AdamState
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -63,7 +63,7 @@ def save_checkpoint(
         "parameters": param_entries,
         "scale": scale,
     }
-    blobs = [param_arrays[name].astype("<f8").tobytes() for name in param_arrays]
+    arrays = list(param_arrays.values())
     if optimizer is not None:
         opt_arrays: dict[str, np.ndarray] = {}
         for slot in ("m", "v"):
@@ -71,14 +71,8 @@ def save_checkpoint(
                 opt_arrays[f"{slot}.{name}"] = arr
         opt_entries, offset = _manifest_entries(opt_arrays, offset)
         manifest["optimizer"] = {"step": optimizer.step, "slots": opt_entries}
-        blobs += [opt_arrays[name].astype("<f8").tobytes() for name in opt_arrays]
-
-    tmp_json = Path(str(prefix) + ".json.tmp")
-    tmp_bin = Path(str(prefix) + ".bin.tmp")
-    tmp_json.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    tmp_bin.write_bytes(b"".join(blobs))
-    tmp_json.replace(Path(str(prefix) + ".json"))
-    tmp_bin.replace(Path(str(prefix) + ".bin"))
+        arrays += opt_arrays.values()
+    write_payload(prefix, manifest, arrays)
 
 
 def load_checkpoint(

@@ -381,9 +381,7 @@ def save_dataset(out_dir: str | Path, scenes: list[TrajectoryScene], meta: dict)
         "scenes": [],
     }
     offset = 0
-    chunks = []
     for scene in scenes:
-        size = scene.positions.size
         manifest["scenes"].append(
             {
                 "id": scene.scene_id,
@@ -393,14 +391,20 @@ def save_dataset(out_dir: str | Path, scenes: list[TrajectoryScene], meta: dict)
                 "offset": offset,
             }
         )
-        chunks.append(scene.positions.astype("<f8").tobytes())
-        offset += size
-    tmp_json = out_dir / "dataset.json.tmp"
-    tmp_bin = out_dir / "dataset.bin.tmp"
+        offset += scene.positions.size
+    write_payload(out_dir / "dataset", manifest, [scene.positions for scene in scenes])
+
+
+def write_payload(prefix: Path, manifest: dict, arrays: list[np.ndarray]) -> None:
+    """``<prefix>.json``, the manifest, and ``<prefix>.bin``, the arrays as
+    consecutive little-endian float64 blocks. Both are written to ``.tmp``
+    files first and then renamed, so a reader never sees half a file."""
+    tmp_json = Path(f"{prefix}.json.tmp")
+    tmp_bin = Path(f"{prefix}.bin.tmp")
     tmp_json.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    tmp_bin.write_bytes(b"".join(chunks))
-    tmp_json.replace(out_dir / "dataset.json")
-    tmp_bin.replace(out_dir / "dataset.bin")
+    tmp_bin.write_bytes(b"".join(arr.astype("<f8").tobytes() for arr in arrays))
+    tmp_json.replace(f"{prefix}.json")
+    tmp_bin.replace(f"{prefix}.bin")
 
 
 def read_payload(path: Path, blocks: list[tuple[str, int, int]], source: str) -> np.ndarray:

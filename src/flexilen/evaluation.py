@@ -252,22 +252,6 @@ def ln_statistics_probe(
     return report
 
 
-def ln_report_gap(a: LnStatReport, b: LnStatReport, sites: list[str] | None = None) -> float:
-    """Max per-position mean gap across sites, suffix-aligned when the two
-    reports cover different observation lengths. ``sites`` restricts the
-    comparison (e.g. to the first encoder norm, where the statistics are
-    dominated by the inputs rather than by downstream weights)."""
-    gaps = []
-    for site in a.sites:
-        if site not in b.sites or (sites is not None and site not in sites):
-            continue
-        rows = min(a.sites[site].shape[0], b.sites[site].shape[0])
-        gaps.append(np.max(np.abs(a.sites[site][-rows:, 0] - b.sites[site][-rows:, 0])))
-    if not gaps:
-        raise ValueError("reports share no sites")
-    return float(max(gaps))
-
-
 def write_ln_report_csv(path: str | Path, report: LnStatReport) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

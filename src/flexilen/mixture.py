@@ -72,7 +72,7 @@ def _check_nonempty(pred: MixturePrediction, op: str) -> None:
 
 
 def _mean(a: np.ndarray):
-    """Mean over every axis, as ``autodiff.reduce_mean`` computes it."""
+    """Mean over every axis, as the composed chain's ``reduce_mean`` computes it."""
     return np.add.reduce(a, axis=tuple(range(a.ndim))) / a.size
 
 

@@ -1,6 +1,7 @@
 """Independent reference implementations that tests compare the package against."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ from flexilen import autodiff as ad
 from flexilen import backbone as bb
 from flexilen.autodiff import DomainError, Tensor
 from flexilen.backbone import FlnParams, sinusoidal_pe
-from flexilen.evaluation import Metrics
+from flexilen.evaluation import LnStatReport, Metrics
 from flexilen.fln import forward_routed
 from flexilen.mixture import LOG_2PI, MixturePrediction, draw_samples
 
@@ -56,9 +57,79 @@ def positional_encode(t: int, branch: str, params: FlnParams) -> np.ndarray:
 # (``autodiff.layer_norm``/``linear``/``attention``, the means and scales of
 # ``backbone.mixture_head``, ``mixture.nll``/``kl_distill``); these are the
 # op-by-op chains those nodes replay, kept here so tests can compare forward
-# values and gradients bit for bit. ``matmul``, ``transpose`` and
-# ``softplus`` have no caller in the package; ``softplus`` runs the scales
-# node's two numpy helpers, ``autodiff.softplus_array`` and ``sigmoid_array``.
+# values and gradients bit for bit. The package records only ``add``,
+# ``mul``, ``relu``, ``gelu``, ``reshape`` and ``getitem`` of these, so
+# ``sub``, ``div``, ``neg``, ``exp``, ``log``, ``sqrt``, ``softplus``,
+# ``softmax``, ``matmul``, ``transpose`` and the ``reduce_sum``,
+# ``reduce_mean`` and ``reduce_max`` reductions live here; ``softplus`` runs
+# the scales node's two numpy helpers, ``autodiff.softplus_array`` and
+# ``sigmoid_array``.
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    # like add, skips the gradient of a constant operand
+    return ad.record(
+        ad._broadcast(np.subtract, a, b, "sub"),
+        (a, b),
+        lambda g: (
+            ad.unbroadcast(g, a.shape) if a.requires_grad else None,
+            ad.unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
+    )
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    if not b.data.all():
+        raise DomainError("div: divisor contains zero")
+    return ad.record(
+        ad._broadcast(np.divide, a, b, "div"),
+        (a, b),
+        lambda g: (
+            ad.unbroadcast(g / b.data, a.shape),
+            ad.unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        ),
+    )
+
+
+def neg(a: Tensor) -> Tensor:
+    return ad.record(-a.data, (a,), lambda g: (-g,))
+
+
+def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
+    if axis is None:
+        return tuple(range(ndim))
+    if isinstance(axis, int):
+        axis = (axis,)
+    return tuple(a % ndim for a in axis)
+
+
+def _check_nonempty(shape, axes, op: str):
+    for a in axes:
+        if shape[a] == 0:
+            raise ValueError(f"{op}: cannot reduce empty axis {a}")
+
+
+def _spread(g: np.ndarray, shape, axes, keepdims: bool) -> np.ndarray:
+    """A reduction's gradient copied back over the axes it reduced."""
+    if not keepdims:
+        g = g.reshape([1 if ax in axes else n for ax, n in enumerate(shape)])
+    return ad.spread(g, shape)
+
+
+def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    axes = _axis_tuple(axis, a.ndim)
+    _check_nonempty(a.shape, axes, "sum")
+    out = np.add.reduce(a.data, axis=axes, keepdims=keepdims)
+    return ad.record(out, (a,), lambda g: (_spread(g, a.shape, axes, keepdims),))
+
+
+def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    axes = _axis_tuple(axis, a.ndim)
+    _check_nonempty(a.shape, axes, "mean")
+    count = math.prod(a.shape[ax] for ax in axes)
+    # np.mean's own arithmetic: the sum divided by the element count
+    out = np.add.reduce(a.data, axis=axes, keepdims=keepdims) / count
+    return ad.record(out, (a,), lambda g: (_spread(g / count, a.shape, axes, keepdims),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -155,7 +226,7 @@ def reduce_max(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Numerically stable log-sum-exp along one axis (fully differentiable)."""
     m = reduce_max(a, axis=axis, keepdims=True)
-    out = ad.add(log(ad.reduce_sum(exp(ad.sub(a, m)), axis=axis, keepdims=True)), m)
+    out = ad.add(log(reduce_sum(exp(sub(a, m)), axis=axis, keepdims=True)), m)
     if keepdims:
         return out
     ax = axis % a.ndim
@@ -163,14 +234,14 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return ad.sub(a, logsumexp(a, axis=axis, keepdims=True))
+    return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
 def layer_norm_composed(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
-    normalized = centered / sqrt(var + eps)
+    mu = reduce_mean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = reduce_mean(centered * centered, axis=-1, keepdims=True)
+    normalized = div(centered, sqrt(var + eps))
     return normalized * gamma + beta
 
 
@@ -214,12 +285,12 @@ def nll_composed(pred: MixturePrediction, future: np.ndarray) -> Tensor:
         raise DomainError("mixture scales must be strictly positive")
     future = np.asarray(future, dtype=np.float64)
     target = Tensor(future[..., None, :, :])  # (..., 1, T, 2)
-    z = (target - pred.means) / pred.scales
-    terms = -log(pred.scales) - 0.5 * LOG_2PI - 0.5 * (z * z)
+    z = div(sub(target, pred.means), pred.scales)
+    terms = sub(sub(neg(log(pred.scales)), Tensor(0.5 * LOG_2PI)), 0.5 * (z * z))
     # each mode's (T, 2) block, flattened and summed
-    log_density = ad.reduce_sum(ad.reshape(terms, terms.shape[:-2] + (-1,)), axis=-1)
+    log_density = reduce_sum(ad.reshape(terms, terms.shape[:-2] + (-1,)), axis=-1)
     joint = log_density + log_softmax(pred.logits, axis=-1)
-    return -ad.reduce_mean(logsumexp(joint, axis=-1)) / pred.horizon
+    return div(neg(reduce_mean(logsumexp(joint, axis=-1))), Tensor(pred.horizon))
 
 
 def kl_distill_composed(
@@ -231,17 +302,17 @@ def kl_distill_composed(
     t = MixturePrediction(
         Tensor(teacher.means.data), Tensor(teacher.scales.data), Tensor(teacher.logits.data)
     ) if detach_teacher else teacher
-    log_ratio = log(student.scales) - log(t.scales)
+    log_ratio = sub(log(student.scales), log(t.scales))
     var_t = t.scales * t.scales
     var_s = student.scales * student.scales
-    mean_diff = t.means - student.means
-    per_dim = log_ratio + (var_t + mean_diff * mean_diff) / (2.0 * var_s) - 0.5
-    gaussian = ad.reduce_mean(ad.reduce_sum(per_dim, axis=-1))
+    mean_diff = sub(t.means, student.means)
+    per_dim = sub(log_ratio + div(var_t + mean_diff * mean_diff, 2.0 * var_s), Tensor(0.5))
+    gaussian = reduce_mean(reduce_sum(per_dim, axis=-1))
 
     log_t = log_softmax(t.logits, axis=-1)
     log_s = log_softmax(student.logits, axis=-1)
     weights_t = softmax(t.logits, axis=-1)
-    categorical = ad.reduce_mean(ad.reduce_sum(weights_t * (log_t - log_s), axis=-1))
+    categorical = reduce_mean(reduce_sum(weights_t * sub(log_t, log_s), axis=-1))
     return gaussian + categorical
 
 
@@ -364,9 +435,10 @@ def forward_all_tokens(
         obs = obs[None]
     fed = obs.shape[-2]
     if branch is None:
-        branch, pe_rows = params.branch_ids[0], bb._pe_rows_native(params, fed)
+        branch, start, stop = params.branch_ids[0], 0, fed
     else:
-        pe_rows = bb._pe_rows(params, branch, fed)
+        start, stop = params.lengths[branch] - fed, params.lengths[branch]
+    pe_rows = bb._pe_rows(params, branch, start, stop)
     feats = bb.spatial_encode(obs, branch, params) + pe_rows
     encoded = transformer_encode_all_tokens(feats, branch, params)
     pred = bb.decode(encoded[:, :, fed - 1, :], obs[:, :, -2:, :], branch, params)
@@ -481,6 +553,27 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
         var = np.maximum(sq_sums[site] / counts[site] - mean * mean, 0.0)
         out[site] = np.stack([mean, np.sqrt(var)], axis=1)
     return out
+
+
+# ----------------------------------------------------------------------------
+# LayerNorm report gap. Criterion 9 compares two ``ln_statistics_probe``
+# reports; the package itself never compares them.
+
+
+def ln_report_gap(a: LnStatReport, b: LnStatReport, sites: list[str] | None = None) -> float:
+    """Max per-position mean gap across sites, suffix-aligned when the two
+    reports cover different observation lengths. ``sites`` restricts the
+    comparison (e.g. to the first encoder norm, where the statistics are
+    dominated by the inputs rather than by downstream weights)."""
+    gaps = []
+    for site in a.sites:
+        if site not in b.sites or (sites is not None and site not in sites):
+            continue
+        rows = min(a.sites[site].shape[0], b.sites[site].shape[0])
+        gaps.append(np.max(np.abs(a.sites[site][-rows:, 0] - b.sites[site][-rows:, 0])))
+    if not gaps:
+        raise ValueError("reports share no sites")
+    return float(max(gaps))
 
 
 # ----------------------------------------------------------------------------

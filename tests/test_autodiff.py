@@ -12,7 +12,9 @@ from flexilen.autodiff import Tensor, backward, zero_grad
 
 from fdutil import assert_grad_close, finite_difference
 import oracles
-from oracles import exp, log, logsumexp, reduce_max, softmax, softplus, sqrt
+from oracles import (
+    div, exp, log, logsumexp, neg, reduce_max, reduce_mean, reduce_sum, softmax, softplus, sqrt, sub,
+)
 
 
 def _rng(seed=0):
@@ -35,7 +37,7 @@ def test_log_exp_inverse_pair():
 
 def test_grad_of_sum_of_squares():
     x = Tensor([3.0], requires_grad=True)
-    backward((x * x).sum())
+    backward(reduce_sum(x * x))
     fd = finite_difference(lambda v: float(np.sum(v * v)), np.array([3.0]))
     assert_grad_close(x.grad, fd)
     np.testing.assert_allclose(x.grad, [6.0], rtol=1e-12)
@@ -44,17 +46,20 @@ def test_grad_of_sum_of_squares():
 def test_broadcast_shapes_and_grads():
     a = Tensor(_rng(1).normal(size=(3, 4)), requires_grad=True)
     b = Tensor(_rng(2).normal(size=(4,)), requires_grad=True)
-    out = (a * b).sum()
+    out = reduce_sum(a * b)
     backward(out)
     assert a.grad.shape == (3, 4)
     assert b.grad.shape == (4,)
     np.testing.assert_allclose(b.grad, a.data.sum(axis=0), rtol=1e-12)
 
 
+_BINARY_OPS = {"add": ad.add, "sub": sub, "mul": ad.mul, "div": div}
+
+
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
 def test_shape_mismatch_raises(name):
     with pytest.raises(ValueError, match=rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast"):
-        getattr(ad, name)(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+        _BINARY_OPS[name](Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
 
 def test_log_domain_error():
@@ -64,7 +69,7 @@ def test_log_domain_error():
 
 def test_div_by_zero_raises():
     with pytest.raises(ad.DomainError):
-        ad.div(Tensor([1.0]), Tensor([0.0]))
+        div(Tensor([1.0]), Tensor([0.0]))
 
 
 _NONFINITE_FIRST_OPS = {
@@ -90,7 +95,7 @@ def test_finite_result_whose_sum_overflows_passes():
 _UNARY_OPS = {
     "exp": (exp, lambda r: r.uniform(-2, 2, size=5)),
     "log": (log, lambda r: r.uniform(0.1, 5, size=5)),
-    "neg": (ad.neg, lambda r: r.normal(size=5)),
+    "neg": (neg, lambda r: r.normal(size=5)),
     "relu": (ad.relu, lambda r: r.normal(size=5) + 0.1),
     "gelu": (ad.gelu, lambda r: r.normal(size=5)),
     "sqrt": (sqrt, lambda r: r.uniform(0.1, 5, size=5)),
@@ -105,12 +110,9 @@ def test_unary_gradients_match_finite_differences(name, seed):
     op, sampler = _UNARY_OPS[name]
     x = sampler(_rng(seed))
     t = Tensor(x, requires_grad=True)
-    backward(op(t).sum())
+    backward(reduce_sum(op(t)))
     fd = finite_difference(lambda v: float(np.sum(op(Tensor(v)).data)), x)
     assert_grad_close(t.grad, fd)
-
-
-_BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div}
 
 
 @pytest.mark.parametrize("name", sorted(_BINARY_OPS))
@@ -123,7 +125,7 @@ def test_binary_gradients_match_finite_differences(name, seed):
     y = r.uniform(0.5, 2.0, size=(2, 3)) * np.sign(r.normal(size=(2, 3)) + 3.0)
     a = Tensor(x, requires_grad=True)
     b = Tensor(y, requires_grad=True)
-    backward(op(a, b).sum())
+    backward(reduce_sum(op(a, b)))
     assert_grad_close(a.grad, finite_difference(lambda v: float(np.sum(op(Tensor(v), Tensor(y)).data)), x))
     assert_grad_close(b.grad, finite_difference(lambda v: float(np.sum(op(Tensor(x), Tensor(v)).data)), y))
 
@@ -153,7 +155,7 @@ def test_matmul_gradcheck_3x4_4x2():
     y = r.normal(size=(4, 2))
     a = Tensor(x, requires_grad=True)
     b = Tensor(y, requires_grad=True)
-    backward(oracles.matmul(a, b).sum())
+    backward(reduce_sum(oracles.matmul(a, b)))
     fd_a = finite_difference(lambda v: float(np.sum(v @ y)), x)
     fd_b = finite_difference(lambda v: float(np.sum(x @ v)), y)
     assert_grad_close(a.grad, fd_a, tol=1e-6)
@@ -166,7 +168,7 @@ def test_matmul_batched_broadcast_grads():
     y = r.normal(size=(3, 5))
     a = Tensor(x, requires_grad=True)
     b = Tensor(y, requires_grad=True)
-    backward((oracles.matmul(a, b) * Tensor(r.normal(size=(4, 2, 5)))).sum())
+    backward(reduce_sum(oracles.matmul(a, b) * Tensor(r.normal(size=(4, 2, 5)))))
     assert a.grad.shape == x.shape
     assert b.grad.shape == y.shape
 
@@ -197,7 +199,7 @@ def test_softmax_gradcheck_length5():
     x = _rng(11).normal(size=5)
     t = Tensor(x, requires_grad=True)
     w = _rng(12).normal(size=5)
-    backward((softmax(t) * Tensor(w)).sum())
+    backward(reduce_sum(softmax(t) * Tensor(w)))
     fd = finite_difference(
         lambda v: float(np.sum(softmax(Tensor(v)).data * w)), x
     )
@@ -208,17 +210,17 @@ def test_softmax_gradcheck_length5():
 
 
 def test_mean_basics():
-    assert ad.reduce_mean(Tensor([2.0, 4.0])).item() == 3.0
+    assert reduce_mean(Tensor([2.0, 4.0])).item() == 3.0
 
 
 def test_sum_axis0():
-    out = ad.reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=0)
+    out = reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=0)
     np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
 
 def test_mean_gradient_is_one_over_n():
     t = Tensor(np.arange(6.0), requires_grad=True)
-    backward(ad.reduce_mean(t))
+    backward(reduce_mean(t))
     np.testing.assert_allclose(t.grad, np.full(6, 1 / 6), rtol=1e-15)
 
 
@@ -231,7 +233,7 @@ def test_max_gradient_ties_to_lowest_index():
 def test_max_axis_gradcheck():
     x = _rng(13).normal(size=(3, 4))
     t = Tensor(x, requires_grad=True)
-    backward(reduce_max(t, axis=1).sum())
+    backward(reduce_sum(reduce_max(t, axis=1)))
     fd = finite_difference(lambda v: float(np.sum(np.max(v, axis=1))), x)
     assert_grad_close(t.grad, fd)
 
@@ -251,16 +253,16 @@ def _reduction_case(draw):
 def test_reductions_equal_numpy_bit_for_bit(case):
     x, axis, keepdims = case
     np.testing.assert_array_equal(
-        ad.reduce_sum(Tensor(x), axis, keepdims).data, np.sum(x, axis=axis, keepdims=keepdims), strict=True
+        reduce_sum(Tensor(x), axis, keepdims).data, np.sum(x, axis=axis, keepdims=keepdims), strict=True
     )
     np.testing.assert_array_equal(
-        ad.reduce_mean(Tensor(x), axis, keepdims).data, np.mean(x, axis=axis, keepdims=keepdims), strict=True
+        reduce_mean(Tensor(x), axis, keepdims).data, np.mean(x, axis=axis, keepdims=keepdims), strict=True
     )
 
 
 def test_reduce_empty_axis_raises():
     with pytest.raises(ValueError):
-        ad.reduce_sum(Tensor(np.zeros((0, 2))), axis=0)
+        reduce_sum(Tensor(np.zeros((0, 2))), axis=0)
     with pytest.raises(ValueError):
         reduce_max(Tensor(np.zeros((0,))))
 
@@ -272,7 +274,7 @@ def test_reshape_transpose_getitem_grads():
     x = _rng(14).normal(size=(2, 3, 4))
     t = Tensor(x, requires_grad=True)
     out = oracles.transpose(ad.reshape(t, (6, 4)), (1, 0))[1:3, :]
-    backward(out.sum())
+    backward(reduce_sum(out))
 
     def f(v):
         return float(np.sum(np.transpose(v.reshape(6, 4), (1, 0))[1:3, :]))
@@ -284,7 +286,7 @@ def test_reshape_transpose_getitem_grads():
 def test_transpose_gradient_applies_the_inverse_permutation(axes):
     t = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
     upstream = _rng(18).normal(size=(4, 2, 3))
-    backward((oracles.transpose(t, axes) * Tensor(upstream)).sum())
+    backward(reduce_sum(oracles.transpose(t, axes) * Tensor(upstream)))
     np.testing.assert_array_equal(t.grad, upstream.transpose(1, 2, 0))
 
 
@@ -294,7 +296,7 @@ def test_logsumexp_matches_numpy_and_grad():
     out = logsumexp(t, axis=-1)
     expected = np.log(np.sum(np.exp(x - x.max(-1, keepdims=True)), -1)) + x.max(-1)
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
-    backward(out.sum())
+    backward(reduce_sum(out))
     np.testing.assert_allclose(t.grad, np.exp(x) / np.exp(x).sum(-1, keepdims=True), rtol=1e-10)
 
 
@@ -381,7 +383,7 @@ def test_backward_composed_matmul_softmax_sum():
     a = Tensor(x, requires_grad=True)
 
     def forward(t):
-        return ad.reduce_sum(softmax(oracles.matmul(t, Tensor(w)), axis=-1) * Tensor(mix))
+        return reduce_sum(softmax(oracles.matmul(t, Tensor(w)), axis=-1) * Tensor(mix))
 
     backward(forward(a))
     fd = finite_difference(
@@ -392,13 +394,13 @@ def test_backward_composed_matmul_softmax_sum():
 
 def test_backward_accumulates_until_reset():
     x = Tensor([1.0, -2.0], requires_grad=True)
-    backward((x * x).sum())
+    backward(reduce_sum(x * x))
     first = x.grad.copy()
-    backward((x * x).sum())
+    backward(reduce_sum(x * x))
     np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-15)
     zero_grad([x])
     assert x.grad is None
-    backward((x * x).sum())
+    backward(reduce_sum(x * x))
     np.testing.assert_array_equal(x.grad, first)
 
 
@@ -416,7 +418,7 @@ def test_forward_is_bit_deterministic():
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with ad.no_grad():
-        out = (x * x).sum()
+        out = reduce_sum(x * x)
     assert not out.requires_grad
 
 
@@ -430,7 +432,7 @@ def test_property_composed_chain_gradcheck(seed):
 
     def build(t: Tensor) -> Tensor:
         h = softmax(ad.gelu(oracles.matmul(t, Tensor(w))), axis=-1)
-        return ad.reduce_mean(log(h + 0.1))
+        return reduce_mean(log(h + 0.1))
 
     t = Tensor(x, requires_grad=True)
     backward(build(t))
@@ -450,10 +452,10 @@ def test_backward_interrupted_by_a_raising_node_leaves_no_stale_state():
     # marks on them are still set when it raises
     broken = ad.record(2.0 * (a * b).data, (a * b,), fail)
     with pytest.raises(RuntimeError, match="backward failed"):
-        backward(broken.sum())
+        backward(reduce_sum(broken))
     assert a._pending is None and b._pending is None and a.grad is None
 
-    backward((a * b).sum())
+    backward(reduce_sum(a * b))
     np.testing.assert_array_equal(a.grad, b.data)
     np.testing.assert_array_equal(b.grad, a.data)
 
@@ -464,7 +466,7 @@ def test_backward_interrupted_by_a_raising_node_leaves_no_stale_state():
 def test_getitem_gradient_counts_each_selection(idx):
     t = Tensor(np.zeros((3, 2)), requires_grad=True)
     upstream = _rng(20).normal(size=t.data[idx].shape)
-    backward((t[idx] * Tensor(upstream)).sum())
+    backward(reduce_sum(t[idx] * Tensor(upstream)))
     expected = np.zeros((3, 2))
     np.add.at(expected, idx, upstream)
     np.testing.assert_array_equal(t.grad, expected)
@@ -493,7 +495,7 @@ def _layer_norm_loss(ln, upstream):
     # contributions: the residual's and the two that LayerNorm makes
     def loss(raw, gamma, beta):
         x = raw * Tensor(1.5)
-        return ((x + ln(x, gamma, beta, 1e-5)) * Tensor(upstream)).sum()
+        return reduce_sum((x + ln(x, gamma, beta, 1e-5)) * Tensor(upstream))
 
     return loss
 
@@ -501,7 +503,7 @@ def _layer_norm_loss(ln, upstream):
 def _linear_loss(linear, upstream):
     def loss(raw, w, b):
         x = raw * Tensor(0.5)
-        return ((x + linear(x, w, b)) * Tensor(upstream)).sum()
+        return reduce_sum((x + linear(x, w, b)) * Tensor(upstream))
 
     return loss
 
@@ -514,7 +516,7 @@ def _attention_loss(attention, heads, rows, upstream, mix):
         queries = x[:, rows, :]
         keys, values = x * Tensor(mix[1]), x * Tensor(mix[2])
         context, _ = attention(queries * Tensor(mix[0]), keys, values, heads, 0.5)
-        return ((queries + context) * Tensor(upstream)).sum()
+        return reduce_sum((queries + context) * Tensor(upstream))
 
     return loss
 
@@ -525,7 +527,7 @@ def _head_loss(head, baseline, upstream):
         out = raw * Tensor(1.5)
         pred = head(out, baseline, 2, 3)
         parts = (pred.means, pred.scales, pred.logits, out)
-        return sum((part * Tensor(up)).sum() for part, up in zip(parts, upstream, strict=True))
+        return sum(reduce_sum(part * Tensor(up)) for part, up in zip(parts, upstream, strict=True))
 
     return loss
 

@@ -12,7 +12,7 @@ from flexilen.config import BackboneConfig
 from flexilen.mixture import nll
 
 from fdutil import assert_grad_close, finite_difference
-from oracles import forward_all_tokens, positional_encode
+from oracles import forward_all_tokens, positional_encode, reduce_sum
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 
@@ -55,7 +55,7 @@ def test_spatial_encode_gradcheck():
     obs = _obs(1, 2, 3)[None]
     target = np.random.default_rng(2).normal(size=(1, 2, 3, TINY.d_model))
     w = params.tensors["shared.spatial.w1"]
-    backward((bb.spatial_encode(obs, "L", params) * Tensor(target)).sum())
+    backward(reduce_sum(bb.spatial_encode(obs, "L", params) * Tensor(target)))
 
     def f(v):
         saved = w.data
@@ -90,12 +90,12 @@ def test_sinusoidal_length_changes_encoding():
 def test_cached_pe_rows_equal_fresh_rows_and_are_read_only():
     params = _fln_params()
     for fed in (1, 2):  # suffix-aligned in branch S, then the whole window
-        rows = bb._pe_rows(params, "S", fed).data
+        rows = bb._pe_rows(params, "S", 2 - fed, 2).data
         np.testing.assert_array_equal(rows, bb.sinusoidal_pe(np.arange(2 - fed, 2), 2, 8), strict=True)
-        assert bb._pe_rows(params, "S", fed).data is rows
+        assert bb._pe_rows(params, "S", 2 - fed, 2).data is rows
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
-    native = bb._pe_rows_native(params, 3).data
+    native = bb._pe_rows(params, "L", 0, 3).data  # a single-length model's rows
     np.testing.assert_array_equal(native, bb.sinusoidal_pe(np.arange(3), 3, 8), strict=True)
     assert not native.flags.writeable
 
@@ -202,7 +202,7 @@ def test_transformer_block_gradcheck():
     feats_np = np.random.default_rng(7).normal(size=(1, 2, 3, 8))
     target = np.random.default_rng(8).normal(size=(1, 2, 8))  # one pooled token per agent
     w = params.tensors["shared.enc.l0.attn.wq"]
-    backward((bb.transformer_encode(Tensor(feats_np), "L", params) * Tensor(target)).sum())
+    backward(reduce_sum(bb.transformer_encode(Tensor(feats_np), "L", params) * Tensor(target)))
 
     def f(v):
         saved = w.data
@@ -379,6 +379,12 @@ def test_forward_guards_length_branch_mismatch():
     params = _fln_params()
     with pytest.raises(ValueError, match="cannot feed 5 steps through branch L"):
         bb.forward(_obs(14, n=2, h=5), "L", params)  # longer than branch L (H=4)
+
+
+def test_single_learnable_model_rejects_a_window_longer_than_its_table():
+    params = bb.init_params(replace(TINY, pe_kind="learnable"), {"L": 4}, 0)
+    with pytest.raises(ValueError, match=r"input length 6 exceeds the learnable table \(4 rows\)"):
+        bb.forward_single(_obs(15, n=2, h=6), params)
 
 
 def test_forward_suffix_aligns_a_shorter_window():

@@ -285,6 +285,23 @@ def test_eval_below_shortest_branch_surfaces_routing_error(tmp_path, capsys):
     assert "no branch" in capsys.readouterr().err
 
 
+def test_eval_beyond_a_learnable_isolated_table_exits_2(tmp_path, capsys):
+    out = tmp_path / "iso"
+    args = [*TINY_ARGS, "--set", "obs_len=6"]
+    assert _run([
+        "train", "--out", str(out), "--strategy", "isolated", "--length", "4",
+        "--set", "pe_kind=learnable", *args,
+    ]) == 0
+    capsys.readouterr()
+    code = _run([
+        "eval", "--out", str(tmp_path / "e"), "--checkpoint", str(out / "checkpoint"),
+        "--length", "6", *args,
+    ])
+    assert code == 2
+    assert "input length 6 exceeds the learnable table (4 rows)" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_sweep_range_syntax_and_row_count(tmp_path):
     out = tmp_path / "fln"
     assert _run(["train", "--out", str(out), "--strategy", "fln", *TINY_ARGS]) == 0

@@ -13,12 +13,11 @@ from flexilen.evaluation import (
     LnStatReport,
     evaluate,
     generality_sweep,
-    ln_report_gap,
     ln_statistics_probe,
     pe_deviation_report,
 )
 
-from oracles import evaluate_per_scene, ln_statistics_per_scene, route_bruteforce
+from oracles import evaluate_per_scene, ln_report_gap, ln_statistics_per_scene, route_bruteforce
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 

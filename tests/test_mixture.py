@@ -15,7 +15,7 @@ from flexilen.mixture import (
 
 from fdutil import assert_grad_close, finite_difference
 import oracles
-from oracles import draw_samples_time_major, nll_bruteforce, one_scene, time_major
+from oracles import draw_samples_time_major, nll_bruteforce, one_scene, reduce_sum, time_major
 
 
 def _random_pred(seed, n=3, t=4, k=2, requires_grad=False):
@@ -347,7 +347,7 @@ def _nll_loss(nll_fn, future, k, extra):
     # them first
     def loss(raw):
         pred = _pred_from(raw, *future.shape[:2], k)
-        return (pred.scales * Tensor(extra)).sum() + nll_fn(pred, future)
+        return reduce_sum(pred.scales * Tensor(extra)) + nll_fn(pred, future)
 
     return loss
 
