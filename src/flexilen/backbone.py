@@ -66,6 +66,20 @@ class FlnParams:
     lengths: dict[str, int]  # branch id -> observation length, ordered S < M < L
     tensors: dict[str, Tensor] = field(default_factory=dict)
 
+    def __post_init__(self):
+        """The one check of branch lengths, for a new model and a loaded one:
+        a non-empty subset of ``BRANCH_IDS``, each length an integer >= 1,
+        strictly increasing in S < M < L order."""
+        ordered = [self.lengths[b] for b in BRANCH_IDS if b in self.lengths]
+        if not ordered or len(ordered) != len(self.lengths):
+            raise ValueError(
+                f"branch ids must be a non-empty subset of {BRANCH_IDS}, got {list(self.lengths)}"
+            )
+        if any(type(h) is not int or h < 1 for h in ordered):  # a bool is not a length either
+            raise ValueError(f"branch lengths must be integers >= 1, got {self.lengths}")
+        if any(a >= b for a, b in zip(ordered, ordered[1:])):
+            raise ValueError(f"branch lengths must increase in S < M < L order, got {self.lengths}")
+
     @property
     def branch_ids(self) -> tuple[str, ...]:
         return tuple(b for b in BRANCH_IDS if b in self.lengths)
@@ -144,8 +158,6 @@ def init_params(
     cfg.validate()
     params = FlnParams(cfg, dict(lengths))
     branch_ids = params.branch_ids
-    if set(lengths) != set(branch_ids):
-        raise ValueError(f"branch ids must come from {BRANCH_IDS}, got {sorted(lengths)}")
     branched = not params.is_single
     seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
     rng = np.random.default_rng([*seed_tuple, 0])

@@ -95,10 +95,9 @@ def load_checkpoint(
             entries = entries + list(opt_section["slots"])
         blocks = [(e["name"], e["offset"], _size(e["shape"])) for e in entries]
         model = manifest["model"]
-        lengths = {k: int(v) for k, v in model["lengths"].items()}
         backbone = BackboneConfig(**model["backbone"])
         backbone.validate()
-        params = FlnParams(backbone, lengths)
+        params = FlnParams(backbone, dict(model["lengths"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc!r}") from exc
     payload = read_payload(bin_path, blocks, f"checkpoint {prefix}")

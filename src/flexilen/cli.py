@@ -2,13 +2,14 @@
 
 Every command builds its run config in ``_build_config``: the defaults, or
 the checkpoint's run config for eval, sweep and probe, then ``--config``, then
-``--set``, then the flags that name a key (``--samples K`` is ``--set
-samples=K``). On a checkpoint only data, eval and seed keys may differ from
-its run config. ``train`` writes its normalizer's scale into every
-checkpoint, and ``eval``, ``sweep`` and ``probe ln`` normalize with it,
-whatever data they read. Every command validates its full configuration
-before touching the filesystem, echoes the effective seed into its output
-manifest, and exits nonzero on any error.
+``--set``, then the flags that name a key: a flag whose argparse ``dest``
+is a config key sets that key (``--samples K`` is ``--set samples=K``, and
+``train --length H`` is ``--set isolated_length=H``). On a checkpoint only
+data, eval and seed keys may differ from its run config. ``train`` writes
+its normalizer's scale into every checkpoint, and ``eval``, ``sweep`` and
+``probe ln`` normalize with it, whatever data they read. Every command
+validates its full configuration before touching the filesystem, echoes the
+effective seed into its output manifest, and exits nonzero on any error.
 """
 from __future__ import annotations
 
@@ -64,21 +65,17 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args, base: dict | None = None) -> RunConfig:
     """``base`` (flat keys; the defaults when None), then ``--config``, then
-    ``--set``, then the flags that name a key."""
+    ``--set``, then the flags that name a key: every given flag whose
+    argparse ``dest`` is a config key."""
     overrides: dict[str, object] = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "strategy", None):
-        overrides["strategy"] = args.strategy
-    if getattr(args, "samples", None) is not None:
-        overrides["samples"] = args.samples
-    if getattr(args, "length", None) and getattr(args, "command", "") == "train":
-        overrides["isolated_length"] = args.length
+    overrides.update(
+        (key, value) for key, value in vars(args).items() if key in FLAT_KEYS and value is not None
+    )
     return load_run_config(args.config, overrides, base=base)
 
 
@@ -326,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_train)
     p_train.add_argument("--data", help="dataset directory (default: generate in memory)")
     p_train.add_argument("--strategy", choices=STRATEGIES)
-    p_train.add_argument("--length", type=int, help="observation length for strategy=isolated")
+    p_train.add_argument("--length", type=int, dest="isolated_length",
+                         help="observation length for strategy=isolated (--set isolated_length=H)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint at one length")

@@ -92,19 +92,27 @@ class DataConfig:
     val_frac: float = 0.15
 
     def validate(self) -> None:
-        if self.n_scenes < 1:
-            raise ConfigError("n_scenes must be >= 1")
-        if not (1 <= self.agents_min <= self.agents_max):
-            raise ConfigError("agent range must satisfy 1 <= agents_min <= agents_max")
-        if self.obs_len < 1 or self.horizon < 1:
-            raise ConfigError("obs_len and horizon must be >= 1")
+        for name in ("n_scenes", "agents_min", "agents_max", "obs_len", "horizon"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float is not a count either
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.agents_max < self.agents_min:
+            raise ConfigError(
+                f"agents_max must be >= agents_min, got {self.agents_max} < {self.agents_min}"
+            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        mix = (self.motion_cv, self.motion_turn, self.motion_stop)
-        if any(m < 0 for m in mix) or sum(mix) <= 0:
-            raise ConfigError("motion mix must be non-negative with positive sum")
-        if self.noise_sigma < 0 or self.repulsion < 0:
-            raise ConfigError("noise_sigma and repulsion must be >= 0")
+            raise ConfigError(f"dt must be positive, got {self.dt}")
+        for name in ("motion_cv", "motion_turn", "motion_stop", "noise_sigma", "repulsion"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if sum(self.motion_mix) <= 0:
+            raise ConfigError("motion_cv + motion_turn + motion_stop must be positive")
         if not (0 < self.train_frac < 1 and 0 <= self.val_frac < 1):
             raise ConfigError("fractions must lie in (0, 1)")
         if self.train_frac + self.val_frac >= 1:

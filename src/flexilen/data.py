@@ -1,7 +1,8 @@
 """Scene generation, normalization, splits and dataset files.
 
 Synthetic scenes mix constant-velocity, constant-turn-rate, and stop-and-go
-agents with optional process noise and pairwise soft repulsion. Generation
+agents with optional process noise and pairwise soft repulsion. The one
+generator, ``generate_from_config``, validates its ``DataConfig`` and then
 draws every scene's parameters from one seeded stream in scene-id order, so
 a scene's positions depend only on the seed and its index, then simulates
 all scenes of one agent count together, step by step: the same elementwise
@@ -60,33 +61,14 @@ class TrajectoryScene:
 # ----------------------------------------------------------------- synthesis
 
 
-def _check_generation_args(
-    n_scenes, agents_range, obs_len, horizon, dt, motion_mix, noise_sigma, repulsion
-) -> None:
-    for name, count in (("n_scenes", n_scenes), ("obs_len", obs_len), ("horizon", horizon)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
-    lo, hi = agents_range
-    integers = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (lo, hi))
-    if not (integers and 1 <= lo <= hi):
-        raise ValueError(f"agents_range must be integers with 1 <= low <= high, got {tuple(agents_range)}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    mix = np.asarray(motion_mix, dtype=np.float64)
-    if mix.shape != (3,) or not (np.all(mix >= 0) and np.all(np.isfinite(mix)) and mix.sum() > 0):
-        raise ValueError(f"motion_mix must be 3 finite weights >= 0 with a positive sum, got {motion_mix}")
-    for name, value in (("noise_sigma", noise_sigma), ("repulsion", repulsion)):
-        if not 0 <= value < np.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _draw_scenes(rng, n_scenes, agents_range, n_steps, mix, noise_sigma):
+def _draw_scenes(rng, cfg: DataConfig, mix: np.ndarray):
     """Every scene's agent count and parameters, drawn from ``rng`` scene by
     scene in the generator's fixed order: agent count, kinds, start
     positions, heading, speed, omega's magnitude and sign, the stop-and-go
     spans, then the noise. Each parameter array is padded to the largest
     agent count on axis 1; scene i's agents are its first ``counts[i]`` rows."""
-    lo, hi = agents_range
+    n_scenes, lo, hi = cfg.n_scenes, cfg.agents_min, cfg.agents_max
+    n_steps, noise_sigma = cfg.obs_len + cfg.horizon, cfg.noise_sigma
     counts = np.empty(n_scenes, dtype=np.int64)
     pos = np.zeros((n_scenes, hi, 2))
     heading, speed, omega = np.zeros((3, n_scenes, hi))
@@ -155,18 +137,9 @@ def _simulate(pos, heading, speed, omega, moving, noise, dt: float, repulsion: f
     return out
 
 
-def generate_synthetic(
-    n_scenes: int,
-    agents_range: tuple[int, int],
-    obs_len: int,
-    horizon: int,
-    dt: float,
-    motion_mix: tuple[float, float, float] = (0.6, 0.25, 0.15),
-    noise_sigma: float = 0.02,
-    repulsion: float = 0.0,
-    seed: int = 0,
-) -> list[TrajectoryScene]:
+def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
     """Seeded scene synthesis; identical configs produce identical datasets.
+    ``cfg`` is validated first.
 
     Two phases. The draw phase reads every scene's parameters, in scene-id
     order, from one ``default_rng([seed, 3])`` stream (``_draw_scenes``).
@@ -177,32 +150,17 @@ def generate_synthetic(
     the positions of the step before, and summing in another order would
     change the last bits of every position.
     """
-    _check_generation_args(n_scenes, agents_range, obs_len, horizon, dt, motion_mix, noise_sigma, repulsion)
-    mix = np.asarray(motion_mix, dtype=np.float64)
+    cfg.validate()
+    mix = np.asarray(cfg.motion_mix, dtype=np.float64)
     mix = mix / mix.sum()
-    rng = np.random.default_rng([seed, 3])
-    counts, *params = _draw_scenes(rng, n_scenes, agents_range, obs_len + horizon, mix, noise_sigma)
-    positions: list[np.ndarray | None] = [None] * n_scenes
+    counts, *params = _draw_scenes(np.random.default_rng([seed, 3]), cfg, mix)
+    positions: list[np.ndarray | None] = [None] * cfg.n_scenes
     for n_agents in np.unique(counts):
         members = np.flatnonzero(counts == n_agents)
         group = [None if p is None else p[members, :n_agents] for p in params]
-        for index, scene_positions in zip(members, _simulate(*group, dt, repulsion)):
+        for index, scene_positions in zip(members, _simulate(*group, cfg.dt, cfg.repulsion)):
             positions[index] = scene_positions
-    return [TrajectoryScene(p, dt, f"syn-{index:06d}") for index, p in enumerate(positions)]
-
-
-def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
-    return generate_synthetic(
-        cfg.n_scenes,
-        (cfg.agents_min, cfg.agents_max),
-        cfg.obs_len,
-        cfg.horizon,
-        cfg.dt,
-        cfg.motion_mix,
-        cfg.noise_sigma,
-        cfg.repulsion,
-        seed,
-    )
+    return [TrajectoryScene(p, cfg.dt, f"syn-{index:06d}") for index, p in enumerate(positions)]
 
 
 # ------------------------------------------------------------- normalization

@@ -1,9 +1,14 @@
-"""Displacement metrics, per-length evaluation, generality sweeps, and the
+"""Displacement metrics, the evaluation protocol, and the
 positional-encoding / LayerNorm-statistics diagnostic probes.
 
-Evaluation, the sweep and the LayerNorm probe read the scene groups of
-``data.group_scenes``, cut to a length by ``data.windows``, and normalize
-with the caller's normalizer, the one the model was trained with."""
+``generality_sweep`` is the one scorer of a raw scene set: it scores a model
+at every requested observation length and reports the branch each length is
+routed to; ``evaluate`` is the sweep at one length. Both score through
+``evaluate_groups``, which per-epoch validation and the study call on scene
+groups they built themselves. The sweep and the LayerNorm probe read the
+scene groups of ``data.group_scenes``, cut to a length by ``data.windows``,
+and normalize with the caller's normalizer, the one the model was trained
+with."""
 from __future__ import annotations
 
 import csv
@@ -41,19 +46,17 @@ class Metrics:
 
 
 def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
-    """Best-of-K displacement per agent of samples (K, N, T, 2) against gt
-    (N, T, 2): the min over samples of the mean per-timestep Euclidean error
-    (ADE), and of the last timestep's error (FDE), (N,) each."""
+    """Best-of-K displacement per agent of samples (K, ..., T, 2) against gt
+    (..., T, 2): the min over samples of the mean per-timestep Euclidean
+    error (ADE), and of the last timestep's error (FDE), (...) each."""
     samples = np.asarray(samples, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if samples.ndim != 4 or samples.shape[1:] != gt.shape:
+    if samples.ndim < 3 or samples.shape[1:] != gt.shape:
         raise ValueError(f"samples {samples.shape} incompatible with gt {gt.shape}")
     if samples.shape[0] < 1:
         raise ValueError("need at least one sample")
-    disp = np.linalg.norm(samples - gt[None], axis=-1)  # (K, N, T)
-    ade_per_agent = disp.mean(axis=-1).min(axis=0)      # (N,)
-    fde_per_agent = disp[:, :, -1].min(axis=0)          # (N,)
-    return ade_per_agent, fde_per_agent
+    disp = np.linalg.norm(samples - gt, axis=-1)  # (K, ..., T)
+    return disp.mean(axis=-1).min(axis=0), disp[..., -1].min(axis=0)
 
 
 def _agent_errors(pred, k, sampling, seed, group: SceneGroup, normalizer: Normalizer):
@@ -64,12 +67,7 @@ def _agent_errors(pred, k, sampling, seed, group: SceneGroup, normalizer: Normal
         int(np.random.default_rng([seed, 5, index]).integers(2**31)) for index in group.index
     ]
     samples = draw_samples(pred, k, sampling, seeds)  # (k, B, N, T, 2)
-    samples_m = normalizer.inverse(samples, group.shifts)
-    steps = group.future_m.shape[-2:]
-    per_ade, per_fde = _per_agent_min_displacement(
-        samples_m.reshape(k, -1, *steps), group.future_m.reshape(-1, *steps)
-    )
-    return per_ade.reshape(group.future_m.shape[:2]), per_fde.reshape(group.future_m.shape[:2])
+    return _per_agent_min_displacement(normalizer.inverse(samples, group.shifts), group.future_m)
 
 
 def _forward(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
@@ -83,9 +81,9 @@ def _forward(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
 
 def _routed_per_scene(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
     """``_forward`` one scene at a time, joined into one stacked prediction.
-    ``evaluate`` and the sweep run a routed model this way, one
-    forward_routed call per scene, because the benchmark checks routing by
-    counting those calls until it counts scenes (ROADMAP item 4)."""
+    The sweep runs a routed model this way, one forward_routed call per
+    scene, because the benchmark checks routing by counting those calls
+    until it counts scenes (ROADMAP item 4)."""
     preds = [_forward(params, obs[row : row + 1]) for row in range(len(obs))]
     return MixturePrediction(*(
         ad.Tensor(np.concatenate([getattr(pred, name).data for pred in preds]))
@@ -102,37 +100,8 @@ def evaluate(
     sampling: str = "mode-means",
     seed: int = 0,
 ) -> Metrics:
-    """Aggregate ADE/FDE over a scene set at one observation length, scored
-    by ``evaluate_groups`` one group of equal-shaped scenes at a time.
-
-    Single-length models process the length natively, one forward per
-    group; multi-branch models route it to a branch, which the result
-    records, one forward per scene, and the group's predictions are joined
-    and scored together. Metrics are computed in denormalized meters and are
-    independent of scene ordering (scenes are sorted by id first).
-    """
-    if not scenes:
-        raise ValueError("no scenes to evaluate")
-    return _metrics(params, group_scenes(scenes, normalizer), h_eval, k, normalizer, sampling, seed)
-
-
-def _metrics(
-    params: FlnParams,
-    groups: list[SceneGroup],
-    h_eval: int,
-    k: int,
-    normalizer: Normalizer,
-    sampling: str,
-    seed: int,
-) -> Metrics:
-    """``evaluate``'s metrics of scenes already grouped."""
-    predict = _forward if params.is_single else _routed_per_scene
-    ade_m, fde_m = evaluate_groups(params, groups, h_eval, k, normalizer, sampling, seed, predict)
-    branch = "-" if params.is_single else routed_branch(h_eval, params)
-    scene_count = sum(len(group.index) for group in groups)
-    return Metrics(
-        ade=ade_m, fde=fde_m, k=k, eval_length=h_eval, scene_count=scene_count, branch=branch
-    )
+    """``generality_sweep`` at the one observation length ``h_eval``."""
+    return generality_sweep(params, scenes, [h_eval], k, normalizer, sampling, seed)[0]
 
 
 def evaluate_groups(
@@ -172,13 +141,29 @@ def generality_sweep(
     sampling: str = "mode-means",
     seed: int = 0,
 ) -> list[Metrics]:
-    """Evaluate a list of observation lengths, one ``Metrics`` (with its
-    routed branch) per length, each equal to ``evaluate``'s at that length.
-    The scenes are grouped and normalized once for the whole sweep."""
+    """The evaluation protocol: aggregate ADE/FDE over a scene set at each
+    observation length, one ``Metrics`` per length with the branch
+    ``routed_branch`` picks for it ("-" for a single-length model).
+
+    The scenes are grouped and normalized once for every length and scored
+    by ``evaluate_groups``: a single-length model processes the length
+    natively, one forward per group; a multi-branch model runs one forward
+    per scene, and the group's predictions are joined and scored together.
+    Metrics are computed in denormalized meters and are independent of
+    scene ordering (scenes are sorted by id first).
+    """
     if not scenes:
         raise ValueError("no scenes to evaluate")
     groups = group_scenes(scenes, normalizer)
-    return [_metrics(params, groups, h, k, normalizer, sampling, seed) for h in lengths]
+    predict = _forward if params.is_single else _routed_per_scene
+    rows = []
+    for h in lengths:
+        ade_m, fde_m = evaluate_groups(params, groups, h, k, normalizer, sampling, seed, predict)
+        branch = "-" if params.is_single else routed_branch(h, params)
+        rows.append(Metrics(
+            ade=ade_m, fde=fde_m, k=k, eval_length=h, scene_count=len(scenes), branch=branch
+        ))
+    return rows
 
 
 def write_sweep_csv(path: str | Path, rows: list[Metrics]) -> None:
@@ -207,17 +192,19 @@ def ln_statistics_probe(
     h_eval: int,
     normalizer: Normalizer,
 ) -> LnStatReport:
-    """Run forwards with activation capture at every encoder LN site and
-    aggregate per-position statistics over the probe set.
+    """Per-position population mean and std, as LayerNorm computes them, of
+    every encoder LN site's input over every agent and feature of the probe
+    set, in scene-id order, captured in one forward per scene group.
 
-    Statistics use the population convention, matching LayerNorm itself.
     Branch models run the branch ``routed_branch`` picks for ``h_eval`` (so
     a length below every branch is rejected, as ``evaluate`` rejects it) on
-    the last ``h_eval`` observed steps, cut to that branch's window.
+    the last ``h_eval`` observed steps, cut to that branch's window. That
+    forward is ``backbone.forward``, not ``forward_routed``, whose calls the
+    benchmark counts as routed evaluations (ROADMAP item 4).
     """
     if not scenes:
         raise ValueError("no scenes to probe")
-    used_branch = "-" if params.is_single else routed_branch(h_eval, params)
+    branch = "-" if params.is_single else routed_branch(h_eval, params)
     groups = group_scenes(scenes, normalizer)
     captured: list = [None] * len(scenes)  # per scene in id order: site -> (N, H, d)
     for group, obs in zip(groups, windows(groups, h_eval)):
@@ -226,29 +213,15 @@ def ln_statistics_probe(
             if params.is_single:
                 bb.forward_single(obs, params, capture=capture)
             else:
-                obs = obs[..., -params.lengths[used_branch]:, :]
-                bb.forward(obs, used_branch, params, capture=capture)
-        sites = {
-            site: values[0]
-            for site, values in capture.items()
-            if site.startswith("enc.") and not site.endswith(".weights")
-        }
+                bb.forward(obs[..., -params.lengths[branch]:, :], branch, params, capture=capture)
+        sites = [site for site in capture if site.startswith("enc.") and not site.endswith(".weights")]
         for row, index in enumerate(group.index):
-            captured[index] = {site: arr[row] for site, arr in sites.items()}
-    sums: dict[str, np.ndarray] = {}
-    sq_sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for scene_sites in captured:  # accumulated scene by scene, in id order
-        for site, arr in scene_sites.items():
-            flat = arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)  # (H, N*d)
-            sums[site] = sums.get(site, 0.0) + flat.sum(axis=1)
-            sq_sums[site] = sq_sums.get(site, 0.0) + (flat * flat).sum(axis=1)
-            counts[site] = counts.get(site, 0) + flat.shape[1]
-    report = LnStatReport(length=h_eval, branch=used_branch)
-    for site in sums:
-        mean = sums[site] / counts[site]
-        var = np.maximum(sq_sums[site] / counts[site] - mean * mean, 0.0)
-        report.sites[site] = np.stack([mean, np.sqrt(var)], axis=1)
+            captured[index] = {site: capture[site][0][row] for site in sites}
+    report = LnStatReport(length=h_eval, branch=branch)
+    for site in captured[0]:
+        agents = np.concatenate([scene[site] for scene in captured])  # (all agents, H, d)
+        flat = agents.transpose(1, 0, 2).reshape(agents.shape[1], -1)  # (H, all agents * d)
+        report.sites[site] = np.stack([flat.mean(axis=1), flat.std(axis=1)], axis=1)
     return report
 
 

@@ -25,12 +25,12 @@ Per-epoch validation (``_val_metrics``) then runs
 ``evaluation.evaluate_groups``, one forward per group and length, and gives
 the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
 computes each GEMM row the same whatever the number of rows.
-``evaluation.evaluate`` and ``evaluation.generality_sweep``, which ``eval``
-and ``sweep`` use, score through the same core, one group at a time (the
-sweep groups the scenes once for all its lengths); only a multi-branch model
-keeps one forward per scene there, joined per group before scoring, since
-the benchmark's traced ``eval_sweep`` run checks routing by counting one
-routed call per scene.
+``evaluation.generality_sweep``, which ``sweep`` uses (``eval`` uses
+``evaluation.evaluate``, the sweep at one length), scores through the same
+core, one group at a time, and groups the scenes once for all its lengths;
+only a multi-branch model keeps one forward per scene there, joined per
+group before scoring, since the benchmark's traced ``eval_sweep`` run checks
+routing by counting one routed call per scene.
 
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,

@@ -529,7 +529,7 @@ def batches_per_scene(windows: list[Window], batch_size: int, rng) -> list[Windo
 def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
     """``site -> (H, 2)`` per-position mean and std, one forward per scene."""
     branch = None if params.is_single else route_bruteforce(h_eval, params.lengths)
-    sums, sq_sums, counts = {}, {}, {}
+    captured = []  # per scene in id order: site -> (N, H, d)
     for scene in sorted(scenes, key=lambda s: s.scene_id):
         obs = transform_per_scene(scene.positions, normalizer)[0][:, -h_eval:, :]
         capture = {}
@@ -539,19 +539,16 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
             else:
                 obs = obs[:, -params.lengths[branch]:, :]
                 bb.forward(obs, branch, params, capture=capture)
-        for site, values in capture.items():
-            if not site.startswith("enc.") or site.endswith(".weights"):
-                continue
-            arr = values[0][0]  # (N, H, d)
-            flat = arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)  # (H, N*d)
-            sums[site] = sums.get(site, 0.0) + flat.sum(axis=1)
-            sq_sums[site] = sq_sums.get(site, 0.0) + (flat * flat).sum(axis=1)
-            counts[site] = counts.get(site, 0) + flat.shape[1]
+        captured.append({
+            site: values[0][0]
+            for site, values in capture.items()
+            if site.startswith("enc.") and not site.endswith(".weights")
+        })
     out = {}
-    for site in sums:
-        mean = sums[site] / counts[site]
-        var = np.maximum(sq_sums[site] / counts[site] - mean * mean, 0.0)
-        out[site] = np.stack([mean, np.sqrt(var)], axis=1)
+    for site in captured[0]:
+        agents = np.concatenate([scene[site] for scene in captured])
+        flat = agents.transpose(1, 0, 2).reshape(agents.shape[1], -1)  # (H, all agents * d)
+        out[site] = np.stack([flat.mean(axis=1), flat.std(axis=1)], axis=1)
     return out
 
 
@@ -620,7 +617,7 @@ def evaluate_per_scene(
 
 
 # ----------------------------------------------------------------------------
-# Per-scene simulator. ``data.generate_synthetic`` draws every scene first and
+# Per-scene simulator. ``data.generate_from_config`` draws every scene first and
 # then steps all scenes of one agent count together; this is its per-scene
 # loop, each scene drawn and simulated in turn from the same stream, kept to
 # check the stacked one byte for byte.

@@ -14,8 +14,8 @@ from flexilen import autodiff as ad
 from flexilen.autodiff import Tensor, backward, zero_grad
 from flexilen.checkpoint import load_checkpoint, save_checkpoint
 from flexilen.cli import main as cli_main
-from flexilen.config import BackboneConfig, BranchConfig, RunConfig, TrainConfig
-from flexilen.data import generate_synthetic
+from flexilen.config import BackboneConfig, BranchConfig, DataConfig, RunConfig, TrainConfig
+from flexilen.data import generate_from_config
 from flexilen.evaluation import (
     _per_agent_min_displacement,
     generality_sweep,
@@ -101,7 +101,9 @@ def test_criterion_1_gradient_correctness():
     cfg = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
     branches = BranchConfig(h_short=2, h_medium=3, h_long=4, detach_teacher=False)
     params = bb.init_params(cfg, branches.lengths, 0)
-    positions = generate_synthetic(1, (2, 2), 4, 3, 0.4, seed=5)[0].positions
+    positions = generate_from_config(
+        DataConfig(n_scenes=1, agents_min=2, agents_max=2, obs_len=4, horizon=3), 5
+    )[0].positions
     observed, future = positions[:, :-3], positions[:, -3:]
 
     def loss_value() -> float:
@@ -242,7 +244,7 @@ def test_criterion_4_parameter_overhead():
 
 
 def test_criterion_5_baseline_reduction_identities():
-    from flexilen.config import DataConfig, EvalConfig
+    from flexilen.config import EvalConfig
     from flexilen.data import Normalizer, generate_from_config, split_scenes
     from flexilen.training import train_isolated, train_mixed
 

@@ -12,12 +12,11 @@ import pytest
 import flexilen
 from flexilen.checkpoint import load_checkpoint
 from flexilen.cli import main
-from flexilen.config import FLAT_KEYS, BackboneConfig, build_run_config
+from flexilen.config import FLAT_KEYS, BackboneConfig, DataConfig, build_run_config
 from flexilen.data import (
     Normalizer,
     TrajectoryScene,
     generate_from_config,
-    generate_synthetic,
     save_dataset,
     split_scenes,
 )
@@ -163,9 +162,22 @@ BAD_BACKBONE_VALUES = {
     "d_model_0": ("d_model", 0),
 }
 
+# branch lengths a manifest may not record: an unknown id, a length that is
+# not an integer >= 1, and lengths out of S < M < L order
+BAD_LENGTHS = {
+    "unknown_id": ({"X": 4}, "branch ids must be a non-empty subset"),
+    "zero": ({"L": 0}, "branch lengths must be integers >= 1"),
+    "negative": ({"L": -2}, "branch lengths must be integers >= 1"),
+    "float": ({"L": 2.9}, "branch lengths must be integers >= 1"),
+    "bool": ({"L": True}, "branch lengths must be integers >= 1"),
+    "short_longer_than_long": ({"L": 4, "S": 9}, "branch lengths must increase in S < M < L order"),
+}
+
 
 @pytest.mark.parametrize(
-    "corrupt", ["unknown_backbone_key", "missing_model", "renamed_parameter", *BAD_BACKBONE_VALUES]
+    "corrupt",
+    ["unknown_backbone_key", "missing_model", "renamed_parameter", *BAD_BACKBONE_VALUES,
+     *(f"lengths_{name}" for name in BAD_LENGTHS)],
 )
 def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
     from flexilen.backbone import init_params
@@ -181,6 +193,8 @@ def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
     elif corrupt in BAD_BACKBONE_VALUES:
         key, value = BAD_BACKBONE_VALUES[corrupt]
         manifest["model"]["backbone"][key] = value
+    elif corrupt.startswith("lengths_"):
+        manifest["model"]["lengths"] = BAD_LENGTHS[corrupt.removeprefix("lengths_")][0]
     else:
         (entry,) = [e for e in manifest["parameters"] if e["name"] == "shared.dec.w2"]
         entry["name"] = "shared.dec.w2x"
@@ -195,7 +209,31 @@ def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
         assert "branch L reads a missing tensor 'shared.dec.w2'" in err
     if corrupt in BAD_BACKBONE_VALUES:
         assert BAD_BACKBONE_VALUES[corrupt][0] in err
+    if corrupt.startswith("lengths_"):
+        assert BAD_LENGTHS[corrupt.removeprefix("lengths_")][1] in err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("name", BAD_LENGTHS)
+def test_init_params_rejects_bad_branch_lengths(name):
+    from flexilen.backbone import init_params
+
+    lengths, message = BAD_LENGTHS[name]
+    with pytest.raises(ValueError, match=message):
+        init_params(BackboneConfig(d_model=8, heads=2), lengths, 0)
+
+
+def test_train_length_zero_is_rejected_for_an_isolated_run(tmp_path, capsys):
+    # --length names isolated_length, so 0 overrides the --set value rather
+    # than being ignored
+    out = tmp_path / "out"
+    code = _run([
+        "train", "--out", str(out), "--strategy", "isolated", *TINY_ARGS,
+        "--set", "isolated_length=4", "--length", "0",
+    ])
+    assert code == 2
+    assert "strategy=isolated requires isolated_length" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_reads_the_layout_from_the_parameter_names(tmp_path):
@@ -531,7 +569,9 @@ def no_observed_step(tmp_path_factory):
     """A dataset whose scenes end where the 3-step future starts: 2 and 3
     steps in all, so no observed step is left before the future."""
     data = tmp_path_factory.mktemp("cut") / "data"
-    scenes = generate_synthetic(20, (2, 2), 4, 3, 0.4, seed=0)
+    scenes = generate_from_config(
+        DataConfig(n_scenes=20, agents_min=2, agents_max=2, obs_len=4, horizon=3), 0
+    )
     save_dataset(data, [
         TrajectoryScene(s.positions[:, : 2 + index % 2], s.dt, s.scene_id)
         for index, s in enumerate(scenes)

@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from flexilen.config import DataConfig
 from flexilen.data import (
     Normalizer,
     TrajectoryScene,
-    generate_synthetic,
+    generate_from_config,
     group_scenes,
     load_dataset,
     save_dataset,
@@ -18,19 +19,27 @@ from oracles import generate_per_scene, scale_per_scene, transform_per_scene
 LENGTHS = {"S": 2, "M": 6, "L": 8}
 
 
+MIXES = {
+    "cv": (1.0, 0.0, 0.0), "turn": (0.0, 1.0, 0.0), "stop": (0.0, 0.0, 1.0), "mixed": (0.6, 0.25, 0.15)
+}
+
+
+def _mix(name):
+    """The config fields of a named motion mix."""
+    return dict(zip(("motion_cv", "motion_turn", "motion_stop"), MIXES[name]))
+
+
 def _scenes(seed=0, n=20, **kw):
-    defaults = dict(
-        n_scenes=n, agents_range=(2, 4), obs_len=8, horizon=12, dt=0.4, seed=seed
-    )
-    defaults.update(kw)
-    return generate_synthetic(**defaults)
+    fields = dict(n_scenes=n, agents_min=2, agents_max=4, obs_len=8, horizon=12)
+    fields.update(kw)
+    return generate_from_config(DataConfig(**fields), seed)
 
 
 # --------------------------------------------------------------- generation
 
 
 def test_noiseless_constant_velocity_is_exactly_linear():
-    scenes = _scenes(noise_sigma=0.0, motion_mix=(1.0, 0.0, 0.0))
+    scenes = _scenes(noise_sigma=0.0, **_mix("cv"))
     for scene in scenes:
         pos = scene.positions
         steps = np.diff(pos, axis=1)
@@ -52,7 +61,7 @@ def test_generation_seeded_determinism():
 
 
 def test_pure_turn_motion_lies_on_circle():
-    scenes = _scenes(n=10, noise_sigma=0.0, motion_mix=(0.0, 1.0, 0.0))
+    scenes = _scenes(n=10, noise_sigma=0.0, **_mix("turn"))
     for scene in scenes:
         for agent in scene.positions:
             # fit the circle from the first three points, then check all
@@ -75,14 +84,10 @@ def _circumcenter(a, b, c):
 
 
 def test_repulsion_pushes_agents_apart():
-    base = dict(n_scenes=1, agents_range=(2, 2), obs_len=8, horizon=12, dt=0.4, seed=3,
-                noise_sigma=0.0, motion_mix=(1.0, 0.0, 0.0))
-    plain = generate_synthetic(**base)[0].positions
-    pushed = generate_synthetic(**base, repulsion=0.5)[0].positions
+    base = dict(seed=3, n=1, agents_min=2, agents_max=2, noise_sigma=0.0, **_mix("cv"))
+    plain = _scenes(**base)[0].positions
+    pushed = _scenes(**base, repulsion=0.5)[0].positions
     assert not np.allclose(plain, pushed)
-
-
-MIXES = {"cv": (1.0, 0.0, 0.0), "turn": (0.0, 1.0, 0.0), "stop": (0.0, 0.0, 1.0), "mixed": (0.6, 0.25, 0.15)}
 
 
 @pytest.mark.parametrize("mix", MIXES)
@@ -94,12 +99,22 @@ def test_generation_equals_the_per_scene_simulator_byte_for_byte(
     agents_range, repulsion, noise_sigma, obs_len, horizon, mix
 ):
     for seed in range(3):
-        args = (12, agents_range, obs_len, horizon, 0.4, MIXES[mix], noise_sigma, repulsion, seed)
-        scenes = generate_synthetic(*args)
-        expected = generate_per_scene(*args)
+        cfg = DataConfig(
+            n_scenes=12, agents_min=agents_range[0], agents_max=agents_range[1], obs_len=obs_len,
+            horizon=horizon, noise_sigma=noise_sigma, repulsion=repulsion, **_mix(mix),
+        )
+        scenes = generate_from_config(cfg, seed)
+        expected = generate_per_scene(
+            12, agents_range, obs_len, horizon, 0.4, MIXES[mix], noise_sigma, repulsion, seed
+        )
         assert [s.scene_id for s in scenes] == [scene_id for scene_id, _ in expected]
         for scene, (_, positions) in zip(scenes, expected):
             assert scene.positions.tobytes() == positions.tobytes(), (seed, scene.scene_id)
+
+
+# a case names the config value at fault; the agent range and the motion mix
+# are two and three fields, and the error names the field it rejects
+FIELDS = {"agents_range": "agents_(min|max)", "motion_mix": "motion_(cv|turn|stop)"}
 
 
 @pytest.mark.parametrize(
@@ -108,21 +123,38 @@ def test_generation_equals_the_per_scene_simulator_byte_for_byte(
         ({"n_scenes": 0}, "n_scenes"),
         ({"obs_len": 0}, "obs_len"),
         ({"horizon": 0}, "horizon"),
-        ({"agents_range": (0, 2)}, "agents_range"),
-        ({"agents_range": (3, 2)}, "agents_range"),
-        ({"agents_range": (1.5, 2)}, "agents_range"),
+        ({"agents_min": 0}, "agents_range"),
+        ({"agents_min": 3, "agents_max": 2}, "agents_range"),
+        ({"agents_min": 1.5}, "agents_range"),
         ({"dt": 0.0}, "dt"),
-        ({"motion_mix": (0.0, 0.0, 0.0)}, "motion_mix"),
-        ({"motion_mix": (1.0, -0.5, 0.5)}, "motion_mix"),
-        ({"motion_mix": (1.0, 0.0)}, "motion_mix"),
+        ({"motion_cv": 0.0, "motion_turn": 0.0, "motion_stop": 0.0}, "motion_mix"),
+        ({"motion_cv": 1.0, "motion_turn": -0.5, "motion_stop": 0.5}, "motion_mix"),
+        ({"motion_cv": 1.0, "motion_turn": 0.5, "motion_stop": -0.5}, "motion_mix"),
         ({"noise_sigma": -1.0}, "noise_sigma"),
         ({"noise_sigma": float("nan")}, "noise_sigma"),
         ({"repulsion": -1.0}, "repulsion"),
     ],
 )
 def test_generation_rejects_a_bad_argument_by_name(override, name):
-    with pytest.raises(ValueError, match=f"^{name} "):
+    with pytest.raises(ValueError, match=f"^{FIELDS.get(name, name)} "):
         _scenes(**override)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name", ["dt", "noise_sigma", "repulsion", "motion_cv", "motion_turn", "motion_stop"]
+)
+def test_generation_rejects_a_non_finite_float(name, value):
+    # the data config alone, with no run config around it to check floats
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}"):
+        generate_from_config(DataConfig(**{name: value}), 0)
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True])
+@pytest.mark.parametrize("name", ["agents_min", "agents_max"])
+def test_generation_rejects_an_agent_count_that_is_not_an_int(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}"):
+        generate_from_config(DataConfig(**{"agents_min": 1, "agents_max": 4, name: value}), 0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -183,7 +215,7 @@ def test_normalize_round_trip_identity():
 
 
 def test_inverse_broadcasts_the_shift_of_a_stack_like_transform():
-    scenes = _scenes(n=4, agents_range=(3, 3))
+    scenes = _scenes(n=4, agents_min=3, agents_max=3)
     norm = Normalizer(horizon=12).fit(scenes)
     stack = np.stack([scene.positions for scene in scenes])  # (B, N, steps, 2)
     observed, future, shifts = norm.transform(stack)
@@ -236,9 +268,9 @@ def test_stacked_normalization_equals_the_per_scene_formula():
     # its own factor of up to 1e8, so that the order in which fit sums the
     # scenes shows in the last bits of the scale: summed group by group, or
     # in id order, the same values give another scale.
-    scenes = _scenes(n=24, agents_range=(1, 4), obs_len=5, horizon=3) + [
+    scenes = _scenes(n=24, agents_min=1, agents_max=4, obs_len=5, horizon=3) + [
         TrajectoryScene(s.positions, s.dt, "long-" + s.scene_id)
-        for s in _scenes(seed=1, n=16, agents_range=(1, 4), obs_len=7, horizon=3)
+        for s in _scenes(seed=1, n=16, agents_min=1, agents_max=4, obs_len=7, horizon=3)
     ]
     r = np.random.default_rng(10)
     scenes = [

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from flexilen import backbone as bb
 from flexilen import evaluation
-from flexilen.config import BackboneConfig, BranchConfig
-from flexilen.data import Normalizer, generate_synthetic, group_scenes, split_scenes
+from flexilen.config import BackboneConfig, BranchConfig, DataConfig
+from flexilen.data import Normalizer, generate_from_config, group_scenes, split_scenes
 from flexilen.evaluation import (
     LnStatReport,
     evaluate,
@@ -124,12 +124,40 @@ def test_zero_samples_rejected():
         ade(np.zeros((0, 1, 2, 2)), np.zeros((1, 2, 2)))
 
 
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=50)
+def test_a_stack_of_scenes_equals_the_per_scene_displacements_byte_for_byte(seed):
+    # samples (K, B, N, T, 2) against gt (B, N, T, 2), as a group is scored
+    r = np.random.default_rng(seed)
+    k, b, n, t = (int(r.integers(1, hi)) for hi in (5, 5, 4, 6))
+    samples = r.normal(size=(k, b, n, t, 2)) * 10.0 ** r.integers(-3, 4)
+    gt = r.normal(size=(b, n, t, 2))
+    stacked = evaluation._per_agent_min_displacement(samples, gt)
+    for row in range(b):
+        per_scene = evaluation._per_agent_min_displacement(samples[:, row], gt[row])
+        for got, expected in zip(stacked, per_scene, strict=True):
+            assert got[row].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "samples, gt",
+    [((2, 3, 4, 5, 2), (3, 4, 6, 2)), ((2, 3, 4, 5, 2), (3, 5, 5, 2)), ((2, 3, 4, 5, 2), (4, 5, 2)),
+     ((2, 4, 5, 3), (4, 5, 2)), ((2, 5), (5,))],
+    ids=["steps", "agents", "scene-axis", "coordinates", "no-steps"],
+)
+def test_displacement_rejects_a_trailing_shape_mismatch(samples, gt):
+    with pytest.raises(ValueError, match="incompatible with gt"):
+        evaluation._per_agent_min_displacement(np.zeros(samples), np.zeros(gt))
+
+
 # ------------------------------------------------------------------ evaluate
 
 
 @pytest.fixture(scope="module")
 def eval_setup():
-    scenes = generate_synthetic(30, (2, 3), 4, 3, 0.4, seed=0)
+    scenes = generate_from_config(
+        DataConfig(n_scenes=30, agents_min=2, agents_max=3, obs_len=4, horizon=3), 0
+    )
     normalizer = Normalizer(horizon=3).fit(scenes)
     params = bb.init_params(TINY, {"S": 2, "M": 3, "L": 4}, 0)
     single = bb.init_params(TINY, {"L": 4}, 0)
@@ -193,7 +221,9 @@ def grouped_setup():
     """2-4 agents and 5-step histories, so that the scenes fall into several
     groups of several scenes; TINY single-length models (trained length 4)
     with sinusoidal and with learnable PE, and a TINY FLN model."""
-    scenes = generate_synthetic(24, (2, 4), 5, 3, 0.4, seed=4)
+    scenes = generate_from_config(
+        DataConfig(n_scenes=24, agents_min=2, agents_max=4, obs_len=5, horizon=3), 4
+    )
     normalizer = Normalizer(horizon=3).fit(scenes)
     assert all(len(group.index) > 1 for group in group_scenes(scenes, normalizer))
     learnable = dataclasses.replace(TINY, pe_kind="learnable")
@@ -361,7 +391,9 @@ def test_ln_probe_rejects_lengths_below_every_branch(eval_setup):
 def test_ln_probe_equals_the_per_scene_loop_bit_for_bit(kind, h_eval):
     # 2-4 agents and 5-step histories: several groups, each of several scenes,
     # and for the FLN model every branch, at and below its window
-    scenes = generate_synthetic(24, (2, 4), 5, 3, 0.4, seed=4)
+    scenes = generate_from_config(
+        DataConfig(n_scenes=24, agents_min=2, agents_max=4, obs_len=5, horizon=3), 4
+    )
     normalizer = Normalizer(horizon=3).fit(scenes)
     cfg = BackboneConfig(d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3)
     lengths = {"S": 2, "M": 3, "L": 4} if kind == "fln" else {"L": 4}
@@ -395,8 +427,7 @@ def test_ln_report_gap_suffix_aligned():
 def test_converged_tiny_model_extrapolates_noiseless_cv():
     """On noiseless constant-velocity data the trained model must come close
     to the exact linear extrapolation (ADE < 0.05 in generator units)."""
-    from flexilen.config import BranchConfig, DataConfig, EvalConfig, RunConfig, TrainConfig
-    from flexilen.data import generate_from_config, split_scenes
+    from flexilen.config import EvalConfig, RunConfig, TrainConfig
     from flexilen.training import train_isolated
 
     cfg = RunConfig(

@@ -7,8 +7,8 @@ from flexilen import autodiff as ad
 from flexilen import backbone as bb
 from flexilen import fln as fln_module
 from flexilen.autodiff import backward, zero_grad
-from flexilen.config import BackboneConfig, BranchConfig, ConfigError
-from flexilen.data import generate_synthetic
+from flexilen.config import BackboneConfig, BranchConfig, ConfigError, DataConfig
+from flexilen.data import generate_from_config
 from flexilen.fln import (
     count_parameters,
     fln_loss,
@@ -33,8 +33,12 @@ def _setup(seed=0, branch_cfg=BRANCHES, backbone_cfg=TINY, n_scenes=2, **flags):
         specialized_ln=branch_cfg.specialized_ln,
         **flags,
     )
-    scenes = generate_synthetic(
-        n_scenes, (2, 2), branch_cfg.h_long, backbone_cfg.horizon, 0.4, seed=seed
+    scenes = generate_from_config(
+        DataConfig(
+            n_scenes=n_scenes, agents_min=2, agents_max=2, obs_len=branch_cfg.h_long,
+            horizon=backbone_cfg.horizon,
+        ),
+        seed,
     )
     positions = scenes[0].positions
     return params, positions[:, : -backbone_cfg.horizon], positions[:, -backbone_cfg.horizon :]
@@ -123,7 +127,9 @@ def test_no_detach_lets_gradient_reach_teacher():
 
 def test_fln_loss_invariant_to_agent_order():
     params, _, _ = _setup()
-    positions = generate_synthetic(1, (4, 4), 4, 3, 0.4, seed=11)[0].positions
+    positions = generate_from_config(
+        DataConfig(n_scenes=1, agents_min=4, agents_max=4, obs_len=4, horizon=3), 11
+    )[0].positions
     perm = np.array([3, 1, 0, 2])
     a = fln_loss(positions[:, :-3], positions[:, -3:], params, BRANCHES)
     b = fln_loss(positions[perm, :-3], positions[perm, -3:], params, BRANCHES)
@@ -262,7 +268,12 @@ def test_fln_loss_gradients_equal_the_composed_model_bit_for_bit(flags, monkeypa
     backbone_cfg = BackboneConfig(
         d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3, decoder_sln=True
     )
-    scenes = generate_synthetic(3, (2, 2), cfg.h_long, backbone_cfg.horizon, 0.4, seed=7)
+    scenes = generate_from_config(
+        DataConfig(
+            n_scenes=3, agents_min=2, agents_max=2, obs_len=cfg.h_long, horizon=backbone_cfg.horizon
+        ),
+        7,
+    )
     positions = np.stack([s.positions for s in scenes])
     obs, fut = positions[:, :, : -backbone_cfg.horizon], positions[:, :, -backbone_cfg.horizon :]
 

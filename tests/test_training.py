@@ -19,7 +19,6 @@ from flexilen.data import (
     Normalizer,
     TrajectoryScene,
     generate_from_config,
-    generate_synthetic,
     split_scenes,
 )
 from flexilen.fln import fln_loss
@@ -381,7 +380,9 @@ def test_joint_expanded_dataset_size(tiny_split):
 def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     # 48 scenes of 1-4 agents in shuffled order: several stacks, some cut
     # into many batches and some ending with a short one
-    scenes = generate_synthetic(48, (1, 4), 4, 3, 0.4, seed=5)
+    scenes = generate_from_config(
+        DataConfig(n_scenes=48, agents_min=1, agents_max=4, obs_len=4, horizon=3), 5
+    )
     scenes = [scenes[i] for i in np.random.default_rng(1).permutation(len(scenes))]
     norm = Normalizer(horizon=3).fit(scenes)
     groups, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
@@ -416,7 +417,12 @@ def test_joint_seeded_determinism(tiny_split, tiny_norm):
 def val_split():
     """More val scenes than the cap, with 2-4 agents each, so that validation
     runs several groups of several scenes."""
-    scenes = generate_synthetic(VAL_SCENE_CAP + 26, (2, 4), 4, 3, 0.4, seed=8)
+    scenes = generate_from_config(
+        DataConfig(
+            n_scenes=VAL_SCENE_CAP + 26, agents_min=2, agents_max=4, obs_len=4, horizon=3
+        ),
+        8,
+    )
     return DatasetSplit(train=scenes[:20], val=scenes[::-1])
 
 
