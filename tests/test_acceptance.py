@@ -245,7 +245,7 @@ def test_criterion_4_parameter_overhead():
 
 def test_criterion_5_baseline_reduction_identities():
     from flexilen.config import EvalConfig
-    from flexilen.data import Normalizer, generate_from_config, split_scenes
+    from flexilen.data import Normalizer, split_scenes
     from flexilen.training import train_isolated, train_mixed
 
     cfg = RunConfig(
