@@ -7,8 +7,7 @@ temporary directory: the ``generate`` that writes it (its line hashes
 switches flipped, so the undetached-teacher and per-branch-NLL paths run,
 with two encoder layers, so a first layer over every token feeds a last
 layer cut to the decoder's tokens, and with five scenes a batch, so a
-group's rows split into several batches and end with a short one; isolated
-also with GELU alone, the one path that loads scipy, for ``erf``), an
+group's rows split into several batches and end with a short one), an
 isolated model with a learnable positional table, trained at length 4 and
 evaluated at length 2 (so a single-length model reads the first rows of its
 learnable table; this line hashes both runs),
@@ -74,10 +73,7 @@ TINY = [
     "--set", "obs_len=6", "--set", "n_scenes=60", "--set", "epochs=3",
     "--set", "batch_size=16", "--set", "samples=2",
 ]
-ABLATED = [
-    "--set", "detach_teacher=false", "--set", "activation=gelu",
-    "--set", "pe_kind=learnable", "--set", "decoder_sln=true",
-]
+ABLATED = ["--set", "detach_teacher=false", "--set", "pe_kind=learnable"]
 NO_TD = [  # learnable PE, since independent_pe changes nothing under sinusoidal rows
     "--set", "temporal_distillation=false", "--set", "weight_sharing=false",
     "--set", "independent_pe=false", "--set", "specialized_ln=false",
@@ -90,7 +86,6 @@ TRAIN_RUNS = {
     "fln-2layer": ["--strategy", "fln", "--set", "layers=2"],
     "fln-batch5": ["--strategy", "fln", "--set", "batch_size=5"],
     "isolated": ["--strategy", "isolated", "--length", "2"],
-    "isolated-gelu": ["--strategy", "isolated", "--length", "2", "--set", "activation=gelu"],
     "mixed": ["--strategy", "mixed"],
     "finetune": [
         "--strategy", "finetune", "--set", "finetune_target=2",

@@ -4,7 +4,9 @@
 Trains, for every seed: isolated models at each observation length plus the
 multi-branch model, then evaluates each on held-out scenes at every length.
 The 'prototype' rows are the long-length model evaluated at shorter lengths,
-which exposes the degradation the multi-branch training removes.
+which exposes the degradation the multi-branch training removes; the 'cv'
+(constant velocity) and 'ctrv' (constant turn rate) rows are zero-parameter
+extrapolators of the same observed windows.
 
 Example:
     python scripts/run_length_shift_study.py --out results/ --scenes 2000 \
@@ -43,11 +45,15 @@ def main() -> int:
 
     lengths = list(base.branches.lengths.values())
     print("\nmean ADE over seeds")
-    print(f"{'H_eval':>7} {'isolated':>10} {'prototype':>10} {'multibranch':>12}")
+    print(
+        f"{'H_eval':>7} {'isolated':>10} {'prototype':>10} {'multibranch':>12}"
+        f" {'cv':>8} {'ctrv':>8}"
+    )
     for h in lengths:
         print(
             f"{h:>7} {result.mean_ade('it', h):>10.4f} "
             f"{result.mean_ade('prototype', h):>10.4f} {result.mean_ade('fln', h):>12.4f}"
+            f" {result.mean_ade('cv', h):>8.4f} {result.mean_ade('ctrv', h):>8.4f}"
         )
     print(f"\nwrote {out / 'length_shift_study.csv'}")
     return 0

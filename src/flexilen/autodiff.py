@@ -6,9 +6,9 @@ execution; every differentiable op ships an analytic backward that the test
 suite checks against central finite differences.
 
 The engine keeps only the ops the model records: ``add`` and ``mul`` (a
-``Tensor``'s ``+`` and ``*``, in either order), ``relu``, ``gelu``,
-``reshape``, ``getitem`` (slicing) and the fused ``layer_norm``, ``linear``
-and ``attention`` nodes, beside the fused nodes of ``backbone`` and
+``Tensor``'s ``+`` and ``*``, in either order), ``relu``, ``reshape``,
+``getitem`` (slicing) and the fused ``layer_norm``, ``linear`` and
+``attention`` nodes, beside the fused nodes of ``backbone`` and
 ``mixture``. The other ops of the chains those nodes replay (sub, div, neg,
 exp, log, sqrt, softplus, softmax, matmul, transpose and the sum, mean and
 max reductions) are test oracles, in ``tests/oracles.py``.
@@ -50,8 +50,7 @@ Two invariants keep seeded results bit-identical while the engine changes:
 The decoder's fused scales node computes softplus and its derivative with
 two numpy helpers, ``softplus_array`` and ``sigmoid_array``; the composed
 chain's softplus op (a test oracle) calls the same two, so the node still
-equals its chain bit for bit. Neither needs scipy: the package imports it
-only in ``gelu``, for ``erf``, on the first call.
+equals its chain bit for bit.
 
 ``linear`` takes a 2-D weight and a 1-D bias and flattens its input's
 leading axes into rows, so its chain is reshape, matmul, add, reshape: the
@@ -66,9 +65,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_INV_SQRT_2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _no_grad_depth = 0
 _VISITED = object()  # the walk reached a node that has no gradient yet
@@ -233,20 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def gelu(a: Tensor) -> Tensor:
-    from scipy.special import erf  # only GELU needs scipy, so it loads on first use
-
-    # exact erf form; derivative 0.5*(1+erf(x/sqrt2)) + x * pdf(x)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT_2))
-    out = a.data * cdf
-
-    def backward_fn(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (cdf + a.data * pdf),)
-
-    return record(out, (a,), backward_fn)
 
 
 def softplus_array(x: np.ndarray) -> np.ndarray:

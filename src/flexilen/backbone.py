@@ -29,10 +29,6 @@ SCALE_FLOOR = 1e-3
 SPATIAL_IN = 4  # position (2) + backward-difference velocity (2)
 
 
-def _activation(name: str):
-    return {"relu": ad.relu, "gelu": ad.gelu}[name]
-
-
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -150,10 +146,10 @@ def init_params(
 
     The flags choose which tensors exist, so the layout (see ``FlnParams``):
     ``weight_sharing`` off gives each branch its own ``theta.<b>.*`` backbone,
-    ``specialized_ln`` its own encoder LayerNorm affines (the decoder's follow
-    ``cfg.decoder_sln``) and ``independent_pe`` its own learnable table. A
-    single-length model, ``lengths={"L": h}``, shares its affines and table
-    whatever the last two flags say.
+    ``specialized_ln`` its own encoder LayerNorm affines (the decoder's
+    ``dec.norm`` is always one shared affine) and ``independent_pe`` its own
+    learnable table. A single-length model, ``lengths={"L": h}``, shares its
+    affines and table whatever the last two flags say.
     """
     cfg.validate()
     params = FlnParams(cfg, dict(lengths))
@@ -172,7 +168,7 @@ def init_params(
 
     d = cfg.d_model
     for site in ln_sites(cfg):
-        per_branch = branched and (cfg.decoder_sln if site == "dec.norm" else specialized_ln)
+        per_branch = branched and specialized_ln and site != "dec.norm"
         for prefix in [f"sln.{b}.{site}" for b in branch_ids] if per_branch else [f"shared.{site}"]:
             add(f"{prefix}.gamma", np.ones(d))
             add(f"{prefix}.beta", np.zeros(d))
@@ -259,9 +255,8 @@ def spatial_encode(observations: np.ndarray, branch: str, params: FlnParams) -> 
     """Per-timestep embedding of position and velocity via a two-layer MLP."""
     if observations.shape[-2] < 1:
         raise ValueError("spatial_encode requires at least one observed step")
-    act = _activation(params.cfg.activation)
     feats = Tensor(spatial_features(observations))
-    hidden = act(_linear(feats, branch, params, "spatial.w1", "spatial.b1"))
+    hidden = ad.relu(_linear(feats, branch, params, "spatial.w1", "spatial.b1"))
     return _linear(hidden, branch, params, "spatial.w2", "spatial.b2")
 
 
@@ -310,7 +305,6 @@ def transformer_encode(
     """
     cfg = params.cfg
     batch, n_agents, h_steps, d = features.shape
-    act = _activation(cfg.activation)
     x = ad.reshape(features, (batch, n_agents * h_steps, d))
     pooled = slice(h_steps - 1, None, h_steps)  # agent-major rows: each agent's last step
 
@@ -332,7 +326,7 @@ def transformer_encode(
         record(site2, x)
         normed = specialized_layer_norm(x, branch, site2, params)
         ffn = f"enc.l{layer}.ffn"
-        hidden = act(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
+        hidden = ad.relu(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
         x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
     record("enc.final_norm", x)
     x = specialized_layer_norm(x, branch, "enc.final_norm", params)
@@ -413,8 +407,7 @@ def decode(pooled: Tensor, anchors: np.ndarray, branch: str, params: FlnParams) 
     """
     cfg = params.cfg
     normed = specialized_layer_norm(pooled, branch, "dec.norm", params)
-    act = _activation(cfg.activation)
-    hidden = act(_linear(normed, branch, params, "dec.w1", "dec.b1"))
+    hidden = ad.relu(_linear(normed, branch, params, "dec.w1", "dec.b1"))
     out = _linear(hidden, branch, params, "dec.w2", "dec.b2")
     return mixture_head(out, cv_rollout(anchors, cfg.horizon), cfg.modes, cfg.horizon)
 

@@ -14,7 +14,6 @@ BRANCH_IDS = ("S", "M", "L")  # total order by observation length
 
 STRATEGIES = ("fln", "isolated", "mixed", "finetune", "joint")
 PE_KINDS = ("sinusoidal", "learnable")
-ACTIVATIONS = ("relu", "gelu")
 SAMPLING_MODES = ("mode-means", "stochastic")
 
 
@@ -31,8 +30,6 @@ class BackboneConfig:
     modes: int = 5
     horizon: int = 12
     pe_kind: str = "sinusoidal"
-    activation: str = "relu"
-    decoder_sln: bool = False  # specialize the decoder norm as well
 
     def validate(self) -> None:
         for name in ("d_model", "heads", "layers", "dec_hidden", "modes", "horizon"):
@@ -45,8 +42,6 @@ class BackboneConfig:
             raise ConfigError("d_model must be divisible by heads")
         if self.pe_kind not in PE_KINDS:
             raise ConfigError(f"pe_kind must be one of {PE_KINDS}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ multi-branch model on one synthetic protocol and compare them per length.
 The prototype row is the long-length model evaluated at shorter lengths,
 exposing the degradation that motivates everything else; isolated training
 provides the per-length reference, and the multi-branch model is expected to
-track or beat it at every length after a single training run.
+track or beat it at every length after a single training run. Two
+zero-parameter rows, ``cv`` (constant velocity) and ``ctrv`` (constant turn
+rate), show what the observed history alone is worth at each length.
 """
 from __future__ import annotations
 
@@ -13,7 +15,10 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .backbone import FlnParams
+import numpy as np
+
+from .autodiff import Tensor
+from .backbone import FlnParams, cv_rollout
 from .config import (
     BackboneConfig,
     BranchConfig,
@@ -24,6 +29,7 @@ from .config import (
 )
 from .data import DatasetSplit, Normalizer, generate_from_config, group_scenes, split_scenes
 from .evaluation import evaluate_groups
+from .mixture import MixturePrediction
 from .training import train_fln, train_isolated
 
 
@@ -57,6 +63,48 @@ def study_run_config(
     )
 
 
+def ctrv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
+    """Constant-turn-rate extrapolation of a window (..., H, 2), (..., T, 2).
+
+    The turn rate is the mean of the heading changes between consecutive
+    observed steps, each wrapped to (-pi, pi] and weighted by the smaller of
+    its two step speeds; it is 0 when every weight is 0 (a window of two
+    points, a stopped agent). The rollout starts at the last point and
+    repeats the last step's displacement, turned by the turn rate once more
+    before each step, so a zero turn rate gives ``cv_rollout`` bit for bit.
+    """
+    obs = np.asarray(observations, dtype=np.float64)
+    last = obs[..., -1, :]
+    vel = last - obs[..., -2, :] if obs.shape[-2] > 1 else np.zeros_like(last)
+    steps = obs[..., 1:, :] - obs[..., :-1, :]  # (..., H-1, 2)
+    speed = np.hypot(steps[..., 0], steps[..., 1])
+    heading = np.arctan2(steps[..., 1], steps[..., 0])
+    turn = np.pi - (np.pi - (heading[..., 1:] - heading[..., :-1])) % (2 * np.pi)
+    weight = np.minimum(speed[..., :-1], speed[..., 1:])
+    total = weight.sum(axis=-1)
+    omega = np.divide(
+        (turn * weight).sum(axis=-1), total, out=np.zeros_like(total), where=total > 0
+    )
+    angles = np.arange(1, horizon + 1, dtype=np.float64) * omega[..., None]  # (..., T)
+    cos, sin = np.cumsum(np.cos(angles), axis=-1), np.cumsum(np.sin(angles), axis=-1)
+    vx, vy = vel[..., None, 0], vel[..., None, 1]
+    return last[..., None, :] + np.stack([cos * vx - sin * vy, sin * vx + cos * vy], axis=-1)
+
+
+def _rollout_predict(rollout, horizon: int):
+    """``evaluate_groups``' ``predict`` for a zero-parameter extrapolator: the
+    rollout of each normalized window as a one-mode mixture, scored with
+    k=1 by the code that scores the learned rows."""
+
+    def predict(_params, obs: np.ndarray) -> MixturePrediction:
+        means = rollout(obs, horizon)[..., None, :, :]  # (B, N, 1, T, 2)
+        return MixturePrediction(
+            Tensor(means), Tensor(np.ones_like(means)), Tensor(np.zeros(means.shape[:-2]))
+        )
+
+    return predict
+
+
 @dataclass
 class SeedOutcome:
     seed: int
@@ -64,7 +112,7 @@ class SeedOutcome:
     normalizer: Normalizer
     isolated: dict[int, FlnParams]      # length -> model trained at that length
     fln: FlnParams
-    ade: dict[tuple[str, int], float]   # (model, eval length) -> test ADE
+    ade: dict[tuple[str, int], float]   # (row, eval length) -> test ADE
     fde: dict[tuple[str, int], float]
 
 
@@ -108,13 +156,18 @@ def run_length_shift_study(
 
     The ``prototype`` rows evaluate the long-length isolated model at the
     shorter lengths (its positional encoding follows the shorter input, which
-    is exactly the shift being measured). Test scenes are grouped once per
-    seed and scored by mode-means, one forward per group
-    (``evaluation.evaluate_groups``).
+    is exactly the shift being measured). The ``cv`` and ``ctrv`` rows score
+    ``backbone.cv_rollout`` and ``ctrv_rollout`` of the same windows. Test
+    scenes are grouped once per seed and scored by mode-means, one forward
+    per group (``evaluation.evaluate_groups``).
     """
     result = StudyResult(config=base)
     lengths = list(base.branches.lengths.values())
     h_long = base.branches.h_long
+    physics = {
+        "cv": _rollout_predict(cv_rollout, base.backbone.horizon),
+        "ctrv": _rollout_predict(ctrv_rollout, base.backbone.horizon),
+    }
     for seed in seeds:
         started = time.perf_counter()
         cfg = replace(base, seed=seed)
@@ -138,6 +191,10 @@ def run_length_shift_study(
                 ade[(model, h)], fde[(model, h)] = evaluate_groups(
                     params, test_groups, h, base.eval.samples, normalizer
                 )
+            for row, predict in physics.items():
+                ade[(row, h)], fde[(row, h)] = evaluate_groups(
+                    None, test_groups, h, 1, normalizer, predict=predict
+                )
         result.seeds.append(
             SeedOutcome(seed, split, normalizer, isolated, fln_params, ade, fde)
         )
@@ -145,7 +202,7 @@ def run_length_shift_study(
             elapsed = time.perf_counter() - started
             summary = "  ".join(
                 f"H'={h}: it {ade[('it', h)]:.3f} proto {ade[('prototype', h)]:.3f} "
-                f"fln {ade[('fln', h)]:.3f}"
+                f"fln {ade[('fln', h)]:.3f} cv {ade[('cv', h)]:.3f} ctrv {ade[('ctrv', h)]:.3f}"
                 for h in lengths
             )
             print(f"seed {seed} ({elapsed:.0f}s)  {summary}")

@@ -58,7 +58,7 @@ def positional_encode(t: int, branch: str, params: FlnParams) -> np.ndarray:
 # ``backbone.mixture_head``, ``mixture.nll``/``kl_distill``); these are the
 # op-by-op chains those nodes replay, kept here so tests can compare forward
 # values and gradients bit for bit. The package records only ``add``,
-# ``mul``, ``relu``, ``gelu``, ``reshape`` and ``getitem`` of these, so
+# ``mul``, ``relu``, ``reshape`` and ``getitem`` of these, so
 # ``sub``, ``div``, ``neg``, ``exp``, ``log``, ``sqrt``, ``softplus``,
 # ``softmax``, ``matmul``, ``transpose`` and the ``reduce_sum``,
 # ``reduce_mean`` and ``reduce_max`` reductions live here; ``softplus`` runs
@@ -410,14 +410,13 @@ def transformer_encode_all_tokens(features: Tensor, branch: str, params: FlnPara
     final norm on every token."""
     cfg = params.cfg
     batch, n_agents, h_steps, d = features.shape
-    act = {"relu": ad.relu, "gelu": ad.gelu}[cfg.activation]
     x = ad.reshape(features, (batch, n_agents * h_steps, d))
     for layer in range(cfg.layers):
         normed1 = bb.specialized_layer_norm(x, branch, f"enc.l{layer}.norm1", params)
         x = x + _attention_all_tokens(normed1, branch, layer, params)
         normed = bb.specialized_layer_norm(x, branch, f"enc.l{layer}.norm2", params)
         ffn = f"enc.l{layer}.ffn"
-        hidden = act(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
+        hidden = ad.relu(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
         x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
     x = bb.specialized_layer_norm(x, branch, "enc.final_norm", params)
     return ad.reshape(x, (batch, n_agents, h_steps, d))

@@ -45,6 +45,15 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def _physics(study, h: int) -> str:
+    """The cv and ctrv@h rows: the mean over seeds, then each seed's value."""
+    return ", ".join(
+        f"{label} {study.mean_ade(row, h):.4f} "
+        f"[{' '.join(f'{outcome.ade[(row, h)]:.4f}' for outcome in study.seeds)}]"
+        for label, row in (("cv", "cv"), (f"ctrv@{h}", "ctrv"))
+    )
+
+
 @pytest.fixture(scope="session")
 def study():
     base = study_run_config(n_scenes=2000, epochs=25)
@@ -71,7 +80,6 @@ def test_criterion_1_gradient_correctness():
         "log": (log, r.uniform(0.2, 3, 5)),
         "neg": (neg, r.normal(size=5)),
         "relu": (ad.relu, r.normal(size=5) + 0.05),
-        "gelu": (ad.gelu, r.normal(size=5)),
         "softplus": (softplus, r.normal(size=5)),
         "sqrt": (sqrt, r.uniform(0.2, 3, 5)),
         "matmul": (lambda t: matmul(t, Tensor(mat)), r.normal(size=(4, 3))),
@@ -300,7 +308,8 @@ def test_criterion_6_observation_length_shift_direction(study):
         6,
         ok,
         f"prototype@S {proto_s:.4f} > IT@S {it_s:.4f}; FLN@S {fln_s:.4f} <= prototype@S; "
-        f"FLN@M {fln_m:.4f} <= prototype@M {proto_m:.4f}",
+        f"FLN@M {fln_m:.4f} <= prototype@M {proto_m:.4f}; "
+        f"reference rows at S: {_physics(study, h_s)}; at M: {_physics(study, h_m)}",
     )
 
 
@@ -314,7 +323,9 @@ def test_criterion_7_fln_tracks_isolated_training(study):
         fln_ade = study.mean_ade("fln", h)
         it_ade = study.mean_ade("it", h)
         ok = ok and fln_ade <= it_ade * 1.05
-        detail.append(f"H'={h}: FLN {fln_ade:.4f} vs IT {it_ade:.4f} (+5% slack)")
+        detail.append(
+            f"H'={h}: FLN {fln_ade:.4f} vs IT {it_ade:.4f} (+5% slack), {_physics(study, h)}"
+        )
     _report(7, ok, "; ".join(detail))
 
 

@@ -105,7 +105,6 @@ LAYOUTS = {
     "no_sln": ({}, {"specialized_ln": False}, (True, True, False)),
     "learnable_ipe": ({"pe_kind": "learnable"}, {}, (True, True, True)),
     "learnable_no_ipe": ({"pe_kind": "learnable"}, {"independent_pe": False}, (True, False, True)),
-    "decoder_sln": ({"decoder_sln": True}, {}, (True, True, True)),
     "single": ({"pe_kind": "learnable"}, None, (True, False, False)),
 }
 
@@ -169,7 +168,7 @@ def test_a_manifest_with_the_old_sharing_flags_loads_by_its_names(tmp_path, layo
     [
         ("no_sln", "shared.dec.w1", "branch S reads a missing tensor 'shared.dec.w1'"),
         ("no_ws", "theta.M.enc.l0.attn.wq", "branch M reads a missing tensor 'shared.enc.l0.attn.wq'"),
-        ("decoder_sln", "sln.L.dec.norm.beta", "branch L reads a missing tensor 'sln.L.dec.norm.beta'"),
+        ("learnable_ipe", "sln.L.enc.final_norm.beta", "branch L reads a missing tensor 'sln.L.enc.final_norm.beta'"),
         ("learnable_ipe", "pe.S.table", "branch S reads a missing tensor 'pe.shared.table'"),
         ("single", "shared.enc.final_norm.gamma", "'shared.enc.final_norm.gamma'"),
     ],

@@ -930,8 +930,8 @@ def _scipy_modules_after(commands: list[list[str]]) -> list[str]:
     return json.loads(done.stdout)
 
 
-def test_default_commands_never_load_scipy_and_gelu_does(tmp_path):
-    data, run, gelu = (str(tmp_path / name) for name in ("data", "run", "gelu"))
+def test_default_commands_never_load_scipy(tmp_path):
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
     checkpoint = str(tmp_path / "run" / "checkpoint")
     default = [
         ["generate", "--out", data, "--seed", "1", *TINY_ARGS],
@@ -940,11 +940,7 @@ def test_default_commands_never_load_scipy_and_gelu_does(tmp_path):
          "--length", "3"],
         ["sweep", "--out", str(tmp_path / "sweep"), "--checkpoint", checkpoint, "--data", data,
          "--lengths", "2..4"],
+        ["probe", "ln", "--out", str(tmp_path / "probe"), "--checkpoint", checkpoint,
+         "--data", data, "--length", "4"],
     ]
     assert _scipy_modules_after(default) == []
-    loaded = _scipy_modules_after([
-        ["train", "--out", gelu, "--data", data, "--strategy", "fln", *TINY_ARGS,
-         "--set", "activation=gelu"],
-    ])
-    assert "scipy.special" in loaded
-    assert (tmp_path / "gelu" / "checkpoint.json").exists()

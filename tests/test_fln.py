@@ -265,9 +265,7 @@ def test_fln_loss_gradients_equal_the_composed_model_bit_for_bit(flags, monkeypa
     # a shared weight sums contributions from all three branches, and the
     # fused nodes must hand them to the engine in the composed graph's order
     cfg = BranchConfig(h_short=2, h_medium=3, h_long=4, **flags)
-    backbone_cfg = BackboneConfig(
-        d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3, decoder_sln=True
-    )
+    backbone_cfg = BackboneConfig(d_model=8, heads=2, layers=2, dec_hidden=16, modes=2, horizon=3)
     scenes = generate_from_config(
         DataConfig(
             n_scenes=3, agents_min=2, agents_max=2, obs_len=cfg.h_long, horizon=backbone_cfg.horizon
