@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark this checkout against another revision in pairs of runs.
 
-    python3 scripts/bench_pairs.py --against HEAD~1 --workload fln_train --pairs 10
+    python3 scripts/bench_pairs.py --against HEAD~1 --workload fln_train --pairs 10 [--claim wall_ref]
 
 Extracts REV with ``git archive`` into a temporary directory and runs
 ``perfbench/run.py`` once in each tree per pair: both sides of a pair get the
@@ -18,6 +18,12 @@ computes it inside its ``main``), and how many pairs this checkout won, lost and
 metric's ``better`` direction. This is the procedure ``perfbench/README.md``
 asks of a claimed gain: at least nine of ten pairs won, and medians further
 apart than the parent's quartile spread.
+
+``--claim METRIC`` then prints that rule's verdict for one end-to-end
+metric, ``met`` or ``not met``, and exits 1 when it is not met. A claim is
+met when this checkout wins at least nine tenths of the pairs, its median
+is better than the parent's by more than the parent's quartile distance
+(``q3 - q1``), and no larger share of its operations failed.
 """
 from __future__ import annotations
 
@@ -47,6 +53,41 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float, float]:
+    """First quartile, median, third quartile, and their spread
+    ``(q3 - q1) / |median|``."""
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3, (q3 - q1) / abs(q2) if q2 else float("nan")
+
+
+def pair_record(change: list[float], parent: list[float], lower: bool) -> tuple[int, int, int]:
+    """Pairs this checkout won, lost and tied, in the metric's direction."""
+    pairs = list(zip(change, parent, strict=True))
+    wins = sum((c < p) if lower else (c > p) for c, p in pairs)
+    ties = sum(c == p for c, p in pairs)
+    return wins, len(pairs) - wins - ties, ties
+
+
+def claim_verdict(
+    change: list[float], parent: list[float], lower: bool, failed_share: dict[str, float]
+) -> tuple[bool, str]:
+    """Whether a claimed gain holds by ``perfbench/README.md``'s rule, and why."""
+    wins, _, _ = pair_record(change, parent, lower)
+    needed = -(-9 * len(parent) // 10)  # nine tenths of the pairs, rounded up
+    q1, median, q3, _ = quartiles(parent)
+    gain = (median - statistics.median(change)) * (1 if lower else -1)
+    checks = [
+        (wins >= needed, f"{wins} of {len(parent)} pairs won, {needed} needed"),
+        (gain > q3 - q1, f"median better by {gain:.6g}, parent quartile distance {q3 - q1:.6g}"),
+        (
+            failed_share["change"] <= failed_share["parent"],
+            f"failed share {failed_share['change']:.4g} against the parent's "
+            f"{failed_share['parent']:.4g}",
+        ),
+    ]
+    return all(ok for ok, _ in checks), "; ".join(reason for _, reason in checks)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", metavar="REV", required=True, help="revision to compare with")
@@ -54,12 +95,17 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", required=True, choices=["fln_train", "single_train", "eval_sweep"]
     )
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--claim", metavar="METRIC", help="end-to-end metric whose claimed gain to judge"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")  # quartiles need two runs a side
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
+    if args.claim is not None and args.claim not in {m["name"] for m in metrics}:
+        parser.error(f"--claim: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
 
     with tempfile.TemporaryDirectory(prefix="flexilen-pairs-") as tmp:
         trees = {"parent": extract(args.against, Path(tmp)), "change": ROOT}
@@ -77,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s per run, parent {args.against}")
     print(f"{'metric':14s} {'side':6s} {'median':>12s} {'q1':>12s} {'q3':>12s} {'spread':>8s}"
           "  pairs won")
+    verdict = None
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         series = {
@@ -84,18 +131,27 @@ def main(argv: list[str] | None = None) -> int:
         }
         if any(v is None for values in series.values() for v in values):
             print(f"{name:14s} missing values: {series}")
+            if name == args.claim:
+                verdict = False, "missing values"
             continue
         for side in ("parent", "change"):
-            q1, q2, q3 = statistics.quantiles(series[side], n=4)
-            spread = (q3 - q1) / abs(q2) if q2 else float("nan")
+            q1, q2, q3, spread = quartiles(series[side])
             won = ""
             if side == "change":
-                pairs = list(zip(series["change"], series["parent"]))
-                wins = sum((c < p) if lower else (c > p) for c, p in pairs)
-                ties = sum(c == p for c, p in pairs)
-                won = f"{wins} won, {len(pairs) - wins - ties} lost, {ties} tied"
+                wins, losses, ties = pair_record(series["change"], series["parent"], lower)
+                won = f"{wins} won, {losses} lost, {ties} tied"
             print(f"{name:14s} {side:6s} {q2:12.6g} {q1:12.6g} {q3:12.6g} {spread:8.4f}  {won}")
-    return 0
+        if name == args.claim:
+            failed_share = {
+                side: sum(r["failed"] for r in runs) / max(sum(r["attempted"] for r in runs), 1)
+                for side, runs in results.items()
+            }
+            verdict = claim_verdict(series["change"], series["parent"], lower, failed_share)
+    if verdict is None:
+        return 0
+    met, reasons = verdict
+    print(f"\nclaim {args.claim} on {args.workload}: {'met' if met else 'not met'} ({reasons})")
+    return 0 if met else 1
 
 
 if __name__ == "__main__":

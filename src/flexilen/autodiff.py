@@ -59,6 +59,36 @@ and the bias gradient is one reduce over the rows. A batched matmul forms
 the weight gradient as one small GEMM per leading index and then sums
 them; the 2-D GEMM adds the same products in another order, so the two
 train weights, and seeded results, that differ in their last bits.
+
+The hot kernels make no full-size pass or temporary that their chain's
+arithmetic does not need, and leave every bit as it was:
+
+* ``relu`` is ``np.maximum(x, 0.0)``, and its backward mask is taken from
+  the output (``out > 0.0``, true exactly where ``x > 0``). numpy's
+  ``maximum`` gives +0.0 for -0.0, as ``np.where(x > 0, x, 0.0)`` did; IEEE
+  leaves that choice open, so a test pins it, signed zeros included.
+* ``layer_norm``'s backward negates its two (rows, 1) reductions, not the
+  (rows, d) arrays it reduces: negation is exact and rounding symmetric, so
+  the negated sum equals the sum of the negated terms, up to the sign of an
+  exact zero, which turns no nonzero element downstream. It multiplies the
+  (rows, 1) factor into ``centered`` by broadcasting, where it spread the
+  factor first, and divides and adds in place, in the chain's order. Its
+  forward adds ``beta`` in place into ``normalized * gamma``.
+* ``linear`` adds its bias in place into the GEMM's result.
+* ``attention`` forms the scores, their shift, their exponentials and the
+  weights in one buffer, and its backward runs the softmax's chain in
+  place.
+
+An in-place ufunc computes each element as the allocating one does, but
+it keeps its first operand's memory layout, where an allocating one lays
+its result out from all its operands; and a later reduction sums in
+memory order. So a kernel writes in place only into a GEMM's result or an
+array whose operands share one layout, which the chain's allocating op
+lays out the same way. In the model every input and gradient of
+``layer_norm`` and ``attention`` is C-contiguous. The mixture's means and
+scales are not (they are mode-major gathers of head columns): computing
+``mixture.nll``'s log-density terms in place moved the order of their
+sum, and seeded training, in the last bits, so that node allocates.
 """
 from __future__ import annotations
 
@@ -227,8 +257,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)
+    return record(out, (a,), lambda g: (g * (out > 0.0),))
 
 
 def softplus_array(x: np.ndarray) -> np.ndarray:
@@ -301,21 +331,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     if not std.all():
         raise DomainError("div: divisor contains zero")
     normalized = centered / std
-    scaled = normalized * gamma.data
-    out = scaled + beta.data
+    out = normalized * gamma.data
+    out += beta.data
 
     def backward_fn(g):
-        g_scaled = unbroadcast(g, scaled.shape)
-        g_normalized = unbroadcast(g_scaled * gamma.data, normalized.shape)
-        g_std = unbroadcast(-g_normalized * centered / (std * std), std.shape)
-        g_square = spread(g_std * 0.5 / std / count, centered.shape)
-        via_square = g_square * centered  # once per factor of centered * centered
-        g_centered = g_normalized / std + via_square + via_square
-        g_mu = unbroadcast(-g_centered, mu.shape)
+        g_centered = g * gamma.data  # the gradient of normalized, until divided by std
+        work = g_centered * centered
+        work /= std * std
+        g_std = -np.add.reduce(work, axis=axes, keepdims=True)
+        via_square = np.multiply(g_std * 0.5 / std / count, centered, out=work)
+        g_centered /= std
+        g_centered += via_square  # once per factor of centered * centered
+        g_centered += via_square
+        g_mu = -np.add.reduce(g_centered, axis=axes, keepdims=True)
         return (
             g_centered,
             spread(g_mu / count, x.shape),
-            unbroadcast(g_scaled * normalized, gamma.shape),
+            unbroadcast(np.multiply(g, normalized, out=work), gamma.shape),
             unbroadcast(g, beta.shape),
         )
 
@@ -344,7 +376,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g_x = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
         return g_x, rows.T @ g_rows, np.add.reduce(g_rows, axis=0)
 
-    return record((rows @ w.data + b.data).reshape(out_shape), (x, w, b), backward_fn)
+    out = rows @ w.data
+    out += b.data
+    return record(out.reshape(out_shape), (x, w, b), backward_fn)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
@@ -375,18 +409,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tupl
         return g.transpose(0, 2, 1, 3).reshape(batch, g.shape[2], d)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    check_finite(scores)  # an infinite score would get weight 0 or 1
-    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / np.add.reduce(e, axis=-1, keepdims=True)
+    # scores, shifted scores, their exponentials and the weights, in one buffer
+    weights = qh @ kh.swapaxes(-1, -2)
+    weights *= scale
+    check_finite(weights)  # an infinite score would get weight 0 or 1
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
 
     def backward_fn(g):
         g_heads = g.reshape(batch, rows, heads, head_dim).transpose(0, 2, 1, 3)
-        g_weights = g_heads @ vh.swapaxes(-1, -2)
+        g_scores = g_heads @ vh.swapaxes(-1, -2)  # the weights' gradient, until the softmax
         g_v = weights.swapaxes(-1, -2) @ g_heads
-        inner = np.add.reduce(g_weights * weights, axis=-1, keepdims=True)
-        g_scores = (g_weights - inner) * weights * scale
+        g_scores -= np.add.reduce(g_scores * weights, axis=-1, keepdims=True)
+        g_scores *= weights
+        g_scores *= scale
         g_q = g_scores @ kh
         g_kt = qh.swapaxes(-1, -2) @ g_scores
         return merge(g_q), merge(g_kt.swapaxes(-1, -2)), merge(g_v)

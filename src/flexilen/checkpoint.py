@@ -25,6 +25,7 @@ from .data import read_payload, write_payload
 from .training import AdamState
 
 CHECKPOINT_FORMAT_VERSION = 1
+_BACKBONE_KEYS = frozenset(f.name for f in dataclasses.fields(BackboneConfig))
 
 
 def _size(shape: list[int]) -> int:
@@ -95,11 +96,16 @@ def load_checkpoint(
             entries = entries + list(opt_section["slots"])
         blocks = [(e["name"], e["offset"], _size(e["shape"])) for e in entries]
         model = manifest["model"]
+        unknown = sorted(set(model["backbone"]) - _BACKBONE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys in model.backbone: {', '.join(map(repr, unknown))}")
         backbone = BackboneConfig(**model["backbone"])
         backbone.validate()
         params = FlnParams(backbone, dict(model["lengths"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc}") from exc
     payload = read_payload(bin_path, blocks, f"checkpoint {prefix}")
 
     for entry in manifest["parameters"]:

@@ -92,6 +92,19 @@ def test_finite_result_whose_sum_overflows_passes():
     np.testing.assert_array_equal(out.data, [1e308, 1e308])
 
 
+def test_relu_equals_the_where_form_bit_for_bit():
+    # the output and the gradient mask are np.where(x > 0, x, 0.0) and x > 0,
+    # signed zeros included: a numpy whose maximum keeps -0.0 fails here
+    x = np.array([-0.0, 0.0, -1.0, 1.0, -5e-324, 5e-324])
+    up = np.array([-1.5, 2.0, -3.0, 4.0, -5.0, 6.0])
+    t = Tensor(x, requires_grad=True)
+    out = ad.relu(t)
+    backward(reduce_sum(out * Tensor(up)))
+    for got, want in ((out.data, np.where(x > 0, x, 0.0)), (t.grad, up * (x > 0))):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 _UNARY_OPS = {
     "exp": (exp, lambda r: r.uniform(-2, 2, size=5)),
     "log": (log, lambda r: r.uniform(0.1, 5, size=5)),
@@ -536,7 +549,7 @@ _ATTENTION_CASES = {  # name: (heads, query rows)
     "attention_h1": (1, slice(None)),
     "attention_fewer_queries": (2, slice(0, None, 2)),
 }
-_FUSED = ["layer_norm", "linear", *_ATTENTION_CASES, "mixture_head"]
+_FUSED = ["layer_norm", "layer_norm_d16", "linear", "linear_d16", *_ATTENTION_CASES, "mixture_head"]
 
 
 def _fused_cases(seed):
@@ -549,9 +562,29 @@ def _fused_cases(seed):
     out = (r.normal(size=(2, 3, 2 * 3 * 4 + 2)),)
     baseline = r.normal(size=(2, 3, 3, 2))
     head_up = [r.normal(size=shape) for shape in [(2, 3, 2, 3, 2)] * 2 + [(2, 3, 2), out[0].shape]]
+    # the study's width, d_model=16, over many rows: a last-axis sum of 16
+    # takes numpy's unrolled pairwise path, which one of 4 does not. Row
+    # (0, 0) has zero variance (it centers to exact zeros), and rows (0, 0)
+    # and (0, 1) get exact-zero upstream gradients
+    wide = r.normal(size=(6, 10, 16))
+    wide[0, 0] = 0.7
+    wide_up = r.normal(size=wide.shape)
+    wide_up[0, :2] = 0.0
+    wide_ln = (wide, r.uniform(0.5, 2.0, 16), r.normal(size=16))
+    wide_lin = (wide, r.normal(size=(16, 16)), r.normal(size=16))
     cases = {
         "layer_norm": (_layer_norm_loss(ad.layer_norm, up), _layer_norm_loss(oracles.layer_norm_composed, up), ln),
+        "layer_norm_d16": (
+            _layer_norm_loss(ad.layer_norm, wide_up),
+            _layer_norm_loss(oracles.layer_norm_composed, wide_up),
+            wide_ln,
+        ),
         "linear": (_linear_loss(ad.linear, up), _linear_loss(oracles.linear_composed, up), lin),
+        "linear_d16": (
+            _linear_loss(ad.linear, wide_up),
+            _linear_loss(oracles.linear_composed, wide_up),
+            wide_lin,
+        ),
         "mixture_head": (
             _head_loss(bb.mixture_head, baseline, head_up),
             _head_loss(oracles.mixture_head_composed, baseline, head_up),

@@ -186,3 +186,17 @@ def test_a_manifest_that_leaves_a_branch_without_a_tensor_is_rejected(
         load_checkpoint(tmp_path / "model")
     assert str(info.value).startswith(f"checkpoint {tmp_path / 'model'}: malformed manifest: ")
     assert str(info.value).endswith(missing)
+
+
+def test_unknown_backbone_keys_are_named_with_their_section_and_sorted(tmp_path):
+    # a checkpoint written while the backbone still had these two switches
+    save_checkpoint(tmp_path / "model", _params(8))
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    manifest["model"]["backbone"].update({"decoder_sln": False, "activation": "relu"})
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(tmp_path / "model")
+    assert str(info.value) == (
+        f"checkpoint {tmp_path / 'model'}: malformed manifest: "
+        "unknown keys in model.backbone: 'activation', 'decoder_sln'"
+    )

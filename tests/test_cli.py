@@ -205,6 +205,8 @@ def test_eval_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, corrupt):
     assert code == 2
     err = capsys.readouterr().err
     assert f"checkpoint {prefix}: malformed manifest" in err
+    if corrupt == "unknown_backbone_key":
+        assert "unknown keys in model.backbone: 'bogus'" in err
     if corrupt == "renamed_parameter":
         assert "branch L reads a missing tensor 'shared.dec.w2'" in err
     if corrupt in BAD_BACKBONE_VALUES:

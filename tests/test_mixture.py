@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexilen import autodiff as ad
+from flexilen import backbone as bb
 from flexilen.autodiff import Tensor, backward
 from flexilen.mixture import (
     LOG_2PI,
@@ -352,6 +353,17 @@ def _nll_loss(nll_fn, future, k, extra):
     return loss
 
 
+def _head_nll_loss(nll_fn, baseline, future, k):
+    # the prediction in the decoder head's own memory layout: its means and
+    # scales are gathers of head columns whose mode axis lies outermost in
+    # memory, not C-contiguous arrays, so a rewrite that changes how a
+    # result is laid out, and so the order of a later sum, shows here
+    def loss(raw):
+        return nll_fn(bb.mixture_head(raw, baseline, k, future.shape[-2]), future)
+
+    return loss
+
+
 def _kl_loss(kl_fn, future, k, detach):
     def loss(raw_teacher, raw_student):
         n, t = future.shape[:2]
@@ -373,10 +385,17 @@ def _fused_mixture_cases(seed, n=3, t=4, k=2):
     future = r.normal(size=(n, t, 2))
     raw = [r.normal(size=(n, k * t * 4 + k)) for _ in range(2)]
     extra = r.normal(size=(n, k, t, 2))
+    head_future = r.normal(size=(2, n, t, 2))
+    baseline = r.normal(size=head_future.shape)
     cases = {
         "nll": (
             _nll_loss(nll, future, k, extra), _nll_loss(oracles.nll_composed, future, k, extra), raw[:1]
-        )
+        ),
+        "nll_head_layout": (
+            _head_nll_loss(nll, baseline, head_future, k),
+            _head_nll_loss(oracles.nll_composed, baseline, head_future, k),
+            (r.normal(size=(2, n, k * t * 4 + k)),),
+        ),
     }
     for detach in (True, False):
         cases[f"kl_detach_{detach}"] = (
@@ -387,7 +406,7 @@ def _fused_mixture_cases(seed, n=3, t=4, k=2):
     return cases
 
 
-_FUSED_MIXTURE = ["nll", "kl_detach_True", "kl_detach_False"]
+_FUSED_MIXTURE = ["nll", "nll_head_layout", "kl_detach_True", "kl_detach_False"]
 
 
 @pytest.mark.parametrize("name", _FUSED_MIXTURE)
