@@ -354,12 +354,23 @@ def _nll_loss(nll_fn, future, k, extra):
 
 
 def _head_nll_loss(nll_fn, baseline, future, k):
-    # the prediction in the decoder head's own memory layout: its means and
+    # predictions in the decoder head's own memory layout: their means and
     # scales are gathers of head columns whose mode axis lies outermost in
     # memory, not C-contiguous arrays, so a rewrite that changes how a
     # result is laid out, and so the order of a later sum, shows here
     def loss(raw):
         return nll_fn(bb.mixture_head(raw, baseline, k, future.shape[-2]), future)
+
+    return loss
+
+
+def _head_kl_loss(kl_fn, baseline, future, k):
+    def loss(raw_teacher, raw_student):
+        teacher, student = (
+            bb.mixture_head(raw, baseline, k, future.shape[-2]) for raw in (raw_teacher, raw_student)
+        )
+        # an undetached teacher, so every input's gradient is the whole loss's
+        return nll(teacher, future) + kl_fn(teacher, student, False)
 
     return loss
 
@@ -396,6 +407,11 @@ def _fused_mixture_cases(seed, n=3, t=4, k=2):
             _head_nll_loss(oracles.nll_composed, baseline, head_future, k),
             (r.normal(size=(2, n, k * t * 4 + k)),),
         ),
+        "kl_head_layout": (
+            _head_kl_loss(kl_distill, baseline, head_future, k),
+            _head_kl_loss(oracles.kl_distill_composed, baseline, head_future, k),
+            tuple(r.normal(size=(2, n, k * t * 4 + k)) for _ in range(2)),
+        ),
     }
     for detach in (True, False):
         cases[f"kl_detach_{detach}"] = (
@@ -406,7 +422,7 @@ def _fused_mixture_cases(seed, n=3, t=4, k=2):
     return cases
 
 
-_FUSED_MIXTURE = ["nll", "nll_head_layout", "kl_detach_True", "kl_detach_False"]
+_FUSED_MIXTURE = ["nll", "nll_head_layout", "kl_detach_True", "kl_detach_False", "kl_head_layout"]
 
 
 @pytest.mark.parametrize("name", _FUSED_MIXTURE)
