@@ -136,7 +136,7 @@ def _linear_layers(cfg: BackboneConfig) -> list[tuple[str, str, int, int]]:
 def init_params(
     cfg: BackboneConfig,
     lengths: dict[str, int],
-    seed: int | tuple[int, ...],
+    seed: int,
     weight_sharing: bool = True,
     independent_pe: bool = True,
     specialized_ln: bool = True,
@@ -155,8 +155,7 @@ def init_params(
     params = FlnParams(cfg, dict(lengths))
     branch_ids = params.branch_ids
     branched = not params.is_single
-    seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
-    rng = np.random.default_rng([*seed_tuple, 0])
+    rng = np.random.default_rng([seed, 0])
 
     def add(name: str, value: np.ndarray) -> None:
         params.tensors[name] = Tensor(value, requires_grad=True)

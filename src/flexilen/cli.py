@@ -151,34 +151,29 @@ def cmd_train(args) -> int:
         save_checkpoint(out / name, params, run_flat, epoch=epoch, scale=normalizer.scale)
 
     # atomic per-epoch snapshots: an interrupted run keeps its last completed epoch
-    def checkpoint_hook(name: str):
-        return lambda params, epoch: save(name, params, epoch + 1)
+    def hook(params, epoch: int) -> None:
+        save("checkpoint", params, epoch + 1)
 
     strategy = cfg.train.strategy
-    hook = checkpoint_hook("checkpoint")
     if strategy == "fln":
         _, log = train_fln(split, cfg, normalizer, epoch_hook=hook)
     elif strategy == "isolated":
         _, log = train_isolated(split, cfg, cfg.train.isolated_length, normalizer, epoch_hook=hook)
     elif strategy == "mixed":
         _, log = train_mixed(split, cfg, normalizer, epoch_hook=hook)
-    elif strategy == "finetune":
+    elif strategy == "joint":
+        _, log = train_joint(split, cfg, normalizer, epoch_hook=hook)
+    else:
         _, log, pre = train_finetune(split, cfg, normalizer, epoch_hook=hook)
         save("checkpoint_pretune", pre, cfg.train.epochs)
-    if strategy == "joint":
-        models = train_joint(split, cfg, normalizer, lambda h: checkpoint_hook(f"checkpoint_h{h}"))
-        logs = {f"checkpoint_h{h}": log for h, (_, log) in models.items()}
-    else:
-        logs = {"checkpoint": log}
 
-    for name, log in logs.items():
-        log.to_csv(out / f"{name}_log.csv")
-        log.to_json(out / f"{name}_summary.json")
-        final = log.records[-1]
-        print(
-            f"{name}: {len(log.records)} epochs, final total {final.total:.6f} "
-            f"(reg {final.reg:.6f}, kl {final.kl:.6f})"
-        )
+    log.to_csv(out / "checkpoint_log.csv")
+    log.to_json(out / "checkpoint_summary.json")
+    final = log.records[-1]
+    print(
+        f"checkpoint: {len(log.records)} epochs, final total {final.total:.6f} "
+        f"(reg {final.reg:.6f}, kl {final.kl:.6f})"
+    )
     return 0
 
 

@@ -127,8 +127,8 @@ class TrainConfig:
     rho_short: float = 0.5
     rho_medium: float = 0.5
     rho_long: float = 0.5
-    isolated_length: int = 0         # required for strategy=isolated (0 = unset)
-    finetune_target: int = 0         # required for strategy=finetune (0 = unset)
+    isolated_length: int = 0         # strategy=isolated only, and required there (0 = unset)
+    finetune_target: int = 0         # strategy=finetune only, and required there (0 = unset)
     finetune_patience: int = 5
     finetune_max_epochs: int = 50
 
@@ -184,9 +184,15 @@ class RunConfig:
             raise ConfigError("data obs_len must cover h_long")
         if self.backbone.horizon != self.data.horizon:
             raise ConfigError("backbone horizon and data horizon must agree")
-        if self.train.strategy == "isolated" and self.train.isolated_length < 1:
+        strategy = self.train.strategy
+        for key, owner in (("isolated_length", "isolated"), ("finetune_target", "finetune")):
+            if strategy != owner and getattr(self.train, key) != 0:
+                raise ConfigError(
+                    f"{key} applies only to strategy={owner}; strategy={strategy} ignores it"
+                )
+        if strategy == "isolated" and self.train.isolated_length < 1:
             raise ConfigError("strategy=isolated requires isolated_length (--length)")
-        if self.train.strategy == "finetune":
+        if strategy == "finetune":
             if self.train.finetune_target < 1:
                 raise ConfigError("strategy=finetune requires finetune_target")
             if self.train.finetune_target > self.branches.h_long:

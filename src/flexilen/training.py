@@ -5,7 +5,7 @@ Strategies:
   isolated  one model per single observation length
   mixed     one model, per-iteration length sampled from probabilities
   finetune  train at the long length, then adapt to a target length
-  joint     dataset expanded with every length, one model per eval length
+  joint     one model on the dataset expanded with every length
 
 All five run through one loop, ``_epochs``, over the ``data.SceneGroup``s
 of ``prepare_scenes``, one per (agent count, steps) group: each batch is a
@@ -15,9 +15,9 @@ run's TrainLog, calls the epoch hook and asks the ``stop`` rule, both
 optional. A strategy chooses its groups, the per-batch loss and the number
 of passes; finetune runs the loop twice on one model, log, optimizer and
 shuffle stream and stops the second run on its validation plateau; joint
-cuts every group to each of its lengths and runs the loop once per model,
-with the hook its ``epoch_hook`` factory returns for that model. Every
-strategy takes the normalizer its caller fitted on the training split.
+cuts every group to each of its lengths. Every strategy trains one model,
+returns it with its TrainLog and takes the normalizer its caller fitted on
+the training split.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
 val scenes by id, grouped by ``data.group_scenes`` like the training groups.
@@ -257,8 +257,8 @@ def _val_metrics(
     return {h: evaluate_groups(params, val.groups, h, val.k, val.normalizer) for h in lengths}
 
 
-def _stream(seed: int | tuple, stream: int) -> np.random.Generator:
-    return np.random.default_rng([*((seed,) if isinstance(seed, int) else seed), stream])
+def _stream(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng([seed, stream])
 
 
 # ------------------------------------------------------------------ the loop
@@ -391,18 +391,18 @@ def train_mixed(
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """One model; each iteration trains at a length drawn from the
-    (renormalized) probabilities rho."""
+    (renormalized) probabilities rho. Validated at all three lengths."""
     val = val_set(split, normalizer, cfg)
     h_long = cfg.branches.h_long
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
-    candidates = [cfg.branches.h_short, cfg.branches.h_medium, h_long]
+    candidates = list(cfg.branches.lengths.values())
     probs = np.asarray((cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long))
     probs = probs / probs.sum()
     length_rng = _stream(cfg.seed, STREAM_LENGTH)
     return params, _epochs(
         TrainLog("mixed"), params, prepare_scenes(split.train, normalizer, h_long),
         _single_loss(params, lambda obs: candidates[int(length_rng.choice(3, p=probs))]),
-        lambda p: _val_metrics(p, val, [h_long]),
+        lambda p: _val_metrics(p, val, candidates),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
         epoch_hook=epoch_hook,
     )
@@ -452,26 +452,21 @@ def train_finetune(
 
 def train_joint(
     split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer, epoch_hook=None
-) -> dict[int, tuple[FlnParams, TrainLog]]:
-    """Expand the training set with every length, each stack cut to its last
-    h steps for each length h; train one model per evaluation length on it.
-    ``epoch_hook(h_eval)`` returns the epoch hook of that length's model."""
+) -> tuple[FlnParams, TrainLog]:
+    """One model on the training set expanded with every length: each group
+    cut to its last h steps for h = h_short, h_medium and h_long. Validated
+    at all three lengths."""
     val = val_set(split, normalizer, cfg)
-    lengths = [cfg.branches.h_short, cfg.branches.h_medium, cfg.branches.h_long]
+    h_long, lengths = cfg.branches.h_long, list(cfg.branches.lengths.values())
+    params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     groups = [
         replace(group, obs=group.obs[..., -h:, :])
-        for group in prepare_scenes(split.train, normalizer, max(lengths))
+        for group in prepare_scenes(split.train, normalizer, h_long)
         for h in lengths
     ]
-    out: dict[int, tuple[FlnParams, TrainLog]] = {}
-    for index, h_eval in enumerate(lengths):
-        seed = (cfg.seed, 7, index)
-        params = bb.init_params(cfg.backbone, {"L": cfg.branches.h_long}, seed)
-        log = _epochs(
-            TrainLog("joint"), params, groups, _single_loss(params, lambda obs: obs.shape[-2]),
-            lambda p: _val_metrics(p, val, [h_eval]),
-            cfg, AdamState(), _stream(seed, STREAM_SHUFFLE), cfg.train.epochs,
-            epoch_hook=None if epoch_hook is None else epoch_hook(h_eval),
-        )
-        out[h_eval] = (params, log)
-    return out
+    return params, _epochs(
+        TrainLog("joint"), params, groups, _single_loss(params, lambda obs: obs.shape[-2]),
+        lambda p: _val_metrics(p, val, lengths),
+        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
+        epoch_hook=epoch_hook,
+    )

@@ -259,7 +259,7 @@ def test_forward_matches_all_token_encoder_bit_for_bit(layers, pe_kind, branch):
 
     pred, grads = _nll_and_grads(lambda: ours(obs), params, gt)
     ref, ref_grads = _nll_and_grads(lambda: oracle(obs), params, gt)
-    scene, scene_ref = ours(obs[0]), oracle(obs[0])  # one unbatched scene, as evaluation feeds it
+    scene, scene_ref = ours(obs[0]), oracle(obs[0])  # an unbatched (N, H, 2) scene
     for a, b in ((pred, ref), (scene, scene_ref)):
         for name in ("means", "scales", "logits"):
             assert np.array_equal(getattr(a, name).data, getattr(b, name).data), name

@@ -225,6 +225,43 @@ def test_init_params_rejects_bad_branch_lengths(name):
         init_params(BackboneConfig(d_model=8, heads=2), lengths, 0)
 
 
+IGNORED_KEYS = {
+    "fln --length": (["--strategy", "fln", "--length", "4"], "isolated_length", "fln"),
+    "joint --length": (["--strategy", "joint", "--length", "2"], "isolated_length", "joint"),
+    "mixed finetune_target": (
+        ["--strategy", "mixed", "--set", "finetune_target=3"], "finetune_target", "mixed"
+    ),
+    "isolated finetune_target": (
+        ["--strategy", "isolated", "--length", "2", "--set", "finetune_target=2"],
+        "finetune_target", "isolated",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", IGNORED_KEYS)
+def test_train_with_a_key_its_strategy_ignores_exits_2(tmp_path, capsys, case):
+    args, key, strategy = IGNORED_KEYS[case]
+    out = tmp_path / "run"
+    assert _run(["train", "--out", str(out), *TINY_ARGS, *args]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} applies only to" in err and f"strategy={strategy} ignores it" in err
+    assert not out.exists()
+
+
+def test_eval_of_a_checkpoint_whose_run_config_sets_an_ignored_key_exits_2(tmp_path, capsys):
+    from flexilen.backbone import init_params
+    from flexilen.checkpoint import save_checkpoint
+    from flexilen.config import RunConfig, run_config_to_flat
+
+    prefix, out = tmp_path / "checkpoint", tmp_path / "e"
+    run_flat = {**run_config_to_flat(RunConfig()), "isolated_length": 4}
+    save_checkpoint(prefix, init_params(BackboneConfig(), {"L": 8}, 0), run_flat, scale=1.0)
+    assert _run(["eval", "--out", str(out), "--checkpoint", str(prefix), "--length", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "isolated_length applies only to strategy=isolated; strategy=fln ignores it" in err
+    assert not out.exists()
+
+
 def test_train_length_zero_is_rejected_for_an_isolated_run(tmp_path, capsys):
     # --length names isolated_length, so 0 overrides the --set value rather
     # than being ignored
@@ -456,22 +493,13 @@ STRATEGY_ARGS = {
 
 
 @pytest.mark.parametrize(
-    "strategy, name, stop_epoch",
+    "strategy, stop_epoch",
     # finetune's epochs 0-4 are the long-length phase; 6 is its second
-    # adaptation epoch, so the marker counts both phases; joint stops in the
-    # second epoch of its first model, the one for h_short=2
-    [
-        ("fln", "checkpoint", 1),
-        ("isolated", "checkpoint", 1),
-        ("mixed", "checkpoint", 1),
-        ("finetune", "checkpoint", 6),
-        ("joint", "checkpoint_h2", 1),
-    ],
+    # adaptation epoch, so the marker counts both phases
+    [("fln", 1), ("isolated", 1), ("mixed", 1), ("finetune", 6), ("joint", 1)],
     ids=["fln", "isolated", "mixed", "finetune", "joint"],
 )
-def test_interrupted_run_keeps_last_epoch_checkpoint(
-    tmp_path, monkeypatch, strategy, name, stop_epoch
-):
+def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path, monkeypatch, strategy, stop_epoch):
     """Per-epoch snapshots are written atomically, so an interrupt after any
     completed epoch leaves a loadable checkpoint for that epoch."""
     from flexilen import cli
@@ -479,7 +507,7 @@ def test_interrupted_run_keeps_last_epoch_checkpoint(
 
     def save_then_interrupt(prefix, params, run_config, epoch, scale):
         save_checkpoint(prefix, params, run_config, epoch=epoch, scale=scale)
-        if prefix.name == name and epoch == stop_epoch + 1:
+        if epoch == stop_epoch + 1:
             raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "save_checkpoint", save_then_interrupt)
@@ -489,17 +517,16 @@ def test_interrupted_run_keeps_last_epoch_checkpoint(
             "--set", "n_scenes=30", "--set", "epochs=5", "--set", "finetune_patience=50",
             *STRATEGY_ARGS[strategy],
         ])
-    params, manifest, _ = load_checkpoint(tmp_path / name)
+    params, manifest, _ = load_checkpoint(tmp_path / "checkpoint")
     assert manifest["epoch"] == stop_epoch + 1
     assert all(np.all(np.isfinite(t.data)) for t in params.tensors.values())
-    # joint's later models never started
-    assert list(tmp_path.glob("checkpoint*.json")) == [tmp_path / f"{name}.json"]
+    assert list(tmp_path.glob("checkpoint*.json")) == [tmp_path / "checkpoint.json"]
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_ARGS))
 def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, strategy):
-    """Checkpoints are written only by the per-epoch hook, one model at a
-    time, plus finetune's pre-adaptation model once at the end."""
+    """Checkpoints are written only by the per-epoch hook, plus finetune's
+    pre-adaptation model once at the end."""
     from flexilen import cli
 
     saved = []
@@ -514,11 +541,9 @@ def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, stra
         "--set", "finetune_max_epochs=2", "--set", "finetune_patience=1",
         *STRATEGY_ARGS[strategy],
     ]) == 0
-    epochs = {
-        path.name[: -len("_summary.json")]: json.loads(path.read_text())["epochs"]
-        for path in tmp_path.glob("*_summary.json")
-    }
-    expected = [(name, epoch) for name in sorted(epochs) for epoch in range(1, epochs[name] + 1)]
+    assert [path.name for path in tmp_path.glob("*_summary.json")] == ["checkpoint_summary.json"]
+    epochs = json.loads((tmp_path / "checkpoint_summary.json").read_text())["epochs"]
+    expected = [("checkpoint", epoch) for epoch in range(1, epochs + 1)]
     if strategy == "finetune":
         expected.append(("checkpoint_pretune", 2))
     assert saved == expected
@@ -640,13 +665,18 @@ def test_train_finetune_writes_pretune_checkpoint(tmp_path):
     assert post["epoch"] > pre["epoch"] - 1  # adaptation epochs appended
 
 
-def test_train_joint_writes_model_per_length(tmp_path):
+def test_train_joint_writes_one_checkpoint(tmp_path):
     out = tmp_path / "joint"
     code = _run(["train", "--out", str(out), "--strategy", "joint", *TINY_ARGS])
     assert code == 0
-    for h in (2, 3, 4):
-        assert (out / f"checkpoint_h{h}.json").exists()
-        assert (out / f"checkpoint_h{h}_log.csv").exists()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "checkpoint.bin", "checkpoint.json", "checkpoint_log.csv", "checkpoint_summary.json"
+    ]
+    with open(out / "checkpoint_log.csv", newline="") as handle:
+        header = next(csv.reader(handle))
+    assert [name for name in header if name.startswith("val_ade@")] == [
+        "val_ade@2", "val_ade@3", "val_ade@4"
+    ]
 
 
 def test_sweep_rows_match_single_length_eval(tmp_path):

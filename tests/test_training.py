@@ -286,9 +286,13 @@ def test_mixed_degenerate_rho_reproduces_isolated_bit_exactly(tiny_split, tiny_n
             rho_short=0.0, rho_medium=0.0, rho_long=1.0,
         )
     )
-    mixed_params, _ = train_mixed(tiny_split, cfg, tiny_norm)
-    isolated_params, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long, tiny_norm)
+    mixed_params, mixed_log = train_mixed(tiny_split, cfg, tiny_norm)
+    isolated_params, isolated_log = train_isolated(tiny_split, cfg, cfg.branches.h_long, tiny_norm)
     assert _params_bytes(mixed_params) == _params_bytes(isolated_params)
+    # mixed validates at every length it trains at, and validation draws nothing
+    for mixed_record, isolated_record in zip(mixed_log.records, isolated_log.records):
+        assert list(mixed_record.val) == [2, 3, 4]
+        assert mixed_record.val[4] == isolated_record.val[4]
 
 
 def test_mixed_uniform_rho_renormalizes():
@@ -356,12 +360,11 @@ def test_finetune_target_equal_long_is_continued_training(tiny_split, tiny_norm)
 # --------------------------------------------------------------- train_joint
 
 
-def test_joint_trains_one_model_per_length(tiny_split, tiny_norm):
+def test_joint_trains_one_model_validated_at_every_length(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="joint", epochs=2, batch_size=16, lr=2e-3))
-    models = train_joint(tiny_split, cfg, tiny_norm)
-    assert sorted(models) == [2, 3, 4]
-    blobs = {h: _params_bytes(params) for h, (params, _) in models.items()}
-    assert len(set(blobs.values())) == 3  # independently initialized models
+    params, log = train_joint(tiny_split, cfg, tiny_norm)
+    assert params.is_single and params.lengths == {"L": 4}
+    assert [list(record.val) for record in log.records] == [[2, 3, 4]] * 2
 
 
 def test_joint_expanded_dataset_size(tiny_split):
@@ -404,10 +407,9 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
 
 def test_joint_seeded_determinism(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="joint", epochs=1, batch_size=16, lr=2e-3))
-    a = train_joint(tiny_split, cfg, tiny_norm)
-    b = train_joint(tiny_split, cfg, tiny_norm)
-    for h in a:
-        assert _params_bytes(a[h][0]) == _params_bytes(b[h][0])
+    a, _ = train_joint(tiny_split, cfg, tiny_norm)
+    b, _ = train_joint(tiny_split, cfg, tiny_norm)
+    assert _params_bytes(a) == _params_bytes(b)
 
 
 # ---------------------------------------------------------------- validation
