@@ -19,6 +19,10 @@ metric's ``better`` direction. This is the procedure ``perfbench/README.md``
 asks of a claimed gain: at least nine of ten pairs won, and medians further
 apart than the parent's quartile spread.
 
+Below the table it prints, ungated, each side's median minor page faults
+and system CPU seconds per run, read with ``getrusage(RUSAGE_CHILDREN)``
+around each run's subprocess.
+
 ``--claim METRIC`` then prints that rule's verdict for one end-to-end
 metric, ``met`` or ``not met``, and exits 1 when it is not met. A claim is
 met when this checkout wins at least nine tenths of the pairs, its median
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,13 +49,26 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
     started = time.perf_counter()
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=1800)
+    usage = child_usage(usage, resource.getrusage(resource.RUSAGE_CHILDREN))
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         raise SystemExit(f"{' '.join(command)} in {tree} exited {done.returncode}:\n{done.stderr}")
     result = json.loads(lines[-1])
     result["elapsed"] = time.perf_counter() - started
+    result["usage"] = usage
     return result
+
+
+def child_usage(before, after) -> dict[str, float]:
+    """Minor page faults and system CPU seconds between two
+    ``getrusage(RUSAGE_CHILDREN)`` readings: what the children that ended in
+    between used."""
+    return {
+        "minflt": after.ru_minflt - before.ru_minflt,
+        "sys_s": after.ru_stime - before.ru_stime,
+    }
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float, float]:
@@ -147,6 +165,11 @@ def main(argv: list[str] | None = None) -> int:
                 for side, runs in results.items()
             }
             verdict = claim_verdict(series["change"], series["parent"], lower, failed_share)
+    print(f"\nper run, not gated: {'side':6s} {'minor faults':>12s} {'system s':>9s}")
+    for side in ("parent", "change"):
+        faults = statistics.median(r["usage"]["minflt"] for r in results[side])
+        sys_s = statistics.median(r["usage"]["sys_s"] for r in results[side])
+        print(f"{'':19s} {side:6s} {faults:12.0f} {sys_s:9.3f}")
     if verdict is None:
         return 0
     met, reasons = verdict

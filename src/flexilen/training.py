@@ -10,14 +10,16 @@ Strategies:
 All five run through one loop, ``_epochs``, over the ``data.SceneGroup``s
 of ``prepare_scenes``, one per (agent count, steps) group: each batch is a
 shuffled ``(obs, future)`` row slice of one group, with one loss, one
-backward and one Adam step; after each pass it appends an EpochRecord to the
-run's TrainLog, calls the epoch hook and asks the ``stop`` rule, both
-optional. A strategy chooses its groups, the per-batch loss and the number
-of passes; finetune runs the loop twice on one model, log, optimizer and
-shuffle stream and stops the second run on its validation plateau; joint
-cuts every group to each of its lengths. Every strategy trains one model,
-returns it with its TrainLog and takes the normalizer its caller fitted on
-the training split.
+backward and one Adam step in ``_step``, which returns the loss terms as
+floats, so each batch's autodiff graph is freed before the next batch's
+forward starts and is never alive during validation or the epoch hook;
+after each pass it appends an EpochRecord to the run's TrainLog, calls the
+epoch hook and asks the ``stop`` rule, both optional. A strategy chooses
+its groups, the per-batch loss and the number of passes; finetune runs the
+loop twice on one model, log, optimizer and shuffle stream and stops the
+second run on its validation plateau; joint cuts every group to each of its
+lengths. Every strategy trains one model, returns it with its TrainLog and
+takes the normalizer its caller fitted on the training split.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
 val scenes by id, grouped by ``data.group_scenes`` like the training groups.
@@ -283,10 +285,12 @@ def _epochs(
 
     ``loss_fn(obs, future) -> (total, reg, kl)`` is the only per-strategy part;
     ``total`` is minimized and ``kl`` is None for single-model losses. Each
-    pass appends an EpochRecord, with ``validate(params)`` as its val
-    metrics and that call's time as its ``val_seconds``, to ``log``,
-    numbered on from the records already there; then
-    ``epoch_hook(params, epoch)`` runs, and the loop ends early once
+    batch runs in ``_step``, and only its float loss terms come back here, so
+    at most one batch's graph is alive at a time, and none while ``validate``
+    or ``epoch_hook`` runs. Each pass appends an EpochRecord, with
+    ``validate(params)`` as its val metrics and that call's time as its
+    ``val_seconds``, to ``log``, numbered on from the records already there;
+    then ``epoch_hook(params, epoch)`` runs, and the loop ends early once
     ``stop(record)`` is true. With ``anneal`` the rate follows the
     half-cosine over this call's ``epochs`` passes, else it stays constant.
     Returns ``log``."""
@@ -297,16 +301,10 @@ def _epochs(
         batches = _make_batches(groups, cfg.train.batch_size, shuffle_rng)
         total_steps = epochs * len(batches)
         for group, rows in batches:
-            total, reg, kl = loss_fn(group.obs[rows], group.future[rows])
-            zero_grad(params.tensors)
-            backward(total)
             lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
-            adam_step(params.tensors, state, lr)
+            losses = _step(params, state, loss_fn, group.obs[rows], group.future[rows], lr)
+            sums = [running + value for running, value in zip(sums, losses)]
             step += 1
-            sums[0] += total.item()
-            sums[1] += reg.item()
-            if kl is not None:
-                sums[2] += kl.item()
         val_started = time.perf_counter()
         val = validate(params)
         ended = time.perf_counter()
@@ -320,6 +318,22 @@ def _epochs(
         if stop is not None and stop(record):
             break
     return log
+
+
+def _step(
+    params: FlnParams, state: AdamState, loss_fn, obs: np.ndarray, future: np.ndarray, lr: float
+) -> tuple[float, float, float]:
+    """One batch: ``loss_fn``, ``zero_grad``, ``backward`` and ``adam_step``.
+
+    Returns the batch's ``(total, reg, kl)`` as floats, ``kl`` 0.0 for a
+    single-model loss. The loss tensors are this function's locals and the
+    graph has no cycles, so reference counting frees the batch's whole tape
+    when it returns, before the next batch's forward."""
+    total, reg, kl = loss_fn(obs, future)
+    zero_grad(params.tensors)
+    backward(total)
+    adam_step(params.tensors, state, lr)
+    return total.item(), reg.item(), 0.0 if kl is None else kl.item()
 
 
 def _single_loss(params: FlnParams, length_of):

@@ -69,3 +69,45 @@ def test_every_package_name_the_workloads_call_resolves(fx):
         if not callable(getattr(getattr(fx, module), attr, None))
     ]
     assert not missing
+
+
+@pytest.mark.parametrize("strategy", ["fln", "isolated"])
+def test_the_tracer_sees_one_backward_and_one_adam_step_per_training_step(fx, strategy):
+    # the traced workloads read step counts, step times and tape sizes off
+    # these wrapped calls, so a training loop that called them under other
+    # names would trace as zero steps
+    config = fx.config
+    cfg = config.RunConfig(
+        backbone=config.BackboneConfig(
+            d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3
+        ),
+        branches=config.BranchConfig(h_short=2, h_medium=3, h_long=4),
+        data=config.DataConfig(n_scenes=40, agents_min=2, agents_max=3, obs_len=4, horizon=3),
+        train=config.TrainConfig(
+            strategy=strategy, epochs=2, batch_size=8, lr=2e-3,
+            isolated_length=4 if strategy == "isolated" else 0,
+        ),
+        eval=config.EvalConfig(samples=2),
+        seed=0,
+    )
+    cfg.validate()
+    scenes = fx.data.generate_from_config(cfg.data, cfg.seed)
+    split = fx.data.split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
+    normalizer = fx.data.Normalizer(cfg.data.horizon).fit(split.train)
+    groups = fx.training.prepare_scenes(split.train, normalizer, 4)
+    steps = cfg.train.epochs * sum(-(-len(g.obs) // cfg.train.batch_size) for g in groups)
+
+    spans, layers = _perfbench_module("spans"), _perfbench_module("layers")
+    tracer = spans.Tracer("flexilen")
+    with tracer.tracing(layers.targets(fx), run=0):
+        if strategy == "fln":
+            fx.training.train_fln(split, cfg, normalizer)
+        else:
+            fx.training.train_isolated(split, cfg, 4, normalizer)
+    totals = spans.layer_totals(tracer.spans, [0])
+    wrapped = ("autodiff.backward", "training.adam_step")
+    calls = {name: totals.get(name, {}).get("calls", 0) for name in wrapped}
+    assert calls == {"autodiff.backward": steps, "training.adam_step": steps}
+    metrics = layers.per_layer_metrics(tracer, [0], [])
+    assert metrics["training.steps"] == steps
+    assert metrics["autodiff.tape_nodes_per_step"] > 0

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from flexilen.config import (
     TrainConfig,
 )
 from flexilen import backbone as bb
-from flexilen import evaluation
+from flexilen import evaluation, training
 from flexilen.data import (
     DatasetSplit,
     Normalizer,
@@ -410,6 +412,98 @@ def test_joint_seeded_determinism(tiny_split, tiny_norm):
     a, _ = train_joint(tiny_split, cfg, tiny_norm)
     b, _ = train_joint(tiny_split, cfg, tiny_norm)
     assert _params_bytes(a) == _params_bytes(b)
+
+
+# ------------------------------------------------------------- tape lifetime
+
+
+class TapeProbe:
+    """Weakrefs to the ``.data`` of every branch forward's outputs, each
+    tagged with the phase it was made in; a phase ends with each Adam step
+    and each validation. ``check`` records how many outputs of an earlier
+    phase are still alive."""
+
+    def __init__(self):
+        self.phase = 0
+        self.refs: list[tuple[int, weakref.ref]] = []
+        self.checks: list[tuple[str, int]] = []
+
+    def check(self, where: str) -> None:
+        alive = sum(ref() is not None for phase, ref in self.refs if phase < self.phase)
+        self.checks.append((where, alive))
+
+    def install(self, monkeypatch) -> None:
+        for name in ("forward", "forward_single"):
+            monkeypatch.setattr(bb, name, self._forward(getattr(bb, name)))
+        adam, validate = training.adam_step, training._val_metrics
+
+        def stepped(*args, **kwargs):
+            adam(*args, **kwargs)
+            self.phase += 1
+
+        def validated(*args, **kwargs):
+            self.check("validate")
+            out = validate(*args, **kwargs)
+            self.phase += 1
+            return out
+
+        monkeypatch.setattr(training, "adam_step", stepped)
+        monkeypatch.setattr(training, "_val_metrics", validated)
+
+    def _forward(self, original):
+        def recorded(*args, **kwargs):
+            self.check("forward")
+            pred = original(*args, **kwargs)
+            for tensor in (pred.means, pred.scales, pred.logits):
+                self.refs.append((self.phase, weakref.ref(tensor.data)))
+            return pred
+
+        return recorded
+
+
+FINETUNE = dict(finetune_target=2, finetune_patience=1, finetune_max_epochs=2)
+
+
+@pytest.mark.parametrize("strategy", ["fln", "isolated", "mixed", "finetune", "joint"])
+def test_each_step_frees_its_tape_before_the_next_forward(
+    tiny_split, tiny_norm, strategy, monkeypatch
+):
+    # with the cycle collector off, only reference counting frees a graph:
+    # no output of an earlier batch or validation may be alive when the next
+    # batch's loss, a validation or the epoch hook starts
+    extra = {"finetune": FINETUNE, "isolated": {"isolated_length": 3}}.get(strategy, {})
+    cfg = make_config(
+        train=TrainConfig(strategy=strategy, epochs=2, batch_size=16, lr=2e-3, **extra)
+    )
+    probe = TapeProbe()
+    probe.install(monkeypatch)
+    epochs = []
+
+    def hook(params, epoch):
+        probe.check("epoch_hook")
+        epochs.append(epoch)
+
+    run = {
+        "fln": lambda: train_fln(tiny_split, cfg, tiny_norm, hook),
+        "isolated": lambda: train_isolated(tiny_split, cfg, 3, tiny_norm, hook),
+        "mixed": lambda: train_mixed(tiny_split, cfg, tiny_norm, hook),
+        "finetune": lambda: train_finetune(tiny_split, cfg, tiny_norm, hook),
+        "joint": lambda: train_joint(tiny_split, cfg, tiny_norm, hook),
+    }[strategy]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+    finally:
+        if enabled:
+            gc.enable()
+    if strategy == "finetune":  # its adaptation phase ran too, on the same probe
+        assert len(epochs) > cfg.train.epochs
+    else:
+        assert len(epochs) == cfg.train.epochs
+    assert {where for where, _ in probe.checks} == {"forward", "validate", "epoch_hook"}
+    assert probe.phase > 2 * len(epochs)  # more than one step per epoch
+    assert [check for check in probe.checks if check[1]] == []
 
 
 # ---------------------------------------------------------------- validation
