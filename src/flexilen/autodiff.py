@@ -285,9 +285,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def _is_basic_index(idx) -> bool:
-    """Ints and slices only: such an index selects each element at most once."""
+    """Ints, slices and an Ellipsis only: such an index selects each element
+    at most once."""
     for item in idx if type(idx) is tuple else (idx,):
-        if type(item) is not int and type(item) is not slice:
+        if type(item) is not int and type(item) is not slice and item is not Ellipsis:
             return False
     return True
 
@@ -390,6 +391,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tupl
     S keys; the heads are merged back into a (B, Q, d) context. Returns the
     context and the attention weights, (B, heads, Q, S), as a plain array
     for probes.
+
+    Each query row is its own vector-matrix product, (..., Q, 1, ·) against
+    (..., 1, ·, ·), as are the rows of the queries' gradient, and the keys'
+    and values' gradients sum one outer product per query row. So a query's
+    context and gradient have the same bits whatever other queries share
+    the call: numpy would hand a one-row matrix product to GEMV and a longer
+    one to GEMM, which sum in different orders.
     """
     if (
         q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[0] != k.shape[0]
@@ -402,15 +410,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tupl
     batch, rows, d = q.shape
     head_dim = d // heads
 
-    def split(t: Tensor) -> np.ndarray:
-        return t.data.reshape(batch, t.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+    def split(data: np.ndarray) -> np.ndarray:
+        """(B, rows, d) to (B, heads, rows, 1, d / heads): one vector per row."""
+        return data.reshape(batch, data.shape[1], heads, 1, head_dim).transpose(0, 2, 1, 3, 4)
 
     def merge(g: np.ndarray) -> np.ndarray:
-        return g.transpose(0, 2, 1, 3).reshape(batch, g.shape[2], d)
+        return g.transpose(0, 2, 1, 3, 4).reshape(batch, g.shape[2], d)
 
-    qh, kh, vh = split(q), split(k), split(v)
+    qh = split(q.data)
+    kt = split(k.data).transpose(0, 1, 3, 4, 2)  # (B, heads, 1, d / heads, S)
+    vh = split(v.data).transpose(0, 1, 3, 2, 4)  # (B, heads, 1, S, d / heads)
     # scores, shifted scores, their exponentials and the weights, in one buffer
-    weights = qh @ kh.swapaxes(-1, -2)
+    weights = qh @ kt  # (B, heads, Q, 1, S)
     weights *= scale
     check_finite(weights)  # an infinite score would get weight 0 or 1
     weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
@@ -418,17 +429,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tupl
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
 
     def backward_fn(g):
-        g_heads = g.reshape(batch, rows, heads, head_dim).transpose(0, 2, 1, 3)
+        g_heads = split(g)
         g_scores = g_heads @ vh.swapaxes(-1, -2)  # the weights' gradient, until the softmax
-        g_v = weights.swapaxes(-1, -2) @ g_heads
+        # one outer product per query row, summed over the rows (axis 2)
+        g_v = np.add.reduce(weights.swapaxes(-1, -2) @ g_heads, axis=2, keepdims=True)
         g_scores -= np.add.reduce(g_scores * weights, axis=-1, keepdims=True)
         g_scores *= weights
         g_scores *= scale
-        g_q = g_scores @ kh
-        g_kt = qh.swapaxes(-1, -2) @ g_scores
-        return merge(g_q), merge(g_kt.swapaxes(-1, -2)), merge(g_v)
+        g_q = g_scores @ kt.swapaxes(-1, -2)
+        g_kt = np.add.reduce(qh.swapaxes(-1, -2) @ g_scores, axis=2, keepdims=True)
+        return merge(g_q), merge(g_kt.transpose(0, 1, 4, 2, 3)), merge(g_v.transpose(0, 1, 3, 2, 4))
 
-    return record(merge(weights @ vh), (q, k, v), backward_fn), weights
+    return record(merge(weights @ vh), (q, k, v), backward_fn), weights[:, :, :, 0, :]
 
 
 # backward pass -----------------------------------------------------------

@@ -1,16 +1,20 @@
 """Transformer trajectory predictor with branch-conditional PE and LayerNorm.
 
 The model decomposes into a spatial encoder (position + velocity MLP), a
-positional encoder, a pre-norm transformer encoder over flattened agent-time
-tokens, and a mixture-density trajectory decoder. The decoder reads only each
-agent's last observed token, so the encoder's last layer computes only those
-N rows: their queries attend over all N*H keys and values, and the residual,
-FFN and final norm run on N rows instead of N*H. A forward with ``capture``
-(the LayerNorm probe, which needs every position) keeps all rows and pools
-after the final norm, with the same result. A ``FlnParams`` container
-holds one shared set of backbone weights referenced by every branch, plus
-branch-specific positional tables and per-site LayerNorm affines; its tensor
-names alone say which branch reads which tensor.
+positional encoder, a pre-norm transformer encoder over each agent's own
+observed steps, and a mixture-density trajectory decoder. Nothing mixes
+agents: a window of any leading shape (..., H, 2), one agent's, one
+scene's or a stack of scenes', is a stack of agents, each in its own frame
+(``data.Normalizer``), and each agent's H tokens attend only to each other.
+The decoder reads only each agent's last observed token, so the encoder's
+last layer computes only that row: its query attends over the agent's H
+keys and values, and the residual, FFN and final norm run on one row
+instead of H. A forward with ``capture`` (the LayerNorm probe, which needs
+every position) keeps all rows and pools after the final norm, with the
+same result. A ``FlnParams`` container holds one shared set of backbone
+weights referenced by every branch, plus branch-specific positional tables
+and per-site LayerNorm affines; its tensor names alone say which branch
+reads which tensor.
 """
 from __future__ import annotations
 
@@ -262,8 +266,8 @@ def spatial_encode(observations: np.ndarray, branch: str, params: FlnParams) -> 
 def _attention(
     tokens: Tensor, queries: Tensor, branch: str, layer: int, params: FlnParams, capture=None
 ) -> Tensor:
-    """Multi-head self-attention: ``queries`` (B, Q, d) attend over every row
-    of ``tokens`` (B, S, d), which supply the keys and values.
+    """Multi-head self-attention: ``queries`` (A, Q, d) attend over every row
+    of ``tokens`` (A, H, d), which supply the keys and values, agent by agent.
 
     Four ``linear`` nodes project the queries, keys, values and the merged
     context; one ``autodiff.attention`` node between them splits the heads,
@@ -290,28 +294,27 @@ def transformer_encode(
     params: FlnParams,
     capture: dict[str, list[np.ndarray]] | None = None,
 ) -> Tensor:
-    """Pre-norm self-attention blocks over flattened agent-time tokens; returns
-    each agent's last-timestep token after the final norm, (B, N, d).
+    """Pre-norm self-attention blocks over each agent's own time steps;
+    returns each agent's last-step token after the final norm, (..., d).
 
-    ``features`` is (B, N, H, d); attention mixes all N*H tokens of a scene.
-    The decoder reads only each agent's last token, so the last layer takes
-    its queries from those N rows alone (keys and values still come from all
-    N*H), and its residual, FFN and the final norm run on them too; earlier
-    layers keep every token, since the next layer attends over all of them.
-    ``capture`` collects the pre-normalization input of every LN site at
-    every position, so with it the last layer keeps all rows and the pooling
-    happens after the final norm; the returned tokens are the same.
+    ``features`` is (..., H, d), a stack of agents, run as A = prod(...)
+    rows of H tokens: each token attends over its own agent's H tokens. The
+    decoder reads only each agent's last token, so the last layer takes its
+    query from that row alone (keys and values still come from all H), and
+    its residual, FFN and the final norm run on it too; earlier layers keep
+    every token, since the next layer attends over all of them. ``capture``
+    collects the pre-normalization input of every LN site at every
+    position, (..., H, d) as ``features`` is laid out, and the attention
+    weights, (A, heads, H, H); with it the last layer keeps all rows and the
+    pooling happens after the final norm, with the same tokens returned.
     """
     cfg = params.cfg
-    batch, n_agents, h_steps, d = features.shape
-    x = ad.reshape(features, (batch, n_agents * h_steps, d))
-    pooled = slice(h_steps - 1, None, h_steps)  # agent-major rows: each agent's last step
+    *lead, h_steps, d = features.shape
+    x = ad.reshape(features, (-1, h_steps, d))
 
     def record(site: str, value: Tensor) -> None:
         if capture is not None:
-            capture.setdefault(site, []).append(
-                value.data.reshape(batch, n_agents, h_steps, d)
-            )
+            capture.setdefault(site, []).append(value.data.reshape(features.shape))
 
     for layer in range(cfg.layers):
         site1 = f"enc.l{layer}.norm1"
@@ -319,7 +322,7 @@ def transformer_encode(
         normed1 = specialized_layer_norm(x, branch, site1, params)
         queries = normed1
         if layer == cfg.layers - 1 and capture is None:
-            x, queries = x[:, pooled, :], normed1[:, pooled, :]
+            x, queries = x[:, -1:, :], normed1[:, -1:, :]
         x = x + _attention(normed1, queries, branch, layer, params, capture=capture)
         site2 = f"enc.l{layer}.norm2"
         record(site2, x)
@@ -329,7 +332,7 @@ def transformer_encode(
         x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
     record("enc.final_norm", x)
     x = specialized_layer_norm(x, branch, "enc.final_norm", params)
-    return x if capture is None else x[:, pooled, :]
+    return ad.reshape(x if capture is None else x[:, -1:, :], (*lead, d))
 
 
 def cv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
@@ -342,25 +345,25 @@ def cv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) -> MixturePrediction:
-    """Mixture parameters from the decoder head's output (B, N, K*T*4 + K).
+    """Mixture parameters from the decoder head's output (..., K*T*4 + K).
 
     The first K*T*4 columns are per-mode, per-step channels (K, T, 4): the
     mean's column of mode k, step t and coordinate c is k*T*4 + t*4 + c, and
     the raw scale's is two further on. Two corrections added to ``baseline``
-    (B, N, T, 2) give the means, and a softplus of the other two, plus
-    ``SCALE_FLOOR``, gives the scales, both (B, N, K, T, 2); the last K
+    (..., T, 2) give the means, and a softplus of the other two, plus
+    ``SCALE_FLOOR``, gives the scales, both (..., K, T, 2); the last K
     columns are the logits. Means and scales are one node each, with ``out``
     as their only parent: a gather of their columns of ``out``, whose
     backward scatters the gradient into the same columns of a zero
-    (B*N, width) array. Each equals, bit for bit, the op chain slice,
+    (rows, width) array. Each equals, bit for bit, the op chain slice,
     reshape, slice, then add (means) or softplus and add (scales). The
     logits are a slice of ``out``.
     """
-    batch, n_agents, width = out.shape
+    *lead, width = out.shape
     core = modes * horizon * 4
     mean_columns, scale_columns = _head_columns(modes, horizon)
-    shape = (batch, n_agents, modes, horizon, 2)
-    rows = out.data.reshape(batch * n_agents, width)
+    shape = (*lead, modes, horizon, 2)
+    rows = out.data.reshape(-1, width)
 
     def to_out(g: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray]:
         z = np.zeros(rows.shape)
@@ -371,7 +374,7 @@ def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) ->
 
     raw_scales = rows[:, scale_columns]
     means = ad.record(
-        rows[:, mean_columns].reshape(shape) + baseline[:, :, None, :, :],
+        rows[:, mean_columns].reshape(shape) + baseline[..., None, :, :],
         (out,),
         lambda g: to_out(g, mean_columns),
     )
@@ -380,7 +383,7 @@ def mixture_head(out: Tensor, baseline: np.ndarray, modes: int, horizon: int) ->
         (out,),
         lambda g: to_out(g.reshape(raw_scales.shape) * ad.sigmoid_array(raw_scales), scale_columns),
     )
-    return MixturePrediction(means, scales, out[:, :, core:])
+    return MixturePrediction(means, scales, out[..., core:])
 
 
 @functools.lru_cache(maxsize=256)
@@ -395,8 +398,8 @@ def _head_columns(modes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode(pooled: Tensor, anchors: np.ndarray, branch: str, params: FlnParams) -> MixturePrediction:
-    """Map each agent's last-timestep token (B, N, d), as ``transformer_encode``
-    returns it, to mixture parameters.
+    """Map each agent's last-timestep token (..., d), as ``transformer_encode``
+    returns it, to mixture parameters (..., K, T, 2).
 
     LayerNorm and a two-layer MLP give the head output; ``mixture_head``
     splits it. The head emits per-mode, per-step corrections on top of a
@@ -419,15 +422,9 @@ def _run(
     capture=None,
 ) -> MixturePrediction:
     obs = np.asarray(observations, dtype=np.float64)
-    batched = obs.ndim == 4
-    if not batched:
-        obs = obs[None]
     feats = spatial_encode(obs, branch, params) + pe_rows
     pooled = transformer_encode(feats, branch, params, capture=capture)
-    pred = decode(pooled, obs[:, :, -2:, :], branch, params)
-    if batched:
-        return pred
-    return MixturePrediction(pred.means[0], pred.scales[0], pred.logits[0])
+    return decode(pooled, obs[..., -2:, :], branch, params)
 
 
 def forward(

@@ -24,7 +24,10 @@ from .config import BackboneConfig
 from .data import read_payload, write_payload
 from .training import AdamState
 
-CHECKPOINT_FORMAT_VERSION = 1
+# 2: models trained in each agent's own frame (``data.Normalizer``); a
+# version-1 model was trained in the scene-centroid frame, and its scale
+# was fit there, so it is refused rather than scored in the wrong frame
+CHECKPOINT_FORMAT_VERSION = 2
 _BACKBONE_KEYS = frozenset(f.name for f in dataclasses.fields(BackboneConfig))
 
 

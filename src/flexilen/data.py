@@ -10,10 +10,11 @@ recursion in the same order as one scene alone, so the bytes are the same
 as if each scene were simulated by itself. ``Normalizer`` owns the
 observed/future split: its ``transform`` cuts a scene, or a stack of scenes
 with equal agent count and length, into the normalized observed history and
-the normalized future. ``group_scenes`` is the one builder of those stacks,
-``SceneGroup``s that training, validation, evaluation and the study all
-read, and ``windows`` the one length check: every model input is a suffix
-``[..., -H:, :]`` of a group's history.
+the normalized future, each agent in its own frame (origin at its last
+observed point, +x along its last observed move). ``group_scenes`` is the
+one builder of those stacks, ``SceneGroup``s that training, validation,
+evaluation and the study all read, and ``windows`` the one length check:
+every model input is a suffix ``[..., -H:, :]`` of a group's history.
 """
 from __future__ import annotations
 
@@ -170,8 +171,7 @@ def _stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.
     """``(index, positions)`` per group of ``scenes`` with equal agent count
     and steps, groups in sorted (agents, steps) order: the members' indices
     into ``scenes``, increasing, and their positions stacked (B, N, steps,
-    2). One stack is what one normalization, or one mask-free attention
-    forward, covers."""
+    2). One stack is what one normalization, or one forward, covers."""
     members: dict[tuple[int, int], list[int]] = {}
     for i, scene in enumerate(scenes):
         members.setdefault(scene.positions.shape[:2], []).append(i)
@@ -183,11 +183,15 @@ def _stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.
 
 @dataclass
 class Normalizer:
-    """The observed/future split of a scene, plus per-scene translation to the
-    centroid's last observed position and a global scale fit on the training
-    split only.
+    """The observed/future split of a scene, plus each agent's own frame and a
+    global scale fit on the training split only.
 
-    ``transform`` and the shift work on a positions array of any leading
+    An agent's frame has its origin at the agent's last observed point and
+    its +x axis along the agent's last non-zero observed displacement; an
+    agent that never moved keeps the world axes. This is the agent-centric
+    local frame of HiVT (Zhou et al., CVPR 2022). It depends only on
+    observed points, so every branch and every future step share it.
+    ``transform`` and the frame work on a positions array of any leading
     shape, (..., N, steps, 2): one scene, or a stack of scenes with equal
     agent count and length, normalized in one call."""
 
@@ -195,31 +199,60 @@ class Normalizer:
     scale: float | None = None
 
     def _shift(self, positions: np.ndarray, scene_id: str | None = None) -> np.ndarray:
-        """(..., 2): the agents' mean position at the last observed step.
-        Positions with no step before the future are rejected, naming
-        ``scene_id`` when it is given."""
+        """(..., N, 4): each agent's last observed point, then the cos and
+        sin of its last non-zero observed displacement's heading (1 and 0
+        when it never moved, or has a single observed step). Positions with
+        no step before the future are rejected, naming ``scene_id`` when it
+        is given."""
         steps = positions.shape[-2]
         if steps <= self.horizon:
             where = "" if scene_id is None else f"scene {scene_id}: "
             raise ValueError(
                 f"{where}{steps} steps leave no observed step before the {self.horizon}-step future"
             )
-        return positions[..., -self.horizon - 1, :].mean(axis=-2)
+        observed = positions[..., : steps - self.horizon, :]
+        frame = np.zeros(positions.shape[:-2] + (4,))
+        frame[..., :2] = observed[..., -1, :]
+        frame[..., 2] = 1.0
+        moves = observed[..., 1:, :] - observed[..., :-1, :]
+        if not moves.shape[-2]:  # a single observed step: no move to align with
+            return frame
+        moved = (moves != 0.0).any(axis=-1)
+        # 1 + the index of each agent's latest move, 0 for an agent that never moved
+        latest = np.max(moved * np.arange(1, moves.shape[-2] + 1), axis=-1)
+        move = np.take_along_axis(moves, np.maximum(latest - 1, 0)[..., None, None], axis=-2)
+        move = move[..., 0, :]
+        length = np.hypot(move[..., 0], move[..., 1])
+        np.divide(move, length[..., None], out=frame[..., 2:], where=(latest > 0)[..., None])
+        return frame
+
+    @staticmethod
+    def _into(positions: np.ndarray, frame: np.ndarray) -> np.ndarray:
+        """Positions (..., N, steps, 2) in the agents' frames (..., N, 4),
+        unscaled: translated to each origin, then rotated onto its axes."""
+        x = positions[..., 0] - frame[..., None, 0]
+        y = positions[..., 1] - frame[..., None, 1]
+        cos, sin = frame[..., None, 2], frame[..., None, 3]
+        out = np.empty(positions.shape)  # filled in place, so fit holds few temporaries
+        np.multiply(cos, x, out=out[..., 0])
+        out[..., 0] += sin * y
+        np.multiply(cos, y, out=out[..., 1])
+        out[..., 1] -= sin * x
+        return out
 
     def fit(self, scenes: list[TrajectoryScene]) -> "Normalizer":
-        """The scale: the std of every scene's shifted positions. Each stack
-        of equal-shaped scenes is shifted in one call, and each scene's
-        values are written at its own offset in the flat sample, so the sum
-        runs over the scenes in the order given."""
+        """The scale: the std of every scene's positions in its agents'
+        frames. Each stack of equal-shaped scenes is moved in one call, and
+        each scene's values are written at its own offset in the flat
+        sample, so the sum runs over the scenes in the order given."""
         if not scenes:
             raise ValueError("the train split is empty: no scene to fit the normalizer on")
         offsets = np.cumsum([0] + [scene.positions.size for scene in scenes])
         flat = np.empty(offsets[-1])
         for index, positions in _stack_by_shape(scenes):
-            shift = self._shift(positions, scenes[index[0]].scene_id)
-            shifted = positions - shift[..., None, None, :]
-            at = offsets[index][:, None] + np.arange(shifted[0].size)
-            flat[at.reshape(-1)] = shifted.reshape(-1)
+            framed = self._into(positions, self._shift(positions, scenes[index[0]].scene_id))
+            at = offsets[index][:, None] + np.arange(framed[0].size)
+            flat[at.reshape(-1)] = framed.reshape(-1)
         scale = float(np.std(flat))
         self.scale = scale if scale > 0 else 1.0
         return self
@@ -227,24 +260,30 @@ class Normalizer:
     def transform(
         self, positions: np.ndarray, scene_id: str | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(observed, future, shift)`` of positions (..., N, steps, 2): the
+        """``(observed, future, frame)`` of positions (..., N, steps, 2): the
         normalized history (..., N, steps - T, 2), the normalized future
-        (..., N, T, 2), both views of one array, and the shift (..., 2)
-        ``inverse`` undoes. ``scene_id`` names the scene, or a stack's first
-        scene, in the error for positions too short to cut."""
+        (..., N, T, 2), both views of one array, and the agents' frames
+        (..., N, 4) ``inverse`` undoes. ``scene_id`` names the scene, or a
+        stack's first scene, in the error for positions too short to cut."""
         if self.scale is None:
             raise ValueError("normalizer must be fit before transform")
-        shift = self._shift(positions, scene_id)
-        normalized = (positions - shift[..., None, None, :]) / self.scale
-        return normalized[..., : -self.horizon, :], normalized[..., -self.horizon :, :], shift
+        frame = self._shift(positions, scene_id)
+        normalized = self._into(positions, frame) / self.scale
+        return normalized[..., : -self.horizon, :], normalized[..., -self.horizon :, :], frame
 
-    def inverse(self, positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Meters from normalized positions (..., N, T, 2) and the shift
-        (..., 2) ``transform`` returned, broadcast over agents and steps as
-        ``transform`` subtracts it."""
+    def inverse(self, positions: np.ndarray, frame: np.ndarray) -> np.ndarray:
+        """Meters from normalized positions (..., N, T, 2) and the frames
+        (..., N, 4) ``transform`` returned: scaled, rotated back, then
+        translated, broadcast over any further leading axis (such as
+        evaluation's samples) and over steps."""
         if self.scale is None:
             raise ValueError("normalizer must be fit before inverse")
-        return positions * self.scale + shift[..., None, None, :]
+        x, y = positions[..., 0] * self.scale, positions[..., 1] * self.scale
+        cos, sin = frame[..., None, 2], frame[..., None, 3]
+        return np.stack(
+            [cos * x - sin * y + frame[..., None, 0], sin * x + cos * y + frame[..., None, 1]],
+            axis=-1,
+        )
 
 
 @dataclass
@@ -258,7 +297,7 @@ class SceneGroup:
 
     obs: np.ndarray       # (B, N, steps, 2) normalized histories
     future: np.ndarray    # (B, N, T, 2) normalized futures
-    shifts: np.ndarray    # (B, 2) the shifts ``Normalizer.inverse`` undoes
+    shifts: np.ndarray    # (B, N, 4) the agents' frames ``Normalizer.inverse`` undoes
     future_m: np.ndarray  # (B, N, T, 2) futures in meters, a copy
     index: np.ndarray     # (B,)
     scene_ids: list[str]

@@ -1,9 +1,11 @@
 """Multi-branch manager: combined loss, unseen-length routing, param counting.
 
 Every branch sees the last H_b steps of one observed history, as
-``data.Normalizer.transform`` cuts it, and all of them predict the same
-future; the long branch is fit by negative log-likelihood while the shorter
-branches are pulled toward the long branch's predicted distribution. At
+``data.Normalizer.transform`` cuts it into each agent's own frame, and all
+of them predict the same future in that frame; the long branch is fit by
+negative log-likelihood while the shorter branches are pulled toward the
+long branch's predicted distribution, with the weight ``lambda_kl`` of the
+``BranchConfig`` given (``training.train_fln`` ramps it up by epoch). At
 inference an arbitrary observed length is routed to the branch with the
 nearest training length (ties go to the longer branch).
 """

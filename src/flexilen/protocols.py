@@ -94,7 +94,10 @@ def ctrv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
 def _rollout_predict(rollout, horizon: int):
     """``evaluate_groups``' ``predict`` for a zero-parameter extrapolator: the
     rollout of each normalized window as a one-mode mixture, scored with
-    k=1 by the code that scores the learned rows."""
+    k=1 by the code that scores the learned rows. Both extrapolators
+    commute with the agents' frames (a translation, a rotation and a
+    scale), so the row equals the rollout of the raw history in meters, up
+    to rounding."""
 
     def predict(_params, obs: np.ndarray) -> MixturePrediction:
         means = rollout(obs, horizon)[..., None, :, :]  # (B, N, 1, T, 2)

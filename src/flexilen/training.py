@@ -19,7 +19,10 @@ its groups, the per-batch loss and the number of passes; finetune runs the
 loop twice on one model, log, optimizer and shuffle stream and stops the
 second run on its validation plateau; joint cuts every group to each of its
 lengths. Every strategy trains one model, returns it with its TrainLog and
-takes the normalizer its caller fitted on the training split.
+takes the normalizer its caller fitted on the training split. Only fln has
+a KL term; its weight rises linearly from 0 at the first epoch to
+``lambda_kl`` at the last (``_kl_ramp``), and each EpochRecord logs the
+weight its epoch trained with.
 
 Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
 val scenes by id, grouped by ``data.group_scenes`` like the training groups.
@@ -158,7 +161,7 @@ def _make_batches(
     groups: list[SceneGroup], batch_size: int, rng: np.random.Generator
 ) -> list[tuple[SceneGroup, np.ndarray]]:
     """Shuffled ``(group, rows)`` batches of up to ``batch_size`` rows of one
-    group, so the attention core stays mask-free: one permutation of each
+    group, so that each batch is one stacked array: one permutation of each
     group's rows, cut into consecutive slices, then one permutation of all
     batches. A batch holds row indices, not rows: ``_epochs`` copies each
     batch's ``obs`` and ``future`` rows only when it runs the batch."""
@@ -180,6 +183,7 @@ class EpochRecord:
     total: float
     reg: float
     kl: float
+    lambda_kl: float    # the KL weight this epoch's total used: total = reg + lambda_kl * kl
     seconds: float      # the whole epoch, validation included
     val_seconds: float  # validation alone
     val: dict[int, tuple[float, float]] = field(default_factory=dict)
@@ -194,7 +198,7 @@ class TrainLog:
         lengths = sorted({h for record in self.records for h in record.val})
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            header = ["epoch", "total", "reg", "kl", "seconds", "val_seconds"]
+            header = ["epoch", "total", "reg", "kl", "seconds", "val_seconds", "lambda_kl"]
             for h in lengths:
                 header += [f"val_ade@{h}", f"val_fde@{h}"]
             writer.writerow(header)
@@ -206,6 +210,7 @@ class TrainLog:
                     f"{record.kl:.12g}",
                     f"{record.seconds:.3f}",
                     f"{record.val_seconds:.3f}",
+                    f"{record.lambda_kl:.12g}",
                 ]
                 for h in lengths:
                     ade_fde = record.val.get(h)
@@ -279,30 +284,36 @@ def _epochs(
     anneal: bool = True,
     epoch_hook=None,
     stop=None,
+    kl_weight=None,
 ) -> TrainLog:
     """The training loop of every strategy: up to ``epochs`` shuffled passes
     over the rows of ``groups`` with one Adam step per batch.
 
-    ``loss_fn(obs, future) -> (total, reg, kl)`` is the only per-strategy part;
-    ``total`` is minimized and ``kl`` is None for single-model losses. Each
-    batch runs in ``_step``, and only its float loss terms come back here, so
-    at most one batch's graph is alive at a time, and none while ``validate``
-    or ``epoch_hook`` runs. Each pass appends an EpochRecord, with
-    ``validate(params)`` as its val metrics and that call's time as its
-    ``val_seconds``, to ``log``, numbered on from the records already there;
-    then ``epoch_hook(params, epoch)`` runs, and the loop ends early once
-    ``stop(record)`` is true. With ``anneal`` the rate follows the
-    half-cosine over this call's ``epochs`` passes, else it stays constant.
-    Returns ``log``."""
+    ``loss_fn(obs, future, lambda_kl) -> (total, reg, kl)`` is the only
+    per-strategy part; ``total`` is minimized and ``kl`` is None for
+    single-model losses, which ignore ``lambda_kl``. ``lambda_kl`` is the
+    epoch's KL weight, ``kl_weight(epoch)``, or 0.0 without ``kl_weight``;
+    the epoch's record logs it. Each batch runs in ``_step``, and only its
+    float loss terms come back here, so at most one batch's graph is alive
+    at a time, and none while ``validate`` or ``epoch_hook`` runs. Each pass
+    appends an EpochRecord, with ``validate(params)`` as its val metrics and
+    that call's time as its ``val_seconds``, to ``log``, numbered on from
+    the records already there; then ``epoch_hook(params, epoch)`` runs, and
+    the loop ends early once ``stop(record)`` is true. With ``anneal`` the
+    rate follows the half-cosine over this call's ``epochs`` passes, else it
+    stays constant. Returns ``log``."""
     step = 0
     for epoch in range(len(log.records), len(log.records) + epochs):
         started = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
+        lambda_kl = 0.0 if kl_weight is None else kl_weight(epoch)
         batches = _make_batches(groups, cfg.train.batch_size, shuffle_rng)
         total_steps = epochs * len(batches)
         for group, rows in batches:
             lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
-            losses = _step(params, state, loss_fn, group.obs[rows], group.future[rows], lr)
+            losses = _step(
+                params, state, loss_fn, group.obs[rows], group.future[rows], lambda_kl, lr
+            )
             sums = [running + value for running, value in zip(sums, losses)]
             step += 1
         val_started = time.perf_counter()
@@ -310,7 +321,8 @@ def _epochs(
         ended = time.perf_counter()
         n = len(batches)
         record = EpochRecord(
-            epoch, sums[0] / n, sums[1] / n, sums[2] / n, ended - started, ended - val_started, val
+            epoch, sums[0] / n, sums[1] / n, sums[2] / n, lambda_kl,
+            ended - started, ended - val_started, val,
         )
         log.records.append(record)
         if epoch_hook is not None:
@@ -321,7 +333,13 @@ def _epochs(
 
 
 def _step(
-    params: FlnParams, state: AdamState, loss_fn, obs: np.ndarray, future: np.ndarray, lr: float
+    params: FlnParams,
+    state: AdamState,
+    loss_fn,
+    obs: np.ndarray,
+    future: np.ndarray,
+    lambda_kl: float,
+    lr: float,
 ) -> tuple[float, float, float]:
     """One batch: ``loss_fn``, ``zero_grad``, ``backward`` and ``adam_step``.
 
@@ -329,7 +347,7 @@ def _step(
     single-model loss. The loss tensors are this function's locals and the
     graph has no cycles, so reference counting frees the batch's whole tape
     when it returns, before the next batch's forward."""
-    total, reg, kl = loss_fn(obs, future)
+    total, reg, kl = loss_fn(obs, future, lambda_kl)
     zero_grad(params.tensors)
     backward(total)
     adam_step(params.tensors, state, lr)
@@ -339,7 +357,7 @@ def _step(
 def _single_loss(params: FlnParams, length_of):
     """Single-model NLL on the last ``length_of(obs)`` observed steps."""
 
-    def loss_fn(obs: np.ndarray, future: np.ndarray):
+    def loss_fn(obs: np.ndarray, future: np.ndarray, lambda_kl: float):
         h = length_of(obs)
         loss = nll(bb.forward_single(obs[:, :, -h:, :], params), future)
         return loss, loss, None
@@ -350,13 +368,26 @@ def _single_loss(params: FlnParams, length_of):
 # ---------------------------------------------------------------- strategies
 
 
+def _kl_ramp(lambda_kl: float, epochs: int):
+    """FLN's KL weight by epoch: ``lambda_kl * e / (E - 1)`` at epoch e of
+    E, from 0 at the first epoch to ``lambda_kl`` at the last, and
+    ``lambda_kl`` throughout a one-epoch run. The long branch learns before
+    the students pull on the shared weights: the consistency-weight ramp-up
+    of Temporal Ensembling (Laine & Aila, ICLR 2017), where the paper keeps
+    the weight constant."""
+    if epochs == 1:
+        return lambda epoch: lambda_kl
+    return lambda epoch: lambda_kl * (epoch / (epochs - 1))
+
+
 def train_fln(
     split: DatasetSplit,
     cfg: RunConfig,
     normalizer: Normalizer,
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
-    """One-time training of all three branches with the combined loss.
+    """One-time training of all three branches with the combined loss, its
+    KL weight ramped up over the epochs to ``lambda_kl`` (``_kl_ramp``).
 
     ``epoch_hook(params, epoch)`` runs after every completed epoch (the CLI
     uses it for atomic per-epoch checkpoints)."""
@@ -372,10 +403,12 @@ def train_fln(
     )
     return params, _epochs(
         TrainLog("fln"), params, prepare_scenes(split.train, normalizer, branches.h_long),
-        lambda obs, future: fln_loss(obs, future, params, branches),
+        lambda obs, future, lambda_kl: fln_loss(
+            obs, future, params, replace(branches, lambda_kl=lambda_kl)
+        ),
         lambda p: _val_metrics(p, val, list(branches.lengths.values())),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
-        epoch_hook=epoch_hook,
+        epoch_hook=epoch_hook, kl_weight=_kl_ramp(branches.lambda_kl, cfg.train.epochs),
     )
 
 

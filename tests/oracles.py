@@ -253,31 +253,33 @@ def linear_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def attention_composed(
     q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float
 ) -> tuple[Tensor, np.ndarray]:
-    """Split (B, rows, d) projections into heads, attend, merge the heads;
-    returns the context and the weights' array, as ``autodiff.attention`` does."""
+    """Split (B, rows, d) projections into heads, one vector per row, attend,
+    merge the heads; returns the context and the weights' array, as
+    ``autodiff.attention`` does."""
     batch, rows, d = q.shape
     head_dim = d // heads
 
     def split(t: Tensor) -> Tensor:
-        return transpose(ad.reshape(t, (batch, t.shape[1], heads, head_dim)), (0, 2, 1, 3))
+        return transpose(ad.reshape(t, (batch, t.shape[1], heads, 1, head_dim)), (0, 2, 1, 3, 4))
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * scale
+    qh = split(q)
+    kt = transpose(split(k), (0, 1, 3, 4, 2))
+    vh = transpose(split(v), (0, 1, 3, 2, 4))
+    scores = matmul(qh, kt) * scale
     weights = softmax(scores, axis=-1)
-    merged = ad.reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (batch, rows, d))
-    return merged, weights.data
+    merged = ad.reshape(transpose(matmul(weights, vh), (0, 2, 1, 3, 4)), (batch, rows, d))
+    return merged, weights.data[:, :, :, 0, :]
 
 
 def mixture_head_composed(
     out: Tensor, baseline: np.ndarray, modes: int, horizon: int
 ) -> MixturePrediction:
     """``backbone.mixture_head`` as slice, reshape, slice, add and softplus ops."""
-    batch, n_agents, _ = out.shape
     width = modes * horizon * 4
-    core = ad.reshape(out[:, :, :width], (batch, n_agents, modes, horizon, 4))
-    means = core[:, :, :, :, 0:2] + Tensor(baseline[:, :, None, :, :])
-    scales = softplus(core[:, :, :, :, 2:4]) + bb.SCALE_FLOOR
-    return MixturePrediction(means, scales, out[:, :, width:])
+    core = ad.reshape(out[..., :width], out.shape[:-1] + (modes, horizon, 4))
+    means = core[..., 0:2] + Tensor(baseline[..., None, :, :])
+    scales = softplus(core[..., 2:4]) + bb.SCALE_FLOOR
+    return MixturePrediction(means, scales, out[..., width:])
 
 
 def nll_composed(pred: MixturePrediction, future: np.ndarray) -> Tensor:
@@ -385,8 +387,8 @@ def adam_step_per_tensor(
 # ----------------------------------------------------------------------------
 # The all-token encoder. ``backbone.transformer_encode`` runs its last layer
 # only for each agent's last token, the one the decoder reads; this oracle
-# runs every layer on all N*H tokens and pools afterwards, so tests can check
-# that the cut changes no prediction and no gradient.
+# runs every layer on all H tokens of every agent and pools afterwards, so
+# tests can check that the cut changes no prediction and no gradient.
 
 
 def _linear(x: Tensor, branch: str, params: FlnParams, weight: str, bias: str) -> Tensor:
@@ -406,11 +408,11 @@ def _attention_all_tokens(tokens: Tensor, branch: str, layer: int, params: FlnPa
 
 
 def transformer_encode_all_tokens(features: Tensor, branch: str, params: FlnParams) -> Tensor:
-    """(B, N, H, d) features to (B, N, H, d) tokens: every layer and the
-    final norm on every token."""
+    """(..., H, d) features to (..., H, d) tokens: every layer and the final
+    norm on every token, each agent's H tokens attending to each other."""
     cfg = params.cfg
-    batch, n_agents, h_steps, d = features.shape
-    x = ad.reshape(features, (batch, n_agents * h_steps, d))
+    h_steps, d = features.shape[-2:]
+    x = ad.reshape(features, (-1, h_steps, d))
     for layer in range(cfg.layers):
         normed1 = bb.specialized_layer_norm(x, branch, f"enc.l{layer}.norm1", params)
         x = x + _attention_all_tokens(normed1, branch, layer, params)
@@ -419,7 +421,7 @@ def transformer_encode_all_tokens(features: Tensor, branch: str, params: FlnPara
         hidden = ad.relu(_linear(normed, branch, params, f"{ffn}.w1", f"{ffn}.b1"))
         x = x + _linear(hidden, branch, params, f"{ffn}.w2", f"{ffn}.b2")
     x = bb.specialized_layer_norm(x, branch, "enc.final_norm", params)
-    return ad.reshape(x, (batch, n_agents, h_steps, d))
+    return ad.reshape(x, features.shape)
 
 
 def forward_all_tokens(
@@ -429,9 +431,6 @@ def forward_all_tokens(
     None ``backbone.forward_single``, through the all-token encoder; the
     decoder head gets each agent's last token."""
     obs = np.asarray(observations, dtype=np.float64)
-    batched = obs.ndim == 4
-    if not batched:
-        obs = obs[None]
     fed = obs.shape[-2]
     if branch is None:
         branch, start, stop = params.branch_ids[0], 0, fed
@@ -440,37 +439,57 @@ def forward_all_tokens(
     pe_rows = bb._pe_rows(params, branch, start, stop)
     feats = bb.spatial_encode(obs, branch, params) + pe_rows
     encoded = transformer_encode_all_tokens(feats, branch, params)
-    pred = bb.decode(encoded[:, :, fed - 1, :], obs[:, :, -2:, :], branch, params)
-    if batched:
-        return pred
-    return MixturePrediction(pred.means[0], pred.scales[0], pred.logits[0])
+    return bb.decode(encoded[..., fed - 1, :], obs[..., -2:, :], branch, params)
 
 
 # ----------------------------------------------------------------------------
-# Per-scene normalization. ``data.Normalizer`` shifts and scales a stack of
-# equal-shaped scenes in one call; this is its formula for one scene, kept to
-# check the stacked one byte for byte.
+# Per-agent normalization. ``data.Normalizer`` moves a stack of equal-shaped
+# scenes into their agents' frames in one call; this is its formula for one
+# agent at a time, kept to check the stacked one byte for byte.
+
+
+def frame_per_agent(positions: np.ndarray, horizon: int) -> np.ndarray:
+    """One agent's frame (4,) from its positions (steps, 2): the last
+    observed point, then the cos and sin of the latest observed step that
+    moved, searched backwards; (1, 0) when none did."""
+    observed = positions[:-horizon]
+    for t in range(len(observed) - 1, 0, -1):
+        dx, dy = observed[t] - observed[t - 1]
+        if dx != 0.0 or dy != 0.0:
+            length = np.hypot(dx, dy)
+            return np.array([*observed[-1], dx / length, dy / length])
+    return np.array([*observed[-1], 1.0, 0.0])
 
 
 def shift_per_scene(positions: np.ndarray, horizon: int) -> np.ndarray:
-    """The agents' mean position (2,) at the scene's last observed step."""
-    return positions[:, -horizon - 1, :].mean(axis=0)
+    """The frames (N, 4) of a scene's agents, one agent at a time."""
+    return np.stack([frame_per_agent(agent, horizon) for agent in positions])
+
+
+def to_frames(positions: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """A scene's positions (N, steps, 2) in its agents' frames, unscaled."""
+    out = np.empty(positions.shape)
+    for agent, (ox, oy, cos, sin) in enumerate(frames):
+        x, y = positions[agent, :, 0] - ox, positions[agent, :, 1] - oy
+        out[agent, :, 0] = cos * x + sin * y
+        out[agent, :, 1] = cos * y - sin * x
+    return out
 
 
 def scale_per_scene(scenes, horizon: int) -> float:
-    """``Normalizer.fit``'s scale: the std of every scene's shifted
-    positions, concatenated scene by scene."""
-    flat = np.concatenate(
-        [(s.positions - shift_per_scene(s.positions, horizon)).reshape(-1) for s in scenes]
-    )
+    """``Normalizer.fit``'s scale: the std of every scene's positions in
+    its agents' frames, concatenated scene by scene."""
+    flat = np.concatenate([
+        to_frames(s.positions, shift_per_scene(s.positions, horizon)).reshape(-1) for s in scenes
+    ])
     scale = float(np.std(flat))
     return scale if scale > 0 else 1.0
 
 
 def transform_per_scene(positions: np.ndarray, normalizer):
-    """``(observed, future, shift)`` of one scene's positions (N, steps, 2)."""
+    """``(observed, future, frames)`` of one scene's positions (N, steps, 2)."""
     shift = shift_per_scene(positions, normalizer.horizon)
-    normalized = (positions - shift) / normalizer.scale
+    normalized = to_frames(positions, shift) / normalizer.scale
     return normalized[:, : -normalizer.horizon, :], normalized[:, -normalizer.horizon :, :], shift
 
 
@@ -539,7 +558,7 @@ def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
                 obs = obs[:, -params.lengths[branch]:, :]
                 bb.forward(obs, branch, params, capture=capture)
         captured.append({
-            site: values[0][0]
+            site: values[0]
             for site, values in capture.items()
             if site.startswith("enc.") and not site.endswith(".weights")
         })

@@ -548,6 +548,7 @@ _ATTENTION_CASES = {  # name: (heads, query rows)
     "attention": (2, slice(None)),
     "attention_h1": (1, slice(None)),
     "attention_fewer_queries": (2, slice(0, None, 2)),
+    "attention_one_query": (2, slice(2, 3)),
 }
 _FUSED = ["layer_norm", "layer_norm_d16", "linear", "linear_d16", *_ATTENTION_CASES, "mixture_head"]
 
@@ -637,6 +638,17 @@ def test_fused_attention_returns_the_softmax_weights():
     np.testing.assert_array_equal(weights, ref_weights)
     np.testing.assert_array_equal(context.data, ref_context.data)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-14)
+
+
+def test_a_lone_query_gets_the_bits_it_gets_among_all_queries():
+    # the encoder's last layer runs one query per agent, the LayerNorm probe
+    # all of them; both must give the last token the same context
+    q, k, v = (Tensor(a) for a in _rng(23).normal(size=(3, 5, 6, 8)))
+    context, weights = ad.attention(q, k, v, 2, 0.5)
+    lone, lone_weights = ad.attention(q[:, -1:, :], k, v, 2, 0.5)
+    assert lone.shape == (5, 1, 8) and lone_weights.shape == (5, 2, 1, 6)
+    assert lone.data.tobytes() == np.ascontiguousarray(context.data[:, -1:, :]).tobytes()
+    assert lone_weights.tobytes() == np.ascontiguousarray(weights[:, :, -1:, :]).tobytes()
 
 
 # each case makes a non-finite value inside the node; in layer_norm and

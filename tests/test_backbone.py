@@ -283,10 +283,10 @@ def test_capture_keeps_every_position_and_the_prediction(layers):
         assert np.array_equal(getattr(captured, name).data, getattr(plain, name).data), name
     sites = [site for site in bb.ln_sites(cfg) if site.startswith("enc.")]
     assert sorted(k for k in capture if not k.endswith(".weights")) == sorted(sites)
-    for site in sites:
-        assert capture[site][0].shape == (1, 3, 4, cfg.d_model), site
-    for layer in range(layers):  # every token attends and is attended to
-        assert capture[f"enc.l{layer}.attn.weights"][0].shape == (1, cfg.heads, 12, 12)
+    for site in sites:  # laid out as the window is: (N, H, d) for one scene
+        assert capture[site][0].shape == (3, 4, cfg.d_model), site
+    for layer in range(layers):  # every token attends to its own agent's tokens
+        assert capture[f"enc.l{layer}.attn.weights"][0].shape == (3, cfg.heads, 4, 4)
 
 
 # -------------------------------------------------------------------- decode

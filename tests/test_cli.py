@@ -111,6 +111,8 @@ def test_train_fln_emits_loss_columns(tmp_path):
     with open(out / "checkpoint_log.csv") as handle:
         rows = list(csv.DictReader(handle))
     assert all(0.0 <= float(r["val_seconds"]) <= float(r["seconds"]) for r in rows)
+    # the KL weight each epoch's total used, ramped from 0 to lambda_kl
+    assert [float(r["lambda_kl"]) for r in rows] == [0.0, 1.0]
     summary = json.loads((out / "checkpoint_summary.json").read_text())
     assert summary["strategy"] == "fln"
     assert summary["epochs"] == 2
@@ -859,6 +861,26 @@ def test_checkpoint_without_a_scale_exits_2(trained, tmp_path, capsys, argv):
     code = _run([*argv, "--out", str(out), "--checkpoint", str(prefix)])
     assert code == 2
     assert f"checkpoint {prefix} records no normalizer scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--length", "3"], ["sweep", "--lengths", "2..4"], ["probe", "ln", "--length", "3"]],
+    ids=["eval", "sweep", "probe-ln"],
+)
+def test_scene_frame_checkpoint_exits_2(trained, tmp_path, capsys, argv):
+    # a version-1 checkpoint was trained in the scene-centroid frame, with a
+    # scale fit there; scored in the agents' frames it would give wrong numbers
+    prefix = tmp_path / "checkpoint"
+    manifest = json.loads(Path(f"{trained['fln']}.json").read_text())
+    manifest["format_version"] = 1
+    Path(f"{prefix}.json").write_text(json.dumps(manifest))
+    Path(f"{prefix}.bin").write_bytes(Path(f"{trained['fln']}.bin").read_bytes())
+    out = tmp_path / "out"
+    code = _run([*argv, "--out", str(out), "--checkpoint", str(prefix)])
+    assert code == 2
+    assert f"checkpoint {prefix}: unsupported version 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from flexilen.data import (
     save_dataset,
     split_scenes,
 )
-from oracles import generate_per_scene, scale_per_scene, transform_per_scene
+from oracles import generate_per_scene, scale_per_scene, to_frames, transform_per_scene
 
 LENGTHS = {"S": 2, "M": 6, "L": 8}
 
@@ -187,7 +187,7 @@ def test_truncation_suffix_identity():
     assert future.shape == (scene.n_agents, 12, 2)
     # the two windows tile the scene: history first, then the shared future
     np.testing.assert_array_equal(
-        np.concatenate([observed, future], axis=1), (scene.positions - shift) / norm.scale
+        np.concatenate([observed, future], axis=1), to_frames(scene.positions, shift) / norm.scale
     )
     (group,) = group_scenes([scene], norm)
     np.testing.assert_array_equal(group.future_m[0], scene.positions[:, 8:, :])
@@ -219,12 +219,13 @@ def test_inverse_broadcasts_the_shift_of_a_stack_like_transform():
     norm = Normalizer(horizon=12).fit(scenes)
     stack = np.stack([scene.positions for scene in scenes])  # (B, N, steps, 2)
     observed, future, shifts = norm.transform(stack)
-    assert shifts.shape == (4, 2)
+    assert shifts.shape == (4, 3, 4)  # one frame per agent
     restored = norm.inverse(np.concatenate([observed, future], axis=-2), shifts)
     np.testing.assert_allclose(restored, stack, atol=1e-12)
     samples = future[None].repeat(2, axis=0)  # (k, B, N, T, 2), as evaluation draws them
-    assert norm.inverse(samples, shifts).tobytes() == (
-        samples * norm.scale + shifts[:, None, None, :]
+    samples[1] += 0.5
+    assert norm.inverse(samples, shifts).tobytes() == np.stack(
+        [norm.inverse(sample, shifts) for sample in samples]
     ).tobytes()
 
 
@@ -251,15 +252,76 @@ def test_normalize_train_stats_reused():
 
 
 def test_zero_centered_scene_untranslated():
-    scene = _scenes(n=1)[0]
-    shift0 = scene.positions[:, -13, :].mean(axis=0)
-    centered = TrajectoryScene(scene.positions - shift0, scene.dt, scene.scene_id)
+    # one agent per scene, so the scene can sit in its agent's own frame
+    scene = _scenes(n=1, agents_min=1, agents_max=1)[0]
+    _, _, frame = Normalizer(horizon=12, scale=1.0).transform(scene.positions)
+    centered = TrajectoryScene(to_frames(scene.positions, frame), scene.dt, scene.scene_id)
     norm = Normalizer(horizon=12).fit([centered])
     observed, future, shift = norm.transform(centered.positions)
-    np.testing.assert_allclose(shift, np.zeros(2), atol=1e-12)
+    np.testing.assert_allclose(shift, [[0.0, 0.0, 1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(
         np.concatenate([observed, future], axis=1), centered.positions / norm.scale, atol=1e-12
     )
+
+
+# -------------------------------------------------------------- agent frame
+
+
+def _agents(*tracks):
+    """A scene (N, 4 + 2, 2) of 4 observed and 2 future steps per agent."""
+    return np.array(tracks, dtype=np.float64)
+
+
+def test_the_last_observed_point_maps_to_the_origin():
+    positions = _scenes(n=1)[0].positions
+    observed, _, frame = Normalizer(horizon=12, scale=0.7).transform(positions)
+    assert (observed[:, -1, :] == 0.0).all()
+    assert frame[:, :2].tobytes() == np.ascontiguousarray(positions[:, -13, :]).tobytes()
+
+
+def test_the_last_moving_step_maps_onto_plus_x():
+    positions = _scenes(n=1, agents_min=4, agents_max=4)[0].positions
+    observed, _, frame = Normalizer(horizon=12, scale=0.7).transform(positions)
+    last_step = observed[:, -1, :] - observed[:, -2, :]
+    assert (last_step[:, 0] > 0).all()
+    np.testing.assert_allclose(last_step[:, 1], 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.hypot(frame[:, 2], frame[:, 3]), 1.0, rtol=1e-15)
+
+
+def test_an_agent_that_never_moved_keeps_the_identity():
+    still = [[3.0, -2.0]] * 6
+    moving = [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0], [0.0, 5.0]]
+    positions = _agents(still, moving)
+    norm = Normalizer(horizon=2, scale=2.0)
+    observed, future, frame = norm.transform(positions)
+    assert frame[0].tolist() == [3.0, -2.0, 1.0, 0.0]
+    assert (np.concatenate([observed[0], future[0]]) == 0.0).all()
+    assert frame[1].tolist() == [0.0, 3.0, 0.0, 1.0]  # heading +y, turned onto +x
+    np.testing.assert_allclose(future[1], [[0.5, 0.0], [1.0, 0.0]], atol=1e-15)
+    # a window of one observed step has no displacement: identity for all
+    one_step = Normalizer(horizon=5, scale=1.0).transform(positions)[2]
+    assert one_step[:, 2:].tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+
+def test_an_agent_stopped_at_its_last_step_uses_its_last_move():
+    # moves along (3, 4) and then stands still for its last two observed steps
+    stopped = [[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [3.0, 4.0], [9.0, 9.0], [9.0, 9.0]]
+    norm = Normalizer(horizon=2, scale=1.0)
+    observed, _, frame = norm.transform(_agents(stopped))
+    assert frame[0].tolist() == [3.0, 4.0, 0.6, 0.8]
+    np.testing.assert_allclose(observed[0], [[-5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inverse_undoes_transform(seed):
+    scenes = _scenes(seed=seed, n=6)
+    norm = Normalizer(horizon=12).fit(scenes)
+    for scene in scenes:
+        observed, future, frame = norm.transform(scene.positions)
+        restored = norm.inverse(np.concatenate([observed, future], axis=-2), frame)
+        error = np.abs(restored - scene.positions).max()
+        assert error <= 1e-12 * np.abs(scene.positions).max()
 
 
 def test_stacked_normalization_equals_the_per_scene_formula():

@@ -452,17 +452,18 @@ def test_converged_tiny_model_extrapolates_noiseless_cv():
 
 
 def test_metrics_invariant_under_scene_translation(eval_setup):
-    """The full pipeline reports meters: rigidly translating scenes changes
-    nothing because the per-scene shift absorbs the translation before the
-    model and restores it before the metric."""
+    """The full pipeline reports meters: moving scenes rigidly, by a
+    translation or by a rotation about an arbitrary point, changes nothing,
+    because each agent's frame absorbs the motion before the model and
+    restores it before the metric."""
     from flexilen.data import TrajectoryScene
 
     scenes, normalizer, params, _ = eval_setup
-    offset = np.array([250.0, -80.0])
-    moved = [
-        TrajectoryScene(s.positions + offset, s.dt, s.scene_id) for s in scenes[:10]
-    ]
+    pivot, angle = np.array([250.0, -80.0]), 0.7
+    turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     baseline = evaluate(params, scenes[:10], 4, 2, normalizer)
-    translated = evaluate(params, moved, 4, 2, normalizer)
-    assert translated.ade == pytest.approx(baseline.ade, rel=1e-9)
-    assert translated.fde == pytest.approx(baseline.fde, rel=1e-9)
+    for move in (lambda p: p + pivot, lambda p: (p - pivot) @ turn.T + pivot):
+        moved = [TrajectoryScene(move(s.positions), s.dt, s.scene_id) for s in scenes[:10]]
+        metrics = evaluate(params, moved, 4, 2, normalizer)
+        assert metrics.ade == pytest.approx(baseline.ade, rel=1e-9)
+        assert metrics.fde == pytest.approx(baseline.fde, rel=1e-9)

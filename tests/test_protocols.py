@@ -82,3 +82,24 @@ def test_study_reports_the_reference_rows_at_every_length(tmp_path):
     (outcome,) = result.seeds
     assert outcome.ade[("ctrv", 2)] == outcome.ade[("cv", 2)]
     assert len({outcome.ade[("cv", h)] for h in (2, 3, 4)}) == 1
+
+
+def test_the_study_reference_rows_equal_the_raw_rollouts_at_every_length():
+    """The study's ``cv`` and ``ctrv`` rows, scored in the agents' frames,
+    equal the rollouts of the raw test histories in meters (what the
+    benchmark's ``cv_ade`` computes): both extrapolators commute with the
+    frame's translation and rotation."""
+    horizon, lengths = 3, (2, 3, 4)
+    base = study_run_config(n_scenes=40, epochs=1, lengths=lengths, horizon=horizon)
+    (outcome,) = run_length_shift_study(base, seeds=(1,)).seeds
+    for row, rollout in (("cv", bb.cv_rollout), ("ctrv", ctrv_rollout)):
+        for h in lengths:
+            errors = [
+                np.linalg.norm(
+                    rollout(s.positions[:, -horizon - h : -horizon], horizon)
+                    - s.positions[:, -horizon:], axis=-1,
+                ).mean(-1)
+                for s in outcome.split.test
+            ]
+            raw = np.concatenate(errors).mean()
+            assert outcome.ade[(row, h)] == pytest.approx(raw, rel=1e-12, abs=0), (row, h)

@@ -152,13 +152,33 @@ def test_fln_loss_decreases_substantially(tiny_split, tiny_norm):
 
 
 def test_fln_log_identity_and_nonnegative_kl(tiny_split, tiny_norm):
+    # each epoch's total weighs its KL with the lambda that epoch logged
     cfg = make_config()
     _, log = train_fln(tiny_split, cfg, tiny_norm)
     for record in log.records:
         assert record.kl >= 0.0
-        assert record.total == pytest.approx(
-            record.reg + cfg.branches.lambda_kl * record.kl, abs=1e-12
-        )
+        assert record.total == pytest.approx(record.reg + record.lambda_kl * record.kl, abs=1e-12)
+
+
+@pytest.mark.parametrize("epochs, lambda_kl", [(3, 1.0), (4, 0.3), (1, 0.3)])
+def test_fln_ramps_the_kl_weight_from_zero_to_lambda_kl(tiny_split, tiny_norm, epochs, lambda_kl):
+    cfg = make_config(
+        branches=BranchConfig(h_short=2, h_medium=3, h_long=4, lambda_kl=lambda_kl),
+        train=TrainConfig(strategy="fln", epochs=epochs, batch_size=16, lr=2e-3),
+    )
+    _, log = train_fln(tiny_split, cfg, tiny_norm)
+    weights = [record.lambda_kl for record in log.records]
+    if epochs == 1:
+        assert weights == [lambda_kl]
+    else:
+        assert weights == pytest.approx([lambda_kl * e / (epochs - 1) for e in range(epochs)])
+        assert weights[0] == 0.0 and weights[-1] == lambda_kl
+        assert log.records[0].total == log.records[0].reg
+
+
+def test_single_model_strategies_log_a_zero_kl_weight(tiny_split, tiny_norm):
+    _, log = train_isolated(tiny_split, make_config(), 4, tiny_norm)
+    assert [record.lambda_kl for record in log.records] == [0.0] * 3
 
 
 def test_fln_seeded_bit_determinism(tiny_split, tiny_norm):
