@@ -6,22 +6,27 @@ temporary directory: the ``generate`` that writes it (its line hashes
 ``dataset.json`` and ``dataset.bin``), every training strategy (fln also with its ablation
 switches flipped, so the undetached-teacher and per-branch-NLL paths run,
 with two encoder layers, so a first layer over every token feeds a last
-layer cut to the decoder's tokens, and with five scenes a batch, so a
-group's rows split into several batches and end with a short one), an
+layer cut to the decoder's tokens, and with five scenes a batch, so the
+scenes of one shape split into several batches and end with a short one), an
 isolated model with a learnable positional table, trained at length 4 and
 evaluated at length 2 (so a single-length model reads the first rows of its
 learnable table; this line hashes both runs),
 a length sweep of two checkpoints, an evaluation of the FLN checkpoint at a
 length longer than its longest branch (so routed truncation runs), an
 evaluation of the isolated checkpoint at a longer length with
-``sampling=stochastic`` (so seeded per-scene draws from a grouped forward
-run), the same for the FLN checkpoint at that unseen length (so seeded
-per-scene draws from a group of routed per-scene forwards run), an
-evaluation of the FLN checkpoint on data regenerated with another seed (so
-``eval`` scores with the normalizer scale the checkpoint records, not one
-refit on the new data), the LayerNorm probe, and the positional-encoding
-probe on the learnable tables of a checkpoint and on the default sinusoidal
-config. Each line hashes that run's artifacts: checkpoint payloads and manifests, training logs with the
+``sampling=stochastic`` (so seeded per-scene draws from one forward over
+every agent run), the same for the FLN checkpoint at that unseen length (so
+seeded per-scene draws from routed per-scene forwards run), an evaluation
+of the FLN checkpoint on data regenerated with another seed (so ``eval``
+scores with the normalizer scale the checkpoint records, not one refit on
+the new data), the LayerNorm probe, the positional-encoding probe on the
+learnable tables of a checkpoint and on the default sinusoidal config, and
+a mixed-shape line: a dataset of scenes of 1-4 agents and two observed
+lengths, written with ``data.save_dataset``, an isolated model trained on
+it, evaluated with mode means and with ``sampling=stochastic``, and a length
+sweep of the FLN checkpoint on it (so one-agent scenes, and the shorter
+scenes' rows among the longer ones', run through training, both samplings
+and routed evaluation). Each line hashes that run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock columns (``seconds``, ``val_seconds``) removed, and the sweep,
 metrics and probe reports. A training line also prints, at full precision, each model's
 ``final_total`` and its last epoch's validation ADE at every length, and
@@ -63,6 +68,8 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from flexilen.cli import main  # noqa: E402
+from flexilen.config import DataConfig  # noqa: E402
+from flexilen.data import TrajectoryScene, generate_from_config, save_dataset  # noqa: E402
 from rev_tree import extract  # noqa: E402
 
 SEED = 3
@@ -99,6 +106,19 @@ TRAIN_RUNS = {
 
 
 WALL_CLOCK = ("seconds", "val_seconds")  # training-log columns that time the run
+
+
+def write_mixed_shapes(out: Path) -> None:
+    """A dataset of 60 scenes of 1-4 agents: half with TINY's 6 observed
+    steps, half with 4, under ids that interleave the two halves."""
+    scenes = []
+    for obs_len, seed in ((6, SEED), (4, SEED + 1)):
+        cfg = DataConfig(n_scenes=30, agents_min=1, agents_max=4, obs_len=obs_len, horizon=12)
+        scenes += [
+            TrajectoryScene(s.positions, s.dt, f"{s.scene_id}-{obs_len}")
+            for s in generate_from_config(cfg, seed)
+        ]
+    save_dataset(out, scenes, {"seed": SEED})
 
 
 def _without_wall_clock(path: Path) -> bytes:
@@ -204,6 +224,20 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
           "--h1", "2", "--h2", "4"])
     _cli(["probe", "pe", "--out", str(pe / "1"), "--h1", "2", "--h2", "8"])
     record("probe_pe", pe / "0", pe / "1")
+    mixed = root / "mixed-shapes"
+    mixed_data, trained = mixed / "data", mixed / "isolated"
+    write_mixed_shapes(mixed_data)
+    _cli(["train", "--out", str(trained), "--data", str(mixed_data), "--seed", str(SEED), *TINY,
+          "--strategy", "isolated", "--length", "4"])
+    _cli(["eval", "--out", str(mixed / "eval"), "--checkpoint", str(trained / "checkpoint"),
+          "--data", str(mixed_data), "--length", "4"])
+    _cli(["eval", "--out", str(mixed / "eval-stochastic"), "--checkpoint", str(trained / "checkpoint"),
+          "--data", str(mixed_data), "--length", "3", "--set", "sampling=stochastic"])
+    _cli(["sweep", "--out", str(mixed / "sweep"), "--checkpoint", str(root / "fln" / "checkpoint"),
+          "--data", str(mixed_data), "--lengths", "2..4"])
+    record("mixed-shapes", *(mixed / name for name in
+           ("data", "isolated", "eval", "eval-stochastic", "sweep")))
+    values["mixed-shapes"] = final_values(trained)
     hashes = {name: digest(line_files) for name, line_files in files.items()}
     return hashes, values, files
 

@@ -361,7 +361,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The leading axes of ``x`` are flattened into rows, so the forward, the
     input gradient and the weight gradient are one 2-D GEMM each, and the
     bias gradient is one reduce over the rows: the chain reshape, matmul,
-    add, reshape.
+    add, reshape. numpy runs a one-row input as GEMV, whose row can differ in
+    the last bits from the same row in a GEMM. Evaluation forwards whole
+    agent tables, so its only one-row products are
+    ``evaluation._routed_per_scene``'s on a one-agent scene.
     """
     if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ValueError(

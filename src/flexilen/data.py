@@ -8,13 +8,14 @@ a scene's positions depend only on the seed and its index, then simulates
 all scenes of one agent count together, step by step: the same elementwise
 recursion in the same order as one scene alone, so the bytes are the same
 as if each scene were simulated by itself. ``Normalizer`` owns the
-observed/future split: its ``transform`` cuts a scene, or a stack of scenes
-with equal agent count and length, into the normalized observed history and
-the normalized future, each agent in its own frame (origin at its last
-observed point, +x along its last observed move). ``group_scenes`` is the
-one builder of those stacks, ``SceneGroup``s that training, validation,
-evaluation and the study all read, and ``windows`` the one length check:
-every model input is a suffix ``[..., -H:, :]`` of a group's history.
+observed/future split: its ``transform`` cuts a scene's agents, or every
+agent of a scene set, into the normalized observed history and the
+normalized future, each agent in its own frame (origin at its last observed
+point, +x along its last observed move). ``agent_table`` is the one builder
+of the ``AgentTable`` that training, validation, evaluation and the study
+all read: every agent of a scene set in scene-id order, normalized in one
+call, with each scene's first row. ``windows`` is the one length check:
+every model input is a suffix ``[:, -H:, :]`` of the table's histories.
 """
 from __future__ import annotations
 
@@ -166,19 +167,28 @@ def generate_from_config(cfg: DataConfig, seed: int) -> list[TrajectoryScene]:
 
 # ------------------------------------------------------------- normalization
 
+NO_OBSERVED_STEP = "{steps} steps leave no observed step before the {horizon}-step future"
 
-def _stack_by_shape(scenes: list[TrajectoryScene]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(index, positions)`` per group of ``scenes`` with equal agent count
-    and steps, groups in sorted (agents, steps) order: the members' indices
-    into ``scenes``, increasing, and their positions stacked (B, N, steps,
-    2). One stack is what one normalization, or one forward, covers."""
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, scene in enumerate(scenes):
-        members.setdefault(scene.positions.shape[:2], []).append(i)
-    return [
-        (np.array(members[key]), np.stack([scenes[i].positions for i in members[key]]))
-        for key in sorted(members)
-    ]
+
+def _pad(scenes: list[TrajectoryScene], horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(positions, starts, steps)`` of every agent of ``scenes``, in the
+    order given: positions (A, S, 2) with S the longest scene's steps, each
+    scene's first agent row, then A (n_scenes + 1), and each scene's own
+    steps (n_scenes). A shorter scene is padded at the front with copies of
+    its first point, so its padded moves are zero and its agents keep their
+    frames. The first scene, in the order given, with no step before the
+    ``horizon``-step future is rejected."""
+    starts = np.cumsum([0] + [scene.n_agents for scene in scenes])
+    steps = np.array([scene.n_steps for scene in scenes], dtype=np.int64)
+    longest = int(steps.max(initial=horizon + 1))
+    positions = np.empty((starts[-1], longest, 2))
+    for scene, start, stop in zip(scenes, starts[:-1], starts[1:]):
+        if scene.n_steps <= horizon:
+            message = NO_OBSERVED_STEP.format(steps=scene.n_steps, horizon=horizon)
+            raise ValueError(f"scene {scene.scene_id}: {message}")
+        positions[start:stop] = scene.positions[:, :1]
+        positions[start:stop, longest - scene.n_steps :] = scene.positions
+    return positions, starts, steps
 
 
 @dataclass
@@ -191,25 +201,21 @@ class Normalizer:
     agent that never moved keeps the world axes. This is the agent-centric
     local frame of HiVT (Zhou et al., CVPR 2022). It depends only on
     observed points, so every branch and every future step share it.
-    ``transform`` and the frame work on a positions array of any leading
-    shape, (..., N, steps, 2): one scene, or a stack of scenes with equal
-    agent count and length, normalized in one call."""
+    ``transform`` and the frame work on agents of any leading shape,
+    (..., steps, 2): one scene's (N, steps, 2), or every agent of a scene
+    set (A, steps, 2), normalized in one call."""
 
     horizon: int
     scale: float | None = None
 
-    def _shift(self, positions: np.ndarray, scene_id: str | None = None) -> np.ndarray:
-        """(..., N, 4): each agent's last observed point, then the cos and
-        sin of its last non-zero observed displacement's heading (1 and 0
-        when it never moved, or has a single observed step). Positions with
-        no step before the future are rejected, naming ``scene_id`` when it
-        is given."""
+    def _shift(self, positions: np.ndarray) -> np.ndarray:
+        """(..., 4): each agent's last observed point, then the cos and sin
+        of its last non-zero observed displacement's heading (1 and 0 when
+        it never moved, or has a single observed step). Positions with no
+        step before the future are rejected."""
         steps = positions.shape[-2]
         if steps <= self.horizon:
-            where = "" if scene_id is None else f"scene {scene_id}: "
-            raise ValueError(
-                f"{where}{steps} steps leave no observed step before the {self.horizon}-step future"
-            )
+            raise ValueError(NO_OBSERVED_STEP.format(steps=steps, horizon=self.horizon))
         observed = positions[..., : steps - self.horizon, :]
         frame = np.zeros(positions.shape[:-2] + (4,))
         frame[..., :2] = observed[..., -1, :]
@@ -228,7 +234,7 @@ class Normalizer:
 
     @staticmethod
     def _into(positions: np.ndarray, frame: np.ndarray) -> np.ndarray:
-        """Positions (..., N, steps, 2) in the agents' frames (..., N, 4),
+        """Positions (..., steps, 2) in the agents' frames (..., 4),
         unscaled: translated to each origin, then rotated onto its axes."""
         x = positions[..., 0] - frame[..., None, 0]
         y = positions[..., 1] - frame[..., None, 1]
@@ -242,38 +248,35 @@ class Normalizer:
 
     def fit(self, scenes: list[TrajectoryScene]) -> "Normalizer":
         """The scale: the std of every scene's positions in its agents'
-        frames. Each stack of equal-shaped scenes is moved in one call, and
-        each scene's values are written at its own offset in the flat
-        sample, so the sum runs over the scenes in the order given."""
+        frames. Every agent is moved in one call (``_pad``), and the std
+        runs over the real points only, scene by scene in the order given,
+        each scene's (N, steps, 2) in its own order."""
         if not scenes:
             raise ValueError("the train split is empty: no scene to fit the normalizer on")
-        offsets = np.cumsum([0] + [scene.positions.size for scene in scenes])
-        flat = np.empty(offsets[-1])
-        for index, positions in _stack_by_shape(scenes):
-            framed = self._into(positions, self._shift(positions, scenes[index[0]].scene_id))
-            at = offsets[index][:, None] + np.arange(framed[0].size)
-            flat[at.reshape(-1)] = framed.reshape(-1)
-        scale = float(np.std(flat))
+        positions, starts, steps = _pad(scenes, self.horizon)
+        first_real = positions.shape[1] - np.repeat(steps, np.diff(starts))
+        real = np.arange(positions.shape[1]) >= first_real[:, None]  # (A, S), False on padding
+        # the framed points replace the raw ones, so one full copy is alive at a time
+        positions = self._into(positions, self._shift(positions))
+        scale = float(np.std((positions if real.all() else positions[real]).reshape(-1)))
         self.scale = scale if scale > 0 else 1.0
         return self
 
-    def transform(
-        self, positions: np.ndarray, scene_id: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(observed, future, frame)`` of positions (..., N, steps, 2): the
-        normalized history (..., N, steps - T, 2), the normalized future
-        (..., N, T, 2), both views of one array, and the agents' frames
-        (..., N, 4) ``inverse`` undoes. ``scene_id`` names the scene, or a
-        stack's first scene, in the error for positions too short to cut."""
+    def transform(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(observed, future, frame)`` of positions (..., steps, 2): the
+        normalized history (..., steps - T, 2), the normalized future
+        (..., T, 2), both views of one array, and the agents' frames
+        (..., 4) ``inverse`` undoes."""
         if self.scale is None:
             raise ValueError("normalizer must be fit before transform")
-        frame = self._shift(positions, scene_id)
-        normalized = self._into(positions, frame) / self.scale
+        frame = self._shift(positions)
+        normalized = self._into(positions, frame)
+        normalized /= self.scale  # in place: one full array alive, not two
         return normalized[..., : -self.horizon, :], normalized[..., -self.horizon :, :], frame
 
     def inverse(self, positions: np.ndarray, frame: np.ndarray) -> np.ndarray:
-        """Meters from normalized positions (..., N, T, 2) and the frames
-        (..., N, 4) ``transform`` returned: scaled, rotated back, then
+        """Meters from normalized positions (..., T, 2) and the frames
+        (..., 4) ``transform`` returned: scaled, rotated back, then
         translated, broadcast over any further leading axis (such as
         evaluation's samples) and over steps."""
         if self.scale is None:
@@ -287,48 +290,41 @@ class Normalizer:
 
 
 @dataclass
-class SceneGroup:
-    """Scenes with equal agent count and length, stacked and normalized in
-    one call.
+class AgentTable:
+    """Every agent of a scene set in scene-id order, a scene's agents in
+    consecutive rows, normalized in one call. A shorter scene's histories
+    are padded at the front (``_pad``); its real rows are the last ``steps``
+    of ``obs``, with the bits of the scene normalized alone."""
 
-    ``index`` is each scene's position in scene-id order over the grouped
-    set, increasing within a group; ``scene_ids`` are their ids.
-    """
-
-    obs: np.ndarray       # (B, N, steps, 2) normalized histories
-    future: np.ndarray    # (B, N, T, 2) normalized futures
-    shifts: np.ndarray    # (B, N, 4) the agents' frames ``Normalizer.inverse`` undoes
-    future_m: np.ndarray  # (B, N, T, 2) futures in meters, a copy
-    index: np.ndarray     # (B,)
+    obs: np.ndarray       # (A, S, 2) normalized histories
+    future: np.ndarray    # (A, T, 2) normalized futures
+    frames: np.ndarray    # (A, 4) the agents' frames ``Normalizer.inverse`` undoes
+    future_m: np.ndarray  # (A, T, 2) futures in meters, a copy
+    starts: np.ndarray    # (n_scenes + 1,) each scene's first agent row, then A
+    steps: np.ndarray     # (n_scenes,) each scene's observed steps
     scene_ids: list[str]
 
 
-def group_scenes(scenes: list[TrajectoryScene], normalizer: Normalizer) -> list[SceneGroup]:
-    """Stack the scenes of each observed shape and normalize each stack in
-    one call, groups ordered by (agents, steps), rows in scene-id order."""
+def agent_table(scenes: list[TrajectoryScene], normalizer: Normalizer) -> AgentTable:
+    """The ``AgentTable`` of ``scenes``, sorted by id and normalized in one
+    ``Normalizer.transform``."""
     ordered = sorted(scenes, key=lambda s: s.scene_id)
-    groups = []
-    for index, positions in _stack_by_shape(ordered):
-        observed, future, shifts = normalizer.transform(positions, ordered[index[0]].scene_id)
-        groups.append(SceneGroup(
-            observed, future, shifts, positions[..., -normalizer.horizon :, :].copy(), index,
-            [ordered[i].scene_id for i in index],
-        ))
-    return groups
+    positions, starts, steps = _pad(ordered, normalizer.horizon)
+    observed, future, frames = normalizer.transform(positions)
+    future_m = positions[:, -normalizer.horizon :, :].copy()
+    ids = [scene.scene_id for scene in ordered]
+    return AgentTable(observed, future, frames, future_m, starts, steps - normalizer.horizon, ids)
 
 
-def windows(groups: list[SceneGroup], h: int) -> list[np.ndarray]:
-    """Each group's last ``h`` normalized observed steps; the first scene by
-    id with fewer steps is rejected."""
+def windows(table: AgentTable, h: int) -> np.ndarray:
+    """Every agent's last ``h`` normalized observed steps, (A, h, 2); the
+    first scene by id with fewer observed steps is rejected."""
     if h < 1:
         raise ValueError(f"observation length must be >= 1, got {h}")
-    short = [group for group in groups if group.obs.shape[2] < h]
-    if short:
-        group = min(short, key=lambda g: g.index[0])
-        raise ValueError(
-            f"scene {group.scene_ids[0]} has only {group.obs.shape[2]} observed steps (< {h})"
-        )
-    return [group.obs[..., -h:, :] for group in groups]
+    for scene_id, steps in zip(table.scene_ids, table.steps):
+        if steps < h:
+            raise ValueError(f"scene {scene_id} has only {steps} observed steps (< {h})")
+    return table.obs[:, -h:, :]
 
 
 # -------------------------------------------------------------------- splits

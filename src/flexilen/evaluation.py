@@ -4,9 +4,9 @@ positional-encoding / LayerNorm-statistics diagnostic probes.
 ``generality_sweep`` is the one scorer of a raw scene set: it scores a model
 at every requested observation length and reports the branch each length is
 routed to; ``evaluate`` is the sweep at one length. Both score through
-``evaluate_groups``, which per-epoch validation and the study call on scene
-groups they built themselves. The sweep and the LayerNorm probe read the
-scene groups of ``data.group_scenes``, cut to a length by ``data.windows``,
+``evaluate_table``, which per-epoch validation and the study call on agent
+tables they built themselves. The sweep and the LayerNorm probe read the
+agent table of ``data.agent_table``, cut to a length by ``data.windows``,
 and normalize with the caller's normalizer, the one the model was trained
 with."""
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .backbone import FlnParams
 from .config import BackboneConfig
-from .data import Normalizer, SceneGroup, TrajectoryScene, group_scenes, windows
+from .data import AgentTable, Normalizer, TrajectoryScene, agent_table, windows
 from .fln import forward_routed, routed_branch
 from .mixture import MixturePrediction, draw_samples
 
@@ -59,19 +60,8 @@ def _per_agent_min_displacement(samples: np.ndarray, gt: np.ndarray):
     return disp.mean(axis=-1).min(axis=0), disp[..., -1].min(axis=0)
 
 
-def _agent_errors(pred, k, sampling, seed, group: SceneGroup, normalizer: Normalizer):
-    """Per-agent best-of-``k`` ADE and FDE in meters, (B, N) each, of a
-    group's stacked prediction. ``stochastic`` draws each scene from its own
-    stream, seeded from ``default_rng([seed, 5, index])``."""
-    seeds = None if sampling == "mode-means" else [
-        int(np.random.default_rng([seed, 5, index]).integers(2**31)) for index in group.index
-    ]
-    samples = draw_samples(pred, k, sampling, seeds)  # (k, B, N, T, 2)
-    return _per_agent_min_displacement(normalizer.inverse(samples, group.shifts), group.future_m)
-
-
 def _forward(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
-    """One forward of a stack of windows: at the model's own length, or
+    """One forward of agents' windows: at the model's own length, or
     through the branch ``forward_routed`` picks."""
     with ad.no_grad():
         if params.is_single:
@@ -79,12 +69,13 @@ def _forward(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
         return forward_routed(obs, params)[0]
 
 
-def _routed_per_scene(params: FlnParams, obs: np.ndarray) -> MixturePrediction:
-    """``_forward`` one scene at a time, joined into one stacked prediction.
-    The sweep runs a routed model this way, one forward_routed call per
-    scene, because the benchmark checks routing by counting those calls
-    until it counts scenes (ROADMAP item 4)."""
-    preds = [_forward(params, obs[row : row + 1]) for row in range(len(obs))]
+def _routed_per_scene(params: FlnParams, obs: np.ndarray, starts: np.ndarray) -> MixturePrediction:
+    """``_forward`` of each scene's rows ``obs[starts[s]:starts[s + 1]]`` in
+    turn, joined into one prediction over every agent. The sweep runs a
+    routed model this way, one forward_routed call per scene, because the
+    benchmark checks routing by counting those calls until it counts scenes
+    (ROADMAP item 4)."""
+    preds = [_forward(params, obs[start:stop]) for start, stop in zip(starts[:-1], starts[1:])]
     return MixturePrediction(*(
         ad.Tensor(np.concatenate([getattr(pred, name).data for pred in preds]))
         for name in ("means", "scales", "logits")
@@ -104,9 +95,9 @@ def evaluate(
     return generality_sweep(params, scenes, [h_eval], k, normalizer, sampling, seed)[0]
 
 
-def evaluate_groups(
+def evaluate_table(
     params: FlnParams,
-    groups: list[SceneGroup],
+    table: AgentTable,
     h_eval: int,
     k: int,
     normalizer: Normalizer,
@@ -114,19 +105,22 @@ def evaluate_groups(
     seed: int = 0,
     predict: Callable[[FlnParams, np.ndarray], MixturePrediction] = _forward,
 ) -> tuple[float, float]:
-    """ADE and FDE over every agent of grouped scenes at one observation
-    length: each group's windows go through ``predict`` (by default one
-    forward per group) and are scored in one pass. Equal, bit for bit, to
-    one forward per scene when the BLAS computes each GEMM row the same
-    whatever the number of rows."""
-    per_scene: list = [None] * sum(len(group.index) for group in groups)
-    for group, obs in zip(groups, windows(groups, h_eval)):
-        per_ade, per_fde = _agent_errors(
-            predict(params, obs), k, sampling, seed, group, normalizer
-        )
-        for row, index in enumerate(group.index):
-            per_scene[index] = (per_ade[row], per_fde[row])
-    return tuple(float(np.concatenate(values).mean()) for values in zip(*per_scene))
+    """Best-of-``k`` ADE and FDE in meters over every agent of a table at
+    one observation length: its windows go through ``predict`` (by default
+    one forward) and are scored in one pass: one draw, one inverse and one
+    mean over agents. ``stochastic`` draws scene ``index`` (its position in
+    id order) from its own stream, seeded from ``default_rng([seed, 5,
+    index])``. Equal, bit for bit, to one forward per scene when the BLAS
+    computes each GEMM row the same whatever the number of rows and no
+    scene is a single agent: numpy runs a one-row product as GEMV."""
+    seeds = None if sampling == "mode-means" else [
+        int(np.random.default_rng([seed, 5, s]).integers(2**31)) for s in range(len(table.steps))
+    ]
+    pred = predict(params, windows(table, h_eval))
+    samples = draw_samples(pred, k, sampling, seeds, table.starts)  # (k, A, T, 2)
+    samples_m = normalizer.inverse(samples, table.frames)
+    per_ade, per_fde = _per_agent_min_displacement(samples_m, table.future_m)
+    return float(per_ade.mean()), float(per_fde.mean())
 
 
 # ------------------------------------------------------------------- sweeps
@@ -145,20 +139,20 @@ def generality_sweep(
     observation length, one ``Metrics`` per length with the branch
     ``routed_branch`` picks for it ("-" for a single-length model).
 
-    The scenes are grouped and normalized once for every length and scored
-    by ``evaluate_groups``: a single-length model processes the length
-    natively, one forward per group; a multi-branch model runs one forward
-    per scene, and the group's predictions are joined and scored together.
-    Metrics are computed in denormalized meters and are independent of
-    scene ordering (scenes are sorted by id first).
+    The scenes' agent table is built once for every length and scored by
+    ``evaluate_table``: a single-length model processes the length
+    natively, one forward over every agent; a multi-branch model runs one
+    forward per scene (``_routed_per_scene``), and the predictions are
+    joined and scored together. Metrics are computed in denormalized meters
+    and are independent of scene ordering (scenes are sorted by id first).
     """
     if not scenes:
         raise ValueError("no scenes to evaluate")
-    groups = group_scenes(scenes, normalizer)
-    predict = _forward if params.is_single else _routed_per_scene
+    table = agent_table(scenes, normalizer)
+    predict = _forward if params.is_single else partial(_routed_per_scene, starts=table.starts)
     rows = []
     for h in lengths:
-        ade_m, fde_m = evaluate_groups(params, groups, h, k, normalizer, sampling, seed, predict)
+        ade_m, fde_m = evaluate_table(params, table, h, k, normalizer, sampling, seed, predict)
         branch = "-" if params.is_single else routed_branch(h, params)
         rows.append(Metrics(
             ade=ade_m, fde=fde_m, k=k, eval_length=h, scene_count=len(scenes), branch=branch
@@ -194,7 +188,7 @@ def ln_statistics_probe(
 ) -> LnStatReport:
     """Per-position population mean and std, as LayerNorm computes them, of
     every encoder LN site's input over every agent and feature of the probe
-    set, in scene-id order, captured in one forward per scene group.
+    set, in scene-id order, captured in one forward of its agent table.
 
     Branch models run the branch ``routed_branch`` picks for ``h_eval`` (so
     a length below every branch is rejected, as ``evaluate`` rejects it) on
@@ -205,21 +199,18 @@ def ln_statistics_probe(
     if not scenes:
         raise ValueError("no scenes to probe")
     branch = "-" if params.is_single else routed_branch(h_eval, params)
-    groups = group_scenes(scenes, normalizer)
-    captured: list = [None] * len(scenes)  # per scene in id order: site -> (N, H, d)
-    for group, obs in zip(groups, windows(groups, h_eval)):
-        capture: dict[str, list[np.ndarray]] = {}
-        with ad.no_grad():
-            if params.is_single:
-                bb.forward_single(obs, params, capture=capture)
-            else:
-                bb.forward(obs[..., -params.lengths[branch]:, :], branch, params, capture=capture)
-        sites = [site for site in capture if site.startswith("enc.") and not site.endswith(".weights")]
-        for row, index in enumerate(group.index):
-            captured[index] = {site: capture[site][0][row] for site in sites}
+    obs = windows(agent_table(scenes, normalizer), h_eval)
+    capture: dict[str, list[np.ndarray]] = {}
+    with ad.no_grad():
+        if params.is_single:
+            bb.forward_single(obs, params, capture=capture)
+        else:
+            bb.forward(obs[:, -params.lengths[branch]:, :], branch, params, capture=capture)
     report = LnStatReport(length=h_eval, branch=branch)
-    for site in captured[0]:
-        agents = np.concatenate([scene[site] for scene in captured])  # (all agents, H, d)
+    for site in capture:
+        if not site.startswith("enc.") or site.endswith(".weights"):
+            continue
+        agents = capture[site][0]  # (all agents, H, d), in scene-id order
         flat = agents.transpose(1, 0, 2).reshape(agents.shape[1], -1)  # (H, all agents * d)
         report.sites[site] = np.stack([flat.mean(axis=1), flat.std(axis=1)], axis=1)
     return report

@@ -253,16 +253,18 @@ def draw_samples(
     k_eval: int,
     mode: str = "mode-means",
     seed: Sequence[int] | None = None,
+    starts: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Trajectory samples for best-of-K evaluation, (k_eval, ..., T, 2).
 
     ``mode-means`` returns per-mode mean trajectories ordered by descending
     mode weight (requires k_eval <= K), for a prediction of any leading
-    shape, (..., K, T, 2) -> (k_eval, ..., T, 2), such as one scene or a
-    stack of scenes. ``stochastic`` takes a stack of scenes (B, N, K, T, 2)
-    and one seed per scene, and draws a mode index per sample and agent,
-    then Gaussian noise, from one stream per scene seeded with ``seed[b]``,
-    so that each scene's samples do not depend on the rest of the stack.
+    shape, (..., K, T, 2) -> (k_eval, ..., T, 2), such as one scene or an
+    agent table. ``stochastic`` takes agents (A, K, T, 2), one seed per
+    scene and ``starts``, each scene's first row, then A, and draws a mode
+    index per sample and agent, then Gaussian noise, for scene s's rows
+    ``starts[s]:starts[s + 1]`` from one stream seeded with ``seed[s]``, so
+    that each scene's samples do not depend on the other scenes.
     """
     means = pred.means.data
     scales = pred.scales.data
@@ -281,24 +283,25 @@ def draw_samples(
         return picked.reshape((k_eval,) + means.shape[:-3] + means.shape[-2:])
 
     if mode == "stochastic":
-        if means.ndim != 5 or seed is None or np.isscalar(seed):
+        if means.ndim != 4 or seed is None or np.isscalar(seed) or starts is None:
             raise ValueError(
-                "stochastic draw_samples takes a stack (B, N, K, T, 2) with one seed per scene"
+                "stochastic draw_samples takes agents (A, K, T, 2), one seed per scene and starts"
             )
-        if len(seed) != means.shape[0]:
-            raise ValueError(f"{means.shape[0]} stacked scenes need as many seeds, got {len(seed)}")
-        n_scenes, n_agents, n_modes, horizon, _ = means.shape
-        rngs = [np.random.default_rng(s) for s in seed]
+        counts = np.diff(starts)
+        if len(seed) != len(counts):
+            raise ValueError(f"{len(counts)} scenes need as many seeds, got {len(seed)}")
+        n_agents, n_modes, horizon, _ = means.shape
+        if starts[0] != 0 or starts[-1] != n_agents or (counts < 1).any():
+            raise ValueError(f"starts must tile the {n_agents} agent rows, got {list(starts)}")
+        streams = [(np.random.default_rng(s), n) for s, n in zip(seed, counts)]
         cum = np.cumsum(weights, axis=-1)
-        scene_rows, agent_rows = np.arange(n_scenes)[:, None], np.arange(n_agents)
-        samples = np.empty((k_eval, n_scenes, n_agents, horizon, 2))
+        rows = np.arange(n_agents)
+        samples = np.empty((k_eval, n_agents, horizon, 2))
         for k in range(k_eval):
-            u = np.stack([rng.random(n_agents) for rng in rngs])  # (B, N)
-            modes = np.minimum((u[..., None] > cum).sum(-1), n_modes - 1)
-            mu = means[scene_rows, agent_rows, modes]  # (B, N, T, 2)
-            sd = scales[scene_rows, agent_rows, modes]
-            noise = np.stack([rng.standard_normal((n_agents, horizon, 2)) for rng in rngs])
-            samples[k] = mu + sd * noise
+            u = np.concatenate([rng.random(n) for rng, n in streams])  # (A,)
+            modes = np.minimum((u[:, None] > cum).sum(-1), n_modes - 1)
+            noise = np.concatenate([rng.standard_normal((n, horizon, 2)) for rng, n in streams])
+            samples[k] = means[rows, modes] + scales[rows, modes] * noise
         return samples
 
     raise ValueError(f"unknown sampling mode {mode!r}")

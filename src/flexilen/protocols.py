@@ -27,8 +27,8 @@ from .config import (
     RunConfig,
     TrainConfig,
 )
-from .data import DatasetSplit, Normalizer, generate_from_config, group_scenes, split_scenes
-from .evaluation import evaluate_groups
+from .data import DatasetSplit, Normalizer, agent_table, generate_from_config, split_scenes
+from .evaluation import evaluate_table
 from .mixture import MixturePrediction
 from .training import train_fln, train_isolated
 
@@ -92,7 +92,7 @@ def ctrv_rollout(observations: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def _rollout_predict(rollout, horizon: int):
-    """``evaluate_groups``' ``predict`` for a zero-parameter extrapolator: the
+    """``evaluate_table``'s ``predict`` for a zero-parameter extrapolator: the
     rollout of each normalized window as a one-mode mixture, scored with
     k=1 by the code that scores the learned rows. Both extrapolators
     commute with the agents' frames (a translation, a rotation and a
@@ -100,7 +100,7 @@ def _rollout_predict(rollout, horizon: int):
     to rounding."""
 
     def predict(_params, obs: np.ndarray) -> MixturePrediction:
-        means = rollout(obs, horizon)[..., None, :, :]  # (B, N, 1, T, 2)
+        means = rollout(obs, horizon)[..., None, :, :]  # (A, 1, T, 2)
         return MixturePrediction(
             Tensor(means), Tensor(np.ones_like(means)), Tensor(np.zeros(means.shape[:-2]))
         )
@@ -160,9 +160,9 @@ def run_length_shift_study(
     The ``prototype`` rows evaluate the long-length isolated model at the
     shorter lengths (its positional encoding follows the shorter input, which
     is exactly the shift being measured). The ``cv`` and ``ctrv`` rows score
-    ``backbone.cv_rollout`` and ``ctrv_rollout`` of the same windows. Test
-    scenes are grouped once per seed and scored by mode-means, one forward
-    per group (``evaluation.evaluate_groups``).
+    ``backbone.cv_rollout`` and ``ctrv_rollout`` of the same windows. Each
+    seed's test table is built once and scored by mode-means, one forward
+    per model and length (``evaluation.evaluate_table``).
     """
     result = StudyResult(config=base)
     lengths = list(base.branches.lengths.values())
@@ -184,19 +184,19 @@ def run_length_shift_study(
 
         ade: dict[tuple[str, int], float] = {}
         fde: dict[tuple[str, int], float] = {}
-        test_groups = group_scenes(split.test, normalizer)
+        test_table = agent_table(split.test, normalizer)
         for h in lengths:
             for model, params in (
                 ("it", isolated[h]),
                 ("prototype", isolated[h_long]),
                 ("fln", fln_params),
             ):
-                ade[(model, h)], fde[(model, h)] = evaluate_groups(
-                    params, test_groups, h, base.eval.samples, normalizer
+                ade[(model, h)], fde[(model, h)] = evaluate_table(
+                    params, test_table, h, base.eval.samples, normalizer
                 )
             for row, predict in physics.items():
-                ade[(row, h)], fde[(row, h)] = evaluate_groups(
-                    None, test_groups, h, 1, normalizer, predict=predict
+                ade[(row, h)], fde[(row, h)] = evaluate_table(
+                    None, test_table, h, 1, normalizer, predict=predict
                 )
         result.seeds.append(
             SeedOutcome(seed, split, normalizer, isolated, fln_params, ade, fde)

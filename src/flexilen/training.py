@@ -7,35 +7,36 @@ Strategies:
   finetune  train at the long length, then adapt to a target length
   joint     one model on the dataset expanded with every length
 
-All five run through one loop, ``_epochs``, over the ``data.SceneGroup``s
-of ``prepare_scenes``, one per (agent count, steps) group: each batch is a
-shuffled ``(obs, future)`` row slice of one group, with one loss, one
-backward and one Adam step in ``_step``, which returns the loss terms as
-floats, so each batch's autodiff graph is freed before the next batch's
-forward starts and is never alive during validation or the epoch hook;
-after each pass it appends an EpochRecord to the run's TrainLog, calls the
-epoch hook and asks the ``stop`` rule, both optional. A strategy chooses
-its groups, the per-batch loss and the number of passes; finetune runs the
-loop twice on one model, log, optimizer and shuffle stream and stops the
-second run on its validation plateau; joint cuts every group to each of its
-lengths. Every strategy trains one model, returns it with its TrainLog and
-takes the normalizer its caller fitted on the training split. Only fln has
-a KL term; its weight rises linearly from 0 at the first epoch to
-``lambda_kl`` at the last (``_kl_ramp``), and each EpochRecord logs the
-weight its epoch trained with.
+All five run through one loop, ``_epochs``, over the ``data.AgentTable`` of
+``prepare_scenes``; ``_make_batches`` alone decides what a batch holds: the
+agent rows of shuffled scenes of one agent count and one number of observed
+steps, cut to one window width. Each batch runs one loss, one backward and
+one Adam step in ``_step``, which returns the loss terms as floats, so each
+batch's autodiff graph is freed before the next batch's forward starts and
+is never alive during validation or the epoch hook; after each pass the
+loop appends an EpochRecord to the run's TrainLog, calls the epoch hook and
+asks the ``stop`` rule, both optional. A strategy chooses its window
+widths, the per-batch loss and the number of passes; finetune runs the loop
+twice on one model, log, optimizer and shuffle stream and stops the second
+run on its validation plateau; joint trains at each of its lengths. Every
+strategy trains one model, returns it with its TrainLog and takes the
+normalizer its caller fitted on the training split. Only fln has a KL
+term; its weight rises linearly from 0 at the first epoch to ``lambda_kl``
+at the last (``_kl_ramp``), and each EpochRecord logs the weight its epoch
+trained with.
 
-Each strategy builds its ``ValSet`` once per run: the first VAL_SCENE_CAP
-val scenes by id, grouped by ``data.group_scenes`` like the training groups.
-Per-epoch validation (``_val_metrics``) then runs
-``evaluation.evaluate_groups``, one forward per group and length, and gives
-the same ADE/FDE, bit for bit, as one forward per scene, as long as the BLAS
-computes each GEMM row the same whatever the number of rows.
+Each strategy builds its ``ValSet`` once per run: the agent table of the
+first VAL_SCENE_CAP val scenes by id. Per-epoch validation
+(``_val_metrics``) then runs ``evaluation.evaluate_table``, one forward over
+every val agent per length, and gives the same ADE/FDE, bit for bit, as one
+forward per scene, as long as the BLAS computes each GEMM row the same
+whatever the number of rows and no val scene is a single agent.
 ``evaluation.generality_sweep``, which ``sweep`` uses (``eval`` uses
 ``evaluation.evaluate``, the sweep at one length), scores through the same
-core, one group at a time, and groups the scenes once for all its lengths;
-only a multi-branch model keeps one forward per scene there, joined per
-group before scoring, since the benchmark's traced ``eval_sweep`` run checks
-routing by counting one routed call per scene.
+core and builds its table once for all its lengths; only a multi-branch
+model keeps one forward per scene there, joined before scoring, since the
+benchmark's traced ``eval_sweep`` run checks routing by counting one routed
+call per scene.
 
 Every fixed-length run (fln, isolated, mixed, joint, and finetune's
 long-length phase) anneals the learning rate to zero with a half-cosine,
@@ -66,8 +67,8 @@ from . import backbone as bb
 from .autodiff import Tensor, backward, zero_grad
 from .backbone import FlnParams
 from .config import RunConfig
-from .data import DatasetSplit, Normalizer, SceneGroup, TrajectoryScene, group_scenes, windows
-from .evaluation import evaluate_groups
+from .data import AgentTable, DatasetSplit, Normalizer, TrajectoryScene, agent_table, windows
+from .evaluation import evaluate_table
 from .fln import fln_loss
 from .mixture import nll
 
@@ -148,28 +149,35 @@ def cosine_lr(lr: float, step: int, total_steps: int) -> float:
 
 def prepare_scenes(
     scenes: list[TrajectoryScene], normalizer: Normalizer, h_max: int
-) -> list[SceneGroup]:
-    """The training groups of ``scenes`` (``data.group_scenes``). ``h_max``
+) -> AgentTable:
+    """The training table of ``scenes`` (``data.agent_table``). ``h_max``
     is the longest window the run trains at; the first scene by id with
     fewer observed steps is rejected by ``data.windows``."""
-    groups = group_scenes(scenes, normalizer)
-    windows(groups, h_max)
-    return groups
+    table = agent_table(scenes, normalizer)
+    windows(table, h_max)
+    return table
 
 
 def _make_batches(
-    groups: list[SceneGroup], batch_size: int, rng: np.random.Generator
-) -> list[tuple[SceneGroup, np.ndarray]]:
-    """Shuffled ``(group, rows)`` batches of up to ``batch_size`` rows of one
-    group, so that each batch is one stacked array: one permutation of each
-    group's rows, cut into consecutive slices, then one permutation of all
-    batches. A batch holds row indices, not rows: ``_epochs`` copies each
-    batch's ``obs`` and ``future`` rows only when it runs the batch."""
+    table: AgentTable, batch_size: int, rng: np.random.Generator, lengths: list[int] | None = None
+) -> list[tuple[np.ndarray, int]]:
+    """Shuffled ``(rows, h)`` batches: the agent rows (b, N) of up to
+    ``batch_size`` scenes of one (agent count, observed steps) key, and the
+    window width ``h`` they train at: each of ``lengths`` in turn, else the
+    key's observed steps. Keys run in sorted order, widths in the order
+    given: one permutation of a key's scenes (in id order) per width, cut
+    into consecutive slices, then one permutation of all batches. A batch
+    holds row indices: ``_epochs`` copies its rows only when it runs it, as
+    a (b, N, h, 2) stack."""
+    keys = list(zip(np.diff(table.starts).tolist(), table.steps.tolist()))
     batches = []
-    for group in groups:
-        order = rng.permutation(len(group.obs))
-        for start in range(0, len(order), batch_size):
-            batches.append((group, order[start : start + batch_size]))
+    for n_agents, steps in sorted(set(keys)):
+        scenes = [scene for scene, key in enumerate(keys) if key == (n_agents, steps)]
+        first_rows = table.starts[scenes][:, None] + np.arange(n_agents)  # (scenes, N)
+        for h in lengths or [steps]:
+            order = rng.permutation(len(scenes))
+            for start in range(0, len(order), batch_size):
+                batches.append((first_rows[order[start : start + batch_size]], h))
     final_order = rng.permutation(len(batches))
     return [batches[i] for i in final_order]
 
@@ -237,11 +245,11 @@ class TrainLog:
 
 @dataclass
 class ValSet:
-    """A run's per-epoch validation scenes: the first ``VAL_SCENE_CAP`` val
-    scenes by id, grouped once, and the ``k`` mode means each agent is
-    scored with."""
+    """A run's per-epoch validation scenes: the agent table of the first
+    ``VAL_SCENE_CAP`` val scenes by id, built once, and the ``k`` mode
+    means each agent is scored with."""
 
-    groups: list[SceneGroup]
+    table: AgentTable
     k: int
     normalizer: Normalizer
 
@@ -251,17 +259,17 @@ def val_set(split: DatasetSplit, normalizer: Normalizer, cfg: RunConfig) -> ValS
     # validation always draws mode means, whatever cfg.eval.sampling is, so
     # it can take at most one sample per mode
     k = min(cfg.eval.samples, cfg.backbone.modes)
-    return ValSet(group_scenes(subset, normalizer), k, normalizer)
+    return ValSet(agent_table(subset, normalizer), k, normalizer)
 
 
 def _val_metrics(
     params: FlnParams, val: ValSet, lengths: list[int]
 ) -> dict[int, tuple[float, float]]:
-    """(ADE, FDE) at each length, one forward per group; ``{}`` for an empty
-    val split."""
-    if not val.groups:
+    """(ADE, FDE) at each length, one forward per length; ``{}`` for an
+    empty val split."""
+    if not val.table.scene_ids:
         return {}
-    return {h: evaluate_groups(params, val.groups, h, val.k, val.normalizer) for h in lengths}
+    return {h: evaluate_table(params, val.table, h, val.k, val.normalizer) for h in lengths}
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -274,7 +282,7 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 def _epochs(
     log: TrainLog,
     params: FlnParams,
-    groups: list[SceneGroup],
+    table: AgentTable,
     loss_fn,
     validate,
     cfg: RunConfig,
@@ -285,9 +293,10 @@ def _epochs(
     epoch_hook=None,
     stop=None,
     kl_weight=None,
+    lengths: list[int] | None = None,
 ) -> TrainLog:
     """The training loop of every strategy: up to ``epochs`` shuffled passes
-    over the rows of ``groups`` with one Adam step per batch.
+    over ``table`` with one Adam step per batch (``_make_batches``).
 
     ``loss_fn(obs, future, lambda_kl) -> (total, reg, kl)`` is the only
     per-strategy part; ``total`` is minimized and ``kl`` is None for
@@ -307,12 +316,12 @@ def _epochs(
         started = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
         lambda_kl = 0.0 if kl_weight is None else kl_weight(epoch)
-        batches = _make_batches(groups, cfg.train.batch_size, shuffle_rng)
+        batches = _make_batches(table, cfg.train.batch_size, shuffle_rng, lengths)
         total_steps = epochs * len(batches)
-        for group, rows in batches:
+        for rows, h in batches:
             lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
             losses = _step(
-                params, state, loss_fn, group.obs[rows], group.future[rows], lambda_kl, lr
+                params, state, loss_fn, table.obs[:, -h:][rows], table.future[rows], lambda_kl, lr
             )
             sums = [running + value for running, value in zip(sums, losses)]
             step += 1
@@ -468,11 +477,11 @@ def train_finetune(
     number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
     val = val_set(split, normalizer, cfg)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
-    groups = prepare_scenes(split.train, normalizer, h_long)
+    table = prepare_scenes(split.train, normalizer, h_long)
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
-        TrainLog("finetune"), params, groups, _single_loss(params, lambda obs: h_long),
+        TrainLog("finetune"), params, table, _single_loss(params, lambda obs: h_long),
         lambda p: _val_metrics(p, val, [h_long]),
         cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
     )
@@ -489,7 +498,7 @@ def train_finetune(
         return stale >= cfg.train.finetune_patience
 
     _epochs(
-        log, params, groups, _single_loss(params, lambda obs: target),
+        log, params, table, _single_loss(params, lambda obs: target),
         lambda p: _val_metrics(p, val, [target]),
         cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
         anneal=False, epoch_hook=epoch_hook, stop=plateau,
@@ -500,20 +509,16 @@ def train_finetune(
 def train_joint(
     split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer, epoch_hook=None
 ) -> tuple[FlnParams, TrainLog]:
-    """One model on the training set expanded with every length: each group
+    """One model on the training set expanded with every length: each scene
     cut to its last h steps for h = h_short, h_medium and h_long. Validated
     at all three lengths."""
     val = val_set(split, normalizer, cfg)
     h_long, lengths = cfg.branches.h_long, list(cfg.branches.lengths.values())
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
-    groups = [
-        replace(group, obs=group.obs[..., -h:, :])
-        for group in prepare_scenes(split.train, normalizer, h_long)
-        for h in lengths
-    ]
     return params, _epochs(
-        TrainLog("joint"), params, groups, _single_loss(params, lambda obs: obs.shape[-2]),
+        TrainLog("joint"), params, prepare_scenes(split.train, normalizer, h_long),
+        _single_loss(params, lambda obs: obs.shape[-2]),
         lambda p: _val_metrics(p, val, lengths),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
-        epoch_hook=epoch_hook,
+        epoch_hook=epoch_hook, lengths=lengths,
     )

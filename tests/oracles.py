@@ -494,11 +494,11 @@ def transform_per_scene(positions: np.ndarray, normalizer):
 
 
 # ----------------------------------------------------------------------------
-# Per-scene batching. ``training.prepare_scenes`` normalizes one stack per
-# (agent count, steps) group (``data.group_scenes``) and each training
-# batch is a row slice of one group (``training._make_batches``); this is
-# the layout they replaced, one window per scene, regrouped by shape and
-# stacked batch by batch, kept to check the stacked one bit for bit.
+# Per-scene batching. ``training.prepare_scenes`` normalizes every agent in
+# one table (``data.agent_table``) and each training batch gathers the agent
+# rows of scenes of one shape (``training._make_batches``); this is the
+# layout they replaced, one window per scene, grouped by shape and stacked
+# batch by batch, kept to check the table's batches bit for bit.
 
 
 @dataclass
@@ -539,9 +539,9 @@ def batches_per_scene(windows: list[Window], batch_size: int, rng) -> list[Windo
 
 
 # ----------------------------------------------------------------------------
-# Per-scene probe. ``evaluation.ln_statistics_probe`` runs one forward per
-# group of equal-shaped scenes; this is its per-scene loop, one forward per
-# scene in id order, kept to check the grouped one bit for bit.
+# Per-scene probe. ``evaluation.ln_statistics_probe`` runs one forward over
+# every agent of its table; this is its per-scene loop, one forward per
+# scene in id order, kept to check the table's forward bit for bit.
 
 
 def ln_statistics_per_scene(params: FlnParams, scenes, h_eval: int, normalizer):
@@ -593,17 +593,9 @@ def ln_report_gap(a: LnStatReport, b: LnStatReport, sites: list[str] | None = No
 
 # ----------------------------------------------------------------------------
 # Per-scene evaluation. ``evaluation.evaluate`` scores a single-length model
-# with one forward per group of equal-shaped scenes, and per-epoch validation
+# with one forward over every agent of its table, and per-epoch validation
 # does the same for every model; this is the same scoring with one forward
-# per scene in id order, kept to check the grouped one bit for bit.
-
-
-def one_scene(pred: MixturePrediction) -> MixturePrediction:
-    """A one-scene stack (1, N, K, T, 2) of an (N, K, T, 2) prediction, as
-    ``draw_samples`` takes it for stochastic draws."""
-    return MixturePrediction(*(
-        Tensor(getattr(pred, name).data[None]) for name in ("means", "scales", "logits")
-    ))
+# per scene in id order, kept to check the table's one bit for bit.
 
 
 def evaluate_per_scene(
@@ -622,7 +614,7 @@ def evaluate_per_scene(
         sample_seed = None if sampling == "mode-means" else [int(
             np.random.default_rng([seed, 5, index]).integers(2**31)
         )]
-        samples = draw_samples(one_scene(pred), k, mode=sampling, seed=sample_seed)[:, 0]
+        samples = draw_samples(pred, k, sampling, sample_seed, [0, scene.n_agents])
         samples_m = normalizer.inverse(samples, shift)
         future_m = scene.positions[:, -normalizer.horizon :, :]
         disp = np.linalg.norm(samples_m - future_m[None], axis=-1)

@@ -13,9 +13,11 @@ import os
 import re
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -94,8 +96,10 @@ def test_the_tracer_sees_one_backward_and_one_adam_step_per_training_step(fx, st
     scenes = fx.data.generate_from_config(cfg.data, cfg.seed)
     split = fx.data.split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
     normalizer = fx.data.Normalizer(cfg.data.horizon).fit(split.train)
-    groups = fx.training.prepare_scenes(split.train, normalizer, 4)
-    steps = cfg.train.epochs * sum(-(-len(g.obs) // cfg.train.batch_size) for g in groups)
+    table = fx.training.prepare_scenes(split.train, normalizer, 4)
+    # a batch holds scenes of one (agent count, observed steps) key
+    keys = Counter(zip(np.diff(table.starts).tolist(), table.steps.tolist()))
+    steps = cfg.train.epochs * sum(-(-n // cfg.train.batch_size) for n in keys.values())
 
     spans, layers = _perfbench_module("spans"), _perfbench_module("layers")
     tracer = spans.Tracer("flexilen")

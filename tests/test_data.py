@@ -8,8 +8,8 @@ from flexilen.config import DataConfig
 from flexilen.data import (
     Normalizer,
     TrajectoryScene,
+    agent_table,
     generate_from_config,
-    group_scenes,
     load_dataset,
     save_dataset,
     split_scenes,
@@ -189,8 +189,7 @@ def test_truncation_suffix_identity():
     np.testing.assert_array_equal(
         np.concatenate([observed, future], axis=1), to_frames(scene.positions, shift) / norm.scale
     )
-    (group,) = group_scenes([scene], norm)
-    np.testing.assert_array_equal(group.future_m[0], scene.positions[:, 8:, :])
+    np.testing.assert_array_equal(agent_table([scene], norm).future_m, scene.positions[:, 8:, :])
     x_l, x_s = observed[:, -LENGTHS["L"]:, :], observed[:, -LENGTHS["S"]:, :]
     np.testing.assert_array_equal(x_s, x_l[:, 6:8, :])
 
@@ -239,7 +238,11 @@ def test_positions_with_no_observed_step_are_rejected(steps):
     with pytest.raises(ValueError, match=f"^{message}"):
         norm.transform(positions)
     with pytest.raises(ValueError, match=f"^scene s1: {message}"):
-        group_scenes([TrajectoryScene(positions, 0.4, "s1")], norm)
+        agent_table([TrajectoryScene(positions, 0.4, "s1")], norm)
+    # beside a longer scene, whose steps the table pads to
+    longer = TrajectoryScene(np.zeros((2, 6, 2)), 0.4, "s0")
+    with pytest.raises(ValueError, match=f"^scene s1: {message}"):
+        agent_table([TrajectoryScene(positions, 0.4, "s1"), longer], norm)
 
 
 def test_normalize_train_stats_reused():
@@ -325,11 +328,11 @@ def test_inverse_undoes_transform(seed):
 
 
 def test_stacked_normalization_equals_the_per_scene_formula():
-    # 1-4 agents and two history lengths, given in shuffled order: groups of
-    # several scenes each, normalized as stacks. Each scene is magnified by
-    # its own factor of up to 1e8, so that the order in which fit sums the
-    # scenes shows in the last bits of the scale: summed group by group, or
-    # in id order, the same values give another scale.
+    # 1-4 agents and two history lengths, given in shuffled order, normalized
+    # as one agent table, the shorter scenes padded at the front. Each scene
+    # is magnified by its own factor of up to 1e8, so that the order in which
+    # fit sums the scenes shows in the last bits of the scale: summed by
+    # shape, or in id order, the same values give another scale.
     scenes = _scenes(n=24, agents_min=1, agents_max=4, obs_len=5, horizon=3) + [
         TrajectoryScene(s.positions, s.dt, "long-" + s.scene_id)
         for s in _scenes(seed=1, n=16, agents_min=1, agents_max=4, obs_len=7, horizon=3)
@@ -346,18 +349,22 @@ def test_stacked_normalization_equals_the_per_scene_formula():
     assert np.float64(norm.scale).tobytes() == np.float64(scale).tobytes()
     by_id = sorted(scenes, key=lambda s: s.scene_id)
     expected = [transform_per_scene(s.positions, norm) for s in by_id]
-    groups = group_scenes(scenes, norm)
-    assert len(groups) == 8 and all(len(g.index) > 1 for g in groups)
-    assert sorted(i for g in groups for i in g.index) == list(range(len(scenes)))
-    for group in groups:
-        assert group.future_m.flags.owndata  # it does not pin the raw stack
-        for row, index in enumerate(group.index):
-            observed, future, shift = expected[index]
-            assert group.scene_ids[row] == by_id[index].scene_id
-            assert group.obs[row].tobytes() == observed.tobytes()
-            assert group.future[row].tobytes() == future.tobytes()
-            assert group.shifts[row].tobytes() == shift.tobytes()
-            assert group.future_m[row].tobytes() == by_id[index].positions[:, -3:].tobytes()
+    table = agent_table(scenes, norm)
+    assert table.scene_ids == [s.scene_id for s in by_id]
+    assert table.starts.tolist() == np.cumsum([0] + [s.n_agents for s in by_id]).tolist()
+    keys = set(zip(np.diff(table.starts).tolist(), table.steps.tolist()))
+    assert len(keys) == 8 and table.obs.shape[1] == 7  # 1-4 agents with 5 or 7 observed steps
+    assert table.future_m.flags.owndata  # it does not pin the padded positions
+    bounds = zip(table.starts[:-1], table.starts[1:], table.steps)
+    for scene, (observed, future, shift), (start, stop, steps) in zip(by_id, expected, bounds):
+        assert steps == observed.shape[1]
+        rows = table.obs[start:stop]
+        assert rows[:, -steps:].tobytes() == observed.tobytes()
+        # the padding repeats the first point, normalized in the agent's frame
+        assert (rows[:, :-steps] == rows[:, -steps:][:, :1]).all()
+        assert table.future[start:stop].tobytes() == future.tobytes()
+        assert table.frames[start:stop].tobytes() == shift.tobytes()
+        assert table.future_m[start:stop].tobytes() == scene.positions[:, -3:].tobytes()
 
 
 # -------------------------------------------------------------------- splits

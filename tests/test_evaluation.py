@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from flexilen import backbone as bb
 from flexilen import evaluation
 from flexilen.config import BackboneConfig, BranchConfig, DataConfig
-from flexilen.data import Normalizer, generate_from_config, group_scenes, split_scenes
+from flexilen.data import Normalizer, agent_table, generate_from_config, split_scenes, windows
 from flexilen.evaluation import (
     LnStatReport,
     evaluate,
@@ -127,7 +127,7 @@ def test_zero_samples_rejected():
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=50)
 def test_a_stack_of_scenes_equals_the_per_scene_displacements_byte_for_byte(seed):
-    # samples (K, B, N, T, 2) against gt (B, N, T, 2), as a group is scored
+    # samples (K, B, N, T, 2) against gt (B, N, T, 2): a stack of scenes
     r = np.random.default_rng(seed)
     k, b, n, t = (int(r.integers(1, hi)) for hi in (5, 5, 4, 6))
     samples = r.normal(size=(k, b, n, t, 2)) * 10.0 ** r.integers(-3, 4)
@@ -213,19 +213,19 @@ def test_generality_sweep_routing_matches_oracle(eval_setup):
         assert row.branch == route_bruteforce(row.eval_length, params.lengths)
 
 
-# ------------------------------------------------------- grouped evaluation
+# ------------------------------------------------- evaluation of the table
 
 
 @pytest.fixture(scope="module")
-def grouped_setup():
-    """2-4 agents and 5-step histories, so that the scenes fall into several
-    groups of several scenes; TINY single-length models (trained length 4)
-    with sinusoidal and with learnable PE, and a TINY FLN model."""
+def table_setup():
+    """2-4 agents and 5-step histories, so that the table mixes scene sizes;
+    TINY single-length models (trained length 4) with sinusoidal and with
+    learnable PE, and a TINY FLN model."""
     scenes = generate_from_config(
         DataConfig(n_scenes=24, agents_min=2, agents_max=4, obs_len=5, horizon=3), 4
     )
     normalizer = Normalizer(horizon=3).fit(scenes)
-    assert all(len(group.index) > 1 for group in group_scenes(scenes, normalizer))
+    assert set(np.diff(agent_table(scenes, normalizer).starts).tolist()) == {2, 3, 4}
     learnable = dataclasses.replace(TINY, pe_kind="learnable")
     models = {
         "single": bb.init_params(TINY, {"L": 4}, 3),
@@ -243,12 +243,12 @@ def grouped_setup():
      ("single-learnable", 4), ("fln", 2), ("fln", 5)],
 )
 def test_evaluate_equals_the_per_scene_loop_bit_for_bit(
-    grouped_setup, model, h_eval, sampling, k, reverse
+    table_setup, model, h_eval, sampling, k, reverse
 ):
     # a single-length model at, below and (sinusoidal PE only) above its
-    # trained length 4; the FLN model's one-scene groups at a branch length
+    # trained length 4; the FLN model's per-scene forwards at a branch length
     # and above every branch
-    scenes, normalizer, models = grouped_setup
+    scenes, normalizer, models = table_setup
     ordered = list(reversed(scenes)) if reverse else scenes
     got = evaluate(models[model], ordered, h_eval, k, normalizer, sampling, seed=7)
     assert got == evaluate_per_scene(models[model], ordered, h_eval, k, normalizer, sampling, 7)
@@ -275,21 +275,21 @@ def _counting_transforms(monkeypatch) -> list:
     return calls
 
 
-def test_evaluate_routes_one_scene_per_call_and_the_sweep_groups_once(
-    grouped_setup, monkeypatch
+def test_evaluate_routes_one_scene_per_call_and_the_sweep_normalizes_once(
+    table_setup, monkeypatch
 ):
     # the benchmark's traced eval_sweep checks routing by counting
     # forward_routed calls, so a routed model keeps one per scene; the
-    # group's predictions are then drawn from, and scored, together; the
-    # sweep normalizes each group once, whatever the number of lengths
-    scenes, normalizer, models = grouped_setup
-    groups = group_scenes(scenes, normalizer)
+    # scenes' predictions are then drawn from, and scored, together; the
+    # sweep normalizes its table once, whatever the number of lengths
+    scenes, normalizer, models = table_setup
+    agents = [s.n_agents for s in sorted(scenes, key=lambda s: s.scene_id)]
     routed, drawn = [], []
     monkeypatch.setattr(evaluation, "forward_routed", _counting(routed, evaluation.forward_routed))
     original_draw = evaluation.draw_samples
 
     def counted_draw(pred, *args, **kwargs):
-        drawn.append(pred.means.shape[:2])
+        drawn.append(pred.means.shape[:1])
         return original_draw(pred, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "draw_samples", counted_draw)
@@ -297,13 +297,13 @@ def test_evaluate_routes_one_scene_per_call_and_the_sweep_groups_once(
     lengths = [2, 3, 4, 5]
     for sampling in ("stochastic", "mode-means"):
         rows = generality_sweep(models["fln"], scenes, lengths, 2, normalizer, sampling)
-        assert len(transforms) == len(groups)
+        assert len(transforms) == 1
         assert len(routed) == len(lengths) * len(scenes)
-        assert drawn == [g.obs.shape[:2] for g in groups] * len(lengths)
+        assert drawn == [(sum(agents),)] * len(lengths)
         for h, row in zip(lengths, rows):
             calls = routed[:len(scenes)]
             del routed[:len(scenes)]
-            assert all(shape[0] == 1 and shape[-2] == h for shape, _ in calls)
+            assert [shape for shape, _ in calls] == [(n, h, 2) for n in agents]
             assert {branch for _, branch in calls} == {row.branch}
             assert row.branch == route_bruteforce(h, models["fln"].lengths)
         transforms.clear()
@@ -312,28 +312,66 @@ def test_evaluate_routes_one_scene_per_call_and_the_sweep_groups_once(
 
 @pytest.mark.parametrize("model", ["single", "single-learnable", "fln"])
 @pytest.mark.parametrize("sampling", ["mode-means", "stochastic"])
-def test_sweep_equals_per_length_evaluate_bit_for_bit(grouped_setup, model, sampling, monkeypatch):
-    scenes, normalizer, models = grouped_setup
+def test_sweep_equals_per_length_evaluate_bit_for_bit(table_setup, model, sampling, monkeypatch):
+    scenes, normalizer, models = table_setup
     params = models[model]
     lengths = [2, 3, 4] if model == "single-learnable" else [2, 3, 4, 5]  # a table has 4 rows
-    n_groups = len(group_scenes(scenes, normalizer))
     transforms = _counting_transforms(monkeypatch)
     rows = generality_sweep(params, scenes, lengths, 2, normalizer, sampling, seed=3)
-    assert len(transforms) == n_groups
+    assert len(transforms) == 1
     for h, row in zip(lengths, rows, strict=True):
         assert row == evaluate(params, scenes, h, 2, normalizer, sampling, seed=3)
 
 
 @pytest.mark.parametrize("sampling", ["mode-means", "stochastic"])
-def test_evaluate_runs_a_single_length_model_once_per_group(grouped_setup, sampling, monkeypatch):
-    scenes, normalizer, models = grouped_setup
-    groups = group_scenes(scenes, normalizer)
+def test_evaluate_runs_a_single_length_model_once_per_length(table_setup, sampling, monkeypatch):
+    scenes, normalizer, models = table_setup
+    n_agents = sum(s.n_agents for s in scenes)
     forwards = []
     monkeypatch.setattr(evaluation.bb, "forward_single", _counting(forwards, bb.forward_single))
     for h in (2, 4, 5):
         evaluate(models["single"], scenes, h, 2, normalizer, sampling)
-        assert [shape for shape, _ in forwards] == [(*g.obs.shape[:2], h, 2) for g in groups]
+        assert [shape for shape, _ in forwards] == [(n_agents, h, 2)]
         forwards.clear()
+
+
+@pytest.fixture(scope="module")
+def one_agent_setup():
+    """Scenes of one agent each, a TINY single-length and a TINY FLN model."""
+    scenes = generate_from_config(
+        DataConfig(n_scenes=24, agents_min=1, agents_max=1, obs_len=5, horizon=3), 4
+    )
+    normalizer = Normalizer(horizon=3).fit(scenes)
+    single = bb.init_params(TINY, {"L": 4}, 3)
+    fln = bb.init_params(TINY, {"S": 2, "M": 3, "L": 4}, 3)
+    return scenes, normalizer, single, fln
+
+
+def _scored_flat(pred, scenes, normalizer, k):
+    """Mode-means ADE and FDE of one prediction over every agent of the
+    table of ``scenes``: the table's scoring, without its forward."""
+    table = agent_table(scenes, normalizer)
+    samples = normalizer.inverse(evaluation.draw_samples(pred, k), table.frames)
+    per_ade, per_fde = evaluation._per_agent_min_displacement(samples, table.future_m)
+    return float(per_ade.mean()), float(per_fde.mean())
+
+
+@pytest.mark.parametrize("h", [2, 4, 5])
+def test_one_agent_scenes_score_as_one_flat_forward(one_agent_setup, h):
+    # a one-agent scene forwarded alone is a one-row product, which numpy
+    # runs as GEMV: the routed sweep's per-scene forwards agree with one
+    # flat forward of the table to 1e-12, and a single-length model, which
+    # runs that one flat forward, scores it bit for bit
+    scenes, normalizer, single, fln = one_agent_setup
+    obs = windows(agent_table(scenes, normalizer), h)
+    with evaluation.ad.no_grad():
+        flat_single = bb.forward_single(obs, single)
+        flat_routed, _ = evaluation.forward_routed(obs, fln)
+    got = evaluate(single, scenes, h, 2, normalizer)
+    assert (got.ade, got.fde) == _scored_flat(flat_single, scenes, normalizer, 2)
+    (row,) = generality_sweep(fln, scenes, [h], 2, normalizer)
+    expected = _scored_flat(flat_routed, scenes, normalizer, 2)
+    np.testing.assert_allclose((row.ade, row.fde), expected, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------------- probes
@@ -389,7 +427,7 @@ def test_ln_probe_rejects_lengths_below_every_branch(eval_setup):
 @pytest.mark.parametrize("h_eval", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["fln", "single"])
 def test_ln_probe_equals_the_per_scene_loop_bit_for_bit(kind, h_eval):
-    # 2-4 agents and 5-step histories: several groups, each of several scenes,
+    # 2-4 agents and 5-step histories: scenes of several sizes in one table,
     # and for the FLN model every branch, at and below its window
     scenes = generate_from_config(
         DataConfig(n_scenes=24, agents_min=2, agents_max=4, obs_len=5, horizon=3), 4

@@ -16,7 +16,7 @@ from flexilen.mixture import (
 
 from fdutil import assert_grad_close, finite_difference
 import oracles
-from oracles import draw_samples_time_major, nll_bruteforce, one_scene, reduce_sum, time_major
+from oracles import draw_samples_time_major, nll_bruteforce, reduce_sum, time_major
 
 
 def _random_pred(seed, n=3, t=4, k=2, requires_grad=False):
@@ -251,15 +251,28 @@ def test_mode_means_of_a_stack_equals_the_per_scene_draws():
     assert out.tobytes() == np.stack(per_scene, axis=1).tobytes()
 
 
+def _flat(pred: MixturePrediction) -> MixturePrediction:
+    """A stack's prediction (B, N, K, T, 2) as agents (B·N, K, T, 2)."""
+    return MixturePrediction(*(
+        Tensor(getattr(pred, name).data.reshape(-1, *getattr(pred, name).shape[2:]))
+        for name in ("means", "scales", "logits")
+    ))
+
+
 def test_stochastic_sampling_rejects_a_stack():
     r = np.random.default_rng(26)
     means = r.normal(size=(2, 3, 2, 4, 2))
     logits = r.normal(size=(2, 3, 2))
     stack = MixturePrediction(Tensor(means), Tensor(np.ones_like(means)), Tensor(logits))
     with pytest.raises(ValueError, match="one seed per scene"):
-        draw_samples(stack, 2, mode="stochastic", seed=0)
-    with pytest.raises(ValueError, match="one seed per scene"):  # an unstacked prediction
-        draw_samples(_random_pred(26), 2, mode="stochastic", seed=[0])
+        draw_samples(_flat(stack), 2, mode="stochastic", seed=0, starts=[0, 3, 6])
+    with pytest.raises(ValueError, match="one seed per scene"):  # no scene starts
+        draw_samples(_flat(stack), 2, mode="stochastic", seed=[0, 1])
+    with pytest.raises(ValueError, match="one seed per scene"):  # a stack, not agents
+        draw_samples(stack, 2, mode="stochastic", seed=[0, 1], starts=[0, 3, 6])
+    for starts in ([0, 3, 5], [1, 3, 6], [0, 0, 6]):
+        with pytest.raises(ValueError, match="must tile the 6 agent rows"):
+            draw_samples(_flat(stack), 2, mode="stochastic", seed=[0, 1], starts=starts)
 
 
 def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
@@ -269,32 +282,51 @@ def test_stochastic_draw_of_a_stack_equals_the_per_scene_draws():
     means = r.normal(size=(b, n, k, t, 2))
     scales = r.uniform(0.1, 1.0, size=(b, n, k, t, 2))
     stack = MixturePrediction(Tensor(means), Tensor(scales), Tensor(r.normal(size=(b, n, k))))
-    seeds = [11, 5, 11]
-    out = draw_samples(stack, 4, mode="stochastic", seed=seeds)
+    seeds, starts = [11, 5, 11], [0, 4, 8, 12]
+    out = draw_samples(_flat(stack), 4, mode="stochastic", seed=seeds, starts=starts)
     per_scene = [
         draw_samples(
-            one_scene(MixturePrediction(stack.means[i], stack.scales[i], stack.logits[i])), 4,
-            mode="stochastic", seed=[seeds[i]],
-        )[:, 0]
+            MixturePrediction(stack.means[i], stack.scales[i], stack.logits[i]), 4,
+            mode="stochastic", seed=[seeds[i]], starts=[0, n],
+        )
         for i in range(b)
     ]
-    assert out.shape == (4, b, n, t, 2)
-    assert out.tobytes() == np.stack(per_scene, axis=1).tobytes()
-    with pytest.raises(ValueError, match="3 stacked scenes need as many seeds, got 2"):
-        draw_samples(stack, 4, mode="stochastic", seed=seeds[:2])
+    assert out.shape == (4, b * n, t, 2)
+    assert out.tobytes() == np.concatenate(per_scene, axis=1).tobytes()
+    with pytest.raises(ValueError, match="3 scenes need as many seeds, got 2"):
+        draw_samples(_flat(stack), 4, mode="stochastic", seed=seeds[:2], starts=starts)
+
+
+def test_stochastic_draws_of_scenes_of_several_sizes_keep_each_scene_s_stream():
+    # scenes of 1, 3 and 2 agents: each scene's rows come from its own
+    # stream, as the stacked time-major oracle draws that scene alone
+    r = np.random.default_rng(28)
+    a, t, k = 6, 4, 2
+    pred = MixturePrediction(
+        Tensor(r.normal(size=(a, k, t, 2))), Tensor(r.uniform(0.1, 1.0, size=(a, k, t, 2))),
+        Tensor(r.normal(size=(a, k))),
+    )
+    starts, seeds = [0, 1, 4, 6], [3, 8, 3]
+    out = draw_samples(pred, 3, mode="stochastic", seed=seeds, starts=starts)
+    for seed, start, stop in zip(seeds, starts[:-1], starts[1:]):
+        alone = MixturePrediction(pred.means[start:stop], pred.scales[start:stop], pred.logits[start:stop])
+        one_scene = [array[None] for array in time_major(alone)]
+        expected = draw_samples_time_major(*one_scene, 3, mode="stochastic", seed=[seed])[:, 0]
+        assert out[:, start:stop].tobytes() == expected.tobytes()
 
 
 def test_stochastic_degenerate_noise_converges_to_means():
     pred = _random_pred(23, k=1)
     pred.scales.data[:] = 1e-12
-    out = draw_samples(one_scene(pred), 4, mode="stochastic", seed=[0])[:, 0]
+    out = draw_samples(pred, 4, mode="stochastic", seed=[0], starts=[0, len(pred.means.data)])
     np.testing.assert_allclose(out, np.broadcast_to(pred.means.data[:, 0], out.shape), atol=1e-9)
 
 
 def test_stochastic_seeded_determinism():
-    pred = one_scene(_random_pred(24))
-    a = draw_samples(pred, 5, mode="stochastic", seed=[42])
-    b = draw_samples(pred, 5, mode="stochastic", seed=[42])
+    pred = _random_pred(24)
+    starts = [0, len(pred.means.data)]
+    a = draw_samples(pred, 5, mode="stochastic", seed=[42], starts=starts)
+    b = draw_samples(pred, 5, mode="stochastic", seed=[42], starts=starts)
     assert a.tobytes() == b.tobytes()
 
 
@@ -324,9 +356,9 @@ def test_stochastic_draws_equal_the_time_major_oracle(seed, k, t):
     scales = r.uniform(0.1, 1.0, size=(b, n, k, t, 2))
     pred = MixturePrediction(Tensor(means), Tensor(scales), Tensor(r.normal(size=(b, n, k))))
     seeds = [int(x) for x in r.integers(2**31, size=b)]
-    got = draw_samples(pred, 4, mode="stochastic", seed=seeds)
+    got = draw_samples(_flat(pred), 4, mode="stochastic", seed=seeds, starts=[0, n, 2 * n])
     want = draw_samples_time_major(*time_major(pred), 4, mode="stochastic", seed=seeds)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.reshape(4, b * n, t, 2).tobytes()
 
 
 # ------------------------------------------------------------- fused nodes

@@ -5,8 +5,8 @@ import pytest
 
 from flexilen import backbone as bb
 from flexilen.config import DataConfig
-from flexilen.data import Normalizer, generate_from_config, group_scenes, split_scenes
-from flexilen.evaluation import evaluate_groups
+from flexilen.data import Normalizer, agent_table, generate_from_config, split_scenes
+from flexilen.evaluation import evaluate_table
 from flexilen.protocols import (
     _rollout_predict,
     ctrv_rollout,
@@ -48,17 +48,17 @@ def test_ctrv_of_a_stopped_agent_stays_at_its_last_point():
 
 
 def test_reference_rows_score_the_raw_rollout_in_meters():
-    """Scored through ``evaluate_groups`` on normalized windows, a reference
+    """Scored through ``evaluate_table`` on normalized windows, a reference
     row equals the mean per-agent ADE of the rollout of the raw history."""
     horizon, h = 3, 4
     scenes = generate_from_config(
         DataConfig(n_scenes=24, agents_min=2, agents_max=4, obs_len=5, horizon=horizon), 4
     )
     normalizer = Normalizer(horizon).fit(split_scenes(scenes).train)
-    groups = group_scenes(scenes, normalizer)
+    table = agent_table(scenes, normalizer)
     for rollout in (bb.cv_rollout, ctrv_rollout):
-        ade, fde = evaluate_groups(
-            None, groups, h, 1, normalizer, predict=_rollout_predict(rollout, horizon)
+        ade, fde = evaluate_table(
+            None, table, h, 1, normalizer, predict=_rollout_predict(rollout, horizon)
         )
         errors = [
             np.linalg.norm(

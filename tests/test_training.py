@@ -1,6 +1,5 @@
 import gc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,11 +391,10 @@ def test_joint_trains_one_model_validated_at_every_length(tiny_split, tiny_norm)
 def test_joint_expanded_dataset_size(tiny_split):
     cfg = make_config()
     norm = Normalizer(cfg.data.horizon).fit(tiny_split.train)
-    groups = prepare_scenes(tiny_split.train, norm, 4)
-    expanded = [replace(g, obs=g.obs[..., -h:, :]) for g in groups for h in (2, 3, 4)]
-    batches = _make_batches(expanded, 1, np.random.default_rng(0))
+    table = prepare_scenes(tiny_split.train, norm, 4)
+    batches = _make_batches(table, 1, np.random.default_rng(0), [2, 3, 4])
     assert len(batches) == 3 * len(tiny_split.train)
-    lengths = [group.obs.shape[2] for group, _ in batches]
+    lengths = [h for _, h in batches]
     assert all(lengths.count(h) == len(tiny_split.train) for h in (2, 3, 4))
 
 
@@ -410,21 +408,75 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     )
     scenes = [scenes[i] for i in np.random.default_rng(1).permutation(len(scenes))]
     norm = Normalizer(horizon=3).fit(scenes)
-    groups, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
-    assert len(groups) == 4 and sum(len(g.obs) for g in groups) == len(windows)
+    table, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
+    assert set(np.diff(table.starts).tolist()) == {1, 2, 3, 4} and len(table.scene_ids) == len(windows)
+    lengths = None
     if cut == "joint":
-        groups = [replace(g, obs=g.obs[..., -h:, :]) for g in groups for h in (2, 3, 4)]
-        windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in (2, 3, 4)]
+        lengths = [2, 3, 4]
+        windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in lengths]
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-    got = _make_batches(groups, batch_size, rng)
+    got = _make_batches(table, batch_size, rng, lengths)
     expected = batches_per_scene(windows, batch_size, oracle_rng)
     assert len(got) == len(expected)
-    for (group, rows), oracle in zip(got, expected):
-        obs, future = group.obs[rows], group.future[rows]
+    for (rows, h), oracle in zip(got, expected):
+        obs, future = table.obs[:, -h:, :][rows], table.future[rows]
         assert obs.shape == oracle.obs.shape
         assert obs.tobytes() == oracle.obs.tobytes()
         assert future.tobytes() == oracle.future.tobytes()
     assert rng.integers(2**62) == oracle_rng.integers(2**62)
+
+
+TRAIN = {
+    "fln": train_fln,
+    "isolated": lambda split, cfg, norm: train_isolated(split, cfg, 4, norm),
+    "mixed": train_mixed,
+    "finetune": train_finetune,
+    "joint": train_joint,
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(TRAIN))
+def test_every_strategy_steps_on_the_per_scene_batches_bit_for_bit(strategy, monkeypatch):
+    # what the loop hands each step, epoch after epoch (finetune's two phases
+    # included), equals the per-scene batches drawn from the run's shuffle
+    # stream; joint's come key-major and length-minor
+    scenes = generate_from_config(
+        DataConfig(n_scenes=48, agents_min=1, agents_max=4, obs_len=4, horizon=3), 5
+    )
+    if strategy != "joint":  # longer scenes, padded in the table; the joint oracle
+        # groups windows by their cut length, so it takes one history length
+        scenes += [
+            TrajectoryScene(s.positions, s.dt, "long-" + s.scene_id)
+            for s in generate_from_config(
+                DataConfig(n_scenes=16, agents_min=1, agents_max=4, obs_len=6, horizon=3), 6
+            )
+        ]
+    scenes = [scenes[i] for i in np.random.default_rng(1).permutation(len(scenes))]
+    norm = Normalizer(horizon=3).fit(scenes)
+    cfg = make_config(train=TrainConfig(
+        strategy=strategy, epochs=2, batch_size=5, lr=2e-3,
+        isolated_length=4 if strategy == "isolated" else 0,
+        finetune_target=2 if strategy == "finetune" else 0, finetune_patience=1,
+    ))
+    fed = []
+
+    def recorded_step(params, state, loss_fn, obs, future, lambda_kl, lr):
+        fed.append(Window(obs, future))
+        return 0.0, 0.0, 0.0
+
+    monkeypatch.setattr(training, "_step", recorded_step)
+    log = TRAIN[strategy](DatasetSplit(train=scenes, val=[]), cfg, norm)[1]
+    assert len(log.records) == (3 if strategy == "finetune" else 2)
+    windows = prepare_per_scene(scenes, norm)
+    if strategy == "joint":
+        windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in (2, 3, 4)]
+    oracle_rng = np.random.default_rng([cfg.seed, training.STREAM_SHUFFLE])
+    expected = [batch for _ in log.records for batch in batches_per_scene(windows, 5, oracle_rng)]
+    assert len(fed) == len(expected)
+    for got, oracle in zip(fed, expected):
+        assert got.obs.shape == oracle.obs.shape
+        assert got.obs.tobytes() == oracle.obs.tobytes()
+        assert got.future.tobytes() == oracle.future.tobytes()
 
 
 def test_joint_seeded_determinism(tiny_split, tiny_norm):
@@ -532,7 +584,7 @@ def test_each_step_frees_its_tape_before_the_next_forward(
 @pytest.fixture(scope="module")
 def val_split():
     """More val scenes than the cap, with 2-4 agents each, so that validation
-    runs several groups of several scenes."""
+    runs scenes of several sizes in one table."""
     scenes = generate_from_config(
         DataConfig(
             n_scenes=VAL_SCENE_CAP + 26, agents_min=2, agents_max=4, obs_len=4, horizon=3
@@ -554,9 +606,8 @@ def test_validation_equals_per_scene_evaluate_bit_for_bit(val_split, kind, monke
         metrics = evaluate_per_scene(params, capped, h, cfg.eval.samples, normalizer)
         expected[h] = (metrics.ade, metrics.fde)
     val = val_set(val_split, normalizer, cfg)
-    assert sum(len(group.index) for group in val.groups) == VAL_SCENE_CAP
-    assert len(val.groups) > 1
-    assert all(len(group.index) > 1 for group in val.groups)
+    assert len(val.table.scene_ids) == VAL_SCENE_CAP
+    assert len(set(np.diff(val.table.starts).tolist())) > 1
     forwards = []
     forward = "forward_single" if kind == "single" else "forward_routed"
     original = getattr(evaluation if kind == "fln" else evaluation.bb, forward)
@@ -568,7 +619,7 @@ def test_validation_equals_per_scene_evaluate_bit_for_bit(val_split, kind, monke
     monkeypatch.setattr(evaluation if kind == "fln" else evaluation.bb, forward, counted)
     got = _val_metrics(params, val, list(lengths.values()))
     assert got == expected
-    assert len(forwards) == len(val.groups) * len(lengths)  # one forward per group and length
+    assert forwards == [(len(val.table.obs), h, 2) for h in lengths.values()]  # one per length
 
 
 def test_validation_of_an_empty_val_split_is_empty(tiny_split):
