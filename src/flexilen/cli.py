@@ -40,13 +40,8 @@ from .evaluation import (
     write_pe_report_csv,
     write_sweep_csv,
 )
-from .training import (
-    train_fln,
-    train_finetune,
-    train_isolated,
-    train_joint,
-    train_mixed,
-)
+from .fln import count_parameters
+from .training import train
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
@@ -150,25 +145,24 @@ def cmd_train(args) -> int:
     def save(name: str, params, epoch: int) -> None:
         save_checkpoint(out / name, params, run_flat, epoch=epoch, scale=normalizer.scale)
 
-    # atomic per-epoch snapshots: an interrupted run keeps its last completed epoch
+    # atomic per-epoch snapshots: an interrupted run keeps its last completed
+    # epoch; finetune's long-length phase ends at cfg.train.epochs
     def hook(params, epoch: int) -> None:
         save("checkpoint", params, epoch + 1)
+        if cfg.train.strategy == "finetune" and epoch + 1 == cfg.train.epochs:
+            save("checkpoint_pretune", params, cfg.train.epochs)
 
-    strategy = cfg.train.strategy
-    if strategy == "fln":
-        _, log = train_fln(split, cfg, normalizer, epoch_hook=hook)
-    elif strategy == "isolated":
-        _, log = train_isolated(split, cfg, cfg.train.isolated_length, normalizer, epoch_hook=hook)
-    elif strategy == "mixed":
-        _, log = train_mixed(split, cfg, normalizer, epoch_hook=hook)
-    elif strategy == "joint":
-        _, log = train_joint(split, cfg, normalizer, epoch_hook=hook)
-    else:
-        _, log, pre = train_finetune(split, cfg, normalizer, epoch_hook=hook)
-        save("checkpoint_pretune", pre, cfg.train.epochs)
-
+    params, log = train(split, cfg, normalizer, epoch_hook=hook)
     log.to_csv(out / "checkpoint_log.csv")
-    log.to_json(out / "checkpoint_summary.json")
+    counts = count_parameters(params)
+    write_json(out / "checkpoint_summary.json", {
+        **log.summary(),
+        "parameters": {
+            "shared": counts.shared,
+            "per_branch": counts.per_branch,
+            "overhead": counts.overhead,
+        },
+    })
     final = log.records[-1]
     print(
         f"checkpoint: {len(log.records)} epochs, final total {final.total:.6f} "

@@ -7,23 +7,33 @@ Strategies:
   finetune  train at the long length, then adapt to a target length
   joint     one model on the dataset expanded with every length
 
-All five run through one loop, ``_epochs``, over the ``data.AgentTable`` of
-``prepare_scenes``; ``_make_batches`` alone decides what a batch holds: the
-agent rows of shuffled scenes of one agent count and one number of observed
-steps, cut to one window width. Each batch runs one loss, one backward and
-one Adam step in ``_step``, which returns the loss terms as floats, so each
-batch's autodiff graph is freed before the next batch's forward starts and
-is never alive during validation or the epoch hook; after each pass the
-loop appends an EpochRecord to the run's TrainLog, calls the epoch hook and
-asks the ``stop`` rule, both optional. A strategy chooses its window
-widths, the per-batch loss and the number of passes; finetune runs the loop
-twice on one model, log, optimizer and shuffle stream and stops the second
-run on its validation plateau; joint trains at each of its lengths. Every
+``train`` runs the strategy a run config names and returns its model and
+TrainLog; the CLI calls nothing else here. All five strategies run through
+one loop, ``_epochs``, over the ``data.AgentTable`` of ``prepare_scenes``;
+``_make_batches`` alone decides what a batch holds: the agent rows of
+shuffled scenes of one agent count and one number of observed steps, and the
+window width the batch is cut to. A strategy names its widths: fln trains at
+``[h_long]`` (``fln_loss`` cuts each branch's suffix), isolated at ``[h]``,
+joint at ``[h_short, h_medium, h_long]`` (each scene once per width),
+finetune at ``[h_long]`` and then at ``[target]``, and mixed draws one width
+per batch from its length stream. isolated, mixed and joint then differ in
+nothing else: one trainer, ``_train_single``, builds a single-length model at
+the longest of their lengths, trains it on one NLL (``_single_loss``) and
+validates it at each of those lengths.
+
+Each batch runs one loss, one backward and one Adam step in ``_step``, which
+returns the loss terms as floats, so each batch's autodiff graph is freed
+before the next batch's forward starts and is never alive during validation
+or the epoch hook; after each pass the loop appends an EpochRecord to the
+run's TrainLog, calls the epoch hook and asks the ``stop`` rule, both
+optional. Finetune runs the loop twice on one model, log, optimizer and
+shuffle stream and stops the second run on its validation plateau; the epoch
+hook's call at the end of its first run sees the pre-finetune model. Every
 strategy trains one model, returns it with its TrainLog and takes the
-normalizer its caller fitted on the training split. Only fln has a KL
-term; its weight rises linearly from 0 at the first epoch to ``lambda_kl``
-at the last (``_kl_ramp``), and each EpochRecord logs the weight its epoch
-trained with.
+normalizer its caller fitted on the training split. Only fln has a KL term;
+its weight rises linearly from 0 at the first epoch to ``lambda_kl`` at the
+last (``_kl_ramp``), and each EpochRecord logs the weight its epoch trained
+with.
 
 Each strategy builds its ``ValSet`` once per run: the agent table of the
 first VAL_SCENE_CAP val scenes by id. Per-epoch validation
@@ -49,14 +59,13 @@ so it has no fixed length and keeps the constant rate.
 
 All strategies are bit-reproducible under a fixed seed in single-threaded
 execution; random draws come from named streams so that degenerate settings
-reduce exactly to their baselines (mixed with rho=(0,0,1) consumes its
-length-draw stream without disturbing batch shuffling).
+reduce exactly to their baselines: mixed with all of rho on one length
+draws its widths from its own length stream, cuts the batches isolated
+cuts at that length, and so trains isolated's weights bit for bit.
 """
 from __future__ import annotations
 
-import copy
 import csv
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -101,7 +110,10 @@ def adam_step(
     One flat update over the concatenated gradients, moments and values of
     every parameter with a gradient, element for element the per-tensor
     arithmetic; each tensor's value and its ``state.m``/``state.v`` slots
-    are then views of their segment of the flat results."""
+    are then views of their segment of the flat results. A tensor's slots
+    read zero until its first gradient, so its first moment is
+    ``beta * 0 + fresh``: ``fresh``, except that a ``-0.0`` becomes ``0.0``,
+    which changes the bits of no weight but a ``-0.0`` one."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - beta1**t
@@ -109,9 +121,15 @@ def adam_step(
     named = [(name, tensor) for name, tensor in params.items() if tensor.grad is not None]
     if not named:
         return
+
+    def flat(slots: dict[str, np.ndarray]) -> np.ndarray:
+        return np.concatenate(
+            [slots.get(name, np.zeros(tensor.data.size)).reshape(-1) for name, tensor in named]
+        )
+
     grad = np.concatenate([tensor.grad.reshape(-1) for _, tensor in named])
-    m = _moment(state.m, named, beta1, (1.0 - beta1) * grad)
-    v = _moment(state.v, named, beta2, (1.0 - beta2) * grad * grad)
+    m = beta1 * flat(state.m) + (1.0 - beta1) * grad
+    v = beta2 * flat(state.v) + (1.0 - beta2) * grad * grad
     data = np.concatenate([tensor.data.reshape(-1) for _, tensor in named])
     data = data - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
     offset = 0
@@ -121,22 +139,6 @@ def adam_step(
         state.m[name] = m[offset:stop].reshape(shape)
         state.v[name] = v[offset:stop].reshape(shape)
         offset = stop
-
-
-def _moment(slots: dict[str, np.ndarray], named, beta: float, fresh: np.ndarray) -> np.ndarray:
-    """``beta * slot + fresh`` over the flat segments of ``named``, or
-    ``fresh`` alone in the segment of a tensor that has no slot yet."""
-    old = [slots.get(name) for name, _ in named]
-    if all(slot is not None for slot in old):
-        return beta * np.concatenate([slot.reshape(-1) for slot in old]) + fresh
-    out = fresh.copy()
-    offset = 0
-    for slot, (_, tensor) in zip(old, named):
-        stop = offset + tensor.data.size
-        if slot is not None:
-            out[offset:stop] = beta * slot.reshape(-1) + fresh[offset:stop]
-        offset = stop
-    return out
 
 
 def cosine_lr(lr: float, step: int, total_steps: int) -> float:
@@ -159,27 +161,36 @@ def prepare_scenes(
 
 
 def _make_batches(
-    table: AgentTable, batch_size: int, rng: np.random.Generator, lengths: list[int] | None = None
+    table: AgentTable, batch_size: int, rng: np.random.Generator, lengths: list[int], draw=None
 ) -> list[tuple[np.ndarray, int]]:
     """Shuffled ``(rows, h)`` batches: the agent rows (b, N) of up to
     ``batch_size`` scenes of one (agent count, observed steps) key, and the
-    window width ``h`` they train at: each of ``lengths`` in turn, else the
-    key's observed steps. Keys run in sorted order, widths in the order
-    given: one permutation of a key's scenes (in id order) per width, cut
-    into consecutive slices, then one permutation of all batches. A batch
-    holds row indices: ``_epochs`` copies its rows only when it runs it, as
-    a (b, N, h, 2) stack."""
+    window width ``h`` they train at: each of ``lengths`` in turn. Keys run
+    in sorted order, widths in the order given: one permutation of a key's
+    scenes (in id order) per width, cut into consecutive slices, then one
+    permutation of all batches. With ``draw`` (mixed, with one width in
+    ``lengths``), each batch trains at ``draw()`` instead, called once per
+    batch in the order the batches run. A batch holds row indices:
+    ``_epochs`` copies its rows only when it runs it, as a (b, N, h, 2)
+    stack.
+
+    The stack stays 4-D, one scene per leading row, though since the agent
+    frame each agent's window is an independent sample: flattened to
+    (b·N, h, 2) rows, a batch gives the same loss, but the gradients of the
+    decoder's shared LayerNorm affine (``dec.norm``) move in the last bits,
+    because ``autodiff.unbroadcast`` sums a (b, N, d) gradient one axis at a
+    time."""
     keys = list(zip(np.diff(table.starts).tolist(), table.steps.tolist()))
     batches = []
     for n_agents, steps in sorted(set(keys)):
         scenes = [scene for scene, key in enumerate(keys) if key == (n_agents, steps)]
         first_rows = table.starts[scenes][:, None] + np.arange(n_agents)  # (scenes, N)
-        for h in lengths or [steps]:
+        for h in lengths:
             order = rng.permutation(len(scenes))
             for start in range(0, len(order), batch_size):
                 batches.append((first_rows[order[start : start + batch_size]], h))
     final_order = rng.permutation(len(batches))
-    return [batches[i] for i in final_order]
+    return [(batches[i][0], batches[i][1] if draw is None else draw()) for i in final_order]
 
 
 # ------------------------------------------------------------------- logging
@@ -236,9 +247,6 @@ class TrainLog:
             "final_val": {str(h): list(v) for h, v in (last.val.items() if last else [])},
         }
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True), encoding="utf-8")
-
 
 # ------------------------------------------------------------ shared helpers
 
@@ -289,18 +297,21 @@ def _epochs(
     state: AdamState,
     shuffle_rng: np.random.Generator,
     epochs: int,
+    lengths: list[int],
     anneal: bool = True,
     epoch_hook=None,
     stop=None,
     kl_weight=None,
-    lengths: list[int] | None = None,
+    draw=None,
 ) -> TrainLog:
     """The training loop of every strategy: up to ``epochs`` shuffled passes
-    over ``table`` with one Adam step per batch (``_make_batches``).
+    over ``table`` with one Adam step per batch, each batch's rows gathered
+    at the width it trains at (``_make_batches`` with ``lengths`` and
+    ``draw``).
 
-    ``loss_fn(obs, future, lambda_kl) -> (total, reg, kl)`` is the only
-    per-strategy part; ``total`` is minimized and ``kl`` is None for
-    single-model losses, which ignore ``lambda_kl``. ``lambda_kl`` is the
+    ``loss_fn(obs, future, params, lambda_kl) -> (total, reg, kl)`` is the
+    only other per-strategy part; ``total`` is minimized and ``kl`` is None
+    for single-model losses, which ignore ``lambda_kl``. ``lambda_kl`` is the
     epoch's KL weight, ``kl_weight(epoch)``, or 0.0 without ``kl_weight``;
     the epoch's record logs it. Each batch runs in ``_step``, and only its
     float loss terms come back here, so at most one batch's graph is alive
@@ -316,7 +327,7 @@ def _epochs(
         started = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
         lambda_kl = 0.0 if kl_weight is None else kl_weight(epoch)
-        batches = _make_batches(table, cfg.train.batch_size, shuffle_rng, lengths)
+        batches = _make_batches(table, cfg.train.batch_size, shuffle_rng, lengths, draw)
         total_steps = epochs * len(batches)
         for rows, h in batches:
             lr = cosine_lr(cfg.train.lr, step, total_steps) if anneal else cfg.train.lr
@@ -356,22 +367,17 @@ def _step(
     single-model loss. The loss tensors are this function's locals and the
     graph has no cycles, so reference counting frees the batch's whole tape
     when it returns, before the next batch's forward."""
-    total, reg, kl = loss_fn(obs, future, lambda_kl)
+    total, reg, kl = loss_fn(obs, future, params, lambda_kl)
     zero_grad(params.tensors)
     backward(total)
     adam_step(params.tensors, state, lr)
     return total.item(), reg.item(), 0.0 if kl is None else kl.item()
 
 
-def _single_loss(params: FlnParams, length_of):
-    """Single-model NLL on the last ``length_of(obs)`` observed steps."""
-
-    def loss_fn(obs: np.ndarray, future: np.ndarray, lambda_kl: float):
-        h = length_of(obs)
-        loss = nll(bb.forward_single(obs[:, :, -h:, :], params), future)
-        return loss, loss, None
-
-    return loss_fn
+def _single_loss(obs: np.ndarray, future: np.ndarray, params: FlnParams, lambda_kl: float):
+    """A single-length model's NLL on a batch at the width it was cut to."""
+    loss = nll(bb.forward_single(obs, params), future)
+    return loss, loss, None
 
 
 # ---------------------------------------------------------------- strategies
@@ -387,6 +393,31 @@ def _kl_ramp(lambda_kl: float, epochs: int):
     if epochs == 1:
         return lambda epoch: lambda_kl
     return lambda epoch: lambda_kl * (epoch / (epochs - 1))
+
+
+def train(
+    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer, epoch_hook=None
+) -> tuple[FlnParams, TrainLog]:
+    """Train the strategy ``cfg.train.strategy`` names; returns its model and
+    TrainLog. isolated, mixed and joint differ only in the widths their
+    batches are cut to (``_train_single``): mixed draws each batch's width
+    from the branch lengths with the (renormalized) probabilities rho.
+
+    The trainers are reached through their module-level names, which a
+    tracer can wrap in place."""
+    strategy, lengths = cfg.train.strategy, list(cfg.branches.lengths.values())
+    if strategy == "fln":
+        return train_fln(split, cfg, normalizer, epoch_hook)
+    if strategy == "isolated":
+        return train_isolated(split, cfg, cfg.train.isolated_length, normalizer, epoch_hook)
+    if strategy == "finetune":
+        return train_finetune(split, cfg, normalizer, epoch_hook)
+    draw = None
+    if strategy == "mixed":
+        rho = np.asarray((cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long))
+        probs, length_rng = rho / rho.sum(), _stream(cfg.seed, STREAM_LENGTH)
+        draw = lambda: lengths[int(length_rng.choice(3, p=probs))]
+    return _train_single(strategy, split, cfg, normalizer, lengths, epoch_hook, draw)
 
 
 def train_fln(
@@ -412,11 +443,11 @@ def train_fln(
     )
     return params, _epochs(
         TrainLog("fln"), params, prepare_scenes(split.train, normalizer, branches.h_long),
-        lambda obs, future, lambda_kl: fln_loss(
+        lambda obs, future, params, lambda_kl: fln_loss(
             obs, future, params, replace(branches, lambda_kl=lambda_kl)
         ),
         lambda p: _val_metrics(p, val, list(branches.lengths.values())),
-        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
+        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs, [branches.h_long],
         epoch_hook=epoch_hook, kl_weight=_kl_ramp(branches.lambda_kl, cfg.train.epochs),
     )
 
@@ -429,38 +460,30 @@ def train_isolated(
     epoch_hook=None,
 ) -> tuple[FlnParams, TrainLog]:
     """Conventional training at a single observation length."""
-    val = val_set(split, normalizer, cfg)
-    params = bb.init_params(cfg.backbone, {"L": h_train}, cfg.seed)
-    return params, _epochs(
-        TrainLog("isolated"), params, prepare_scenes(split.train, normalizer, h_train),
-        _single_loss(params, lambda obs: h_train),
-        lambda p: _val_metrics(p, val, [h_train]),
-        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
-        epoch_hook=epoch_hook,
-    )
+    return _train_single("isolated", split, cfg, normalizer, [h_train], epoch_hook)
 
 
-def train_mixed(
+def _train_single(
+    strategy: str,
     split: DatasetSplit,
     cfg: RunConfig,
     normalizer: Normalizer,
+    lengths: list[int],
     epoch_hook=None,
+    draw=None,
 ) -> tuple[FlnParams, TrainLog]:
-    """One model; each iteration trains at a length drawn from the
-    (renormalized) probabilities rho. Validated at all three lengths."""
+    """One single-length model, built at the longest of ``lengths`` and
+    validated at each of them. Its batches are cut to each of ``lengths`` in
+    turn (isolated's one length; joint's dataset expanded with every
+    length), or with ``draw`` (mixed) each to ``draw()``."""
+    h_max = max(lengths)
     val = val_set(split, normalizer, cfg)
-    h_long = cfg.branches.h_long
-    params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
-    candidates = list(cfg.branches.lengths.values())
-    probs = np.asarray((cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long))
-    probs = probs / probs.sum()
-    length_rng = _stream(cfg.seed, STREAM_LENGTH)
+    params = bb.init_params(cfg.backbone, {"L": h_max}, cfg.seed)
     return params, _epochs(
-        TrainLog("mixed"), params, prepare_scenes(split.train, normalizer, h_long),
-        _single_loss(params, lambda obs: candidates[int(length_rng.choice(3, p=probs))]),
-        lambda p: _val_metrics(p, val, candidates),
+        TrainLog(strategy), params, prepare_scenes(split.train, normalizer, h_max),
+        _single_loss, lambda p: _val_metrics(p, val, lengths),
         cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
-        epoch_hook=epoch_hook,
+        lengths if draw is None else [h_max], epoch_hook=epoch_hook, draw=draw,
     )
 
 
@@ -469,23 +492,24 @@ def train_finetune(
     cfg: RunConfig,
     normalizer: Normalizer,
     epoch_hook=None,
-) -> tuple[FlnParams, TrainLog, FlnParams]:
+) -> tuple[FlnParams, TrainLog]:
     """Train at the long length, then continue at the target length until the
-    validation ADE plateaus; the pre-finetune checkpoint is preserved.
+    validation ADE plateaus.
 
     Both phases share one model, log, optimizer state and shuffle stream, and
-    number their epochs in one sequence (the log's and ``epoch_hook``'s)."""
+    number their epochs in one sequence (the log's and ``epoch_hook``'s), so
+    the hook's call for epoch ``cfg.train.epochs - 1`` sees the pre-finetune
+    model (the CLI keeps it as ``checkpoint_pretune``)."""
     val = val_set(split, normalizer, cfg)
     h_long, target = cfg.branches.h_long, cfg.train.finetune_target
     table = prepare_scenes(split.train, normalizer, h_long)
     params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
     state, shuffle_rng = AdamState(), _stream(cfg.seed, STREAM_SHUFFLE)
     log = _epochs(
-        TrainLog("finetune"), params, table, _single_loss(params, lambda obs: h_long),
+        TrainLog("finetune"), params, table, _single_loss,
         lambda p: _val_metrics(p, val, [h_long]),
-        cfg, state, shuffle_rng, cfg.train.epochs, epoch_hook=epoch_hook,
+        cfg, state, shuffle_rng, cfg.train.epochs, [h_long], epoch_hook=epoch_hook,
     )
-    pre = copy.deepcopy(params)
     best, stale = np.inf, 0
 
     def plateau(record: EpochRecord) -> bool:
@@ -498,27 +522,8 @@ def train_finetune(
         return stale >= cfg.train.finetune_patience
 
     _epochs(
-        log, params, table, _single_loss(params, lambda obs: target),
-        lambda p: _val_metrics(p, val, [target]),
-        cfg, state, shuffle_rng, cfg.train.finetune_max_epochs,
+        log, params, table, _single_loss, lambda p: _val_metrics(p, val, [target]),
+        cfg, state, shuffle_rng, cfg.train.finetune_max_epochs, [target],
         anneal=False, epoch_hook=epoch_hook, stop=plateau,
     )
-    return params, log, pre
-
-
-def train_joint(
-    split: DatasetSplit, cfg: RunConfig, normalizer: Normalizer, epoch_hook=None
-) -> tuple[FlnParams, TrainLog]:
-    """One model on the training set expanded with every length: each scene
-    cut to its last h steps for h = h_short, h_medium and h_long. Validated
-    at all three lengths."""
-    val = val_set(split, normalizer, cfg)
-    h_long, lengths = cfg.branches.h_long, list(cfg.branches.lengths.values())
-    params = bb.init_params(cfg.backbone, {"L": h_long}, cfg.seed)
-    return params, _epochs(
-        TrainLog("joint"), params, prepare_scenes(split.train, normalizer, h_long),
-        _single_loss(params, lambda obs: obs.shape[-2]),
-        lambda p: _val_metrics(p, val, lengths),
-        cfg, AdamState(), _stream(cfg.seed, STREAM_SHUFFLE), cfg.train.epochs,
-        epoch_hook=epoch_hook, lengths=lengths,
-    )
+    return params, log

@@ -254,7 +254,7 @@ def test_criterion_4_parameter_overhead():
 def test_criterion_5_baseline_reduction_identities():
     from flexilen.config import EvalConfig
     from flexilen.data import Normalizer, split_scenes
-    from flexilen.training import train_isolated, train_mixed
+    from flexilen.training import train, train_isolated
 
     cfg = RunConfig(
         backbone=BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3),
@@ -274,7 +274,7 @@ def test_criterion_5_baseline_reduction_identities():
     scenes = generate_from_config(cfg.data, cfg.seed)
     split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
     normalizer = Normalizer(cfg.data.horizon).fit(split.train)
-    mixed_params, _ = train_mixed(split, cfg, normalizer)
+    mixed_params, _ = train(split, cfg, normalizer)
     isolated_params, _ = train_isolated(split, cfg, cfg.branches.h_long, normalizer)
     blob = lambda p: b"".join(t.data.tobytes() for _, t in sorted(p.tensors.items()))
     bit_exact = blob(mixed_params) == blob(isolated_params)

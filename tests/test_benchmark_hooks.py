@@ -115,3 +115,27 @@ def test_the_tracer_sees_one_backward_and_one_adam_step_per_training_step(fx, st
     metrics = layers.per_layer_metrics(tracer, [0], [])
     assert metrics["training.steps"] == steps
     assert metrics["autodiff.tape_nodes_per_step"] > 0
+
+
+@pytest.mark.parametrize("strategy", ["fln", "isolated"])
+def test_the_tracer_sees_the_trainer_that_train_runs_from_the_cli(fx, strategy, tmp_path):
+    # the traced workloads train through ``cli.main``; the tracer wraps only
+    # names bound at module level, so a dispatch that bound the trainers at
+    # import would run them unwrapped: no training span and no steps
+    argv = [
+        "train", "--out", str(tmp_path), "--strategy", strategy, "--seed", "0",
+        "--set", "d_model=8", "--set", "heads=2", "--set", "layers=1",
+        "--set", "dec_hidden=16", "--set", "modes=2", "--set", "horizon=3",
+        "--set", "h_short=2", "--set", "h_medium=3", "--set", "h_long=4",
+        "--set", "obs_len=4", "--set", "n_scenes=40", "--set", "epochs=2",
+        "--set", "batch_size=8", "--set", "samples=2",
+        *(["--length", "4"] if strategy == "isolated" else []),
+    ]
+    spans, layers = _perfbench_module("spans"), _perfbench_module("layers")
+    tracer = spans.Tracer("flexilen")
+    with tracer.tracing(layers.targets(fx), run=0):
+        assert fx.cli.main(argv) == 0
+    totals = spans.layer_totals(tracer.spans, [0])
+    assert totals.get(f"training.train_{strategy}", {}).get("calls") == 1
+    metrics = layers.per_layer_metrics(tracer, [0], [])
+    assert totals["autodiff.backward"]["calls"] == metrics["training.steps"] > 0

@@ -21,6 +21,7 @@ from flexilen.data import (
     split_scenes,
 )
 from flexilen.evaluation import evaluate, pe_deviation_report
+from flexilen.fln import count_parameters
 
 TINY_ARGS = [
     "--set", "d_model=8", "--set", "heads=2", "--set", "layers=1",
@@ -503,7 +504,9 @@ STRATEGY_ARGS = {
 )
 def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path, monkeypatch, strategy, stop_epoch):
     """Per-epoch snapshots are written atomically, so an interrupt after any
-    completed epoch leaves a loadable checkpoint for that epoch."""
+    completed epoch leaves a loadable checkpoint for that epoch; an
+    interrupted finetune run past its long-length phase keeps that phase's
+    model too."""
     from flexilen import cli
     from flexilen.checkpoint import save_checkpoint
 
@@ -522,13 +525,18 @@ def test_interrupted_run_keeps_last_epoch_checkpoint(tmp_path, monkeypatch, stra
     params, manifest, _ = load_checkpoint(tmp_path / "checkpoint")
     assert manifest["epoch"] == stop_epoch + 1
     assert all(np.all(np.isfinite(t.data)) for t in params.tensors.values())
-    assert list(tmp_path.glob("checkpoint*.json")) == [tmp_path / "checkpoint.json"]
+    written = sorted(path.name for path in tmp_path.glob("checkpoint*.json"))
+    if strategy == "finetune":
+        assert written == ["checkpoint.json", "checkpoint_pretune.json"]
+        assert load_checkpoint(tmp_path / "checkpoint_pretune")[1]["epoch"] == 5
+    else:
+        assert written == ["checkpoint.json"]
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_ARGS))
 def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, strategy):
     """Checkpoints are written only by the per-epoch hook, plus finetune's
-    pre-adaptation model once at the end."""
+    pre-adaptation model once, when its long-length phase ends."""
     from flexilen import cli
 
     saved = []
@@ -547,8 +555,35 @@ def test_train_writes_each_checkpoint_once_per_epoch(tmp_path, monkeypatch, stra
     epochs = json.loads((tmp_path / "checkpoint_summary.json").read_text())["epochs"]
     expected = [("checkpoint", epoch) for epoch in range(1, epochs + 1)]
     if strategy == "finetune":
-        expected.append(("checkpoint_pretune", 2))
+        expected.insert(2, ("checkpoint_pretune", 2))
     assert saved == expected
+
+
+@pytest.mark.parametrize("strategy", ["fln", "isolated"])
+def test_train_summary_counts_shared_and_branch_parameters(tmp_path, strategy):
+    # the paper's overhead claim, from the run's own summary: what the
+    # trained checkpoint holds, split into shared and per-branch tensors
+    out = tmp_path / strategy
+    assert _run([
+        "train", "--out", str(out), "--strategy", strategy, *TINY_ARGS, *STRATEGY_ARGS[strategy]
+    ]) == 0
+    summary = json.loads((out / "checkpoint_summary.json").read_text())
+    assert {"final_total", "final_val"} <= set(summary)
+    params, _, _ = load_checkpoint(out / "checkpoint")
+    count = count_parameters(params)
+    parameters = summary["parameters"]
+    assert parameters == {
+        "shared": count.shared, "per_branch": count.per_branch, "overhead": count.overhead
+    }
+    sizes = sum(tensor.size for tensor in params.tensors.values())
+    assert parameters["shared"] + sum(parameters["per_branch"].values()) == sizes
+    if strategy == "fln":
+        per_branch = parameters["per_branch"]
+        assert sorted(per_branch) == ["L", "M", "S"] and min(per_branch.values()) > 0
+        extra = per_branch["S"] + per_branch["M"]
+        assert parameters["overhead"] == extra / (parameters["shared"] + per_branch["L"]) > 0
+    else:
+        assert list(parameters["per_branch"]) == ["L"] and parameters["overhead"] == 0.0
 
 
 def _count_adam_steps(monkeypatch) -> list:

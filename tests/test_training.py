@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -29,12 +30,11 @@ from flexilen.training import (
     _make_batches,
     adam_step,
     cosine_lr,
+    train,
     train_fln,
     train_finetune,
     train_isolated,
-    train_joint,
     _val_metrics,
-    train_mixed,
     prepare_scenes,
     val_set,
 )
@@ -202,20 +202,22 @@ def test_fln_lambda_zero_trains_long_branch_only(tiny_split, tiny_norm):
 
 
 def _adam_states_equal(params_a, state_a, params_b, state_b) -> None:
+    # slots by value: a zero slot plus a -0.0 gradient term is 0.0, where the
+    # per-tensor loop's first moment keeps the -0.0; weights by bytes
     assert state_a.step == state_b.step
     assert sorted(state_a.m) == sorted(state_b.m) == sorted(state_a.v) == sorted(state_b.v)
     for name in state_a.m:
-        assert state_a.m[name].tobytes() == state_b.m[name].tobytes()
-        assert state_a.v[name].tobytes() == state_b.v[name].tobytes()
+        np.testing.assert_array_equal(state_a.m[name], state_b.m[name])
+        np.testing.assert_array_equal(state_a.v[name], state_b.v[name])
     for name, tensor in params_a.items():
         assert tensor.data.shape == params_b[name].data.shape
         assert tensor.data.tobytes() == params_b[name].data.tobytes()
 
 
 def test_flat_adam_equals_the_per_tensor_loop_bit_for_bit(tmp_path):
-    # "late" first gets a gradient at step 3 (a first-step slot init beside
-    # running slots), "frozen" never does; the moments then round-trip
-    # through a checkpoint and both runs go on from it
+    # "late" first gets a gradient at step 2 (a zero slot beside running
+    # slots), "frozen" never does; the moments then round-trip through a
+    # checkpoint and both runs go on from it
     cfg = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
     model = bb.init_params(cfg, {"S": 2, "M": 3, "L": 4}, 5)
     names = sorted(model.tensors)
@@ -227,7 +229,7 @@ def test_flat_adam_equals_the_per_tensor_loop_bit_for_bit(tmp_path):
     def step(lr):
         for name in names:
             grad = None
-            if name != frozen and (name != late or flat_state.step >= 2):
+            if name != frozen and (name != late or flat_state.step >= 1):
                 grad = r.normal(size=model.tensors[name].shape)
                 grad.reshape(-1)[:2] = (0.0, -0.0)
             model.tensors[name].grad = grad
@@ -239,7 +241,7 @@ def test_flat_adam_equals_the_per_tensor_loop_bit_for_bit(tmp_path):
         step(0.01 * (i + 1))
         _adam_states_equal(model.tensors, flat_state, oracle, oracle_state)
         assert frozen not in flat_state.m
-        assert (late in flat_state.m) == (i >= 2)
+        assert (late in flat_state.m) == (i >= 1)
     assert model.tensors[frozen].data.tobytes() == oracle[frozen].data.tobytes()
 
     save_checkpoint(tmp_path / "model", model, optimizer=flat_state)
@@ -297,23 +299,26 @@ def test_isolated_seeded_determinism(tiny_split, tiny_norm):
     assert _params_bytes(a) == _params_bytes(b)
 
 
-# --------------------------------------------------------------- train_mixed
+# ----------------------------------------------------------------- mixed
 
 
-def test_mixed_degenerate_rho_reproduces_isolated_bit_exactly(tiny_split, tiny_norm):
+@pytest.mark.parametrize("length", ["h_short", "h_medium", "h_long"])
+def test_mixed_degenerate_rho_reproduces_isolated_bit_exactly(tiny_split, tiny_norm, length):
+    # all of rho on one length: mixed cuts every batch to it, so its model,
+    # built at h_long, trains isolated's weights at that length
+    rho = {f"rho_{name}": float(f"h_{name}" == length) for name in ("short", "medium", "long")}
     cfg = make_config(
-        train=TrainConfig(
-            strategy="mixed", epochs=3, batch_size=16, lr=2e-3,
-            rho_short=0.0, rho_medium=0.0, rho_long=1.0,
-        )
+        train=TrainConfig(strategy="mixed", epochs=3, batch_size=16, lr=2e-3, **rho)
     )
-    mixed_params, mixed_log = train_mixed(tiny_split, cfg, tiny_norm)
-    isolated_params, isolated_log = train_isolated(tiny_split, cfg, cfg.branches.h_long, tiny_norm)
+    h = getattr(cfg.branches, length)
+    mixed_params, mixed_log = train(tiny_split, cfg, tiny_norm)
+    isolated_params, isolated_log = train_isolated(tiny_split, cfg, h, tiny_norm)
+    assert mixed_params.lengths == {"L": 4} and isolated_params.lengths == {"L": h}
     assert _params_bytes(mixed_params) == _params_bytes(isolated_params)
     # mixed validates at every length it trains at, and validation draws nothing
     for mixed_record, isolated_record in zip(mixed_log.records, isolated_log.records):
         assert list(mixed_record.val) == [2, 3, 4]
-        assert mixed_record.val[4] == isolated_record.val[4]
+        assert mixed_record.val[h] == isolated_record.val[h]
 
 
 def test_mixed_uniform_rho_renormalizes():
@@ -337,6 +342,19 @@ def test_mixed_draw_frequencies_within_three_sigma():
 # ------------------------------------------------------------ train_finetune
 
 
+def _finetune_keeping_pre(split, cfg, norm):
+    """``train_finetune``'s model and log, and the model its epoch hook saw
+    when the long-length phase ended (the CLI's ``checkpoint_pretune``)."""
+    kept = {}
+
+    def hook(params, epoch):
+        if epoch + 1 == cfg.train.epochs:
+            kept["pre"] = copy.deepcopy(params)
+
+    params, log = train_finetune(split, cfg, norm, hook)
+    return params, log, kept["pre"]
+
+
 def test_finetune_preserves_pre_checkpoint_and_adapts(tiny_split, tiny_norm):
     cfg = make_config(
         train=TrainConfig(
@@ -344,7 +362,7 @@ def test_finetune_preserves_pre_checkpoint_and_adapts(tiny_split, tiny_norm):
             finetune_target=2, finetune_patience=2, finetune_max_epochs=4,
         )
     )
-    params, log, pre = train_finetune(tiny_split, cfg, tiny_norm)
+    params, log, pre = _finetune_keeping_pre(tiny_split, cfg, tiny_norm)
     assert _params_bytes(pre) != _params_bytes(params)
     assert len(log.records) > cfg.train.epochs
     # the 4Ts -> 2Ts protocol is just this config
@@ -360,7 +378,7 @@ def test_finetune_pre_model_is_the_isolated_long_model(tiny_split, tiny_norm):
             finetune_target=2, finetune_patience=2, finetune_max_epochs=2,
         )
     )
-    _, _, pre = train_finetune(tiny_split, cfg, tiny_norm)
+    _, _, pre = _finetune_keeping_pre(tiny_split, cfg, tiny_norm)
     isolated, _ = train_isolated(tiny_split, cfg, cfg.branches.h_long, tiny_norm)
     assert _params_bytes(pre) == _params_bytes(isolated)
 
@@ -372,18 +390,18 @@ def test_finetune_target_equal_long_is_continued_training(tiny_split, tiny_norm)
             finetune_target=4, finetune_patience=1, finetune_max_epochs=2,
         )
     )
-    params, log, pre = train_finetune(tiny_split, cfg, tiny_norm)
+    params, log, pre = _finetune_keeping_pre(tiny_split, cfg, tiny_norm)
     # phase 2 keeps training at the same length: the loss column stays
     # continuous with phase 1 (no distribution change)
     assert log.records[cfg.train.epochs].total < log.records[0].total
 
 
-# --------------------------------------------------------------- train_joint
+# ----------------------------------------------------------------- joint
 
 
 def test_joint_trains_one_model_validated_at_every_length(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="joint", epochs=2, batch_size=16, lr=2e-3))
-    params, log = train_joint(tiny_split, cfg, tiny_norm)
+    params, log = train(tiny_split, cfg, tiny_norm)
     assert params.is_single and params.lengths == {"L": 4}
     assert [list(record.val) for record in log.records] == [[2, 3, 4]] * 2
 
@@ -410,7 +428,7 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     norm = Normalizer(horizon=3).fit(scenes)
     table, windows = prepare_scenes(scenes, norm, 4), prepare_per_scene(scenes, norm)
     assert set(np.diff(table.starts).tolist()) == {1, 2, 3, 4} and len(table.scene_ids) == len(windows)
-    lengths = None
+    lengths = [4]
     if cut == "joint":
         lengths = [2, 3, 4]
         windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in lengths]
@@ -426,20 +444,14 @@ def test_batches_equal_the_per_scene_batches_bit_for_bit(batch_size, cut):
     assert rng.integers(2**62) == oracle_rng.integers(2**62)
 
 
-TRAIN = {
-    "fln": train_fln,
-    "isolated": lambda split, cfg, norm: train_isolated(split, cfg, 4, norm),
-    "mixed": train_mixed,
-    "finetune": train_finetune,
-    "joint": train_joint,
-}
-
-
-@pytest.mark.parametrize("strategy", sorted(TRAIN))
+@pytest.mark.parametrize("strategy", ["finetune", "fln", "isolated", "joint", "mixed"])
 def test_every_strategy_steps_on_the_per_scene_batches_bit_for_bit(strategy, monkeypatch):
     # what the loop hands each step, epoch after epoch (finetune's two phases
     # included), equals the per-scene batches drawn from the run's shuffle
-    # stream; joint's come key-major and length-minor
+    # stream, each cut to the width the strategy trains it at: h_long for
+    # fln, isolated and finetune's first phase, finetune's target after it,
+    # and one draw from the length stream per batch for mixed; joint's come
+    # key-major and length-minor
     scenes = generate_from_config(
         DataConfig(n_scenes=48, agents_min=1, agents_max=4, obs_len=4, horizon=3), 5
     )
@@ -465,13 +477,29 @@ def test_every_strategy_steps_on_the_per_scene_batches_bit_for_bit(strategy, mon
         return 0.0, 0.0, 0.0
 
     monkeypatch.setattr(training, "_step", recorded_step)
-    log = TRAIN[strategy](DatasetSplit(train=scenes, val=[]), cfg, norm)[1]
+    log = train(DatasetSplit(train=scenes, val=[]), cfg, norm)[1]
     assert len(log.records) == (3 if strategy == "finetune" else 2)
     windows = prepare_per_scene(scenes, norm)
     if strategy == "joint":
         windows = [Window(w.obs[:, -h:], w.future) for w in windows for h in (2, 3, 4)]
     oracle_rng = np.random.default_rng([cfg.seed, training.STREAM_SHUFFLE])
-    expected = [batch for _ in log.records for batch in batches_per_scene(windows, 5, oracle_rng)]
+    epochs = [batches_per_scene(windows, 5, oracle_rng) for _ in log.records]
+    rho = np.array([cfg.train.rho_short, cfg.train.rho_medium, cfg.train.rho_long])
+    length_rng = np.random.default_rng([cfg.seed, training.STREAM_LENGTH])
+
+    def width(epoch: int, batch: Window) -> int:
+        if strategy == "joint":
+            return batch.obs.shape[-2]
+        if strategy == "mixed":
+            return (2, 3, 4)[int(length_rng.choice(3, p=rho / rho.sum()))]
+        return 2 if strategy == "finetune" and epoch >= cfg.train.epochs else 4
+
+    expected = [
+        Window(batch.obs[..., -width(epoch, batch):, :], batch.future)
+        for epoch, batches in enumerate(epochs) for batch in batches
+    ]
+    if strategy == "mixed":
+        assert len({window.obs.shape[-2] for window in expected}) == 3
     assert len(fed) == len(expected)
     for got, oracle in zip(fed, expected):
         assert got.obs.shape == oracle.obs.shape
@@ -481,8 +509,8 @@ def test_every_strategy_steps_on_the_per_scene_batches_bit_for_bit(strategy, mon
 
 def test_joint_seeded_determinism(tiny_split, tiny_norm):
     cfg = make_config(train=TrainConfig(strategy="joint", epochs=1, batch_size=16, lr=2e-3))
-    a, _ = train_joint(tiny_split, cfg, tiny_norm)
-    b, _ = train_joint(tiny_split, cfg, tiny_norm)
+    a, _ = train(tiny_split, cfg, tiny_norm)
+    b, _ = train(tiny_split, cfg, tiny_norm)
     assert _params_bytes(a) == _params_bytes(b)
 
 
@@ -555,17 +583,10 @@ def test_each_step_frees_its_tape_before_the_next_forward(
         probe.check("epoch_hook")
         epochs.append(epoch)
 
-    run = {
-        "fln": lambda: train_fln(tiny_split, cfg, tiny_norm, hook),
-        "isolated": lambda: train_isolated(tiny_split, cfg, 3, tiny_norm, hook),
-        "mixed": lambda: train_mixed(tiny_split, cfg, tiny_norm, hook),
-        "finetune": lambda: train_finetune(tiny_split, cfg, tiny_norm, hook),
-        "joint": lambda: train_joint(tiny_split, cfg, tiny_norm, hook),
-    }[strategy]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        run()
+        train(tiny_split, cfg, tiny_norm, hook)
     finally:
         if enabled:
             gc.enable()
