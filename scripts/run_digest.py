@@ -26,7 +26,10 @@ lengths, written with ``data.save_dataset``, an isolated model trained on
 it, evaluated with mode means and with ``sampling=stochastic``, and a length
 sweep of the FLN checkpoint on it (so one-agent scenes, and the shorter
 scenes' rows among the longer ones', run through training, both samplings
-and routed evaluation). Each line hashes that run's artifacts: checkpoint payloads and manifests, training logs with the
+and routed evaluation), and a study line: the CSV that
+``protocols.run_length_shift_study`` writes for two seeds at a tiny study
+config (every row of the study, trained and scored).
+Each line hashes that run's artifacts: checkpoint payloads and manifests, training logs with the
 wall-clock columns (``seconds``, ``val_seconds``) removed, and the sweep,
 metrics and probe reports. A training line also prints, at full precision, each model's
 ``final_total`` and its last epoch's validation ADE at every length, and
@@ -70,6 +73,7 @@ from pathlib import Path  # noqa: E402
 from flexilen.cli import main  # noqa: E402
 from flexilen.config import DataConfig  # noqa: E402
 from flexilen.data import TrajectoryScene, generate_from_config, save_dataset  # noqa: E402
+from flexilen.protocols import run_length_shift_study, study_run_config  # noqa: E402
 from rev_tree import extract  # noqa: E402
 
 SEED = 3
@@ -238,6 +242,13 @@ def run(root: Path) -> tuple[dict[str, str], dict[str, dict[str, str]], dict[str
     record("mixed-shapes", *(mixed / name for name in
            ("data", "isolated", "eval", "eval-stochastic", "sweep")))
     values["mixed-shapes"] = final_values(trained)
+    # run_length_shift_study, study_run_config and write_csv are in older
+    # trees too, so --against runs this line on them
+    study = root / "study"
+    study.mkdir()
+    base = study_run_config(n_scenes=100, epochs=3, lengths=(2, 3, 4), horizon=12)
+    run_length_shift_study(base, seeds=(SEED, SEED + 1)).write_csv(study / "study.csv")
+    record("study", study)
     hashes = {name: digest(line_files) for name, line_files in files.items()}
     return hashes, values, files
 

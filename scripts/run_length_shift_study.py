@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run the multi-seed length-shift study and write a per-seed results table.
 
-Trains, for every seed: isolated models at each observation length plus the
-multi-branch model, then evaluates each on held-out scenes at every length.
-The 'prototype' rows are the long-length model evaluated at shorter lengths,
-which exposes the degradation the multi-branch training removes; the 'cv'
-(constant velocity) and 'ctrv' (constant turn rate) rows are zero-parameter
-extrapolators of the same observed windows.
+Trains, for every seed, the models of the study's rows
+(``flexilen.protocols.study_rows``): isolated models at each observation
+length plus the multi-branch model, then evaluates each row on held-out
+scenes at every length. The 'prototype' rows are the long-length model
+evaluated at shorter lengths, which exposes the degradation the
+multi-branch training removes; the 'cv' (constant velocity) and 'ctrv'
+(constant turn rate) rows are zero-parameter extrapolators of the same
+observed windows. The mean table has one column per row, headed by its name.
 
 Example:
     python scripts/run_length_shift_study.py --out results/ --scenes 2000 \
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from flexilen.protocols import run_length_shift_study, study_run_config
+from flexilen.protocols import run_length_shift_study, study_rows, study_run_config
 
 
 def main() -> int:
@@ -43,18 +45,11 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     result.write_csv(out / "length_shift_study.csv")
 
-    lengths = list(base.branches.lengths.values())
+    names = [row.name for row in study_rows(base)]
     print("\nmean ADE over seeds")
-    print(
-        f"{'H_eval':>7} {'isolated':>10} {'prototype':>10} {'multibranch':>12}"
-        f" {'cv':>8} {'ctrv':>8}"
-    )
-    for h in lengths:
-        print(
-            f"{h:>7} {result.mean_ade('it', h):>10.4f} "
-            f"{result.mean_ade('prototype', h):>10.4f} {result.mean_ade('fln', h):>12.4f}"
-            f" {result.mean_ade('cv', h):>8.4f} {result.mean_ade('ctrv', h):>8.4f}"
-        )
+    print(f"{'H_eval':>7}" + "".join(f" {name:>10}" for name in names))
+    for h in base.branches.lengths.values():
+        print(f"{h:>7}" + "".join(f" {result.mean_ade(name, h):>10.4f}" for name in names))
     print(f"\nwrote {out / 'length_shift_study.csv'}")
     return 0
 

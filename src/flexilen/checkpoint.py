@@ -3,17 +3,19 @@
 A checkpoint is a pair ``<prefix>.json`` / ``<prefix>.bin``. The manifest
 records the format version, a run-config snapshot, the model (backbone config
 and branch lengths), a named parameter manifest (name, shape, element
-offset), an optional optimizer section, the training-epoch marker, and the
-``scale`` of the normalizer the model was trained with (``train`` always
-writes it; ``eval``, ``sweep`` and ``probe ln`` read it). The
-parameter names are the model's layout (see ``FlnParams``); a loaded model
-must hold every tensor its branches read. Offsets tile the payload exactly and
-round-trips are bit-identical; writes are atomic (write-then-rename).
+offset), the training-epoch marker, and the ``scale`` of the normalizer the
+model was trained with (``train`` always writes it; ``load_checkpoint``
+rebuilds the normalizer from it, which ``eval``, ``sweep`` and ``probe ln``
+score with). The parameter names are the model's layout (see
+``FlnParams``); a loaded model must hold every tensor its branches read.
+Offsets tile the payload exactly and round-trips are bit-identical; writes
+are atomic (write-then-rename).
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import FlnParams
 from .config import BackboneConfig
-from .data import read_payload, write_payload
-from .training import AdamState
+from .data import Normalizer, read_payload, write_payload
 
 # 2: models trained in each agent's own frame (``data.Normalizer``); a
 # version-1 model was trained in the scene-centroid frame, and its scale
@@ -35,27 +36,19 @@ def _size(shape: list[int]) -> int:
     return int(np.prod(shape, dtype=np.int64)) if shape else 1
 
 
-def _manifest_entries(arrays: dict[str, np.ndarray], offset: int):
-    entries = []
-    for name in arrays:
-        arr = arrays[name]
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-    return entries, offset
-
-
 def save_checkpoint(
     prefix: str | Path,
     params: FlnParams,
     run_config: dict | None = None,
     epoch: int = 0,
-    optimizer: AdamState | None = None,
     scale: float | None = None,
 ) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    param_arrays = {name: tensor.data for name, tensor in params.tensors.items()}
-    param_entries, offset = _manifest_entries(param_arrays, 0)
+    entries, offset = [], 0
+    for name, tensor in params.tensors.items():
+        entries.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
+        offset += tensor.data.size
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": epoch,
@@ -64,25 +57,18 @@ def save_checkpoint(
             "backbone": dataclasses.asdict(params.cfg),
             "lengths": params.lengths,
         },
-        "parameters": param_entries,
+        "parameters": entries,
         "scale": scale,
     }
-    arrays = list(param_arrays.values())
-    if optimizer is not None:
-        opt_arrays: dict[str, np.ndarray] = {}
-        for slot in ("m", "v"):
-            for name, arr in getattr(optimizer, slot).items():
-                opt_arrays[f"{slot}.{name}"] = arr
-        opt_entries, offset = _manifest_entries(opt_arrays, offset)
-        manifest["optimizer"] = {"step": optimizer.step, "slots": opt_entries}
-        arrays += opt_arrays.values()
-    write_payload(prefix, manifest, arrays)
+    write_payload(prefix, manifest, [tensor.data for tensor in params.tensors.values()])
 
 
 def load_checkpoint(
     prefix: str | Path,
-) -> tuple[FlnParams, dict, AdamState | None]:
-    """Rebuild parameters (and optimizer state if present) from disk."""
+) -> tuple[FlnParams, dict, Normalizer | None]:
+    """Rebuild the parameters from disk; returns them, the manifest, and the
+    normalizer the model was trained with, or None when the manifest
+    records no valid ``scale`` (a positive finite float)."""
     prefix = Path(prefix)
     json_path = Path(str(prefix) + ".json")
     bin_path = Path(str(prefix) + ".bin")
@@ -94,9 +80,6 @@ def load_checkpoint(
         raise ValueError(f"checkpoint {prefix}: unsupported version {version}")
     try:
         entries = list(manifest["parameters"])
-        opt_section = manifest.get("optimizer")
-        if opt_section:
-            entries = entries + list(opt_section["slots"])
         blocks = [(e["name"], e["offset"], _size(e["shape"])) for e in entries]
         model = manifest["model"]
         unknown = sorted(set(model["backbone"]) - _BACKBONE_KEYS)
@@ -111,7 +94,7 @@ def load_checkpoint(
         raise ValueError(f"checkpoint {prefix}: malformed manifest: {exc}") from exc
     payload = read_payload(bin_path, blocks, f"checkpoint {prefix}")
 
-    for entry in manifest["parameters"]:
+    for entry in entries:
         block = payload[entry["offset"] : entry["offset"] + _size(entry["shape"])]
         params.tensors[entry["name"]] = Tensor(
             block.reshape(entry["shape"]).astype(np.float64), requires_grad=True
@@ -120,11 +103,6 @@ def load_checkpoint(
     if missing:
         raise ValueError(f"checkpoint {prefix}: malformed manifest: {missing}")
 
-    optimizer = None
-    if opt_section:
-        optimizer = AdamState(step=int(opt_section["step"]))
-        for entry in opt_section["slots"]:
-            block = payload[entry["offset"] : entry["offset"] + _size(entry["shape"])]
-            slot, name = entry["name"].split(".", 1)
-            getattr(optimizer, slot)[name] = block.reshape(entry["shape"]).astype(np.float64)
-    return params, manifest, optimizer
+    scale = manifest.get("scale")
+    valid = type(scale) is float and 0 < scale < math.inf
+    return params, manifest, Normalizer(backbone.horizon, scale) if valid else None

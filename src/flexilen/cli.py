@@ -14,7 +14,6 @@ effective seed into its output manifest, and exits nonzero on any error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -76,8 +75,9 @@ def _build_config(args, base: dict | None = None) -> RunConfig:
 
 def _checkpoint_config(args, checkpoint: str):
     """A checkpoint's model, its run config under this command's overrides,
-    which may change only data, eval and seed keys, and its manifest."""
-    params, manifest, _ = load_checkpoint(checkpoint)
+    which may change only data, eval and seed keys, and its normalizer
+    (None when the checkpoint records no scale)."""
+    params, manifest, normalizer = load_checkpoint(checkpoint)
     base = manifest.get("run_config") or {}
     cfg = _build_config(args, base)
     trained = run_config_to_flat(build_run_config(base))
@@ -91,17 +91,16 @@ def _checkpoint_config(args, checkpoint: str):
             f"checkpoint {checkpoint} was trained with {', '.join(locked)}; only data, eval"
             " and seed keys may differ from its run config"
         )
-    return params, cfg, manifest
+    return params, cfg, normalizer
 
 
 def _checkpoint_run(args, checkpoint: str):
     """``_checkpoint_config``'s model and run config, the run's ``_split``,
     and the normalizer rebuilt from the scale the checkpoint records."""
-    params, cfg, manifest = _checkpoint_config(args, checkpoint)
-    scale = manifest.get("scale")
-    if type(scale) is not float or not 0 < scale < math.inf:
+    params, cfg, normalizer = _checkpoint_config(args, checkpoint)
+    if normalizer is None:
         raise ConfigError(f"checkpoint {checkpoint} records no normalizer scale; retrain it")
-    return params, cfg, _split(args, cfg), Normalizer(cfg.data.horizon, scale)
+    return params, cfg, _split(args, cfg), normalizer
 
 
 def _split(args, cfg: RunConfig):

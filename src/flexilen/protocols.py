@@ -1,17 +1,27 @@
 """The multi-seed length-shift study: train the baselines and the
 multi-branch model on one synthetic protocol and compare them per length.
 
-The prototype row is the long-length model evaluated at shorter lengths,
-exposing the degradation that motivates everything else; isolated training
-provides the per-length reference, and the multi-branch model is expected to
-track or beat it at every length after a single training run. Two
-zero-parameter rows, ``cv`` (constant velocity) and ``ctrv`` (constant turn
-rate), show what the observed history alone is worth at each length.
+The study is a table of rows (``study_rows``). A learned row names, for
+each eval length h, the flat config overrides of the model it scores there;
+``run_seed`` trains each distinct override set once through
+``training.train`` and scores every row at every branch length on the same
+test table. A zero-parameter row has no model and scores its ``predict``
+with one sample. So a new comparison (another strategy, an ablation) is one
+more ``Row`` and no new study code.
+
+The prototype row is the long-length isolated model evaluated at shorter
+lengths, exposing the degradation that motivates everything else; isolated
+training (``it``) provides the per-length reference, and the multi-branch
+model (``fln``) is expected to track or beat it at every length after a
+single training run. Two zero-parameter rows, ``cv`` (constant velocity) and
+``ctrv`` (constant turn rate), show what the observed history alone is worth
+at each length.
 """
 from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,11 +36,13 @@ from .config import (
     EvalConfig,
     RunConfig,
     TrainConfig,
+    build_run_config,
+    run_config_to_flat,
 )
 from .data import DatasetSplit, Normalizer, agent_table, generate_from_config, split_scenes
 from .evaluation import evaluate_table
 from .mixture import MixturePrediction
-from .training import train_fln, train_isolated
+from .training import train
 
 
 def study_run_config(
@@ -108,15 +120,76 @@ def _rollout_predict(rollout, horizon: int):
     return predict
 
 
+@dataclass(frozen=True)
+class Row:
+    """One row of the study. A learned row's ``overrides(h)`` are the flat
+    config keys, over the seed's run config, of the model it scores at eval
+    length h; a zero-parameter row has none and scores ``predict`` (an
+    ``evaluate_table`` predict) with one sample."""
+
+    name: str
+    overrides: Callable[[int], dict[str, object]] | None = None
+    predict: Callable | None = None
+
+
+def study_rows(base: RunConfig) -> list[Row]:
+    """The study's rows: ``it`` (isolated at each length), ``prototype``
+    (isolated at h_long, fed every length), ``fln``, ``cv`` and ``ctrv``."""
+    h_long, horizon = base.branches.h_long, base.backbone.horizon
+    return [
+        Row("it", lambda h: {"strategy": "isolated", "isolated_length": h}),
+        Row("prototype", lambda h: {"strategy": "isolated", "isolated_length": h_long}),
+        Row("fln", lambda h: {"strategy": "fln"}),
+        Row("cv", predict=_rollout_predict(cv_rollout, horizon)),
+        Row("ctrv", predict=_rollout_predict(ctrv_rollout, horizon)),
+    ]
+
+
 @dataclass
 class SeedOutcome:
     seed: int
     split: DatasetSplit
     normalizer: Normalizer
-    isolated: dict[int, FlnParams]      # length -> model trained at that length
-    fln: FlnParams
-    ade: dict[tuple[str, int], float]   # (row, eval length) -> test ADE
+    models: dict[tuple[str, int], FlnParams]  # (row, eval length) -> the model scored there
+    ade: dict[tuple[str, int], float]         # (row, eval length) -> test ADE
     fde: dict[tuple[str, int], float]
+
+
+def run_seed(cfg: RunConfig, rows: list[Row]) -> SeedOutcome:
+    """One seed of the study: ``cfg``'s scenes, split, and a normalizer fit
+    on the train split; each distinct override set of ``rows`` trained once
+    through ``training.train``, so rows that name the same model share it
+    (the prototype is the ``it`` model at h_long); then every row scored at
+    every branch length on the test table, built once, with ``cfg``'s
+    samples by mode means, one forward per model and length
+    (``evaluation.evaluate_table``)."""
+    scenes = generate_from_config(cfg.data, cfg.seed)
+    split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
+    normalizer = Normalizer(cfg.data.horizon).fit(split.train)
+    lengths = list(cfg.branches.lengths.values())
+    flat = run_config_to_flat(cfg)
+    trained: dict[tuple, FlnParams] = {}
+    models: dict[tuple[str, int], FlnParams] = {}
+    for row in rows:
+        for h in lengths if row.overrides else ():
+            overrides = row.overrides(h)
+            key = tuple(sorted(overrides.items()))
+            if key not in trained:
+                trained[key], _ = train(split, build_run_config({**flat, **overrides}), normalizer)
+            models[(row.name, h)] = trained[key]
+
+    ade: dict[tuple[str, int], float] = {}
+    fde: dict[tuple[str, int], float] = {}
+    test_table = agent_table(split.test, normalizer)
+    for row in rows:
+        for h in lengths:
+            key = (row.name, h)
+            if row.predict is None:
+                score = evaluate_table(models[key], test_table, h, cfg.eval.samples, normalizer)
+            else:
+                score = evaluate_table(None, test_table, h, 1, normalizer, predict=row.predict)
+            ade[key], fde[key] = score
+    return SeedOutcome(cfg.seed, split, normalizer, models, ade, fde)
 
 
 @dataclass
@@ -154,59 +227,24 @@ class StudyResult:
 def run_length_shift_study(
     base: RunConfig, seeds: tuple[int, ...] = (0, 1, 2), verbose: bool = False
 ) -> StudyResult:
-    """Train isolated models at every length plus the multi-branch model for
-    each seed, then evaluate everything on the held-out test scenes.
+    """``run_seed`` of every row of ``study_rows(base)`` for each seed.
 
     The ``prototype`` rows evaluate the long-length isolated model at the
     shorter lengths (its positional encoding follows the shorter input, which
     is exactly the shift being measured). The ``cv`` and ``ctrv`` rows score
-    ``backbone.cv_rollout`` and ``ctrv_rollout`` of the same windows. Each
-    seed's test table is built once and scored by mode-means, one forward
-    per model and length (``evaluation.evaluate_table``).
+    ``backbone.cv_rollout`` and ``ctrv_rollout`` of the same windows.
     """
     result = StudyResult(config=base)
-    lengths = list(base.branches.lengths.values())
-    h_long = base.branches.h_long
-    physics = {
-        "cv": _rollout_predict(cv_rollout, base.backbone.horizon),
-        "ctrv": _rollout_predict(ctrv_rollout, base.backbone.horizon),
-    }
+    rows = study_rows(base)
     for seed in seeds:
         started = time.perf_counter()
-        cfg = replace(base, seed=seed)
-        scenes = generate_from_config(cfg.data, cfg.seed)
-        split = split_scenes(scenes, cfg.data.train_frac, cfg.data.val_frac)
-        normalizer = Normalizer(cfg.data.horizon).fit(split.train)
-        isolated: dict[int, FlnParams] = {}
-        for h in lengths:
-            isolated[h], _ = train_isolated(split, cfg, h, normalizer)
-        fln_params, _ = train_fln(split, cfg, normalizer)
-
-        ade: dict[tuple[str, int], float] = {}
-        fde: dict[tuple[str, int], float] = {}
-        test_table = agent_table(split.test, normalizer)
-        for h in lengths:
-            for model, params in (
-                ("it", isolated[h]),
-                ("prototype", isolated[h_long]),
-                ("fln", fln_params),
-            ):
-                ade[(model, h)], fde[(model, h)] = evaluate_table(
-                    params, test_table, h, base.eval.samples, normalizer
-                )
-            for row, predict in physics.items():
-                ade[(row, h)], fde[(row, h)] = evaluate_table(
-                    None, test_table, h, 1, normalizer, predict=predict
-                )
-        result.seeds.append(
-            SeedOutcome(seed, split, normalizer, isolated, fln_params, ade, fde)
-        )
+        outcome = run_seed(replace(base, seed=seed), rows)
+        result.seeds.append(outcome)
         if verbose:
             elapsed = time.perf_counter() - started
             summary = "  ".join(
-                f"H'={h}: it {ade[('it', h)]:.3f} proto {ade[('prototype', h)]:.3f} "
-                f"fln {ade[('fln', h)]:.3f} cv {ade[('cv', h)]:.3f} ctrv {ade[('ctrv', h)]:.3f}"
-                for h in lengths
+                f"H'={h}: " + " ".join(f"{r.name} {outcome.ade[(r.name, h)]:.3f}" for r in rows)
+                for h in base.branches.lengths.values()
             )
             print(f"seed {seed} ({elapsed:.0f}s)  {summary}")
     return result

@@ -334,7 +334,7 @@ def test_criterion_7_fln_tracks_isolated_training(study):
 
 def test_criterion_8_routing_and_generality(study):
     outcome = study.seeds[0]
-    params = outcome.fln
+    params = outcome.models[("fln", study.config.branches.h_long)]
     scenes = sorted(outcome.split.test, key=lambda s: s.scene_id)[:40]
     lengths = list(range(3, 9))
     rows = generality_sweep(params, scenes, lengths, 2, outcome.normalizer)
@@ -370,9 +370,10 @@ def test_criterion_9_diagnostic_probes(study):
     gaps = []
     for outcome in study.seeds:
         probe_scenes = sorted(outcome.split.test, key=lambda s: s.scene_id)[:40]
-        it_short = ln_statistics_probe(outcome.isolated[h_s], probe_scenes, h_s, outcome.normalizer)
-        it_long = ln_statistics_probe(outcome.isolated[h_l], probe_scenes, h_l, outcome.normalizer)
-        fln_short = ln_statistics_probe(outcome.fln, probe_scenes, h_s, outcome.normalizer)
+        models = outcome.models
+        it_short = ln_statistics_probe(models["it", h_s], probe_scenes, h_s, outcome.normalizer)
+        it_long = ln_statistics_probe(models["it", h_l], probe_scenes, h_l, outcome.normalizer)
+        fln_short = ln_statistics_probe(models["fln", h_s], probe_scenes, h_s, outcome.normalizer)
         gap_between_lengths = ln_report_gap(it_short, it_long, sites=first_site)
         gap_fln_vs_matched = ln_report_gap(fln_short, it_short, sites=first_site)
         gaps.append((outcome.seed, gap_between_lengths, gap_fln_vs_matched))

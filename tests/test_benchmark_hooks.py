@@ -117,13 +117,10 @@ def test_the_tracer_sees_one_backward_and_one_adam_step_per_training_step(fx, st
     assert metrics["autodiff.tape_nodes_per_step"] > 0
 
 
-@pytest.mark.parametrize("strategy", ["fln", "isolated"])
-def test_the_tracer_sees_the_trainer_that_train_runs_from_the_cli(fx, strategy, tmp_path):
-    # the traced workloads train through ``cli.main``; the tracer wraps only
-    # names bound at module level, so a dispatch that bound the trainers at
-    # import would run them unwrapped: no training span and no steps
-    argv = [
-        "train", "--out", str(tmp_path), "--strategy", strategy, "--seed", "0",
+def _train_argv(out: Path, strategy: str) -> list[str]:
+    """A tiny two-epoch ``cli.main`` training run into ``out``."""
+    return [
+        "train", "--out", str(out), "--strategy", strategy, "--seed", "0",
         "--set", "d_model=8", "--set", "heads=2", "--set", "layers=1",
         "--set", "dec_hidden=16", "--set", "modes=2", "--set", "horizon=3",
         "--set", "h_short=2", "--set", "h_medium=3", "--set", "h_long=4",
@@ -131,6 +128,14 @@ def test_the_tracer_sees_the_trainer_that_train_runs_from_the_cli(fx, strategy, 
         "--set", "batch_size=8", "--set", "samples=2",
         *(["--length", "4"] if strategy == "isolated" else []),
     ]
+
+
+@pytest.mark.parametrize("strategy", ["fln", "isolated"])
+def test_the_tracer_sees_the_trainer_that_train_runs_from_the_cli(fx, strategy, tmp_path):
+    # the traced workloads train through ``cli.main``; the tracer wraps only
+    # names bound at module level, so a dispatch that bound the trainers at
+    # import would run them unwrapped: no training span and no steps
+    argv = _train_argv(tmp_path, strategy)
     spans, layers = _perfbench_module("spans"), _perfbench_module("layers")
     tracer = spans.Tracer("flexilen")
     with tracer.tracing(layers.targets(fx), run=0):
@@ -139,3 +144,12 @@ def test_the_tracer_sees_the_trainer_that_train_runs_from_the_cli(fx, strategy, 
     assert totals.get(f"training.train_{strategy}", {}).get("calls") == 1
     metrics = layers.per_layer_metrics(tracer, [0], [])
     assert totals["autodiff.backward"]["calls"] == metrics["training.steps"] > 0
+
+
+def test_a_trained_checkpoint_unpacks_as_check_training_reads_it(fx, tmp_path):
+    # ``workloads.Bench.check_training`` unpacks three values and reads the
+    # manifest's epoch marker; a return of another length fails only inside
+    # a benchmark run
+    assert fx.cli.main(_train_argv(tmp_path, "fln")) == 0
+    _, manifest, _ = fx.checkpoint.load_checkpoint(tmp_path / "checkpoint")
+    assert manifest["epoch"] == 2

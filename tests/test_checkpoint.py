@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flexilen import backbone as bb
 from flexilen.checkpoint import load_checkpoint, save_checkpoint
 from flexilen.config import BackboneConfig
-from flexilen.training import AdamState
 
 TINY = BackboneConfig(d_model=8, heads=2, layers=1, dec_hidden=16, modes=2, horizon=3)
 
@@ -40,19 +39,15 @@ def test_round_trip_bit_identical(tmp_path_factory, seed):
     assert loaded.cfg == params.cfg
 
 
-def test_round_trip_with_optimizer(tmp_path):
+@pytest.mark.parametrize("scale", [0.5, None, 2, float("nan"), float("inf"), -1.0, 0.0])
+def test_load_returns_the_normalizer_of_a_valid_scale(tmp_path, scale):
     params = _params(1)
-    state = AdamState(step=17)
-    rng = np.random.default_rng(2)
-    for name, tensor in params.tensors.items():
-        state.m[name] = rng.normal(size=tensor.shape)
-        state.v[name] = rng.uniform(0, 1, size=tensor.shape)
-    save_checkpoint(tmp_path / "model", params, optimizer=state)
-    _, _, loaded_state = load_checkpoint(tmp_path / "model")
-    assert loaded_state.step == 17
-    for name in state.m:
-        assert loaded_state.m[name].tobytes() == state.m[name].tobytes()
-        assert loaded_state.v[name].tobytes() == state.v[name].tobytes()
+    save_checkpoint(tmp_path / "model", params, scale=scale)
+    _, _, normalizer = load_checkpoint(tmp_path / "model")
+    if scale == 0.5:
+        assert (normalizer.horizon, normalizer.scale) == (params.cfg.horizon, 0.5)
+    else:
+        assert normalizer is None
 
 
 def test_manifest_offsets_tile_payload(tmp_path):

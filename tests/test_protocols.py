@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from flexilen.config import DataConfig
 from flexilen.data import Normalizer, agent_table, generate_from_config, split_scenes
 from flexilen.evaluation import evaluate_table
 from flexilen.protocols import (
+    Row,
     _rollout_predict,
     ctrv_rollout,
     run_length_shift_study,
+    run_seed,
+    study_rows,
     study_run_config,
 )
+from flexilen.training import train_isolated
 
 
 def _constant_turn(speed, heading, omega, steps):
@@ -77,11 +82,28 @@ def test_study_reports_the_reference_rows_at_every_length(tmp_path):
     result.write_csv(tmp_path / "study.csv")
     with open(tmp_path / "study.csv", newline="") as handle:
         rows = {(row["model"], int(row["h_eval"])) for row in csv.DictReader(handle)}
-    models = ("it", "prototype", "fln", "cv", "ctrv")
-    assert rows == {(model, h) for model in models for h in (2, 3, 4)}
+    assert rows == {(row.name, h) for row in study_rows(base) for h in (2, 3, 4)}
     (outcome,) = result.seeds
     assert outcome.ade[("ctrv", 2)] == outcome.ade[("cv", 2)]
     assert len({outcome.ade[("cv", h)] for h in (2, 3, 4)}) == 1
+
+
+def test_rows_are_independent_entries():
+    """One more row changes no other row's scores, rows that name one model
+    share it, and the ``it`` rows are the models ``train_isolated`` trains."""
+    lengths = (2, 3, 4)
+    base = study_run_config(n_scenes=40, epochs=1, lengths=lengths, horizon=3)
+    cfg, rows = replace(base, seed=1), study_rows(base)
+    plain = run_seed(cfg, rows)
+    extended = run_seed(cfg, [*rows, Row("mixed", lambda h: {"strategy": "mixed"})])
+    for scores, more in ((plain.ade, extended.ade), (plain.fde, extended.fde)):
+        assert {key: v for key, v in more.items() if key[0] != "mixed"} == scores
+        assert {key for key in more if key[0] == "mixed"} == {("mixed", h) for h in lengths}
+    blob = lambda p: b"".join(t.data.tobytes() for _, t in sorted(p.tensors.items()))
+    for h in lengths:
+        assert plain.models[("prototype", h)] is plain.models[("it", 4)]
+        isolated, _ = train_isolated(plain.split, cfg, h, plain.normalizer)
+        assert blob(plain.models[("it", h)]) == blob(isolated)
 
 
 def test_the_study_reference_rows_equal_the_raw_rollouts_at_every_length():
